@@ -9,6 +9,7 @@ mathematical verification failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,7 @@ from .operators import (
     to_monomial_basis,
     verify_universal,
 )
-from .orthopoly import gram_schmidt_from_moments, moments_from_sj, monic_polys
+from .orthopoly import gram_schmidt_from_moments, moments_from_sj
 from .pmd import extract_pmd
 from .sampling import sample_params, sample_params_delta0
 
@@ -138,6 +139,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except (InvalidParams, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
+    if args.max_moment < 0:
+        print("invalid input: --max-moment must be nonnegative", file=sys.stderr)
+        return 2
     cls = classify(p)
     derived = p.derived()
     try:
@@ -220,16 +224,15 @@ def _suite_doublecomm(rng: Random, degree: int) -> tuple[MeixnerParams, list[Ver
     aplus, azero, aminus = quantum_ops(sj, degree)
     u, _ = semi_ops(aplus, azero, aminus)
     x = position_op(sj, degree)
-    basis = monic_polys(sj, degree)
     step1 = commutator(u, x)
     checks = [
         _report("[U,X] = (alpha/2)X - (delta/2)N + (tau/2)I", step1,
-                comm_ux_closed_form(p, degree), basis),
+                comm_ux_closed_form(p, degree), sj),
         _report(
             "[[U,X],X] = -(delta/2)(X - 2U)",
             commutator(step1, x),
             (x - u.scale(2)).scale(-d.delta / 2),
-            basis,
+            sj,
         ),
     ]
     return p, checks
@@ -357,6 +360,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     m = args.max_moment
+    if m < 0:
+        print("invalid input: --max-moment must be nonnegative", file=sys.stderr)
+        return 2
     recursion = moments_via_recursion(combo, m)
     cumulant = moments_via_cumulants(combo, m)
     laplace = laplace_series(combo, m)
@@ -434,10 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing never mutates it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.func(args)

@@ -50,10 +50,14 @@ class Poly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(Fraction(c) for c in self.coeffs)
-        while cleaned and cleaned[-1] == 0:
-            cleaned = cleaned[:-1]
-        object.__setattr__(self, "coeffs", cleaned)
+        # Built from a list, the tuple is taken from the free list of its own
+        # size; one built from a generator is not, so freed coefficient tuples
+        # would pile up in those free lists until a full garbage collection.
+        cleaned = tuple([Fraction(c) for c in self.coeffs])
+        end = len(cleaned)
+        while end and cleaned[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cleaned[:end])
 
     @staticmethod
     def of(*values: RatLike) -> "Poly":

@@ -1,11 +1,17 @@
 """Truncated operators on the monic orthogonal-polynomial basis.
 
-A ``GradedOp`` stores the matrix of an operator on span{f_0 .. f_N} with
-``entries[m][n]`` the f_m-component of the image of f_n.  ``band = (lo, hi)``
-bounds the grade shifts the operator performs, and ``margin`` counts how many
-top input degrees are unreliable because the truncation discarded components
-beyond f_N.  Every comparison is restricted to the reliable degrees, so an
-identity reported as holding is exact, never approximate.
+A ``GradedOp`` stores an operator on span{f_0 .. f_N} by its diagonals.
+``band = (lo, hi)`` bounds the grade shifts the operator performs, and
+``diags[k - lo]`` holds the entries (n + k, n), the f_{n+k}-component of the
+image of f_n, for every n with both indices in 0 .. N: it has length
+``N + 1 - |k|`` and is indexed by ``min(n, n + k)``.  ``margin`` counts how
+many top input degrees are unreliable because the truncation discarded
+components beyond f_N.  Every comparison is restricted to the reliable
+degrees, so an identity reported as holding is exact, never approximate.
+
+Only the band is stored, so construction checks shapes in O(width), add,
+neg and scale cost O(N * width), and compose costs O(N * w1 * w2).  The
+dense views ``entries`` and ``column(n)`` are built on demand.
 
 The quantum decomposition of multiplication by X is
 
@@ -26,6 +32,9 @@ from .exact import Poly, RatLike, format_rat
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Diagonal = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def _zeros(size: int) -> list[list[Fraction]]:
@@ -36,26 +45,30 @@ def _freeze(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(v for v in row) for row in rows)
 
 
+def _diag_len(trunc: int, k: int) -> int:
+    return max(0, trunc + 1 - abs(k))
+
+
 @dataclass(frozen=True)
 class GradedOp:
-    """Exact truncated operator in the f-basis with grade-band bookkeeping."""
+    """Exact truncated operator in the f-basis, stored by its diagonals."""
 
     trunc: int
     band: tuple[int, int]
     margin: int
-    entries: Matrix
+    diags: tuple[Diagonal, ...]
 
     def __post_init__(self) -> None:
-        size = self.trunc + 1
-        if len(self.entries) != size or any(len(r) != size for r in self.entries):
-            raise ValueError("entries must be a (trunc+1) x (trunc+1) matrix")
         lo, hi = self.band
         if lo > hi:
             raise ValueError("band lower bound exceeds upper bound")
-        for m in range(size):
-            for n in range(size):
-                if self.entries[m][n] != 0 and not (lo <= m - n <= hi):
-                    raise ValueError(f"entry ({m},{n}) falls outside band {self.band}")
+        if len(self.diags) != hi - lo + 1:
+            raise ValueError(f"band {self.band} needs {hi - lo + 1} diagonals")
+        for k, diag in zip(range(lo, hi + 1), self.diags):
+            if len(diag) != _diag_len(self.trunc, k):
+                raise ValueError(
+                    f"diagonal {k} must have {_diag_len(self.trunc, k)} entries"
+                )
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
 
@@ -64,8 +77,29 @@ class GradedOp:
         """Largest input degree whose column is exact under the truncation."""
         return self.trunc - self.margin
 
+    def _diagonal(self, k: int) -> Diagonal:
+        """Entries (n + k, n), indexed by min(n, n + k); zeros outside the band."""
+        lo, hi = self.band
+        if lo <= k <= hi:
+            return self.diags[k - lo]
+        return (_ZERO,) * _diag_len(self.trunc, k)
+
     def column(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[m][n] for m in range(self.trunc + 1))
+        """Dense image of f_n: entry m is its f_m-component."""
+        size = self.trunc + 1
+        if not 0 <= n < size:
+            raise IndexError(f"column {n} outside 0 .. {self.trunc}")
+        col = [_ZERO] * size
+        for k, diag in zip(range(self.band[0], self.band[1] + 1), self.diags):
+            if 0 <= n + k < size:
+                col[n + k] = diag[n + min(k, 0)]
+        return tuple(col)
+
+    @property
+    def entries(self) -> Matrix:
+        """Dense view: ``entries[m][n]`` is the f_m-component of the image of f_n."""
+        cols = [self.column(n) for n in range(self.trunc + 1)]
+        return tuple(zip(*cols)) if cols else ()
 
     def _require_same_trunc(self, other: "GradedOp") -> None:
         if self.trunc != other.trunc:
@@ -73,25 +107,29 @@ class GradedOp:
 
     def __add__(self, other: "GradedOp") -> "GradedOp":
         self._require_same_trunc(other)
-        size = self.trunc + 1
-        rows = [
-            [self.entries[m][n] + other.entries[m][n] for n in range(size)]
-            for m in range(size)
-        ]
-        band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
-        return GradedOp(self.trunc, band, max(self.margin, other.margin), _freeze(rows))
+        (alo, ahi), (blo, bhi) = self.band, other.band
+        band = (min(alo, blo), max(ahi, bhi))
+        diags = []
+        for k in range(band[0], band[1] + 1):
+            in_a, in_b = alo <= k <= ahi, blo <= k <= bhi
+            if in_a and in_b:
+                da, db = self.diags[k - alo], other.diags[k - blo]
+                diags.append(tuple(x + y for x, y in zip(da, db)))
+            else:
+                diags.append(self._diagonal(k) if in_a else other._diagonal(k))
+        return GradedOp(self.trunc, band, max(self.margin, other.margin), tuple(diags))
 
     def __neg__(self) -> "GradedOp":
-        rows = [[-v for v in row] for row in self.entries]
-        return GradedOp(self.trunc, self.band, self.margin, _freeze(rows))
+        diags = tuple(tuple(-v for v in diag) for diag in self.diags)
+        return GradedOp(self.trunc, self.band, self.margin, diags)
 
     def __sub__(self, other: "GradedOp") -> "GradedOp":
         return self + (-other)
 
     def scale(self, c: RatLike) -> "GradedOp":
         c = Fraction(c)
-        rows = [[c * v for v in row] for row in self.entries]
-        return GradedOp(self.trunc, self.band, self.margin, _freeze(rows))
+        diags = tuple(tuple(c * v for v in diag) for diag in self.diags)
+        return GradedOp(self.trunc, self.band, self.margin, diags)
 
     def __mul__(self, other: object) -> "GradedOp":
         if isinstance(other, (int, Fraction)):
@@ -104,26 +142,33 @@ class GradedOp:
         """Operator product self o other (apply ``other`` first)."""
         self._require_same_trunc(other)
         size = self.trunc + 1
-        rows = _zeros(size)
-        for l in range(size):
-            col_inner = [other.entries[l][n] for n in range(size)]
-            row_outer = self.entries
-            for m in range(size):
-                a = row_outer[m][l]
-                if a == 0:
-                    continue
-                target = rows[m]
-                for n in range(size):
-                    b = col_inner[n]
-                    if b != 0:
-                        target[n] += a * b
         band = (self.band[0] + other.band[0], self.band[1] + other.band[1])
+        acc = [[_ZERO] * _diag_len(self.trunc, k) for k in range(band[0], band[1] + 1)]
+        # Diagonal kb of other takes f_n to f_{n+kb}, then diagonal ka of self
+        # takes that to f_{n+k} with k = ka + kb; n runs over the columns where
+        # all three indices stay inside 0 .. N.
+        for kb, db in zip(range(other.band[0], other.band[1] + 1), other.diags):
+            for ka, da in zip(range(self.band[0], self.band[1] + 1), self.diags):
+                k = ka + kb
+                target = acc[k - band[0]]
+                first = max(0, -kb, -k)
+                stop = min(size, size - kb, size - k)
+                off_b = min(kb, 0)
+                off_a = kb + min(ka, 0)
+                off_t = min(k, 0)
+                for n in range(first, stop):
+                    b = db[n + off_b]
+                    if not b:
+                        continue
+                    a = da[n + off_a]
+                    if a:
+                        target[n + off_t] += a * b
         # A column n of the product is reliable when other's column n is
         # reliable and every level it feeds lies in self's reliable range.
         margin = max(0, other.margin)
         if self.margin > 0:
             margin = max(margin, self.margin + other.band[1])
-        return GradedOp(self.trunc, band, margin, _freeze(rows))
+        return GradedOp(self.trunc, band, margin, tuple(tuple(d) for d in acc))
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,23 +179,21 @@ class GradedOp:
         }
 
 
+def _diagonal_op(trunc: int, values: Sequence[Fraction]) -> GradedOp:
+    return GradedOp(trunc, (0, 0), 0, (tuple(values),))
+
+
 def zero_op(trunc: int) -> GradedOp:
-    return GradedOp(trunc, (0, 0), 0, _freeze(_zeros(trunc + 1)))
+    return _diagonal_op(trunc, [_ZERO] * (trunc + 1))
 
 
 def identity_op(trunc: int) -> GradedOp:
-    rows = _zeros(trunc + 1)
-    for n in range(trunc + 1):
-        rows[n][n] = Fraction(1)
-    return GradedOp(trunc, (0, 0), 0, _freeze(rows))
+    return _diagonal_op(trunc, [Fraction(1)] * (trunc + 1))
 
 
 def number_op(trunc: int) -> GradedOp:
     """Diagonal grade counter: N f_n = n f_n."""
-    rows = _zeros(trunc + 1)
-    for n in range(trunc + 1):
-        rows[n][n] = Fraction(n)
-    return GradedOp(trunc, (0, 0), 0, _freeze(rows))
+    return _diagonal_op(trunc, [Fraction(n) for n in range(trunc + 1)])
 
 
 def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, GradedOp]:
@@ -164,21 +207,18 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
         )
     size = trunc + 1
     full = bound is not None and trunc == bound - 1
-    up = _zeros(size)
-    diag = _zeros(size)
-    down = _zeros(size)
+    diag = []
+    down = []
     for n in range(size):
-        if n + 1 < size:
-            up[n + 1][n] = Fraction(1)
-        diag[n][n] = Fraction(sj.alpha(n))
+        diag.append(Fraction(sj.alpha(n)))
         if n >= 1:
             w = Fraction(sj.omega(n))
             if w <= 0:
                 raise ValueError(f"omega_{n} = {w} is not positive inside the support")
-            down[n - 1][n] = w
-    aplus = GradedOp(trunc, (1, 1), 0 if full else 1, _freeze(up))
-    azero = GradedOp(trunc, (0, 0), 0, _freeze(diag))
-    aminus = GradedOp(trunc, (-1, -1), 0, _freeze(down))
+            down.append(w)
+    aplus = GradedOp(trunc, (1, 1), 0 if full else 1, ((Fraction(1),) * trunc,))
+    azero = _diagonal_op(trunc, diag)
+    aminus = GradedOp(trunc, (-1, -1), 0, (tuple(down),))
     return aplus, azero, aminus
 
 
@@ -201,18 +241,28 @@ def commutator(a: GradedOp, b: GradedOp) -> GradedOp:
 def first_mismatch(
     a: GradedOp, b: GradedOp, up_to: int | None = None
 ) -> tuple[int, tuple[Fraction, ...]] | None:
-    """First reliable input degree where the two operators differ, if any."""
+    """First reliable input degree where the two operators differ, if any.
+
+    The diagonals of both bands are scanned; the dense residual column is
+    built only for the mismatching degree.
+    """
     a._require_same_trunc(b)
     top = min(a.valid_degree, b.valid_degree)
     if up_to is not None:
         top = min(top, up_to)
-    for n in range(top + 1):
-        col_a = a.column(n)
-        col_b = b.column(n)
-        if col_a != col_b:
-            residual = tuple(x - y for x, y in zip(col_a, col_b))
-            return n, residual
-    return None
+    size = a.trunc + 1
+    found = top + 1
+    for k in range(min(a.band[0], b.band[0]), max(a.band[1], b.band[1]) + 1):
+        da, db = a._diagonal(k), b._diagonal(k)
+        off = min(k, 0)
+        for n in range(max(0, -k), min(size - max(k, 0), found)):
+            if da[n + off] != db[n + off]:
+                found = n
+                break
+    if found > top:
+        return None
+    residual = tuple(x - y for x, y in zip(a.column(found), b.column(found)))
+    return found, residual
 
 
 @dataclass(frozen=True)
@@ -236,8 +286,12 @@ class VerifyReport:
 
 
 def _report(
-    name: str, lhs: GradedOp, rhs: GradedOp, basis: list[Poly], up_to: int | None = None
+    name: str, lhs: GradedOp, rhs: GradedOp, sj: SzegoJacobi, up_to: int | None = None
 ) -> VerifyReport:
+    """Compare two operators; on failure, expand the residual column in X.
+
+    The f-basis of ``sj`` is built only when the check fails.
+    """
     top = min(lhs.valid_degree, rhs.valid_degree)
     if up_to is not None:
         top = min(top, up_to)
@@ -245,6 +299,7 @@ def _report(
     if miss is None:
         return VerifyReport(name, True, top)
     index, residual = miss
+    basis = monic_polys(sj, lhs.trunc)
     poly = Poly.zero()
     for m, coef in enumerate(residual):
         poly = poly + coef * basis[m]
@@ -262,16 +317,15 @@ def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
     u, v = semi_ops(aplus, azero, aminus)
     x = aminus + azero + aplus
     num = number_op(trunc)
-    basis = monic_polys(sj, trunc)
     reports = [
-        _report("[N,a+] = a+", commutator(num, aplus), aplus, basis),
-        _report("[N,a0] = 0", commutator(num, azero), zero_op(trunc), basis),
-        _report("[a-,N] = a-", commutator(aminus, num), aminus, basis),
-        _report("[N,V] = a+", commutator(num, v), aplus, basis),
-        _report("[U,N] = a-", commutator(u, num), aminus, basis),
+        _report("[N,a+] = a+", commutator(num, aplus), aplus, sj),
+        _report("[N,a0] = 0", commutator(num, azero), zero_op(trunc), sj),
+        _report("[a-,N] = a-", commutator(aminus, num), aminus, sj),
+        _report("[N,V] = a+", commutator(num, v), aplus, sj),
+        _report("[U,N] = a-", commutator(u, num), aminus, sj),
     ]
-    left = _report("[N,X] = V - U", commutator(num, x), v - u, basis)
-    right = _report("V - U = a+ - a-", v - u, aplus - aminus, basis)
+    left = _report("[N,X] = V - U", commutator(num, x), v - u, sj)
+    right = _report("V - U = a+ - a-", v - u, aplus - aminus, sj)
     if left.passed and right.passed:
         reports.append(
             VerifyReport("[N,X] = V - U = a+ - a-", True, min(left.max_degree, right.max_degree))
@@ -321,15 +375,17 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi) -> Matrix:
     c_inv = _invert_unit_upper(c)
     size = op.trunc + 1
     tmp = _zeros(size)
-    for m in range(size):
-        for l in range(size):
-            a = op.entries[m][l]
+    for k, diag in zip(range(op.band[0], op.band[1] + 1), op.diags):
+        off = min(k, 0)
+        for l in range(max(0, -k), size - max(k, 0)):
+            a = diag[l + off]
             if a == 0:
                 continue
+            row = tmp[l + k]
             for n in range(size):
                 b = c_inv[l][n]
                 if b != 0:
-                    tmp[m][n] += a * b
+                    row[n] += a * b
     out = _zeros(size)
     for m in range(size):
         for l in range(size):

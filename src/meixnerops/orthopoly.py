@@ -61,15 +61,11 @@ class SzegoJacobi:
         return SzegoJacobi(alpha, omega, support_bound)
 
 
-def _dimension_cap(sj: SzegoJacobi) -> int | None:
-    return sj.support_bound
-
-
 def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
     """The monic polynomials f_0 .. f_{n_max} from the recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    bound = _dimension_cap(sj)
+    bound = sj.support_bound
     if bound is not None and n_max >= bound:
         raise TruncationBeyondSupport(
             f"requested degree {n_max} but the system is {bound}-dimensional"
@@ -123,7 +119,7 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     size = m_max + 1
-    bound = _dimension_cap(sj)
+    bound = sj.support_bound
     if bound is not None:
         size = min(size, bound)
     state = [Fraction(0)] * size

@@ -195,6 +195,23 @@ def test_characterize_rejects_malformed(capsys):
     assert "invalid input" in err
 
 
+def test_characterize_rejects_negative_max_moment(capsys):
+    code, out, err = run_cli(capsys, "characterize", "--combo=1:1,-1:0", "--max-moment=-1")
+    assert code == 2
+    assert out == ""
+    assert "invalid input:" in err and "Traceback" not in err
+
+
+def test_classify_rejects_negative_max_moment(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "classify", "--alpha=1", "--alpha0=1", "--beta=0", "--t=1", "--max-moment=-3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "invalid input:" in err and "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

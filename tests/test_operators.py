@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meixnerops.exact import Poly
+from meixnerops.meixner import MeixnerParams, comm_ux_closed_form, szego_jacobi
 from meixnerops.operators import (
     GradedOp,
+    _report,
     commutator,
     first_mismatch,
     identity_op,
@@ -57,8 +59,14 @@ def test_position_decomposition():
 
 
 def test_graded_op_band_validation():
+    with pytest.raises(ValueError):  # band (0, 0) holds one diagonal, not two
+        GradedOp(1, (0, 0), 0, ((F(0), F(0)), (F(1),)))
+    with pytest.raises(ValueError):  # diagonal 1 of a 2x2 operator has one entry
+        GradedOp(1, (1, 1), 0, ((F(0), F(1)),))
     with pytest.raises(ValueError):
-        GradedOp(1, (0, 0), 0, ((F(0), F(1)), (F(0), F(0))))
+        GradedOp(1, (1, 0), 0, ())
+    with pytest.raises(ValueError):
+        GradedOp(1, (0, 0), -1, ((F(0), F(0)),))
 
 
 def test_zero_and_identity():
@@ -152,4 +160,124 @@ pos_rats = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
 def test_universal_identities_hold_for_random_recurrences(alphas, omegas):
     sj = SzegoJacobi.from_lists(alphas, omegas)
     for report in verify_universal(sj, 7):
+        assert report.passed, report.name
+
+
+# Dense reference for the banded kernels: rows[m][n] is the f_m-component of
+# the image of f_n; the margin rules are restated from GradedOp.compose.
+
+
+def _to_graded(trunc, band, margin, rows):
+    diags = tuple(
+        tuple(rows[n + k][n] for n in range(trunc + 1) if 0 <= n + k <= trunc)
+        for k in range(band[0], band[1] + 1)
+    )
+    return GradedOp(trunc, band, margin, diags)
+
+
+def _freeze(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def _dense_compose(a, b):
+    size = len(a)
+    return [[sum((a[m][l] * b[l][n] for l in range(size)), F(0)) for n in range(size)]
+            for m in range(size)]
+
+
+def _dense_first_mismatch(a, b, top):
+    for n in range(top + 1):
+        col_a = tuple(row[n] for row in a)
+        col_b = tuple(row[n] for row in b)
+        if col_a != col_b:
+            return n, tuple(x - y for x, y in zip(col_a, col_b))
+    return None
+
+
+@st.composite
+def banded(draw, trunc):
+    lo = draw(st.integers(-3, 2))
+    hi = draw(st.integers(lo, 3))
+    margin = draw(st.integers(0, 2))
+    rows = [
+        [draw(small_rats | st.just(F(0))) if lo <= m - n <= hi else F(0)
+         for n in range(trunc + 1)]
+        for m in range(trunc + 1)
+    ]
+    return (lo, hi), margin, rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_banded_kernels_match_dense_reference(data):
+    trunc = data.draw(st.integers(0, 8))
+    band_a, margin_a, rows_a = data.draw(banded(trunc))
+    band_b, margin_b, rows_b = data.draw(banded(trunc))
+    c = data.draw(small_rats)
+    a = _to_graded(trunc, band_a, margin_a, rows_a)
+    b = _to_graded(trunc, band_b, margin_b, rows_b)
+    size = trunc + 1
+
+    assert a.entries == _freeze(rows_a)
+    for n in range(size):
+        assert a.column(n) == tuple(row[n] for row in rows_a)
+    assert a.to_json_dict()["entries"] == [str(v) for row in rows_a for v in row]
+
+    total = a + b
+    assert total.band == (min(band_a[0], band_b[0]), max(band_a[1], band_b[1]))
+    assert total.margin == max(margin_a, margin_b)
+    assert total.entries == _freeze(
+        [[rows_a[m][n] + rows_b[m][n] for n in range(size)] for m in range(size)]
+    )
+    assert (-a).entries == _freeze([[-v for v in row] for row in rows_a])
+    assert (a - b).entries == _freeze(
+        [[rows_a[m][n] - rows_b[m][n] for n in range(size)] for m in range(size)]
+    )
+    assert a.scale(c).entries == _freeze([[c * v for v in row] for row in rows_a])
+
+    prod = a.compose(b)
+    assert prod.band == (band_a[0] + band_b[0], band_a[1] + band_b[1])
+    expected_margin = max(margin_b, margin_a + band_b[1]) if margin_a > 0 else margin_b
+    assert prod.margin == expected_margin
+    assert prod.entries == _freeze(_dense_compose(rows_a, rows_b))
+
+    up_to = data.draw(st.none() | st.integers(-1, trunc))
+    top = min(trunc - margin_a, trunc - margin_b)
+    if up_to is not None:
+        top = min(top, up_to)
+    assert first_mismatch(a, b, up_to=up_to) == _dense_first_mismatch(rows_a, rows_b, top)
+    assert first_mismatch(a, a + a.scale(0), up_to=up_to) is None
+
+
+def test_report_expands_the_first_failing_column():
+    # A perturbation in columns 3 and 5 of a passing identity; the expected
+    # index and residual are those of the dense reference implementation.
+    p = MeixnerParams.from_strings("1/2", "-1", "-1/3", "5")
+    sj = szego_jacobi(p)
+    trunc = 8
+    aplus, azero, aminus = quantum_ops(sj, trunc)
+    u, _ = semi_ops(aplus, azero, aminus)
+    x = position_op(sj, trunc)
+    rows = [[F(0)] * (trunc + 1) for _ in range(trunc + 1)]
+    rows[2][3], rows[3][3], rows[4][3], rows[5][5] = F(1, 2), F(-2), F(3, 7), F(9)
+    rhs = comm_ux_closed_form(p, trunc) + _to_graded(trunc, (-1, 1), 0, rows)
+    report = _report("perturbed", commutator(u, x), rhs, sj)
+    assert not report.passed
+    assert report.max_degree == 7
+    assert report.fail_index == 3
+    assert report.residual == Poly.from_coeffs(
+        [F(-3653, 84), F(-799, 42), F(401, 28), F(11, 7), F(-3, 7)]
+    )
+    f = monic_polys(sj, trunc)
+    assert report.residual == -(F(1, 2) * f[2] - 2 * f[3] + F(3, 7) * f[4])
+    assert _report("unperturbed", commutator(u, x), comm_ux_closed_form(p, trunc), sj).passed
+
+
+
+def test_report_builds_no_basis_when_the_check_passes(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("monic_polys called for a passing check")
+
+    monkeypatch.setattr("meixnerops.operators.monic_polys", no_basis)
+    for report in verify_universal(POISSON1, 10):
         assert report.passed, report.name
