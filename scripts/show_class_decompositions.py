@@ -2,8 +2,8 @@
 """Walk the six distribution classes and print their operator decompositions.
 
 For each representative parameter set this prints the classified law, the
-series expansions of U and a-, and, when Delta is a perfect square, the same
-operators written with finite translations.  Everything shown is exact.
+series expansions of U and a-, and, when Delta > 0, the same operators
+written with finite translations.  Everything shown is exact.
 """
 
 import argparse

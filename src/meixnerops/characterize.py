@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exact import format_rat
-from .meixner import InvalidParams, MeixnerParams, TranslationCombo
+from .meixner import InvalidParams, MeixnerParams, TranslationCombo, translation_exprs
 from .orthopoly import MomentSeq
 
 
@@ -50,13 +50,13 @@ class ComboValidity:
     """Validation verdict with the implied Poisson components when valid."""
 
     ok: bool
-    violations: tuple[str, ...]
+    violations: tuple[tuple[type[InvalidCombo], str], ...]  # (error class, message)
     poisson_terms: tuple[tuple[Fraction, Fraction], ...]  # (mean, scale) per shift
 
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "violations": list(self.violations),
+            "violations": [message for _, message in self.violations],
             "poisson_terms": [
                 {"mean": format_rat(lam), "scale": format_rat(d)} for lam, d in self.poisson_terms
             ],
@@ -64,43 +64,35 @@ class ComboValidity:
 
 
 def validate_combo(combo: TranslationCombo) -> ComboValidity:
-    violations: list[str] = []
+    """Every violated rule with its error class, most important first."""
+    violations: list[tuple[type[InvalidCombo], str]] = []
     total = sum((c for c, _ in combo.terms), Fraction(0))
     if total != 0:
-        violations.append(f"coefficients sum to {format_rat(total)}, not 0")
+        violations.append((SumNotZero, f"coefficients sum to {format_rat(total)}, not 0"))
     shifts = [d for _, d in combo.terms]
     if len(set(shifts)) != len(shifts):
-        violations.append("shifts are not pairwise distinct")
+        violations.append((DuplicateShift, "shifts must be pairwise distinct"))
     for c, d in combo.terms:
         if d != 0:
             if c / d <= 0:
-                violations.append(
-                    f"term {format_rat(c)}:{format_rat(d)} has c/d <= 0"
-                    " (a Poisson mean must be positive)"
-                )
+                violations.append((
+                    NegativeMean,
+                    f"term {format_rat(c)}:{format_rat(d)} would give a nonpositive Poisson mean",
+                ))
         elif c == 0:
-            violations.append("useless zero term at shift 0")
-    poisson = tuple((c / d, d) for c, d in combo.terms if d != 0 and c / d > 0)
-    return ComboValidity(not violations, tuple(violations), poisson if not violations else ())
+            violations.append((ZeroCoefficient, "useless zero term at shift 0"))
+    if violations:
+        return ComboValidity(False, tuple(violations), ())
+    return ComboValidity(True, (), tuple((c / d, d) for c, d in combo.terms if d != 0))
 
 
 def ensure_valid(combo: TranslationCombo) -> ComboValidity:
-    """Validate and raise the specific violation as a typed error."""
-    total = sum((c for c, _ in combo.terms), Fraction(0))
-    if total != 0:
-        raise SumNotZero(f"coefficients sum to {format_rat(total)}, not 0")
-    shifts = [d for _, d in combo.terms]
-    if len(set(shifts)) != len(shifts):
-        raise DuplicateShift("shifts must be pairwise distinct")
-    for c, d in combo.terms:
-        if d != 0:
-            if c / d <= 0:
-                raise NegativeMean(
-                    f"term {format_rat(c)}:{format_rat(d)} would give a nonpositive Poisson mean"
-                )
-        elif c == 0:
-            raise ZeroCoefficient("useless zero term at shift 0")
-    return validate_combo(combo)
+    """Validate and raise the first violation as its typed error."""
+    verdict = validate_combo(combo)
+    if verdict.violations:
+        error, message = verdict.violations[0]
+        raise error(message)
+    return verdict
 
 
 def moments_via_recursion(combo: TranslationCombo, m_max: int) -> MomentSeq:
@@ -251,25 +243,18 @@ def bound_cert(combo: TranslationCombo, m_max: int) -> BoundCert:
 def beta0_combo(p: MeixnerParams) -> TranslationCombo:
     """Expand the lowering operator of a beta = 0 system into translations.
 
-    With delta = alpha the difference-quotient presentation of a- collapses
-    to rational coefficients on T_alpha, T_{-alpha}, and I; zero coefficients
-    are dropped and the remainder must sum to zero.
+    With beta = 0, delta = alpha and the translation form of a- has constant
+    coefficients on T_alpha, T_{-alpha} and I; its zero terms are already
+    dropped and the remainder must sum to zero.
     """
     if p.beta != 0:
         raise InvalidParams(f"requires beta = 0, got beta = {p.beta}")
     if p.alpha <= 0:
         raise InvalidParams(f"requires alpha > 0, got alpha = {p.alpha}")
-    d = p.derived()
-    delta = p.alpha
-    c_plus = p.t / (2 * delta) + (p.alpha0 * d.delta + p.alpha * d.tau) / (4 * d.delta)
-    c_minus = -p.t / (2 * delta) + (p.alpha0 * d.delta + p.alpha * d.tau) / (4 * d.delta)
-    c_zero = -(p.alpha0 * d.delta + p.alpha * d.tau) / (2 * d.delta)
-    terms = [
-        (c, s)
-        for c, s in ((c_plus, delta), (c_minus, -delta), (c_zero, Fraction(0)))
-        if c != 0
-    ]
-    combo = TranslationCombo(tuple(terms))
+    lowering = translation_exprs(p)["a-"]
+    combo = TranslationCombo(
+        tuple((c.as_rational(), shift.as_rational()) for (c,), shift in lowering.terms)
+    )
     total = sum((c for c, _ in combo.terms), Fraction(0))
     if total != 0:
         raise ArithmeticError(f"expansion lost mass: coefficients sum to {total}")

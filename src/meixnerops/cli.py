@@ -23,7 +23,6 @@ from .characterize import (
     laplace_series,
     moments_via_cumulants,
     moments_via_recursion,
-    validate_combo,
 )
 from .classify import Unsupported, classify, crosscheck
 from .exact import format_rat
@@ -352,7 +351,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     try:
         combo = TranslationCombo.parse(args.combo)
-        ensure_valid(combo)
+        verdict = ensure_valid(combo)
     except InvalidCombo as exc:
         print(f"invalid combination ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
@@ -370,7 +369,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     cert = bound_cert(combo, m)
     decomposition = [
         {"scale": format_rat(d), "mean": format_rat(lam)}
-        for lam, d in validate_combo(combo).poisson_terms
+        for lam, d in verdict.poisson_terms
     ]
     report = {
         "config": RunConfig(

@@ -20,10 +20,12 @@ whose coefficients follow the two-step recursion
     A_{n+2} = Delta / ((n+2)(n+1)) * (A_n - X/2 * [n == 0]).
 
 The closed forms below are stated in powers of Delta, so they are exact for
-every parameter choice, including Delta < 0.  When Delta = delta^2 has a
-rational square root the same operators collapse to finite combinations of
-the translations f(X) -> f(X + delta), f(X - delta); ``translation_form``
-produces and verifies that presentation.
+every parameter choice, including Delta < 0.  When Delta = delta^2 > 0 the
+same operators collapse to finite combinations of the translations
+f(X) -> f(X + delta), f(X - delta).  The even and odd halves of that pair are
+again series in Delta alone, so ``translation_form`` builds and verifies the
+presentation over Q whether or not delta is rational; only its rendering
+needs coefficients in Q(sqrt(Delta)).
 
 The raising decomposition is derived from the identity a+ = X - a- - a0
 rather than from an independent closed form; see ``pmd_aplus``.
@@ -31,15 +33,16 @@ rather than from an independent closed form; see ``pmd_aplus``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial
 from typing import Mapping
 
-from .exact import Poly, RatLike, format_rat, parse_rat, rational_sqrt
+from .exact import Poly, format_rat, parse_rat, rational_sqrt
 from .operators import GradedOp, VerifyReport, identity_op, number_op, position_op
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
+from .surd import Quadratic
 
 
 class InvalidParams(ValueError):
@@ -47,7 +50,7 @@ class InvalidParams(ValueError):
 
 
 class NotASquare(ValueError):
-    """Delta has no rational square root, so no exact translation form exists."""
+    """Delta < 0 has no real square root, so no translation form exists."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,6 @@ class MeixnerDerived:
     delta: Fraction
     tau: Fraction
     support_bound: int | None
-
-    @property
-    def delta_squared(self) -> Fraction:
-        """Alias emphasizing that delta here is the square of the shift step."""
-        return self.delta
 
 
 def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
@@ -241,237 +239,163 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
 
 @dataclass(frozen=True)
 class TranslationExpr:
-    """Finite sum p_1(X) T_{c_1} + ... acting by f -> sum p_i * f(X + c_i)."""
+    """E(X) C + O(X) S + Z(X) I in the even and odd halves of the translations.
 
-    terms: tuple[tuple[Poly, Fraction], ...]
+    With delta^2 = Delta and T_c f(X) = f(X + c),
+
+        C f = (T_delta f + T_-delta f)/2 = sum_k Delta^k f^(2k)/(2k)!,
+        S f = (T_delta f - T_-delta f)/(2 delta) = sum_k Delta^k f^(2k+1)/(2k+1)!,
+
+    so ``apply`` involves only Delta and is exact over Q whether or not Delta
+    is a rational square.  Written with translations, the coefficient of X^i
+    on T_{+/-delta} is E_i/2 +/- delta O_i/(2 Delta), an element of
+    Q(sqrt(Delta)); ``rows`` lists the shift signs (+1, -1, 0 for I) of the
+    terms shown.
+    """
+
+    delta_squared: Fraction
+    even: Poly
+    odd: Poly
+    ident: Poly
+    rows: tuple[int, ...] = (1, -1, 0)
 
     def apply(self, f: Poly) -> Poly:
-        out = Poly.zero()
-        for coeff_poly, shift in self.terms:
-            out = out + coeff_poly * f.shift(shift)
-        return out
+        halves = [Poly.zero(), Poly.zero()]  # C f, S f
+        weight = Fraction(1)  # Delta^(j // 2) / j!
+        j, deriv = 0, f
+        while not deriv.is_zero:
+            halves[j % 2] = halves[j % 2] + weight * deriv
+            j += 1
+            weight = weight * (self.delta_squared if j % 2 == 0 else 1) / j
+            deriv = deriv.derivative()
+        return self.even * halves[0] + self.odd * halves[1] + self.ident * f
+
+    def coefficients(self, sign: int) -> tuple[Quadratic, ...]:
+        """Coefficients of X^0, X^1, ... on T_{sign*delta}, or on I for sign 0."""
+        if sign == 0:
+            return tuple(Quadratic.of(c) for c in self.ident.coeffs)
+        rational = Fraction(1, 2) * self.even
+        root = Fraction(sign, 2) / self.delta_squared * self.odd
+        coeffs = [
+            Quadratic(rational.coeff(i), root.coeff(i), self.delta_squared)
+            for i in range(max(len(rational.coeffs), len(root.coeffs)))
+        ]
+        while coeffs and coeffs[-1] == Quadratic.of(0):
+            coeffs.pop()
+        return tuple(coeffs)
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[Quadratic, ...], Quadratic], ...]:
+        """(coefficients, shift) for each term shown, in ``rows`` order."""
+        return tuple(
+            (self.coefficients(sign), sign * Quadratic.sqrt(self.delta_squared))
+            for sign in self.rows
+        )
 
     def to_json_dict(self) -> list[dict]:
         return [
-            {"coeff": poly.to_json(), "shift": format_rat(shift)} for poly, shift in self.terms
+            {"coeff": [c.to_json() for c in coeffs], "shift": shift.to_json()}
+            for coeffs, shift in self.terms
         ]
 
     def __str__(self) -> str:
+        step = Quadratic.sqrt(self.delta_squared)
         parts = []
-        for poly, shift in self.terms:
-            if shift == 0:
-                parts.append(f"({poly}) I")
-            else:
-                parts.append(f"({poly}) T[{format_rat(shift)}]")
+        for sign in self.rows:
+            coeffs = self.coefficients(sign)
+            coeff = str(Poly(tuple(c.a for c in coeffs)))
+            root = Poly(tuple(c.b for c in coeffs))
+            if not root.is_zero:
+                coeff += f" + sqrt({format_rat(self.delta_squared)})*({root})"
+            where = {1: f"T[{step}]", -1: f"T[-{step}]", 0: "I"}[sign]
+            parts.append(f"({coeff}) {where}")
         return " + ".join(parts) if parts else "0"
 
 
-def _translation_exprs(p: MeixnerParams, delta: Fraction) -> dict[str, TranslationExpr]:
+def translation_exprs(p: MeixnerParams) -> dict[str, TranslationExpr]:
+    """Translation forms of U, N, a- and a0 for Delta > 0.
+
+    Terms whose coefficient vanishes are dropped, except that a0 keeps the
+    terms of N.
+    """
     d = p.derived()
-    alpha, alpha0, t = p.alpha, p.alpha0, p.t
-    delta_sq = d.delta
-    xm = _x_minus(alpha0)
-    lin = Poly.of(d.tau, alpha)
+    if d.delta <= 0:
+        raise ValueError(f"translation forms need Delta > 0, got {d.delta}")
+    xm = _x_minus(p.alpha0)
+    lin = Poly.of(d.tau, p.alpha)
+    even_am = Poly.of((p.alpha0 * d.delta + p.alpha * d.tau) / (2 * d.delta), 2 * p.beta / d.delta)
 
-    quarter = Fraction(1, 4)
-    u_plus = -quarter * xm + Fraction(1, 4 * delta) * lin
-    u_minus = -quarter * xm - Fraction(1, 4 * delta) * lin
-    u_zero = Poly.of(alpha0 / 2) + Fraction(1, 2) * xm
+    def form(even: Poly, odd: Poly, ident: Poly) -> TranslationExpr:
+        expr = TranslationExpr(d.delta, even, odd, ident)
+        return replace(expr, rows=tuple(s for s in expr.rows if expr.coefficients(s)))
 
-    n_plus = Fraction(1, 2 * delta) * xm - Fraction(1, 2 * delta_sq) * lin
-    n_minus = -Fraction(1, 2 * delta) * xm - Fraction(1, 2 * delta_sq) * lin
-    n_zero = Fraction(1, delta_sq) * lin
-
-    even_half = Fraction(alpha0 * delta_sq + alpha * d.tau, 4 * delta_sq) + Fraction(
-        p.beta, delta_sq
-    ) * Poly.of(0, 1)
-    m_plus = Poly.of(t / (2 * delta)) + even_half
-    m_minus = Poly.of(-t / (2 * delta)) + even_half
-    m_zero = -2 * even_half
-
-    def expr(plus: Poly, minus: Poly, zero: Poly) -> TranslationExpr:
-        terms = []
-        if not plus.is_zero:
-            terms.append((plus, delta))
-        if not minus.is_zero:
-            terms.append((minus, -delta))
-        if not zero.is_zero:
-            terms.append((zero, Fraction(0)))
-        return TranslationExpr(tuple(terms))
-
+    inv = 1 / d.delta
     forms = {
-        "U": expr(u_plus, u_minus, u_zero),
-        "N": expr(n_plus, n_minus, n_zero),
-        "a-": expr(m_plus, m_minus, m_zero),
+        "U": form(Fraction(-1, 2) * xm, Fraction(1, 2) * lin, Poly.of(0, Fraction(1, 2))),
+        "N": form(-inv * lin, xm, inv * lin),
+        "a-": form(even_am, Poly.of(p.t), -even_am),
     }
-    a0_terms = []
-    for poly, shift in forms["N"].terms:
-        a0_terms.append((alpha * poly, shift))
-    a0_expr_terms = list(a0_terms)
-    merged = False
-    for i, (poly, shift) in enumerate(a0_expr_terms):
-        if shift == 0:
-            a0_expr_terms[i] = (poly + alpha0, shift)
-            merged = True
-    if not merged:
-        a0_expr_terms.append((Poly.of(alpha0), Fraction(0)))
-    forms["a0"] = TranslationExpr(tuple(a0_expr_terms))
+    n = forms["N"]  # a0 = alpha N + alpha0 I
+    forms["a0"] = replace(
+        n, even=p.alpha * n.even, odd=p.alpha * n.odd, ident=p.alpha * n.ident + p.alpha0
+    )
     return forms
 
 
 @dataclass(frozen=True)
 class TranslationFormReport:
-    """Translation presentation of U, N, a0, a- when Delta is a square."""
+    """Translation presentation of U, N, a0, a- (limit forms at Delta = 0)."""
 
-    mode: str
     delta_squared: Fraction
     delta: Fraction | None
     forms: Mapping[str, TranslationExpr]
     limit_forms: Mapping[str, PMDecomp]
     checks: tuple[VerifyReport, ...]
-    rendered: Mapping[str, list[dict]]
-    passed: bool | None
+    passed: bool
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "delta_squared": format_rat(self.delta_squared),
             "delta": None if self.delta is None else format_rat(self.delta),
             "forms": {name: expr.to_json_dict() for name, expr in self.forms.items()},
             "limit_forms": {name: d.to_json_dict() for name, d in self.limit_forms.items()},
             "checks": [c.to_json_dict() for c in self.checks],
-            "rendered": dict(self.rendered),
             "pass": self.passed,
         }
 
 
-def translation_form(
-    p: MeixnerParams, mode: str = "exact_if_square", max_degree: int = 12
-) -> TranslationFormReport:
-    """Present U, N, a0, a- through finite translations by +/- delta.
+def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormReport:
+    """Present U, N, a0, a- through finite translations by +/- delta, delta^2 = Delta.
 
-    In ``exact_if_square`` mode Delta must have a rational square root delta;
-    each presentation is verified against the series expansion by applying
-    both to X^m for m <= max_degree (a formal polynomial identity, so no
-    truncation is involved).  When delta = 0 the translations collapse and
-    the two-term momentum forms are reported instead.  ``numeric`` mode
-    renders decimal coefficients for Delta > 0 without any exactness claim.
+    Every Delta > 0 has such a presentation; ``delta`` is its rational square
+    root, or None when it is irrational.  Each presentation is verified
+    against the series expansion by applying both to X^m for m <= max_degree
+    (a formal polynomial identity, so no truncation is involved).  When
+    Delta = 0 the translations collapse and the two-term momentum forms are
+    reported instead; Delta < 0 raises ``NotASquare``.
     """
     d = p.derived()
-    if mode == "numeric":
-        if d.delta <= 0:
-            raise NotASquare(
-                f"Delta = {d.delta} has no positive real square root; "
-                "use the series decomposition"
-            )
-        delta_f = sqrt(float(d.delta))
-        rendered: dict[str, list[dict]] = {}
-        symbolic = _symbolic_translation_terms(p)
-        for name, terms in symbolic.items():
-            rows = []
-            for poly_of_delta, shift_sign in terms:
-                coeff = [f"{c:.12g}" for c in poly_of_delta(delta_f)]
-                rows.append({"coeff": coeff, "shift": f"{shift_sign * delta_f:.12g}"})
-            rendered[name] = rows
-        return TranslationFormReport(
-            mode, d.delta, None, {}, {}, (), rendered, None
-        )
-    if mode != "exact_if_square":
-        raise ValueError(f"unknown mode {mode!r}")
-    delta = rational_sqrt(d.delta)
-    if delta is None:
+    if d.delta < 0:
         raise NotASquare(f"Delta = {d.delta} is not the square of a rational")
-    if delta == 0:
+    if d.delta == 0:
+        forms: Mapping[str, TranslationExpr] = {}
         limit_forms = {
             "U": pmd_u(p, 1),
             "N": pmd_number(p, 2),
             "a0": pmd_a0(p, 2),
             "a-": pmd_aminus(p, 2),
         }
-        checks = tuple(
-            _check_against_series(p, name, limit_forms[name].apply, max_degree)
-            for name in ("U", "N", "a0", "a-")
-        )
-        return TranslationFormReport(
-            mode,
-            d.delta,
-            delta,
-            {},
-            limit_forms,
-            checks,
-            {},
-            all(c.passed for c in checks),
-        )
-    forms = _translation_exprs(p, delta)
+        actions = {name: limit.apply for name, limit in limit_forms.items()}
+    else:
+        forms, limit_forms = translation_exprs(p), {}
+        actions = {name: expr.apply for name, expr in forms.items()}
     checks = tuple(
-        _check_against_series(p, name, forms[name].apply, max_degree)
+        _check_against_series(p, name, actions[name], max_degree)
         for name in ("U", "N", "a0", "a-")
     )
     return TranslationFormReport(
-        mode, d.delta, delta, forms, {}, checks, {}, all(c.passed for c in checks)
+        d.delta, rational_sqrt(d.delta), forms, limit_forms, checks, all(c.passed for c in checks)
     )
-
-
-def _symbolic_translation_terms(p: MeixnerParams):
-    """Term builders used for decimal rendering: delta -> coefficient list."""
-    d = p.derived()
-    alpha, alpha0, t = float(p.alpha), float(p.alpha0), float(p.t)
-    tau, delta_sq, beta = float(d.tau), float(d.delta), float(p.beta)
-
-    def u_side(sign: int):
-        def build(dl: float) -> list[float]:
-            const = alpha0 / 4 + sign * (tau / (4 * dl))
-            slope = -0.25 + sign * (alpha / (4 * dl))
-            return [const, slope]
-
-        return build
-
-    def u_zero(dl: float) -> list[float]:
-        return [0.0, 0.5]
-
-    def n_side(sign: int):
-        def build(dl: float) -> list[float]:
-            const = sign * (-alpha0 / (2 * dl)) - tau / (2 * delta_sq)
-            slope = sign * (1 / (2 * dl)) - alpha / (2 * delta_sq)
-            return [const, slope]
-
-        return build
-
-    def n_zero(dl: float) -> list[float]:
-        return [tau / delta_sq, alpha / delta_sq]
-
-    def m_side(sign: int):
-        def build(dl: float) -> list[float]:
-            const = sign * (t / (2 * dl)) + (alpha0 * delta_sq + alpha * tau) / (4 * delta_sq)
-            slope = beta / delta_sq
-            return [const, slope]
-
-        return build
-
-    def m_zero(dl: float) -> list[float]:
-        return [
-            -(alpha0 * delta_sq + alpha * tau) / (2 * delta_sq),
-            -2 * beta / delta_sq,
-        ]
-
-    def a0_side(sign: int):
-        inner = n_side(sign)
-
-        def build(dl: float) -> list[float]:
-            return [alpha * v for v in inner(dl)]
-
-        return build
-
-    def a0_zero(dl: float) -> list[float]:
-        base = n_zero(dl)
-        return [alpha * base[0] + alpha0, alpha * base[1]]
-
-    return {
-        "U": [(u_side(1), 1), (u_side(-1), -1), (u_zero, 0)],
-        "N": [(n_side(1), 1), (n_side(-1), -1), (n_zero, 0)],
-        "a0": [(a0_side(1), 1), (a0_side(-1), -1), (a0_zero, 0)],
-        "a-": [(m_side(1), 1), (m_side(-1), -1), (m_zero, 0)],
-    }
 
 
 def _check_against_series(p: MeixnerParams, name: str, action, max_degree: int) -> VerifyReport:

@@ -382,13 +382,13 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi) -> Matrix:
             if a == 0:
                 continue
             row = tmp[l + k]
-            for n in range(size):
+            for n in range(l, size):  # C^-1 is upper triangular
                 b = c_inv[l][n]
                 if b != 0:
                     row[n] += a * b
     out = _zeros(size)
     for m in range(size):
-        for l in range(size):
+        for l in range(m, size):  # so is C
             a = c[m][l]
             if a == 0:
                 continue

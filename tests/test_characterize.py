@@ -13,6 +13,7 @@ from meixnerops.characterize import (
     beta0_combo,
     bound_cert,
     combo_cumulants,
+    ensure_valid,
     laplace_series,
     moments_via_cumulants,
     moments_via_recursion,
@@ -42,6 +43,22 @@ def test_validate_collects_all_violations():
     assert not verdict.ok
     assert len(verdict.violations) == 4  # sum, duplicate, nonpositive mean, zero term
     assert verdict.poisson_terms == ()
+
+
+def test_ensure_valid_raises_first_collected_violation():
+    bad = TranslationCombo(((F(1), F(1)), (F(1), F(1)), (F(-1), F(2)), (F(0), F(0))))
+    verdict = validate_combo(bad)
+    assert [error for error, _ in verdict.violations] == [
+        SumNotZero,
+        DuplicateShift,
+        NegativeMean,
+        ZeroCoefficient,
+    ]
+    with pytest.raises(SumNotZero) as info:
+        ensure_valid(bad)
+    assert str(info.value) == verdict.violations[0][1]
+    assert verdict.to_json_dict()["violations"] == [message for _, message in verdict.violations]
+    assert ensure_valid(STEP) == validate_combo(STEP)
 
 
 def test_typed_errors_in_priority_order():
@@ -143,6 +160,13 @@ def test_beta0_combo_scale_independent_of_alpha0():
     p = MeixnerParams(2, 7, 0, 3)
     combo = beta0_combo(p)
     assert set(combo.terms) == {(F(3, 2), F(2)), (F(-3, 2), F(0))}
+
+
+def test_beta0_combo_term_order():
+    # beta = 0 gives a- = (t/alpha) (T_alpha - I): the T_{-alpha} term vanishes
+    for alpha, alpha0, t in ((F(1), F(1), F(1)), (F(2), F(-3), F(5)), (F(1, 3), F(0), F(2, 7))):
+        combo = beta0_combo(MeixnerParams(alpha, alpha0, 0, t))
+        assert combo.terms == ((t / alpha, alpha), (-t / alpha, F(0)))
 
 
 def test_beta0_combo_rejects_wrong_family():

@@ -1,11 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meixnerops.exact import Poly, X, ZERO
+from meixnerops.exact import Poly, X, ZERO, rational_sqrt
 from meixnerops.meixner import (
+    _check_against_series,
     InvalidParams,
     MeixnerParams,
     NotASquare,
@@ -21,6 +23,7 @@ from meixnerops.meixner import (
     pmd_x,
     series_decomposition,
     szego_jacobi,
+    translation_exprs,
     translation_form,
 )
 from meixnerops.operators import commutator, position_op, quantum_ops, semi_ops
@@ -164,14 +167,16 @@ def test_one_meixner_limit():
 
 def test_translation_form_exact_square():
     rep = translation_form(PASCAL)
-    assert rep.mode == "exact_if_square"
     assert rep.delta == 1
     assert rep.passed is True
     assert set(rep.forms) == {"U", "N", "a0", "a-"}
-    u = {shift: poly for poly, shift in rep.forms["U"].terms}
-    assert u[F(1)] == Poly.of(1, F(1, 2))
-    assert u[F(-1)] == Poly.of(-1, -1)
-    assert u[F(0)] == F(1, 2) * X
+    u = rep.forms["U"]
+    assert u.to_json_dict() == [
+        {"coeff": ["1", "1/2"], "shift": "1"},
+        {"coeff": ["-1", "-1"], "shift": "-1"},
+        {"coeff": ["0", "1/2"], "shift": "0"},
+    ]
+    assert str(u) == "(1/2*X + 1) T[1] + (-X - 1) T[-1] + (1/2*X) I"
     assert all(check.passed for check in rep.checks)
 
 
@@ -193,25 +198,49 @@ def test_translation_form_collapses_at_delta_zero():
     assert rep.limit_forms["U"].coeff(1) == F(1, 2) * Poly.of(GAMMA.derived().tau, GAMMA.alpha)
 
 
-def test_translation_form_irrational_delta_raises():
-    odd = MeixnerParams(1, 0, F(-1, 2), 1)  # Delta = 3
-    with pytest.raises(NotASquare):
-        translation_form(odd)
+SURD = MeixnerParams(1, 0, F(-1, 2), 1)  # Delta = 3
 
 
-def test_translation_form_numeric_mode():
-    odd = MeixnerParams(1, 0, F(-1, 2), 1)
-    rep = translation_form(odd, mode="numeric")
-    assert rep.passed is None
-    assert set(rep.rendered) == {"U", "N", "a0", "a-"}
-    assert any("1.7320508" in str(term) for term in rep.rendered["U"])
+def test_translation_form_irrational_delta_exact():
+    rep = translation_form(SURD)
+    assert rep.delta_squared == 3 and rep.delta is None
+    assert rep.passed is True
+    assert [(c.passed, c.max_degree) for c in rep.checks] == [(True, 12)] * 4
+    shift = rep.forms["U"].to_json_dict()[0]["shift"]
+    assert (shift["rational_part"], shift["root_coefficient"], shift["radicand"]) == ("0", "1", "3")
+    assert shift["decimal"].startswith("1.7320508")
 
 
-def test_translation_form_numeric_rejects_negative_delta():
-    with pytest.raises(NotASquare):
-        translation_form(SECH, mode="numeric")
+def test_translation_form_irrational_rendering():
+    u = translation_form(SURD).forms["U"]
+    assert str(u) == (
+        "(-1/4*X + sqrt(3)*(1/12*X + 1/6)) T[sqrt(3)]"
+        " + (-1/4*X + sqrt(3)*(-1/12*X - 1/6)) T[-sqrt(3)] + (1/2*X) I"
+    )
+    plus, minus, ident = u.to_json_dict()
+    assert [c["root_coefficient"] for c in plus["coeff"]] == ["1/6", "1/12"]
+    assert plus["coeff"][1]["rational_part"] == "-1/4"
+    assert minus["shift"]["root_coefficient"] == "-1"
+    assert ident == {"coeff": ["0", "1/2"], "shift": "0"}
+    for expr in translation_exprs(SURD).values():
+        # the -delta coefficients are the Galois conjugates of the +delta ones
+        assert expr.coefficients(-1) == tuple(c.conjugate() for c in expr.coefficients(1))
+
+
+def test_translation_form_rejects_negative_delta():
     with pytest.raises(NotASquare):
         translation_form(SECH)
+
+
+def test_translation_form_check_reports_perturbation():
+    for p in (PASCAL, SURD):
+        form = translation_exprs(p)["U"]
+        bad = replace(form, odd=form.odd + F(1, 7))
+        report = _check_against_series(p, "U", bad.apply, 12)
+        # S annihilates constants and maps X to 1, so the check fails at X^1
+        assert report.passed is False
+        assert report.fail_index == 1
+        assert report.residual == Poly.of(F(1, 7))
 
 
 def test_combo_parse_format_roundtrip():
@@ -260,3 +289,63 @@ def test_extraction_matches_closed_forms_random(alpha, alpha0, beta, t):
         closed = series_decomposition(p, name, order)
         for n in range(order + 1):
             assert extracted.coeff(n) == closed.coeff(n), (name, n)
+
+
+@st.composite
+def any_params(draw):
+    """Admissible parameters with Delta of every sign, Delta = 0 included."""
+    alpha, alpha0 = draw(rat_alpha), draw(rat_alpha0)
+    kind = draw(st.sampled_from(["free", "flat", "finite"]))
+    if kind == "flat":
+        return MeixnerParams(alpha, alpha0, alpha**2 / 4, draw(rat_t))
+    if kind == "finite":
+        beta = -draw(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4))
+        return MeixnerParams(alpha, alpha0, beta, -beta * draw(st.integers(1, 4)))
+    return MeixnerParams(alpha, alpha0, draw(rat_beta), draw(rat_t))
+
+
+@st.composite
+def square_delta_params(draw):
+    """Admissible parameters whose Delta is the square of a positive rational."""
+    alpha, alpha0 = draw(rat_alpha), draw(rat_alpha0)
+    delta = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4))
+    beta = (alpha**2 - delta**2) / 4
+    t = -beta * draw(st.integers(1, 4)) if beta < 0 else draw(rat_t)
+    return MeixnerParams(alpha, alpha0, beta, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(any_params())
+def test_translation_form_every_delta(p):
+    delta_sq = p.derived().delta
+    if delta_sq < 0:
+        with pytest.raises(NotASquare):
+            translation_form(p, max_degree=8)
+        return
+    rep = translation_form(p, max_degree=8)
+    assert rep.passed is True
+    assert [c.passed for c in rep.checks] == [True] * 4
+    assert rep.delta == rational_sqrt(delta_sq)
+    if delta_sq == 0:
+        assert rep.forms == {}
+        assert set(rep.limit_forms) == {"U", "N", "a0", "a-"}
+    else:
+        assert rep.limit_forms == {}
+        assert set(rep.forms) == {"U", "N", "a0", "a-"}
+
+
+def _apply_rows(expr, f: Poly) -> Poly:
+    """Reference action of the rendered terms: sum_i p_i(X) f(X + c_i) over Q."""
+    out = Poly.zero()
+    for coeffs, shift in expr.terms:
+        out = out + Poly(tuple(c.as_rational() for c in coeffs)) * f.shift(shift.as_rational())
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(square_delta_params())
+def test_translation_rows_match_apply_for_square_delta(p):
+    for expr in translation_exprs(p).values():
+        for m in range(9):
+            mono = Poly.monomial(m)
+            assert _apply_rows(expr, mono) == expr.apply(mono)
