@@ -307,7 +307,7 @@ class TranslationExpr:
             root = Poly(tuple(c.b for c in coeffs))
             if not root.is_zero:
                 coeff += f" + sqrt({format_rat(self.delta_squared)})*({root})"
-            where = {1: f"T[{step}]", -1: f"T[-{step}]", 0: "I"}[sign]
+            where = f"T[{sign * step}]" if sign else "I"
             parts.append(f"({coeff}) {where}")
         return " + ".join(parts) if parts else "0"
 

@@ -26,23 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exact import Poly, RatLike, format_rat
-from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys
+from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Diagonal = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-
-
-def _zeros(size: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * size for _ in range(size)]
-
-
-def _freeze(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(v for v in row) for row in rows)
 
 
 def _diag_len(trunc: int, k: int) -> int:
@@ -342,27 +335,13 @@ def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
 
 def change_of_basis(sj: SzegoJacobi, trunc: int) -> Matrix:
     """Matrix C with column n holding the monomial coefficients of f_n."""
-    polys = monic_polys(sj, trunc)
+    scale, coeffs, _ = rescaled_basis(sj, trunc)
     size = trunc + 1
-    rows = _zeros(size)
-    for n, f in enumerate(polys):
-        for i, coef in enumerate(f.coeffs):
-            rows[i][n] = coef
-    return _freeze(rows)
-
-
-def _invert_unit_upper(c: Matrix) -> Matrix:
-    size = len(c)
-    inv = _zeros(size)
-    for j in range(size):
-        col = [Fraction(0)] * size
-        col[j] = Fraction(1)
-        for i in range(j, -1, -1):
-            acc = col[i]
-            for k in range(i + 1, j + 1):
-                acc -= c[i][k] * inv[k][j]
-            inv[i][j] = acc
-    return _freeze(inv)
+    # f_n(X) = D^-n g_n(D X), so its X^i coefficient is G[i][n] / D^(n - i).
+    return tuple(
+        tuple(Fraction(coeffs[n][i], scale ** (n - i)) if i <= n else _ZERO for n in range(size))
+        for i in range(size)
+    )
 
 
 def to_monomial_basis(op: GradedOp, sj: SzegoJacobi) -> Matrix:
@@ -370,30 +349,45 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi) -> Matrix:
 
     Column m of the result expands the image of X^m; columns with
     m > op.valid_degree inherit the truncation unreliability.
+
+    The product C M C^-1 runs on integers in the variable Y = D X of
+    ``rescaled_basis``.  With S = diag(D^i) the basis change is
+    C = S G S^-1, so the middle factor S^-1 M S has entries M[n+k][n] D^-k.
+    Multiplied by E D^hi, where E is the common denominator of M's entries
+    and hi the top of its band, they become integers, and so does
+    R = G (E D^hi S^-1 M S) G^-1.  Entry (i, m) of the result is then
+    R[i][m] / (E D^(m + hi - i)); R vanishes below row m + hi.
     """
-    c = change_of_basis(sj, op.trunc)
-    c_inv = _invert_unit_upper(c)
+    lo, hi = op.band
     size = op.trunc + 1
-    tmp = _zeros(size)
-    for k, diag in zip(range(op.band[0], op.band[1] + 1), op.diags):
-        off = min(k, 0)
-        for l in range(max(0, -k), size - max(k, 0)):
-            a = diag[l + off]
-            if a == 0:
-                continue
-            row = tmp[l + k]
-            for n in range(l, size):  # C^-1 is upper triangular
-                b = c_inv[l][n]
-                if b != 0:
-                    row[n] += a * b
-    out = _zeros(size)
+    scale, coeffs, coords = rescaled_basis(sj, op.trunc)
+    common = lcm(*(v.denominator for diag in op.diags for v in diag))
+    mid = [
+        [v.numerator * (common // v.denominator) * scale ** (hi - k) for v in diag]
+        for k, diag in zip(range(lo, hi + 1), op.diags)
+    ]
+    cols = []
     for m in range(size):
-        for l in range(m, size):  # so is C
-            a = c[m][l]
-            if a == 0:
-                continue
-            for n in range(size):
-                b = tmp[l][n]
-                if b != 0:
-                    out[m][n] += a * b
-    return _freeze(out)
+        y = coords[m]
+        # The image of Y^m in g-coordinates: diagonal k takes g_l to g_{l+k}.
+        image = [0] * max(0, min(size, m + hi + 1))
+        for k, diag in zip(range(lo, hi + 1), mid):
+            off = min(k, 0)
+            for l in range(max(0, -k), min(m + 1, size - max(k, 0))):
+                if y[l]:
+                    image[l + k] += diag[l + off] * y[l]
+        # Back to powers of Y: column m of R is sum_r image[r] g_r.
+        col = [0] * len(image)
+        for r, c in enumerate(image):
+            if c:
+                for i, g in enumerate(coeffs[r]):
+                    col[i] += c * g
+        cols.append(col)
+    dens = [common * scale**e for e in range(size + max(hi, 0))]
+    return tuple(
+        tuple(
+            Fraction(col[i], dens[m + hi - i]) if i < len(col) and col[i] else _ZERO
+            for m, col in enumerate(cols)
+        )
+        for i in range(size)
+    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Sequence
 
 from .exact import Poly, RatLike, format_rat, parse_rat
@@ -61,8 +61,7 @@ class SzegoJacobi:
         return SzegoJacobi(alpha, omega, support_bound)
 
 
-def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
-    """The monic polynomials f_0 .. f_{n_max} from the recurrence."""
+def _check_degree(sj: SzegoJacobi, n_max: int) -> None:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     bound = sj.support_bound
@@ -70,6 +69,11 @@ def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
         raise TruncationBeyondSupport(
             f"requested degree {n_max} but the system is {bound}-dimensional"
         )
+
+
+def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
+    """The monic polynomials f_0 .. f_{n_max} from the recurrence."""
+    _check_degree(sj, n_max)
     polys = [Poly.one()]
     prev = Poly.zero()
     x = Poly.of(0, 1)
@@ -78,6 +82,48 @@ def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
         prev = polys[n]
         polys.append(nxt)
     return polys
+
+
+def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The f-basis and its inverse in integers, in the variable Y = D*X.
+
+    D is the least common denominator of alpha_0 .. alpha_{n_max-1} and
+    omega_1 .. omega_{n_max-1}, the coefficients that f_0 .. f_{n_max} use,
+    so g_n(Y) = D^n f_n(Y/D) is monic with integer coefficients:
+
+        g_0 = 1,    g_{n+1} = (Y - D alpha_n) g_n - D^2 omega_n g_{n-1}.
+
+    Returns D, ``coeffs`` with ``coeffs[n][i]`` the Y^i coefficient of g_n,
+    and ``coords`` with ``coords[m][n]`` the g_n-coordinate of Y^m.  Both
+    are unit upper triangular, so entry n of either list has n + 1 entries;
+    ``coords`` follows Y g_n = g_{n+1} + D alpha_n g_n + D^2 omega_n g_{n-1}.
+    Each costs O(n_max^2) integer operations.
+    """
+    _check_degree(sj, n_max)
+    alphas = [Fraction(sj.alpha(n)) for n in range(n_max)]
+    omegas = [Fraction(sj.omega(n)) for n in range(1, n_max)]
+    scale = lcm(*(v.denominator for v in alphas + omegas))
+    shift = [a.numerator * (scale // a.denominator) for a in alphas]  # D alpha_n
+    # D^2 omega_n, indexed by n; entry 0 is never read.
+    link = [0] + [w.numerator * (scale * scale // w.denominator) for w in omegas]
+    coeffs = [[1]]
+    coords = [[1]]
+    for n in range(n_max):
+        g = [0] + coeffs[n]
+        for i, c in enumerate(coeffs[n]):
+            g[i] -= shift[n] * c
+        if n >= 1:
+            for i, c in enumerate(coeffs[n - 1]):
+                g[i] -= link[n] * c
+        coeffs.append(g)
+        y = [0] + coords[n]
+        for j, c in enumerate(coords[n]):
+            if c:
+                y[j] += shift[j] * c
+                if j >= 1:
+                    y[j - 1] += link[j] * c
+        coords.append(y)
+    return scale, coeffs, coords
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .exact import Poly, format_rat
@@ -23,6 +23,15 @@ from .exact import Poly, format_rat
 
 class NotFaithful(ValueError):
     """Matrix raises degree beyond the declared bound; no expansion exists."""
+
+
+_ZERO = Fraction(0)
+
+
+def _trim_ints(values: list[int]) -> list[int]:
+    while values and not values[-1]:
+        values.pop()
+    return values
 
 
 def _trim(coeffs: Iterable[Poly]) -> tuple[Poly, ...]:
@@ -97,28 +106,40 @@ def extract_pmd(matrix: Sequence[Sequence[Fraction]], k: int, order: int) -> PMD
     ``matrix[i][m]`` must hold the X^i coefficient of the image of X^m; only
     columns 0 .. order are read, so a truncated matrix may be passed as long
     as those columns are reliable.
+
+    The peel runs on integers: with L the common denominator of the columns
+    read, B_m = L m! A_m satisfies
+
+        B_m = L * (column m) - sum_{n < m} C(m, n) X^(m-n) B_n,
+
+    and each coefficient of A_m = B_m / (L m!) becomes a Fraction once.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order >= len(matrix[0]):
         raise ValueError(f"matrix has {len(matrix[0])} columns, need {order + 1}")
-    columns = [
-        Poly.from_coeffs([matrix[i][m] for i in range(len(matrix))]) for m in range(order + 1)
-    ]
+    columns = [[row[m] for row in matrix] for m in range(order + 1)]
+    common = lcm(*(v.denominator for col in columns for v in col))
+    peeled: list[list[int]] = []
     coeffs: list[Poly] = []
     for m, col in enumerate(columns):
-        if not col.is_zero and col.degree > m + k:
+        b = _trim_ints([v.numerator * (common // v.denominator) for v in col])
+        if b and len(b) - 1 > m + k:
             raise NotFaithful(
-                f"image of X^{m} has degree {col.degree}, exceeding {m} + k with k = {k}"
+                f"image of X^{m} has degree {len(b) - 1}, exceeding {m} + k with k = {k}"
             )
-        rem = col
-        for n, a in enumerate(coeffs):
-            if not a.is_zero:
-                rem = rem - perm(m, n) * (a * Poly.monomial(m - n))
-        a_m = rem * Fraction(1, factorial(m))
-        if not a_m.is_zero and a_m.degree > m + k:
-            raise NotFaithful(f"coefficient A_{m} has degree {a_m.degree} > {m + k}")
-        coeffs.append(a_m)
+        # deg B_n <= n + k, so X^(m-n) B_n fits in degrees 0 .. m + k.
+        b += [0] * (m + k + 1 - len(b))
+        for n, prev in enumerate(peeled):
+            c = comb(m, n)
+            for i, v in enumerate(prev, m - n):
+                b[i] -= c * v
+        b = _trim_ints(b)
+        if b and len(b) - 1 > m + k:
+            raise NotFaithful(f"coefficient A_{m} has degree {len(b) - 1} > {m + k}")
+        peeled.append(b)
+        den = common * factorial(m)
+        coeffs.append(Poly(tuple(Fraction(v, den) if v else _ZERO for v in b)))
     return PMDecomp(k, tuple(coeffs))
 
 

@@ -137,9 +137,9 @@ class Quadratic:
         if self.is_rational:
             return format_rat(self.a)
         root = f"sqrt({format_rat(self.s)})"
-        if self.a == 0:
-            return f"{format_rat(self.b)}*{root}" if self.b != 1 else root
-        sign = "+" if self.b > 0 else "-"
         mag = abs(self.b)
         scaled = root if mag == 1 else f"{format_rat(mag)}*{root}"
+        if self.a == 0:
+            return scaled if self.b > 0 else f"-{scaled}"
+        sign = "+" if self.b > 0 else "-"
         return f"{format_rat(self.a)} {sign} {scaled}"

@@ -26,6 +26,7 @@ from meixnerops.meixner import (
     TranslationCombo,
     comm_ux_closed_form,
     pmd_u,
+    series_decomposition,
     szego_jacobi,
 )
 from meixnerops.operators import (
@@ -117,7 +118,7 @@ def test_criterion_3_pmd_closed_forms(param_sets):
     ok = True
     for p in param_sets:
         for op in ("U", "V", "N", "a0", "a-", "a+"):
-            agreement = _extraction_agreement(p, op, 10)
+            agreement = _extraction_agreement(p, op, 10, series_decomposition(p, op, 10))
             ok = ok and agreement["checked_order"] == 10 and agreement["pass"] is True
         if not ok:
             break

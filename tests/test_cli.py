@@ -107,6 +107,94 @@ def test_decompose_rejects_negative_order(capsys):
     assert "order must be nonnegative" in err
 
 
+def test_decompose_order_cap_checked_before_any_work(capsys, monkeypatch):
+    import meixnerops.cli as cli
+
+    def forbidden(*args):
+        raise AssertionError("work started above the order cap")
+
+    monkeypatch.setattr(cli, "series_decomposition", forbidden)
+    monkeypatch.setattr(cli, "szego_jacobi", forbidden)
+    code, out, err = run_cli(
+        capsys,
+        "decompose", "--alpha=0", "--alpha0=0", "--beta=0", "--t=1",
+        "--op=N", f"--order={cli.MAX_ORDER + 1}", "--json",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid input: --order must be at most {cli.MAX_ORDER}\n"
+
+
+def test_decompose_computes_the_closed_form_once(capsys, monkeypatch):
+    import meixnerops.cli as cli
+
+    calls = []
+    original = cli.series_decomposition
+
+    def counted(p, op, order):
+        calls.append(order)
+        return original(p, op, order)
+
+    monkeypatch.setattr(cli, "series_decomposition", counted)
+    for op, expected in (("V", 1), ("N", 2)):  # capped below --order 6 by the support
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys,
+            "decompose", "--alpha=0", "--alpha0=0", "--beta=-1", "--t=2",
+            f"--op={op}", "--order=6", "--json",
+        )
+        assert code == 0
+        assert calls == [6]
+        assert json.loads(out)["extraction_agreement"]["checked_order"] == expected
+    calls.clear()
+    code, _, _ = run_cli(capsys, "verify", "--suite=pmd", "--degree=4", "--trials=2", "--seed=3")
+    assert code == 0
+    assert calls == [4] * 12  # once per operator and trial
+
+
+def test_decompose_order_cap_is_inclusive(capsys):
+    from meixnerops.cli import MAX_ORDER
+
+    assert MAX_ORDER >= 100  # well above the benchmark's order 24
+    # Three support points keep the matrix 3x3, so the capped order runs fast.
+    code, out, _ = run_cli(
+        capsys,
+        "decompose", "--alpha=0", "--alpha0=0", "--beta=-1", "--t=2",
+        "--op=N", f"--order={MAX_ORDER}", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["extraction_agreement"] == {"checked_order": 2, "pass": True}
+
+
+@pytest.mark.parametrize(
+    "op,line",
+    [
+        ("N", "checked below order 6: the support has 3 points, so the matrix stops at degree 2"),
+        (
+            "V",
+            "checked below order 6: the support has 3 points, so the matrix stops at degree 2,"
+            " and a raising operator (k = 1) needs k spare degrees at the top",
+        ),
+    ],
+)
+def test_decompose_text_says_why_checked_order_is_lower(capsys, op, line):
+    argv = ["decompose", "--alpha=0", "--alpha0=0", "--beta=-1", "--t=2", f"--op={op}", "--order=6"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == line
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert "checked below" not in out
+
+
+def test_decompose_text_silent_when_fully_checked(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "decompose", "--alpha=1", "--alpha0=1", "--beta=0", "--t=1", "--op=V", "--order=6",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "matrix extraction agrees through order 6"
+
+
 def test_verify_universal_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "universal", "--degree", "6", "--trials", "3", "--seed", "5"

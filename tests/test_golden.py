@@ -1,0 +1,83 @@
+"""Golden digests of ``decompose --json`` for every operator on each class.
+
+The representatives are those of ``scripts/show_class_decompositions.py``.
+The digests pin the JSON bytes at ``--order=24``, the order the benchmark
+uses; they were taken before the basis change and the extraction moved to
+integer kernels, and a rerun must print the same bytes.
+"""
+
+import contextlib
+import hashlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+from meixnerops.cli import OPS, main
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "show_class_decompositions.py"
+REPRESENTATIVES = runpy.run_path(str(SCRIPT))["REPRESENTATIVES"]
+
+GOLDEN = {
+    ("Gaussian", "U"): "952fc849d5a8bf39c9e7f3dd8f558d58e705467129ee28aa1b18b85ed90bb72f",
+    ("Gaussian", "V"): "411897c5e64b908b92c56844b07588b748dfa99cf4da4799903acf6e46186971",
+    ("Gaussian", "N"): "7b060c8a0172da0165eb856eb9c4da4fcd082c52d63372a6621029597ff3d97e",
+    ("Gaussian", "a0"): "ef3f34a369fb7be3442c7a7790d1d334d6d529a11821678392fddb249b7fcb23",
+    ("Gaussian", "a-"): "ed861ecc2087bb49c3a1275722719b84d740c069eb6e6393506197d122366132",
+    ("Gaussian", "a+"): "5caba4a2c00b5d050d8f0c8cd9ebde33daa9fffe766abb4463902e7f8e9acb2f",
+    ("Poisson", "U"): "83a488feb8e980ed470bbe4c9a7a7f59326a62332e643009ceebf4aa95920192",
+    ("Poisson", "V"): "91db8ce29c45bf1d08130c1c07debd0429ad13a5a45e5de503e37d6173479c21",
+    ("Poisson", "N"): "69154e866e6cbd8778b59ff45658e4705c15ec83f2cfc0afed6d32a1ef70a5c4",
+    ("Poisson", "a0"): "9512f777ff98651aadc570d0e6eb6ba58e2256aa121d684fdff03ba83880f619",
+    ("Poisson", "a-"): "e5e3dba2a5db70fcbcc1b1fdd6a2ab5dafff456aafca3873c4714dcd0183a43a",
+    ("Poisson", "a+"): "d97ec5d4d2ad8b57c0918adc1ba5dfc3b0134e6f045423b978a4e4c9cb7b720e",
+    ("Pascal", "U"): "9a009557c2ef3d49d87a516c73047aa02049eaf8dd7ca4a6ad59f63d97fb272b",
+    ("Pascal", "V"): "9629b2189b8cd3ea374f35f7ce1c29052cfc99ae90fadd4c00d892f79edec3b4",
+    ("Pascal", "N"): "31c27e97fa8129de3c90f60d6d0f0e3c63aa8bbeee1b26943b266b0814895477",
+    ("Pascal", "a0"): "3ed2644798d7a1f8054b9b3f87fe64577255701efbfccc79cf5ce7539f79f7b4",
+    ("Pascal", "a-"): "8d599b8e625d7993e284c360d7f3444fad3bb21ce5462b82bca21f882fd8ac16",
+    ("Pascal", "a+"): "651e8270071d124939cbf6f4182b156f403b4b28620b0001c2d796ed859093c6",
+    ("Gamma", "U"): "edf4265b32137c208e36e51f5367b2c9eddc48c466caf0da7b00f7f8e54a5111",
+    ("Gamma", "V"): "02ff122fb5439afa1603fc6480111a43d92f382ae1fd3da8408c7932f64b242f",
+    ("Gamma", "N"): "163a70ea37a0bb8f9c4403c17d2467fea0be2a6a6e24646a677a6d750360380c",
+    ("Gamma", "a0"): "9352f4d947d3200047e077cdde3b5e9b61bcc5d388ed4c2a3bfcb398f499eb67",
+    ("Gamma", "a-"): "e82242c13033d43ae60250f16429386a6c2de20f42f380545b75bfca9b1ac98a",
+    ("Gamma", "a+"): "a914bd88677bafd70467fdf1b59ceeea6bca12f86c43c68347fc13a4ce2fd938",
+    ("hyperbolic secant", "U"): "7cd5d60adfb32110959ec11cd2b852414757b1867885d74adf86494b1c893456",
+    ("hyperbolic secant", "V"): "79932bc52c9e1cbdb70f9bd2630c962aa43dd737c71c6da4f189f6484b9b4f90",
+    ("hyperbolic secant", "N"): "56ad84e02092effa1a0036fe61e472014975e531d587847aac7b73483b690c04",
+    ("hyperbolic secant", "a0"): "8afe0b15bd1f7054cd47e48b7c426c5ff4c6faf9a2936e7785c5ebc23941a3ae",
+    ("hyperbolic secant", "a-"): "8a2056707f69f83f0567e156fff48a28e181ed6f7eafcdf8c1e8d83bb395e66e",
+    ("hyperbolic secant", "a+"): "b46b034ae18807c2207c3efcfff1121cc254e6947a5089125b5c03fe2c30e0ca",
+    ("Binomial", "U"): "697be259311dd83f11279c3cefe3929cae6ea44451b7fe76bbb3219d88b124b8",
+    ("Binomial", "V"): "08dc3aa510154cd4d4d7a92cb0d6f1ce964cdefc1527ce9c475b3136a9332e37",
+    ("Binomial", "N"): "32b7b39d7cdfb24b6e29610bd27eb0ee14bdfe07496ad189377e600b1f7fd170",
+    ("Binomial", "a0"): "babb78762aad1f944eff0d90e9dee8e257fc6fcd4bdffe73030930f5b5cacf1c",
+    ("Binomial", "a-"): "8217e8857f60ba1d5a63f303b2fb287da5a0401f0798a7386a4f70c525e77854",
+    ("Binomial", "a+"): "fd353dec52e835d4847bf8ffb75ca3308d96c64259575e8da39c6ea3b5fd0056",
+}
+
+
+def _decompose_json(p, op: str) -> tuple[int, str]:
+    argv = [
+        "decompose", f"--alpha={p.alpha}", f"--alpha0={p.alpha0}", f"--beta={p.beta}",
+        f"--t={p.t}", f"--op={op}", "--order=24", "--json",
+    ]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def test_golden_covers_every_class_and_operator():
+    assert set(GOLDEN) == {(label, op) for label, _ in REPRESENTATIVES for op in OPS}
+
+
+@pytest.mark.parametrize("label,p", REPRESENTATIVES, ids=[label for label, _ in REPRESENTATIVES])
+def test_decompose_json_golden_and_deterministic(label, p):
+    for op in OPS:
+        code, out = _decompose_json(p, op)
+        assert code == 0, (label, op)
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(label, op)], (label, op)
+        assert _decompose_json(p, op) == (code, out), (label, op)

@@ -349,3 +349,14 @@ def test_translation_rows_match_apply_for_square_delta(p):
         for m in range(9):
             mono = Poly.monomial(m)
             assert _apply_rows(expr, mono) == expr.apply(mono)
+
+
+@settings(deadline=None, max_examples=30)
+@given(any_params(), st.integers(0, 6), st.integers(0, 6))
+def test_series_coefficients_do_not_depend_on_order(p, low, extra):
+    # decompose computes the closed form once, at --order, and compares its
+    # first coefficients with an extraction capped at a lower order.
+    for op in ("U", "V", "N", "a0", "a-", "a+"):
+        short = series_decomposition(p, op, low)
+        long = series_decomposition(p, op, low + extra)
+        assert [long.coeff(n) for n in range(low + 1)] == [short.coeff(n) for n in range(low + 1)]
