@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .exact import format_rat
+from .exact import format_rat, powers
 from .meixner import InvalidParams, MeixnerParams, TranslationCombo, translation_exprs
 from .orthopoly import MomentSeq
 
@@ -95,19 +95,53 @@ def ensure_valid(combo: TranslationCombo) -> ComboValidity:
     return verdict
 
 
+def _scaled_terms(combo: TranslationCombo) -> tuple[int, int, list[tuple[int, int]]]:
+    """Integer form of the terms: Q, S and the pairs (Q c_i, Z d_i) with Z = Q S.
+
+    Q and S are the least common denominators of the c_i and of the d_i.
+    Every route below computes nu_m = Z^m E[X^m], which is an integer.
+    """
+    q = lcm(*(c.denominator for c, _ in combo.terms))
+    s = lcm(*(d.denominator for _, d in combo.terms))
+    return q, s, [
+        (c.numerator * (q // c.denominator), d.numerator * (s // d.denominator) * q)
+        for c, d in combo.terms
+    ]
+
+
+def _power_sums(combo: TranslationCombo, top: int) -> tuple[int, list[int]]:
+    """Z and Z^(j+1) sum_i c_i d_i^j = S sum_i (Q c_i) (Z d_i)^j for j = 0 .. top."""
+    if top < 0:
+        raise ValueError("m_max must be nonnegative")
+    q, s, terms = _scaled_terms(combo)
+    sums = [0] * (top + 1)
+    for c, e in terms:
+        for j, power in enumerate(powers(e, top)):
+            sums[j] += s * c * power
+    return q * s, sums
+
+
+def _unscaled(nu: list[int], z: int) -> MomentSeq:
+    return MomentSeq(tuple(Fraction(v, zm) for v, zm in zip(nu, powers(z, len(nu) - 1))))
+
+
 def moments_via_recursion(combo: TranslationCombo, m_max: int) -> MomentSeq:
-    """E[X^m] = sum_i c_i sum_{j<m} C(m-1,j) d_i^{m-1-j} E[X^j]."""
+    """E[X^m] = sum_i c_i sum_{j<m} C(m-1,j) d_i^{m-1-j} E[X^j].
+
+    On integers: nu_m = S sum_i (Q c_i) sum_{j<m} C(m-1,j) (Z d_i)^{m-1-j} nu_j.
+    """
     ensure_valid(combo)
-    mu = [Fraction(1)]
+    q, s, terms = _scaled_terms(combo)
+    # Each term's powers, highest first, so a slice lines up with nu_0 .. nu_{m-1}.
+    falling = [(c, powers(e, m_max)[::-1]) for c, e in terms]
+    nu = [1]
     for m in range(1, m_max + 1):
-        total = Fraction(0)
-        for c, d in combo.terms:
-            inner = Fraction(0)
-            for j in range(m):
-                inner += comb(m - 1, j) * d ** (m - 1 - j) * mu[j]
-            total += c * inner
-        mu.append(total)
-    return MomentSeq(tuple(mu))
+        weighted = [comb(m - 1, j) * v for j, v in enumerate(nu)]
+        total = 0
+        for c, pw in falling:
+            total += c * sum(w * p for w, p in zip(weighted, pw[m_max - m + 1 :]))
+        nu.append(s * total)
+    return _unscaled(nu, q * s)
 
 
 @dataclass(frozen=True)
@@ -134,22 +168,24 @@ class CumulantSeq:
 def combo_cumulants(combo: TranslationCombo, m_max: int) -> CumulantSeq:
     """kappa_m = sum_i c_i d_i^(m-1) for m >= 2: summed scaled Poisson cumulants."""
     ensure_valid(combo)
-    kappas = [Fraction(0)]
-    for m in range(2, m_max + 1):
-        kappas.append(sum((c * d ** (m - 1) for c, d in combo.terms), Fraction(0)))
+    z, sums = _power_sums(combo, max(m_max - 1, 0))
+    kappas = [Fraction(0)] + [Fraction(k, z**m) for m, k in enumerate(sums[1:m_max], 2)]
     return CumulantSeq(tuple(kappas[: max(m_max, 0)]))
 
 
 def moments_via_cumulants(combo: TranslationCombo, m_max: int) -> MomentSeq:
-    """Standard cumulant-to-moment recursion m_n = sum C(n-1,j-1) kappa_j m_{n-j}."""
-    kappas = combo_cumulants(combo, m_max)
-    mu = [Fraction(1)]
+    """Standard cumulant-to-moment recursion m_n = sum C(n-1,j-1) kappa_j m_{n-j}.
+
+    It runs on nu_m = Z^m E[X^m] and K_j = Z^j kappa_j, which obey the same
+    recursion.
+    """
+    ensure_valid(combo)
+    z, sums = _power_sums(combo, max(m_max - 1, 0))
+    kappas = [0] + sums[1:]  # kappas[j] = K_{j+1}, and K_1 = 0
+    nu = [1]
     for m in range(1, m_max + 1):
-        total = Fraction(0)
-        for j in range(1, m + 1):
-            total += comb(m - 1, j - 1) * kappas.kappa(j) * mu[m - j]
-        mu.append(total)
-    return MomentSeq(tuple(mu))
+        nu.append(sum(comb(m - 1, j) * kappas[j] * nu[m - 1 - j] for j in range(m)))
+    return _unscaled(nu, z)
 
 
 def laplace_series(combo: TranslationCombo, m_max: int) -> MomentSeq:
@@ -159,32 +195,30 @@ def laplace_series(combo: TranslationCombo, m_max: int) -> MomentSeq:
     j >= 2, the series is exponentiated formally, and E[X^m] = m! times the
     s^m coefficient.  The defining differential identity
     phi'(s) = phi(s) * sum_i c_i e^{d_i s} is verified to order m_max - 1.
+
+    The series runs on integers: with M = m_max and psi(s) = M! phi(Z s), the
+    coefficient psi_m = M! Z^m E[X^m] / m! is an integer, the log series of
+    phi(Z s) has coefficients K_j / j! with K_j = S sum_i (Q c_i) (Z d_i)^(j-1),
+    and m psi_m = sum_j j (K_j / j!) psi_{m-j} = sum_j K_j (psi_{m-j} / (j-1)!),
+    where every division is exact.
     """
     ensure_valid(combo)
-    log_coeffs = [Fraction(0), Fraction(0)]
-    for j in range(2, m_max + 1):
-        log_coeffs.append(
-            sum((c * d ** (j - 1) for c, d in combo.terms), Fraction(0)) / factorial(j)
-        )
-    phi = [Fraction(1)]
+    # source[j] / j! is the s^j coefficient of Z * source(Z s).
+    z, source = _power_sums(combo, m_max)
+    log_scaled = [0, 0] + source[1:m_max]  # K_j for j = 0 .. m_max; K_1 = 0
+    facts = [factorial(j) for j in range(m_max + 1)]
+    psi = [facts[m_max]]
     for m in range(1, m_max + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            if j < len(log_coeffs):
-                acc += j * log_coeffs[j] * phi[m - j]
-        phi.append(acc / m)
-    source = [
-        sum((c * d**j for c, d in combo.terms), Fraction(0)) / factorial(j)
-        for j in range(m_max)
-    ]
+        acc = sum(log_scaled[j] * (psi[m - j] // facts[j - 1]) for j in range(2, m + 1))
+        psi.append(acc // m)
     for m in range(m_max):
-        derivative_coeff = (m + 1) * phi[m + 1]
-        product_coeff = sum(phi[m - j] * source[j] for j in range(m + 1))
+        derivative_coeff = (m + 1) * psi[m + 1]
+        product_coeff = sum(source[j] * (psi[m - j] // facts[j]) for j in range(m + 1))
         if derivative_coeff != product_coeff:
             raise ArithmeticError(
                 f"formal transform identity failed at order {m}; series is inconsistent"
             )
-    return MomentSeq(tuple(factorial(m) * phi[m] for m in range(m_max + 1)))
+    return _unscaled([v * facts[m] // facts[m_max] for m, v in enumerate(psi)], z)
 
 
 @dataclass(frozen=True)
@@ -220,23 +254,26 @@ def _max_power_over_factorial(r: Fraction) -> Fraction:
     return best
 
 
-def bound_cert(combo: TranslationCombo, m_max: int) -> BoundCert:
-    """Exact factorial growth certificate for the recursion moments.
+def bound_cert(combo: TranslationCombo, mu: MomentSeq) -> BoundCert:
+    """Exact factorial growth certificate for the recursion moments ``mu``.
 
-    A = max(1, max_i max_p |d_i|^p/p!) and k = max(A sum_i |c_i|, 1) give
-    |E[X^m]| <= k^m m! for m <= m_max, and the even moments also satisfy
+    ``mu`` is ``moments_via_recursion(combo, m_max)``.  A = max(1, max_i
+    max_p |d_i|^p/p!) and k = max(A sum_i |c_i|, 1) give |E[X^m]| <= k^m m!
+    for m <= m_max, and the even moments also satisfy
     E[X^{2m}] <= (2k)^{2m} (2m)!.
     """
     ensure_valid(combo)
+    m_max = len(mu) - 1
     a_const = Fraction(1)
     for _, d in combo.terms:
         a_const = max(a_const, _max_power_over_factorial(abs(d)))
     k = max(a_const * sum((abs(c) for c, _ in combo.terms), Fraction(0)), Fraction(1))
-    mu = moments_via_recursion(combo, m_max)
-    passed = all(abs(mu[m]) <= k**m * factorial(m) for m in range(m_max + 1))
-    even_passed = all(
-        mu[2 * m] <= (2 * k) ** (2 * m) * factorial(2 * m) for m in range(m_max // 2 + 1)
-    )
+    bounds = [Fraction(1)]  # k^m m!
+    for m in range(1, m_max + 1):
+        bounds.append(bounds[-1] * k * m)
+    passed = all(abs(v) <= bound for v, bound in zip(mu, bounds))
+    # (2k)^{2m} (2m)! = 4^m k^{2m} (2m)!
+    even_passed = all(mu[2 * m] <= 4**m * bounds[2 * m] for m in range(m_max // 2 + 1))
     return BoundCert(a_const, k, m_max, passed, even_passed)
 
 

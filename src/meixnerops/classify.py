@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Union
 
-from .exact import Rat, format_rat
+from .exact import Rat, format_rat, powers
 from .meixner import MeixnerParams, szego_jacobi
 from .operators import VerifyReport
 from .orthopoly import MomentSeq, moments_from_sj
@@ -214,10 +214,11 @@ def classify(p: MeixnerParams) -> MeixnerClass:
     )
 
 
-def _rising(x: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(m):
-        out *= x + i
+def _rising_powers(x: Fraction, m_max: int, ratio: Fraction = Fraction(1)) -> list[Fraction]:
+    """x^(rising k) * ratio^k for k = 0 .. m_max, as running products."""
+    out = [Fraction(1)]
+    for i in range(m_max):
+        out.append(out[-1] * (x + i) * ratio)
     return out
 
 
@@ -232,12 +233,17 @@ def _stirling2(m_max: int) -> list[list[int]]:
 
 
 def _affine_moments(raw, scale, shift, m_max: int) -> list:
-    """E[(scale*Y + shift)^m] from the raw moments of Y, any exact scalar type."""
+    """E[(scale*Y + shift)^m] from the raw moments of Y, any exact scalar type.
+
+    The powers of scale and shift are built once, with O(m_max) products.
+    """
+    scaled = [sp * r for sp, r in zip(powers(scale, m_max), raw)]  # scale^j E[Y^j]
+    shifts = powers(shift, m_max)
     out = []
     for m in range(m_max + 1):
         acc = raw[0] * 0
         for j in range(m + 1):
-            acc = acc + comb(m, j) * scale**j * raw[j] * shift ** (m - j)
+            acc = acc + comb(m, j) * scaled[j] * shifts[m - j]
         out.append(acc)
     return out
 
@@ -263,7 +269,7 @@ def _poisson_moments(cls: Poisson, m_max: int) -> MomentSeq:
 
 
 def _gamma_moments(cls: Gamma, m_max: int) -> MomentSeq:
-    raw = [_rising(cls.shape, m) for m in range(m_max + 1)]
+    raw = _rising_powers(cls.shape, m_max)
     return MomentSeq(tuple(_affine_moments(raw, cls.scale, cls.shift, m_max)))
 
 
@@ -271,8 +277,7 @@ def _pascal_moments(cls: Pascal, m_max: int) -> MomentSeq:
     if not (cls.scale.is_rational and cls.p.is_rational and cls.shift.is_rational):
         raise Unsupported("pascal moments need a rational scale; the radicand is not a square")
     p_val = cls.p.as_rational()
-    ratio = (1 - p_val) / p_val
-    factorial_moments = [_rising(cls.r, k) * ratio**k for k in range(m_max + 1)]
+    factorial_moments = _rising_powers(cls.r, m_max, (1 - p_val) / p_val)
     stirling = _stirling2(m_max)
     raw = [
         sum((stirling[m][k] * factorial_moments[k] for k in range(m + 1)), Fraction(0))
@@ -286,12 +291,13 @@ def _pascal_moments(cls: Pascal, m_max: int) -> MomentSeq:
 def _binomial_moments(cls: Binomial, m_max: int) -> MomentSeq:
     per_branch = []
     for branch in cls.branches:
+        successes = powers(branch.p, cls.n)
+        failures = powers(1 - branch.p, cls.n)
         weights = [
-            comb(cls.n, y) * branch.p**y * (1 - branch.p) ** (cls.n - y)
-            for y in range(cls.n + 1)
+            comb(cls.n, y) * successes[y] * failures[cls.n - y] for y in range(cls.n + 1)
         ]
         raw = [
-            sum((weights[y] * Fraction(y) ** m for y in range(cls.n + 1)), Quadratic.of(0))
+            sum((weights[y] * y**m for y in range(cls.n + 1)), Quadratic.of(0))
             for m in range(m_max + 1)
         ]
         moments = _affine_moments(raw, branch.scale, branch.shift, m_max)

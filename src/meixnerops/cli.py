@@ -54,9 +54,19 @@ from .sampling import sample_params, sample_params_delta0
 OPS = ("U", "V", "N", "a0", "a-", "a+")
 OP_GRADE = {"U": 0, "V": 1, "N": 0, "a0": 0, "a-": -1, "a+": 1}
 SUITES = ("universal", "pmd", "gramschmidt", "limit", "doublecomm")
-# decompose costs about order^4.6: on a 2-core x86-64 host with Python 3.11,
-# order 128 takes 0.3 s, 200 takes 2.2 s and 256 about 6 s.
+# Caps on the size flags, checked before any work; on a 2-core x86-64 host
+# with Python 3.11:
+# decompose costs about order^4.6: order 128 takes 0.3 s, 200 takes 2.2 s and
+# 256 about 6 s.
 MAX_ORDER = 200
+# --max-moment 200: classify takes 2.4 s on a Binomial law on 10 points with
+# an irrational sqrt(Delta) (0.6 s at 100), 0.7 s on a Pascal and 0.8 s on a
+# Poisson law; characterize on four terms takes 0.2 s (2.8 s at 400).
+MAX_MOMENT = 200
+# verify --degree 200, one trial: pmd 8.7 s (0.75 s at 100), gramschmidt
+# 1.0 s, universal, doublecomm and limit under 0.1 s.
+MAX_DEGREE = 200
+MAX_TRIALS = 1000
 APLUS_NOTE = (
     "a+ coefficients come from the complement identity a+ = X - a0 - a-; "
     "the raising side has no independent closed form here"
@@ -151,14 +161,23 @@ def _cap_reason(bound: int, k: int, order: int) -> str:
     return reason
 
 
+def _max_moment_problem(m: int) -> str | None:
+    if m < 0:
+        return "--max-moment must be nonnegative"
+    if m > MAX_MOMENT:
+        return f"--max-moment must be at most {MAX_MOMENT}"
+    return None
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
         p = _params_from_args(args)
     except (InvalidParams, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    if args.max_moment < 0:
-        print("invalid input: --max-moment must be nonnegative", file=sys.stderr)
+    problem = _max_moment_problem(args.max_moment)
+    if problem:
+        print(f"invalid input: {problem}", file=sys.stderr)
         return 2
     cls = classify(p)
     derived = p.derived()
@@ -280,7 +299,7 @@ def _suite_gramschmidt(rng: Random, degree: int) -> tuple[MeixnerParams, list[Ve
     p = sample_params(rng)
     sj = szego_jacobi(p)
     mu = moments_from_sj(sj, 2 * degree)
-    _, rec = gram_schmidt_from_moments(mu, degree)
+    rec = gram_schmidt_from_moments(mu, degree)
     expected_bound = (
         sj.support_bound
         if sj.support_bound is not None and sj.support_bound <= degree
@@ -328,8 +347,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.degree < 4:
         print("invalid input: --degree must be at least 4", file=sys.stderr)
         return 2
+    if args.degree > MAX_DEGREE:
+        print(f"invalid input: --degree must be at most {MAX_DEGREE}", file=sys.stderr)
+        return 2
     if args.trials < 1:
         print("invalid input: --trials must be positive", file=sys.stderr)
+        return 2
+    if args.trials > MAX_TRIALS:
+        print(f"invalid input: --trials must be at most {MAX_TRIALS}", file=sys.stderr)
         return 2
     if args.seed is None:
         try:
@@ -382,14 +407,15 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     m = args.max_moment
-    if m < 0:
-        print("invalid input: --max-moment must be nonnegative", file=sys.stderr)
+    problem = _max_moment_problem(m)
+    if problem:
+        print(f"invalid input: {problem}", file=sys.stderr)
         return 2
     recursion = moments_via_recursion(combo, m)
     cumulant = moments_via_cumulants(combo, m)
     laplace = laplace_series(combo, m)
     agree = tuple(recursion) == tuple(cumulant) == tuple(laplace)
-    cert = bound_cert(combo, m)
+    cert = bound_cert(combo, recursion)
     decomposition = [
         {"scale": format_rat(d), "mean": format_rat(lam)}
         for lam, d in verdict.poisson_terms
@@ -435,28 +461,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="name the distribution class of a parameter set")
     _add_param_flags(p_classify)
-    p_classify.add_argument("--max-moment", type=int, default=8)
+    p_classify.add_argument(
+        "--max-moment", type=int, default=8, help=f"0 .. {MAX_MOMENT}"
+    )
     p_classify.add_argument("--json", action="store_true")
     p_classify.set_defaults(func=cmd_classify)
 
     p_dec = sub.add_parser("decompose", help="position-momentum decomposition of an operator")
     _add_param_flags(p_dec)
     p_dec.add_argument("--op", choices=OPS, required=True)
-    p_dec.add_argument("--order", type=int, default=6)
+    p_dec.add_argument("--order", type=int, default=6, help=f"0 .. {MAX_ORDER}")
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="randomized exact verification suites")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--degree", type=int, default=12)
-    p_ver.add_argument("--trials", type=int, default=25)
+    p_ver.add_argument("--degree", type=int, default=12, help=f"4 .. {MAX_DEGREE}")
+    p_ver.add_argument("--trials", type=int, default=25, help=f"1 .. {MAX_TRIALS}")
     p_ver.add_argument("--seed", type=int, default=None, help="defaults to $MEIXNER_SEED or 0")
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
     p_char = sub.add_parser("characterize", help="analyze a translation combination")
     p_char.add_argument("--combo", required=True, help='e.g. "1:1,-1:0" for c:d pairs')
-    p_char.add_argument("--max-moment", type=int, default=12)
+    p_char.add_argument(
+        "--max-moment", type=int, default=12, help=f"0 .. {MAX_MOMENT}"
+    )
     p_char.add_argument("--json", action="store_true")
     p_char.set_defaults(func=cmd_characterize)
     return parser

@@ -28,7 +28,15 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(value: RatLike) -> str:
     """Render as ``"p/q"`` in lowest terms, or ``"p"`` for integers."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
+
+
+def powers(x, top: int) -> list:
+    """[1, x, x^2, ..., x^top] by running products, for any exact scalar type."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def rational_sqrt(value: RatLike) -> Fraction | None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .exact import Poly, RatLike, format_rat, parse_rat
@@ -78,7 +78,9 @@ def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
     prev = Poly.zero()
     x = Poly.of(0, 1)
     for n in range(n_max):
-        nxt = (x - sj.alpha(n)) * polys[n] - sj.omega(n) * prev
+        nxt = (x - sj.alpha(n)) * polys[n]
+        if n >= 1:
+            nxt = nxt - sj.omega(n) * prev
         prev = polys[n]
         polys.append(nxt)
     return polys
@@ -133,7 +135,7 @@ class MomentSeq:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple([v if isinstance(v, Fraction) else Fraction(v) for v in self.values])
         if not vals or vals[0] != 1:
             raise ValueError("moment sequence must start with E[X^0] = 1")
         object.__setattr__(self, "values", vals)
@@ -160,29 +162,41 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
 
     The iteration tracks the expansion of X^m * 1 in the f-basis; for a
     finite-support system the state is capped at the support dimension,
-    which is exact because f_{n0} vanishes almost surely.
+    which is exact because f_{n0} vanishes almost surely.  A component of
+    degree n only matters while it can still walk back to degree 0, so the
+    state never grows past m_max / 2.
+
+    The state runs on integers in the variable Y = D*X of ``rescaled_basis``:
+    with g_n = D^n f_n, Y g_n = g_{n+1} + D alpha_n g_n + D^2 omega_n g_{n-1},
+    and the g_0-coordinate of Y^m is D^m E[X^m].  D only covers the alpha_n
+    and omega_n that can reach an output.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    size = m_max + 1
-    bound = sj.support_bound
-    if bound is not None:
-        size = min(size, bound)
-    state = [Fraction(0)] * size
-    state[0] = Fraction(1)
+    size = m_max // 2 + 1
+    if sj.support_bound is not None:
+        size = min(size, sj.support_bound)
+    alphas = [Fraction(sj.alpha(n)) for n in range(min(size, (m_max + 1) // 2))]
+    omegas = [Fraction(sj.omega(n)) for n in range(1, size)]
+    scale = lcm(*(v.denominator for v in alphas + omegas))
+    shift = [a.numerator * (scale // a.denominator) for a in alphas]  # D alpha_n
+    link = [w.numerator * (scale * scale // w.denominator) for w in omegas]  # D^2 omega_{n+1}
+    state = [1]
     out = [Fraction(1)]
-    for _ in range(m_max):
-        nxt = [Fraction(0)] * size
+    for m in range(1, m_max + 1):
+        # After this step only degrees up to m_max - m can still reach an output.
+        top = min(m, m_max - m, size - 1)
+        nxt = [0] * (top + 1)
         for n, v in enumerate(state):
-            if v == 0:
-                continue
-            nxt[n] += sj.alpha(n) * v
-            if n + 1 < size:
-                nxt[n + 1] += v
-            if n >= 1:
-                nxt[n - 1] += sj.omega(n) * v
+            if v:
+                if n <= top:
+                    nxt[n] += shift[n] * v
+                if n < top:
+                    nxt[n + 1] += v
+                if n >= 1:
+                    nxt[n - 1] += link[n - 1] * v
         state = nxt
-        out.append(state[0])
+        out.append(Fraction(state[0], scale**m))
     return MomentSeq(tuple(out))
 
 
@@ -202,46 +216,66 @@ def apply_functional(mu: MomentSeq, f: Poly) -> Fraction:
     return sum((coef * mu[i] for i, coef in enumerate(f.coeffs)), Fraction(0))
 
 
-def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> tuple[list[Poly], SzegoJacobi]:
-    """Orthogonalize 1, X, X^2, ... against a moment functional.
+def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
+    """Recover the recurrence that orthogonalizes 1, X, X^2, ... against mu.
 
-    Returns the monic orthogonal polynomials together with the recovered
-    recurrence coefficients: alpha_0 .. alpha_{n_max-1} and
-    omega_1 .. omega_{n_max}, which requires moments up to order 2*n_max.
+    Returns alpha_0 .. alpha_{n_max-1} and omega_1 .. omega_{n_max}, which
+    requires moments up to order 2*n_max.  This is the Chebyshev algorithm
+    (Gautschi, Orthogonal Polynomials, 2004): with sigma_{k,l} = L[f_k X^l],
+
+        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - omega_{k-1} sigma_{k-2,l},
+        alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1},
+        omega_k = sigma_{k,k}/sigma_{k-1,k-1},
+
+    starting from sigma_{-1,l} = 0 and sigma_{0,l} = E[X^l]; sigma_{k,k} is
+    the squared norm of f_k.  Each row is held as integers over one
+    denominator, reduced by the row's gcd.  It never uses a forward
+    recurrence, only the moments.
 
     If some squared norm vanishes at step n0 <= n_max the functional comes
-    from a measure on exactly n0 points; the polynomials found so far
-    (including the degree-n0 one, which has norm zero) are returned with
-    ``support_bound = n0`` and omega_{n0} = 0.  A negative squared norm
-    means no measure matches the moments and raises DegenerateMoments.
+    from a measure on exactly n0 points; the coefficients found so far are
+    returned with ``support_bound = n0`` and omega_{n0} = 0.  A negative
+    squared norm means no measure matches the moments and raises
+    DegenerateMoments.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if len(mu) < 2 * n_max + 1:
         raise ValueError(f"need moments up to order {2 * n_max}, have {len(mu) - 1}")
-    polys = [Poly.one()]
-    norms = [Fraction(1)]
+    top = 2 * n_max
+    den = lcm(*(mu[l].denominator for l in range(top + 1)))
+    # sigma_{k,l} = row[l] / row_den for l >= k; prev holds row k - 1.
+    row, row_den = [mu[l].numerator * (den // mu[l].denominator) for l in range(top + 1)], den
+    prev, prev_den = [0] * (top + 2), 1
     alphas: list[Fraction] = []
     omegas: list[Fraction] = []
+    omega = Fraction(0)  # omega_0 f_{-1} vanishes
     for n in range(n_max):
-        candidate = Poly.monomial(n + 1)
-        projection = Poly.zero()
-        for k, f_k in enumerate(polys):
-            coef = apply_functional(mu, candidate * f_k) / norms[k]
-            projection = projection + coef * f_k
-        f_next = candidate - projection
-        norm_next = apply_functional(mu, f_next * f_next)
-        if norm_next < 0:
+        alpha = Fraction(row[n + 1], row[n])
+        if n:
+            alpha -= Fraction(prev[n], prev[n - 1])
+        p, q = alpha.numerator, alpha.denominator
+        u, v = omega.numerator, omega.denominator
+        lead, mid, back = q * v * prev_den, p * v * prev_den, u * q * row_den
+        nxt = [0] * (top - n)
+        for l in range(n + 1, top - n):
+            nxt[l] = lead * row[l + 1] - mid * row[l] - back * prev[l]
+        nxt_den = q * v * row_den * prev_den
+        common = gcd(nxt_den, *nxt)
+        nxt = [c // common for c in nxt]
+        nxt_den //= common
+        if nxt[n + 1] < 0:
             raise DegenerateMoments(
-                f"squared norm of degree-{n + 1} polynomial is negative: {norm_next}"
+                f"squared norm of degree-{n + 1} polynomial is negative: "
+                f"{Fraction(nxt[n + 1], nxt_den)}"
             )
-        polys.append(f_next)
-        alphas.append(apply_functional(mu, Poly.of(0, 1) * polys[n] * polys[n]) / norms[n])
-        omegas.append(norm_next / norms[n])
-        if norm_next == 0:
-            return polys, SzegoJacobi.from_lists(alphas, omegas, support_bound=n + 1)
-        norms.append(norm_next)
-    return polys, SzegoJacobi.from_lists(alphas, omegas, support_bound=None)
+        omega = Fraction(nxt[n + 1] * row_den, nxt_den * row[n])
+        alphas.append(alpha)
+        omegas.append(omega)
+        if omega == 0:
+            return SzegoJacobi.from_lists(alphas, omegas, support_bound=n + 1)
+        prev, prev_den, row, row_den = row, row_den, nxt, nxt_den
+    return SzegoJacobi.from_lists(alphas, omegas, support_bound=None)
 
 
 @dataclass(frozen=True)

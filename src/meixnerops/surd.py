@@ -37,6 +37,19 @@ class Quadratic:
         object.__setattr__(self, "s", s)
 
     @staticmethod
+    def _exact(a: Fraction, b: Fraction, s: Fraction) -> "Quadratic":
+        """An arithmetic result: a and b are Fractions, s an operand's radicand.
+
+        That radicand was normalized when its operand was built, so only the
+        b = 0 rule is left to apply; ``rational_sqrt`` is not called again.
+        """
+        out = object.__new__(Quadratic)
+        object.__setattr__(out, "a", a)
+        object.__setattr__(out, "b", b)
+        object.__setattr__(out, "s", s if b else Fraction(0))
+        return out
+
+    @staticmethod
     def of(value: RatLike) -> "Quadratic":
         return Quadratic(Fraction(value))
 
@@ -54,7 +67,7 @@ class Quadratic:
         return self.a
 
     def conjugate(self) -> "Quadratic":
-        return Quadratic(self.a, -self.b, self.s)
+        return Quadratic._exact(self.a, -self.b, self.s)
 
     def _join(self, other: "Quadratic") -> Fraction:
         if self.b == 0:
@@ -67,7 +80,7 @@ class Quadratic:
         if isinstance(other, Quadratic):
             return other
         if isinstance(other, (int, Fraction)):
-            return Quadratic.of(other)
+            return Quadratic._exact(Fraction(other), Fraction(0), Fraction(0))
         return None
 
     def __add__(self, other: object) -> "Quadratic":
@@ -75,12 +88,12 @@ class Quadratic:
         if rhs is None:
             return NotImplemented
         s = self._join(rhs)
-        return Quadratic(self.a + rhs.a, self.b + rhs.b, s)
+        return Quadratic._exact(self.a + rhs.a, self.b + rhs.b, s)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Quadratic":
-        return Quadratic(-self.a, -self.b, self.s)
+        return Quadratic._exact(-self.a, -self.b, self.s)
 
     def __sub__(self, other: object) -> "Quadratic":
         rhs = self._coerce(other)
@@ -92,11 +105,13 @@ class Quadratic:
         return (-self) + other
 
     def __mul__(self, other: object) -> "Quadratic":
+        if isinstance(other, (int, Fraction)):
+            return Quadratic._exact(self.a * other, self.b * other, self.s)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         s = self._join(rhs)
-        return Quadratic(
+        return Quadratic._exact(
             self.a * rhs.a + self.b * rhs.b * s,
             self.a * rhs.b + self.b * rhs.a,
             s,
@@ -107,7 +122,7 @@ class Quadratic:
     def __pow__(self, exponent: int) -> "Quadratic":
         if exponent < 0:
             raise ValueError("negative powers not supported")
-        out = Quadratic.of(1)
+        out = Quadratic._exact(Fraction(1), Fraction(0), Fraction(0))
         base = self
         e = exponent
         while e:

@@ -21,7 +21,7 @@ from meixnerops.characterize import (
 )
 from meixnerops.exact import Poly
 from meixnerops.meixner import InvalidParams, MeixnerParams, TranslationCombo
-from meixnerops.orthopoly import moments_from_sj
+from meixnerops.orthopoly import MomentSeq, moments_from_sj
 from meixnerops.sampling import sample_combo
 
 STEP = TranslationCombo.parse("1:1,-1:0")
@@ -127,17 +127,26 @@ def test_moment_recursion_is_the_functional_identity():
 
 
 def test_bound_cert_frozen_values():
-    cert = bound_cert(STEP, 20)
+    cert = bound_cert(STEP, moments_via_recursion(STEP, 20))
     assert cert.a_const == 1 and cert.k == 2
     assert cert.passed and cert.even_passed
     assert cert.checked_up_to == 20
-    big = bound_cert(TranslationCombo.parse("3:3,-3:0"), 20)
+    big_combo = TranslationCombo.parse("3:3,-3:0")
+    big = bound_cert(big_combo, moments_via_recursion(big_combo, 20))
     assert big.a_const == F(9, 2) and big.k == 27
     assert big.passed and big.even_passed
 
 
+def test_bound_cert_checks_the_moments_it_is_given():
+    # STEP has k = 2: E[X^2] = 20 breaks k^2 2! = 8 but not (2k)^2 2! = 32.
+    cert = bound_cert(STEP, MomentSeq((F(1), F(0), F(20))))
+    assert cert.checked_up_to == 2
+    assert not cert.passed and cert.even_passed
+    assert not bound_cert(STEP, MomentSeq((F(1), F(0), F(33)))).even_passed
+
+
 def test_bound_cert_json_keys():
-    d = bound_cert(WIDE, 12).to_json_dict()
+    d = bound_cert(WIDE, moments_via_recursion(WIDE, 12)).to_json_dict()
     assert set(d) == {"A", "k", "checked_up_to", "pass", "even_pass"}
     assert d["A"] == "1" and d["k"] == "4"
 
@@ -183,7 +192,7 @@ def test_random_combos_routes_agree():
         mu = moments_via_recursion(combo, 12)
         assert moments_via_cumulants(combo, 12).values == mu.values
         assert laplace_series(combo, 12).values == mu.values
-        cert = bound_cert(combo, 12)
+        cert = bound_cert(combo, mu)
         assert cert.passed and cert.even_passed
 
 
@@ -202,4 +211,4 @@ def test_routes_agree_property(pairs):
     mu = moments_via_recursion(combo, 8)
     assert moments_via_cumulants(combo, 8).values == mu.values
     assert laplace_series(combo, 8).values == mu.values
-    assert bound_cert(combo, 8).passed
+    assert bound_cert(combo, mu).passed

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import meixnerops.cli as cli
 from meixnerops.cli import main
 
 
@@ -308,3 +314,104 @@ def test_unknown_subcommand(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started above a size cap")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, forbidden)
+    for suite in cli._SUITE_RUNNERS:
+        monkeypatch.setitem(cli._SUITE_RUNNERS, suite, forbidden)
+
+
+SIZE_CAPS = [
+    (
+        ["classify", "--alpha=0", "--alpha0=0", "--beta=0", "--t=1"],
+        "max-moment", cli.MAX_MOMENT, ("classify", "crosscheck"),
+    ),
+    (
+        ["characterize", "--combo=1:1,-1:0"],
+        "max-moment", cli.MAX_MOMENT,
+        ("moments_via_recursion", "moments_via_cumulants", "laplace_series", "bound_cert"),
+    ),
+    (["verify", "--suite=limit", "--trials=1", "--seed=1"], "degree", cli.MAX_DEGREE, ()),
+    (["verify", "--suite=gramschmidt", "--degree=4", "--seed=1"], "trials", cli.MAX_TRIALS, ()),
+]
+
+
+@pytest.mark.parametrize("argv,flag,cap,kernels", SIZE_CAPS, ids=lambda v: str(v))
+def test_size_cap_checked_before_any_work(capsys, monkeypatch, argv, flag, cap, kernels):
+    _forbid(monkeypatch, "szego_jacobi", *kernels)
+    code, out, err = run_cli(capsys, *argv, f"--{flag}={cap + 1}", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == f"invalid input: --{flag} must be at most {cap}\n"
+
+
+@pytest.mark.parametrize("argv,flag,cap,kernels", SIZE_CAPS, ids=lambda v: str(v))
+def test_size_cap_is_inclusive(capsys, argv, flag, cap, kernels):
+    # The benchmark runs --max-moment 24 and 40, --degree 16 and 48, --trials 1.
+    assert cap >= 100
+    code, out, _ = run_cli(capsys, *argv, f"--{flag}={cap}", "--json")
+    assert code == 0
+    assert json.loads(out)["config"][flag.replace("-", "_")] == cap
+
+
+RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/2", "3/2", "-2/3", "5", "x"])
+# (alpha, alpha0, beta, t) of every class, two of them with an irrational sqrt(Delta)
+VALID_PARAMS = st.sampled_from([
+    ("0", "0", "0", "1"), ("1", "1", "0", "1"), ("3", "0", "2", "2"), ("2", "1/3", "1/2", "5/4"),
+    ("2", "1", "1", "1"), ("0", "0", "1", "1"), ("0", "0", "-1", "2"), ("1", "-1/2", "-1/3", "2"),
+])
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from(["classify", "decompose", "verify", "characterize"]))
+    argv = [command]
+    if command in ("classify", "decompose"):
+        params = draw(st.one_of(VALID_PARAMS, st.tuples(*[RATIONALS] * 4)))
+        for name, value in zip(("alpha", "alpha0", "beta", "t"), params):
+            argv.append(f"--{name}={value}")
+    if command == "decompose":
+        argv.append(f"--op={draw(st.sampled_from(cli.OPS + ('b',)))}")
+        argv.append(f"--order={draw(st.integers(-1, 6))}")
+    if command in ("classify", "characterize"):
+        argv.append(f"--max-moment={draw(st.integers(-1, 10))}")
+    if command == "verify":
+        argv.append(f"--suite={draw(st.sampled_from(cli.SUITES))}")
+        argv.append(f"--degree={draw(st.integers(3, 6))}")
+        argv.append(f"--trials={draw(st.integers(0, 2))}")
+        argv.append(f"--seed={draw(st.integers(0, 99))}")
+    if command == "characterize":
+        terms = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=1, max_size=3))
+        combo = ",".join(f"{c}:{d}" for c, d in terms)
+        if draw(st.booleans()) and "x" not in combo:  # make the coefficients sum to zero
+            combo += f",{-sum(Fraction(c) for c, _ in terms)}:0"
+        argv.append(f"--combo={combo}")
+    # Now and then drop a flag, which argparse must reject cleanly.
+    if len(argv) > 2 and draw(st.booleans()) and draw(st.booleans()):
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv + ["--json"]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_argv())
+def test_every_small_argv_keeps_the_exit_code_contract(argv):
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv
+    else:
+        json.loads(out)
+    assert _run_quietly(argv) == (code, out, err), argv

@@ -1,9 +1,11 @@
-"""Golden digests of ``decompose --json`` for every operator on each class.
+"""Golden digests of the JSON reports, and a byte-identical rerun of each.
 
-The representatives are those of ``scripts/show_class_decompositions.py``.
-The digests pin the JSON bytes at ``--order=24``, the order the benchmark
-uses; they were taken before the basis change and the extraction moved to
-integer kernels, and a rerun must print the same bytes.
+``decompose --json --order=24`` runs every operator on the representatives
+of ``scripts/show_class_decompositions.py``; its digests were taken before
+the basis change and the extraction moved to integer kernels.  The moment
+commands (``classify --max-moment=24``, ``characterize --max-moment=40`` and
+``verify --suite=gramschmidt --degree=16``, the sizes the benchmark uses)
+were pinned before the moment kernels moved to integers.
 """
 
 import contextlib
@@ -59,15 +61,18 @@ GOLDEN = {
 }
 
 
-def _decompose_json(p, op: str) -> tuple[int, str]:
-    argv = [
-        "decompose", f"--alpha={p.alpha}", f"--alpha0={p.alpha0}", f"--beta={p.beta}",
-        f"--t={p.t}", f"--op={op}", "--order=24", "--json",
-    ]
+def _json_run(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def _decompose_json(p, op: str) -> tuple[int, str]:
+    return _json_run([
+        "decompose", f"--alpha={p.alpha}", f"--alpha0={p.alpha0}", f"--beta={p.beta}",
+        f"--t={p.t}", f"--op={op}", "--order=24", "--json",
+    ])
 
 
 def test_golden_covers_every_class_and_operator():
@@ -81,3 +86,59 @@ def test_decompose_json_golden_and_deterministic(label, p):
         assert code == 0, (label, op)
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(label, op)], (label, op)
         assert _decompose_json(p, op) == (code, out), (label, op)
+
+
+# (alpha, alpha0, beta, t); Pascal with a rational and an irrational sqrt(Delta),
+# Binomial with Delta = 4 and with Delta = 7/3 (surds that must cancel).
+CLASSIFY_GOLDEN = {
+    ("0", "1/2", "0", "3/2"): "943ad7bde4a7002eb0bbf2570fd832a1463f1ee0329ec4d40ff3c140644e47e0",
+    ("1", "1", "0", "1"): "ea49481068e87a7d7fa6ea510dea9a8a7570281801b1e17103943ec8f25e0277",
+    ("3", "0", "2", "2"): "2f277a6af061941e6a1b4d7dda63a58616915afe638116bee3acb7270a519952",
+    ("2", "1/3", "1/2", "5/4"): "4a7f9facc15724e8b1ecd9cbe1764944494bc21eee2904f81dbf111ab1637189",
+    ("2", "1", "1", "1"): "8cc27bb8ab1e19ffcb5d78da5fddba65f5e2f4eaf7f168735b70087cea31c21f",
+    ("0", "0", "1", "1"): "627bd4135ef10224b9af811bebcf392245227e048a9a8a7497c3c6f2372ca194",
+    ("0", "0", "-1", "2"): "2a9938614009ea0c6bc25ceef20e555a12b183081ed084fe1726951a962c526c",
+    ("1", "-1/2", "-1/3", "2"): "42890dfebea77e95c04b69504b2e0daf57309af4c4995afa4a2ce5e3b226b4dd",
+}
+
+# Mixed denominators, a zero-shift term in three of them, none in two.
+CHARACTERIZE_GOLDEN = {
+    "1:1,-1:0": "52ea2db482f0bbc153912e515a19366186fbb52e2581ec6cd2cae0e9e9bbf869",
+    "1:1,-1:-1": "cb40028d3177ae65b178911e2bbe635d83424e584f04f9f81734bb9762c95b60",
+    "3/2:1/2,-1/3:-2/3,-7/6:0": "cddbbedd11eb2e67b24279fde31197c2798452d7671f545c992187e7e2b805dc",
+    "5/4:5/2,-3/4:-3/4,-1/2:0": "9b5662fde79aaf19ddcf530153a018931e790b08e679764ab89b8c841b288f87",
+    "2:3/2,-2:-5/3": "0dc6e9b71224a065aac07aa078caa37ac068f454378ca97295c4b7a4260358f8",
+}
+
+# Seed 2 draws a Binomial law on 6 points, so the finite-support branch runs.
+GRAMSCHMIDT_GOLDEN = {
+    1: "5bb574bd770bc1150d326f6c933296098ecd7148864ac773aab6b27cb34827a8",
+    2: "3a0fd019eaa3a41da15032493021fd44823754e6fc0d29566c327ce7be3104bb",
+}
+
+
+def _assert_golden(argv: list[str], digest: str) -> None:
+    code, out = _json_run(argv)
+    assert code == 0, argv
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert _json_run(argv) == (code, out), argv
+
+
+@pytest.mark.parametrize("params", list(CLASSIFY_GOLDEN), ids="/".join)
+def test_classify_json_golden_and_deterministic(params):
+    flags = [f"--{k}={v}" for k, v in zip(("alpha", "alpha0", "beta", "t"), params)]
+    _assert_golden(["classify", *flags, "--max-moment=24", "--json"], CLASSIFY_GOLDEN[params])
+
+
+@pytest.mark.parametrize("combo", list(CHARACTERIZE_GOLDEN))
+def test_characterize_json_golden_and_deterministic(combo):
+    argv = ["characterize", f"--combo={combo}", "--max-moment=40", "--json"]
+    _assert_golden(argv, CHARACTERIZE_GOLDEN[combo])
+
+
+@pytest.mark.parametrize("seed", list(GRAMSCHMIDT_GOLDEN))
+def test_gramschmidt_json_golden_and_deterministic(seed):
+    argv = [
+        "verify", "--suite=gramschmidt", "--degree=16", "--trials=3", f"--seed={seed}", "--json",
+    ]
+    _assert_golden(argv, GRAMSCHMIDT_GOLDEN[seed])

@@ -34,6 +34,13 @@ def test_monic_polys_gaussian():
     assert f[4] == Poly.of(3, 0, -6, 0, 1)
 
 
+def test_monic_polys_never_reads_omega_0():
+    # omegas[0] is omega_1; omega(0) would wrap to omegas[-1] or raise IndexError.
+    assert monic_polys(SzegoJacobi.from_lists([0], []), 1) == [Poly.of(1), X]
+    sj = SzegoJacobi.from_lists([1, 2], [3, 5])
+    assert monic_polys(sj, 2) == [Poly.of(1), Poly.of(-1, 1), Poly.of(-1, -3, 1)]
+
+
 def test_monic_polys_respect_support():
     assert len(monic_polys(COIN, 2)) == 3
     with pytest.raises(TruncationBeyondSupport):
@@ -76,24 +83,37 @@ def test_apply_functional():
     assert apply_functional(mu, Poly.of(5, 1, -2, 0, 1)) == 5 + 0 - 2 + 3
 
 
+def _orthogonal_under(mu, polys):
+    return all(
+        apply_functional(mu, polys[i] * polys[j]) == 0
+        for i in range(len(polys))
+        for j in range(i)
+    )
+
+
 def test_gram_schmidt_recovers_fixed_recurrence():
     sj = SzegoJacobi.from_lists([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
     mu = moments_from_sj(sj, 6)
-    polys, rec = gram_schmidt_from_moments(mu, 3)
+    rec = gram_schmidt_from_moments(mu, 3)
     assert [rec.alpha(n) for n in range(3)] == [1, 2, 3]
     assert [rec.omega(n) for n in range(1, 4)] == [1, 2, 3]
     assert rec.support_bound is None
-    assert polys[0] == Poly.of(1)
-    assert all(polys[n].degree == n and polys[n].coeff(n) == 1 for n in range(4))
+    polys = monic_polys(rec, 3)
+    assert _orthogonal_under(mu, polys)
+    assert all(apply_functional(mu, f * f) > 0 for f in polys)
 
 
 def test_gram_schmidt_detects_finite_support():
     mu = moments_from_sj(COIN, 16)
-    polys, rec = gram_schmidt_from_moments(mu, 8)
+    rec = gram_schmidt_from_moments(mu, 8)
     assert rec.support_bound == 3
     assert [rec.alpha(n) for n in range(3)] == [0, 0, 0]
     assert [rec.omega(n) for n in range(1, 4)] == [2, 2, 0]
-    assert len(polys) == 4  # includes the a.s.-zero polynomial f_3
+    # f_3 is orthogonal to f_0 .. f_2 and has norm zero: it vanishes a.s.
+    polys = monic_polys(rec, 2)
+    f3 = (X - rec.alpha(2)) * polys[2] - rec.omega(2) * polys[1]
+    assert _orthogonal_under(mu, polys + [f3])
+    assert apply_functional(mu, f3 * f3) == 0
 
 
 def test_gram_schmidt_rejects_nonpositive():
@@ -129,7 +149,7 @@ pos_rats = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
 def test_gram_schmidt_round_trip(alphas, omegas):
     sj = SzegoJacobi.from_lists(alphas, omegas)
     mu = moments_from_sj(sj, 8)
-    _, rec = gram_schmidt_from_moments(mu, 4)
+    rec = gram_schmidt_from_moments(mu, 4)
     assert [rec.alpha(n) for n in range(4)] == alphas[:4]
     assert [rec.omega(n) for n in range(1, 5)] == omegas[:4]
 

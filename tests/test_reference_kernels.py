@@ -1,27 +1,54 @@
-"""Integer kernels against the dense Fraction algorithms they replaced.
+"""Integer kernels against the Fraction algorithms they replaced.
 
 ``to_monomial_basis`` and ``extract_pmd`` run on integers in a rescaled
 variable.  The references below are the straightforward Fraction versions:
 C * M * C^-1 with C^-1 by back-substitution, and the peel that shifts each
 earlier coefficient with ``Poly.monomial``.  Outputs must be equal exactly,
 and ``extract_pmd`` must refuse the same matrices with the same message.
+
+The moment layer has the same treatment: ``moments_from_sj`` against powers
+of the recurrence matrix in Fractions, the Chebyshev algorithm against
+polynomial Gram-Schmidt (same recovered coefficients, same support bound,
+same ``DegenerateMoments`` message), the three integer ``characterize``
+routes and the growth certificate against their Fraction recurrences, and
+``_affine_moments`` and ``Quadratic`` arithmetic against term-by-term powers
+and a constructor that normalizes every result.
 """
 
 from fractions import Fraction as F
-from math import factorial, perm
+from math import comb, factorial, perm
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meixnerops.characterize import (
+    _max_power_over_factorial,
+    bound_cert,
+    combo_cumulants,
+    laplace_series,
+    moments_via_cumulants,
+    moments_via_recursion,
+)
+from meixnerops.classify import _affine_moments
 from meixnerops.cli import OP_GRADE, _build_op
 from meixnerops.exact import Poly
-from meixnerops.meixner import series_decomposition, szego_jacobi
+from meixnerops.meixner import TranslationCombo, series_decomposition, szego_jacobi
 from meixnerops.operators import GradedOp, change_of_basis, to_monomial_basis
-from meixnerops.orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys
+from meixnerops.orthopoly import (
+    DegenerateMoments,
+    MomentSeq,
+    SzegoJacobi,
+    TruncationBeyondSupport,
+    apply_functional,
+    gram_schmidt_from_moments,
+    moments_from_sj,
+    monic_polys,
+)
 from meixnerops.pmd import NotFaithful, PMDecomp, extract_pmd
 from meixnerops.sampling import sample_params
+from meixnerops.surd import Quadratic
 
 
 def reference_change_of_basis(sj, trunc):
@@ -197,3 +224,315 @@ def test_large_pmd_suite_case_matches_references():
         assert extracted == reference_extract_pmd(matrix, k, cap), op
         closed = series_decomposition(p, op, cap)
         assert all(extracted.coeff(n) == closed.coeff(n) for n in range(cap + 1)), op
+
+
+# ---------------------------------------------------------------- moments
+
+
+def reference_moments_from_sj(sj, m_max):
+    size = m_max + 1
+    if sj.support_bound is not None:
+        size = min(size, sj.support_bound)
+    state = [F(0)] * size
+    state[0] = F(1)
+    out = [F(1)]
+    for _ in range(m_max):
+        nxt = [F(0)] * size
+        for n, v in enumerate(state):
+            if v == 0:
+                continue
+            nxt[n] += sj.alpha(n) * v
+            if n + 1 < size:
+                nxt[n + 1] += v
+            if n >= 1:
+                nxt[n - 1] += sj.omega(n) * v
+        state = nxt
+        out.append(state[0])
+    return tuple(out)
+
+
+def reference_gram_schmidt(mu, n_max):
+    """Orthogonalize 1, X, X^2, ... as polynomials; (alphas, omegas, support_bound)."""
+    polys = [Poly.one()]
+    norms = [F(1)]
+    alphas, omegas = [], []
+    for n in range(n_max):
+        candidate = Poly.monomial(n + 1)
+        projection = Poly.zero()
+        for k, f_k in enumerate(polys):
+            projection = projection + (apply_functional(mu, candidate * f_k) / norms[k]) * f_k
+        f_next = candidate - projection
+        norm_next = apply_functional(mu, f_next * f_next)
+        if norm_next < 0:
+            raise DegenerateMoments(
+                f"squared norm of degree-{n + 1} polynomial is negative: {norm_next}"
+            )
+        polys.append(f_next)
+        alphas.append(apply_functional(mu, Poly.of(0, 1) * polys[n] * polys[n]) / norms[n])
+        omegas.append(norm_next / norms[n])
+        if norm_next == 0:
+            return alphas, omegas, n + 1
+        norms.append(norm_next)
+    return alphas, omegas, None
+
+
+def _recovered(mu, n_max):
+    """The recovered coefficient lists, or the DegenerateMoments message."""
+    try:
+        rec = gram_schmidt_from_moments(mu, n_max)
+    except DegenerateMoments as exc:
+        return ("DegenerateMoments", str(exc))
+    top = n_max if rec.support_bound is None else rec.support_bound
+    alphas = [rec.alpha(n) for n in range(top)]
+    omegas = [rec.omega(n) for n in range(1, top + 1)]
+    for probe in (lambda: rec.alpha(top), lambda: rec.omega(top + 1)):
+        with pytest.raises(IndexError):
+            probe()
+    return alphas, omegas, rec.support_bound
+
+
+def _reference_recovered(mu, n_max):
+    try:
+        return reference_gram_schmidt(mu, n_max)
+    except DegenerateMoments as exc:
+        return ("DegenerateMoments", str(exc))
+
+
+@st.composite
+def signed_recurrences(draw, min_size=1, max_size=9):
+    """Coefficient lists whose omegas may vanish (a finite support) or turn negative."""
+    size = draw(st.integers(min_size, max_size))
+    alphas = draw(st.lists(rats, min_size=size, max_size=size))
+    omega = rats.filter(lambda w: w > 0) | st.just(F(0)) | rats
+    omegas = draw(st.lists(omega, min_size=size, max_size=size))
+    bound = draw(st.none() | st.integers(1, size))
+    return SzegoJacobi.from_lists(alphas, omegas, support_bound=bound), size
+
+
+@settings(deadline=None, max_examples=150)
+@given(signed_recurrences(max_size=17), st.integers(0, 17))
+def test_moments_from_sj_matches_fraction_powers(case, m_max):
+    sj, size = case
+    m_max = min(m_max, size)  # the reference reads alpha_n and omega_n for n < m_max
+    assert tuple(moments_from_sj(sj, m_max)) == reference_moments_from_sj(sj, m_max)
+
+
+def test_moments_from_sj_reads_only_what_reaches_an_output():
+    # E[X^4] needs alpha_0, alpha_1 and omega_1, omega_2: never alpha_2 or alpha_3.
+    sj = SzegoJacobi.from_lists([1, F(1, 3)], [F(1, 2), 5])
+    assert tuple(moments_from_sj(sj, 4)) == reference_moments_from_sj(
+        SzegoJacobi.from_lists([1, F(1, 3), 7, 11], [F(1, 2), 5, 13]), 4
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), st.integers(0, 6))
+def test_chebyshev_matches_polynomial_gram_schmidt(data, n_max):
+    sj, _ = data.draw(signed_recurrences(min_size=max(1, 2 * n_max), max_size=2 * n_max + 1))
+    mu = MomentSeq(reference_moments_from_sj(sj, 2 * n_max))
+    assert _recovered(mu, n_max) == _reference_recovered(mu, n_max)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(rats, min_size=2, max_size=10), st.integers(0, 5))
+def test_chebyshev_matches_on_arbitrary_moments(tail, n_max):
+    # Mostly not moment sequences of a measure: DegenerateMoments with its message.
+    mu = MomentSeq((F(1), *tail))
+    n_max = min(n_max, len(tail) // 2)
+    assert _recovered(mu, n_max) == _reference_recovered(mu, n_max)
+
+
+def test_chebyshev_zero_norm_and_negative_norm_cases():
+    coin = MomentSeq(reference_moments_from_sj(
+        SzegoJacobi.from_lists([0, 0, 0], [2, 2], support_bound=3), 12
+    ))
+    assert _recovered(coin, 6) == ([0, 0, 0], [2, 2, 0], 3)
+    bad = MomentSeq((F(1), F(0), F(-1), F(0), F(1)))
+    outcome = _recovered(bad, 2)
+    assert outcome == ("DegenerateMoments", "squared norm of degree-1 polynomial is negative: -1")
+    assert outcome == _reference_recovered(bad, 2)
+
+
+# ---------------------------------------------------------- characterize
+
+
+def reference_recursion(terms, m_max):
+    mu = [F(1)]
+    for m in range(1, m_max + 1):
+        total = F(0)
+        for c, d in terms:
+            inner = F(0)
+            for j in range(m):
+                inner += comb(m - 1, j) * d ** (m - 1 - j) * mu[j]
+            total += c * inner
+        mu.append(total)
+    return tuple(mu)
+
+
+def reference_cumulants(terms, m_max):
+    kappas = [F(0)]
+    for m in range(2, m_max + 1):
+        kappas.append(sum((c * d ** (m - 1) for c, d in terms), F(0)))
+    return tuple(kappas[: max(m_max, 0)])
+
+
+def reference_cumulant_moments(terms, m_max):
+    kappas = reference_cumulants(terms, m_max)
+    mu = [F(1)]
+    for m in range(1, m_max + 1):
+        mu.append(sum((comb(m - 1, j - 1) * kappas[j - 1] * mu[m - j] for j in range(1, m + 1)),
+                      F(0)))
+    return tuple(mu)
+
+
+def reference_laplace(terms, m_max):
+    log_coeffs = [F(0), F(0)]
+    for j in range(2, m_max + 1):
+        log_coeffs.append(sum((c * d ** (j - 1) for c, d in terms), F(0)) / factorial(j))
+    phi = [F(1)]
+    for m in range(1, m_max + 1):
+        phi.append(sum((j * log_coeffs[j] * phi[m - j] for j in range(1, m + 1)), F(0)) / m)
+    source = [sum((c * d**j for c, d in terms), F(0)) / factorial(j) for j in range(m_max)]
+    for m in range(m_max):
+        assert (m + 1) * phi[m + 1] == sum(phi[m - j] * source[j] for j in range(m + 1))
+    return tuple(factorial(m) * phi[m] for m in range(m_max + 1))
+
+
+def reference_bound_cert(terms, mu):
+    m_max = len(mu) - 1
+    a_const = F(1)
+    for _, d in terms:
+        a_const = max(a_const, _max_power_over_factorial(abs(d)))
+    k = max(a_const * sum((abs(c) for c, _ in terms), F(0)), F(1))
+    passed = all(abs(mu[m]) <= k**m * factorial(m) for m in range(m_max + 1))
+    even = all(mu[2 * m] <= (2 * k) ** (2 * m) * factorial(2 * m) for m in range(m_max // 2 + 1))
+    return a_const, k, m_max, passed, even
+
+
+shift_rats = st.builds(F, st.integers(-12, 12).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 7]))
+mean_rats = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 6]))
+
+
+@st.composite
+def valid_combos(draw):
+    """Positive means on distinct nonzero shifts, balanced by a zero-shift
+    term or, when the signs allow it, by one more nonzero shift."""
+    pairs = draw(st.lists(st.tuples(mean_rats, shift_rats), min_size=1, max_size=4,
+                          unique_by=lambda t: t[1]))
+    terms = [(lam * d, d) for lam, d in pairs]
+    balance = -sum(c for c, _ in terms)
+    if balance != 0:
+        magnitude = draw(st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 5])))
+        last = magnitude if balance > 0 else -magnitude
+        if draw(st.booleans()) and last not in [d for _, d in terms]:
+            terms.append((balance, last))
+        else:
+            terms.append((balance, F(0)))
+    order = draw(st.permutations(range(len(terms))))
+    return TranslationCombo(tuple(terms[i] for i in order))
+
+
+@settings(deadline=None, max_examples=120)
+@given(valid_combos(), st.integers(0, 24))
+def test_characterize_routes_match_fraction_recurrences(combo, m_max):
+    terms = combo.terms
+    recursion = moments_via_recursion(combo, m_max)
+    assert tuple(recursion) == reference_recursion(terms, m_max)
+    assert tuple(moments_via_cumulants(combo, m_max)) == reference_cumulant_moments(terms, m_max)
+    assert tuple(laplace_series(combo, m_max)) == reference_laplace(terms, m_max)
+    assert combo_cumulants(combo, m_max).kappas == reference_cumulants(terms, m_max)
+    cert = bound_cert(combo, recursion)
+    assert (cert.a_const, cert.k, cert.checked_up_to, cert.passed, cert.even_passed) == (
+        reference_bound_cert(terms, reference_recursion(terms, m_max))
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(valid_combos(), st.lists(st.integers(-(10**12), 10**12) | rats, max_size=12))
+def test_bound_cert_matches_reference_on_any_moments(combo, tail):
+    # Moments that are not the combination's, so either bound can fail.
+    mu = MomentSeq((F(1), *tail))
+    cert = bound_cert(combo, mu)
+    assert (cert.a_const, cert.k, cert.checked_up_to, cert.passed, cert.even_passed) == (
+        reference_bound_cert(combo.terms, tuple(mu))
+    )
+
+
+# ----------------------------------------------------------- classify
+
+
+def reference_affine_moments(raw, scale, shift, m_max):
+    out = []
+    for m in range(m_max + 1):
+        acc = raw[0] * 0
+        for j in range(m + 1):
+            acc = acc + comb(m, j) * scale**j * raw[j] * shift ** (m - j)
+        out.append(acc)
+    return out
+
+
+# The arithmetic of ``Quadratic`` with every result built by the constructor.
+def reference_add(x, y):
+    return Quadratic(x.a + y.a, x.b + y.b, x._join(y))
+
+
+def reference_mul(x, y):
+    s = x._join(y)
+    return Quadratic(x.a * y.a + x.b * y.b * s, x.a * y.b + x.b * y.a, s)
+
+
+# Perfect squares fold into the rational part; the others stay symbolic.
+RADICANDS = [F(0), F(1), F(4), F(9, 4), F(2), F(3, 5), F(7)]
+
+
+@st.composite
+def quadratics(draw, radicand):
+    return Quadratic(draw(rats), draw(rats | st.just(F(0))), radicand)
+
+
+def _fields(q):
+    return (q.a, q.b, q.s)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_quadratic_results_are_normalized(data):
+    s = data.draw(st.sampled_from(RADICANDS))
+    x, y = data.draw(quadratics(s)), data.draw(quadratics(s))
+    scalar = data.draw(rats | st.integers(-5, 5))
+    as_quadratic = Quadratic(F(scalar))
+    assert _fields(x + y) == _fields(reference_add(x, y))
+    assert _fields(x - y) == _fields(reference_add(x, Quadratic(-y.a, -y.b, y.s)))
+    assert _fields(x * y) == _fields(reference_mul(x, y))
+    assert _fields(x * scalar) == _fields(reference_mul(x, as_quadratic))
+    assert _fields(scalar * x) == _fields(reference_mul(as_quadratic, x))
+    assert _fields(scalar - x) == _fields(reference_add(as_quadratic, -x))
+    assert _fields(x.conjugate()) == _fields(Quadratic(x.a, -x.b, x.s))
+    power = reference_mul(Quadratic(1), Quadratic(1))
+    for e in range(data.draw(st.integers(0, 5)) + 1):
+        assert _fields(x**e) == _fields(power), e
+        power = reference_mul(power, x)
+
+
+def test_perfect_square_radicands_fold_to_rationals():
+    assert _fields(Quadratic(1, 2, F(9, 4))) == (4, 0, 0)
+    assert _fields(Quadratic.sqrt(2) * Quadratic.sqrt(2)) == (2, 0, 0)
+    assert _fields(Quadratic(1, 1, 3) - Quadratic(0, 1, 3)) == (1, 0, 0)
+    assert Quadratic.sqrt(2) * Quadratic.sqrt(2) == Quadratic.of(2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_affine_moments_match_termwise_powers(data):
+    m_max = data.draw(st.integers(0, 10))
+    raw = [F(1)] + data.draw(st.lists(rats, min_size=m_max, max_size=m_max))
+    scale, shift = data.draw(rats), data.draw(rats)
+    assert _affine_moments(raw, scale, shift, m_max) == reference_affine_moments(
+        raw, scale, shift, m_max
+    )
+    s = data.draw(st.sampled_from(RADICANDS))
+    qraw = [Quadratic.of(1)] + [data.draw(quadratics(s)) for _ in range(m_max)]
+    qscale, qshift = data.draw(quadratics(s)), data.draw(quadratics(s))
+    new = _affine_moments(qraw, qscale, qshift, m_max)
+    ref = reference_affine_moments(qraw, qscale, qshift, m_max)
+    assert [_fields(q) for q in new] == [_fields(q) for q in ref]
