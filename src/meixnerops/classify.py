@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Union
 
 from .exact import Rat, format_rat, powers
@@ -214,115 +214,120 @@ def classify(p: MeixnerParams) -> MeixnerClass:
     )
 
 
-def _rising_powers(x: Fraction, m_max: int, ratio: Fraction = Fraction(1)) -> list[Fraction]:
-    """x^(rising k) * ratio^k for k = 0 .. m_max, as running products."""
-    out = [Fraction(1)]
-    for i in range(m_max):
-        out.append(out[-1] * (x + i) * ratio)
-    return out
+def _pair(x, s) -> tuple[int, int, int]:
+    """x = a + b*sqrt(s) as integers (A, B, d): x = (A + B*sqrt(R)) / d, R = s.num * s.den.
 
-
-def _stirling2(m_max: int) -> list[list[int]]:
-    table = [[1] + [0] * m_max]
-    for m in range(1, m_max + 1):
-        row = [0] * (m_max + 1)
-        for k in range(1, m + 1):
-            row[k] = k * table[m - 1][k] + table[m - 1][k - 1]
-        table.append(row)
-    return table
-
-
-def _affine_moments(raw, scale, shift, m_max: int) -> list:
-    """E[(scale*Y + shift)^m] from the raw moments of Y, any exact scalar type.
-
-    The powers of scale and shift are built once, with O(m_max) products.
+    sqrt(s) = sqrt(R) / s.denominator; a rational x (not a ``Quadratic``) has B = 0.
     """
-    scaled = [sp * r for sp, r in zip(powers(scale, m_max), raw)]  # scale^j E[Y^j]
-    shifts = powers(shift, m_max)
-    out = []
-    for m in range(m_max + 1):
-        acc = raw[0] * 0
-        for j in range(m + 1):
-            acc = acc + comb(m, j) * scaled[j] * shifts[m - j]
-        out.append(acc)
+    a, c = (x.a, x.b / s.denominator) if isinstance(x, Quadratic) else (Fraction(x), Fraction(0))
+    d = lcm(a.denominator, c.denominator)
+    return a.numerator * (d // a.denominator), c.numerator * (d // c.denominator), d
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int], r: int) -> tuple[int, int]:
+    """(x0 + x1*sqrt(r)) * (y0 + y1*sqrt(r)) on integer pairs."""
+    return x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _products(factors: list[tuple[int, int]], r: int) -> list[tuple[int, int]]:
+    """Running products [1, f_0, f_0 f_1, ...] of integer pairs in Z[sqrt(r)]."""
+    out = [(1, 0)]
+    for f in factors:
+        out.append(_mul(out[-1], f, r))
     return out
 
 
-def _gaussian_moments(cls: Gaussian, m_max: int) -> MomentSeq:
-    central = []
+def _from_factorial(factorial: list[tuple[int, int]], q: int, m_max: int) -> list[tuple[int, int]]:
+    """Numerators over q^j of E[Y^j] = sum_k S(j, k) F_k, where F_k = factorial[k] / q^k.
+
+    The Stirling numbers of the second kind are made one row at a time,
+    S(j, k) = k S(j-1, k) + S(j-1, k-1); nothing is tabulated.
+    """
+    qs = powers(q, m_max)
+    out, row = [], [1]
+    for j in range(m_max + 1):
+        if j:
+            row = [0, *(k * row[k] + row[k - 1] for k in range(1, j)), 1]
+        w = [c * qs[j - k] for k, c in enumerate(row)]
+        out.append((sum(c * f[0] for c, f in zip(w, factorial)),
+                    sum(c * f[1] for c, f in zip(w, factorial))))
+    return out
+
+
+def _affine_moments(raw, q: int, scale, shift, s, m_max: int) -> list[Fraction]:
+    """E[(scale*Y + shift)^m] for m <= m_max; ``raw[j]`` is the numerator of E[Y^j] over q^j.
+
+    raw is a list of integer pairs in Z[sqrt(R)], R = s.num * s.den, and scale
+    and shift are exact numbers in Q(sqrt(s)).  Over D^m, D = sd * q * hd, term j
+    of the binomial expansion is C(m, j) (S hd)^j raw[j] (H sd q)^(m-j), with
+    scale = S / sd and shift = H / hd.  Each output Fraction is built once,
+    after its surd part is checked to vanish.
+    """
+    r = s.numerator * s.denominator
+    sa, sb, sd = _pair(scale, s)
+    ha, hb, hd = _pair(shift, s)
+    left = [_mul(x, y, r) for x, y in zip(_products([(sa * hd, sb * hd)] * m_max, r), raw)]
+    right = _products([(ha * sd * q, hb * sd * q)] * m_max, r)
+    out, den = [], 1
     for m in range(m_max + 1):
-        if m % 2 == 1:
-            central.append(Fraction(0))
-            continue
-        odd_product = 1
-        for i in range(1, m, 2):
-            odd_product *= i
-        central.append(cls.variance ** (m // 2) * odd_product)
-    return MomentSeq(tuple(_affine_moments(central, Fraction(1), cls.mean, m_max)))
+        a = b = 0
+        for j in range(m + 1):
+            (la, lb), (ra, rb), c = left[j], right[m - j], comb(m, j)
+            a += c * (la * ra + r * lb * rb)
+            b += c * (la * rb + lb * ra)
+        if b:
+            raise ArithmeticError(f"surd part of E[X^{m}] failed to cancel")
+        out.append(Fraction(a, den))
+        den *= sd * q * hd
+    return out
 
 
-def _poisson_moments(cls: Poisson, m_max: int) -> MomentSeq:
-    raw = [Fraction(1)]
-    for m in range(m_max):
-        raw.append(cls.rate * sum(comb(m, j) * raw[j] for j in range(m + 1)))
-    return MomentSeq(tuple(_affine_moments(raw, cls.scale, cls.shift, m_max)))
-
-
-def _gamma_moments(cls: Gamma, m_max: int) -> MomentSeq:
-    raw = _rising_powers(cls.shape, m_max)
-    return MomentSeq(tuple(_affine_moments(raw, cls.scale, cls.shift, m_max)))
-
-
-def _pascal_moments(cls: Pascal, m_max: int) -> MomentSeq:
-    if not (cls.scale.is_rational and cls.p.is_rational and cls.shift.is_rational):
-        raise Unsupported("pascal moments need a rational scale; the radicand is not a square")
-    p_val = cls.p.as_rational()
-    factorial_moments = _rising_powers(cls.r, m_max, (1 - p_val) / p_val)
-    stirling = _stirling2(m_max)
-    raw = [
-        sum((stirling[m][k] * factorial_moments[k] for k in range(m + 1)), Fraction(0))
-        for m in range(m_max + 1)
-    ]
-    return MomentSeq(
-        tuple(_affine_moments(raw, cls.scale.as_rational(), cls.shift.as_rational(), m_max))
-    )
-
-
-def _binomial_moments(cls: Binomial, m_max: int) -> MomentSeq:
-    per_branch = []
-    for branch in cls.branches:
-        successes = powers(branch.p, cls.n)
-        failures = powers(1 - branch.p, cls.n)
-        weights = [
-            comb(cls.n, y) * successes[y] * failures[cls.n - y] for y in range(cls.n + 1)
-        ]
-        raw = [
-            sum((weights[y] * y**m for y in range(cls.n + 1)), Quadratic.of(0))
-            for m in range(m_max + 1)
-        ]
-        moments = _affine_moments(raw, branch.scale, branch.shift, m_max)
-        for m, value in enumerate(moments):
-            if not value.is_rational:
-                raise ArithmeticError(f"surd part of E[X^{m}] failed to cancel")
-        per_branch.append([value.as_rational() for value in moments])
-    if per_branch[0] != per_branch[1]:
-        raise ArithmeticError("the two binomial branches disagree; they must describe one law")
-    return MomentSeq(tuple(per_branch[0]))
+def _binomial_branch_moments(n: int, branch: BinomialBranch, m_max: int) -> list[Fraction]:
+    s = branch.scale.s  # the radicand of sqrt(Delta), shared by p and shift
+    r = s.numerator * s.denominator
+    pa, pb, q = _pair(branch.p, s)
+    # F_k = n^(falling k) p^k; the factor n - k is 0 once k > n.
+    factorial = _products([((n - k) * pa, (n - k) * pb) for k in range(m_max)], r)
+    raw = _from_factorial(factorial, q, m_max)
+    return _affine_moments(raw, q, branch.scale, branch.shift, s, m_max)
 
 
 def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
-    """E[X^m] for m <= m_max straight from the classified distribution."""
-    if isinstance(cls, Gaussian):
-        return _gaussian_moments(cls, m_max)
-    if isinstance(cls, Poisson):
-        return _poisson_moments(cls, m_max)
-    if isinstance(cls, Pascal):
-        return _pascal_moments(cls, m_max)
-    if isinstance(cls, Gamma):
-        return _gamma_moments(cls, m_max)
+    """E[X^m] for m <= m_max straight from the classified distribution.
+
+    Each supported law is X = scale * Y + shift.  The raw moments of Y come
+    from the factorial moments F_k = E[Y^(falling k)] for the discrete laws
+    (Poisson lambda^k, Binomial n^(falling k) p^k, Pascal
+    r^(rising k) ((1-p)/p)^k), from shape^(rising j) for the Gamma law and
+    from the central moments for the Gaussian, all as integers over q^j.
+    """
     if isinstance(cls, Binomial):
-        return _binomial_moments(cls, m_max)
-    raise Unsupported("no exact moment oracle for the hyperbolic secant class")
+        per_branch = [_binomial_branch_moments(cls.n, b, m_max) for b in cls.branches]
+        if per_branch[0] != per_branch[1]:
+            raise ArithmeticError("the two binomial branches disagree; they must describe one law")
+        return MomentSeq(tuple(per_branch[0]))
+    if isinstance(cls, Gaussian):
+        vn, vd = cls.variance.numerator, cls.variance.denominator
+        even = _products([((2 * i + 1) * vn * vd, 0) for i in range(m_max // 2)], 0)
+        raw = [(0, 0) if j % 2 else even[j // 2] for j in range(m_max + 1)]
+        return MomentSeq(tuple(_affine_moments(raw, vd, 1, cls.mean, 0, m_max)))
+    if isinstance(cls, Poisson):
+        ln, q = cls.rate.numerator, cls.rate.denominator
+        raw = _from_factorial(_products([(ln, 0)] * m_max, 0), q, m_max)
+    elif isinstance(cls, Gamma):
+        sn, q = cls.shape.numerator, cls.shape.denominator
+        raw = _products([(sn + i * q, 0) for i in range(m_max)], 0)
+    elif isinstance(cls, Pascal):
+        if not (cls.scale.is_rational and cls.p.is_rational and cls.shift.is_rational):
+            raise Unsupported("pascal moments need a rational scale; the radicand is not a square")
+        rn, rd = cls.r.numerator, cls.r.denominator
+        ratio = (1 - cls.p.as_rational()) / cls.p.as_rational()
+        q = rd * ratio.denominator
+        rising = [((rn + i * rd) * ratio.numerator, 0) for i in range(m_max)]
+        raw = _from_factorial(_products(rising, 0), q, m_max)
+    else:
+        raise Unsupported("no exact moment oracle for the hyperbolic secant class")
+    return MomentSeq(tuple(_affine_moments(raw, q, cls.scale, cls.shift, 0, m_max)))
 
 
 def crosscheck(p: MeixnerParams, m_max: int) -> VerifyReport:

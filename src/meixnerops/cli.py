@@ -59,9 +59,11 @@ SUITES = ("universal", "pmd", "gramschmidt", "limit", "doublecomm")
 # decompose costs about order^4.6: order 128 takes 0.3 s, 200 takes 2.2 s and
 # 256 about 6 s.
 MAX_ORDER = 200
-# --max-moment 200: classify takes 2.4 s on a Binomial law on 10 points with
-# an irrational sqrt(Delta) (0.6 s at 100), 0.7 s on a Pascal and 0.8 s on a
-# Poisson law; characterize on four terms takes 0.2 s (2.8 s at 400).
+# --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 10
+# points with an irrational sqrt(Delta) (0.8 s at 100 points, 4.3 s at 10^6:
+# the oracle's integers grow with the digits of n, its steps do not), 0.3 s
+# on a Pascal or a Poisson law; characterize on four terms takes 0.2 s (2.8 s
+# at 400).
 MAX_MOMENT = 200
 # verify --degree 200, one trial: pmd 8.7 s (0.75 s at 100), gramschmidt
 # 1.0 s, universal, doublecomm and limit under 0.1 s.

@@ -99,6 +99,13 @@ def test_binomial_irrational_scale():
     assert crosscheck(p, 8).passed
 
 
+def test_binomial_moments_on_a_million_points():
+    p = MeixnerParams(1, F(1, 3), F(-1, 10**6), 1)
+    cls = classify(p)
+    assert isinstance(cls, Binomial) and cls.n == 10**6
+    assert distribution_moments(cls, 24).values == moments_from_sj(szego_jacobi(p), 24).values
+
+
 def test_pascal_irrational_scale_unsupported():
     p = MeixnerParams(3, 0, 1, 1)  # delta = 5
     cls = classify(p)

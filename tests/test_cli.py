@@ -56,6 +56,19 @@ def test_classify_json_schema(capsys):
     assert report["config"]["command"] == "classify"
 
 
+def test_classify_binomial_on_a_million_points(capsys):
+    # The oracle's cost does not depend on n = t / -beta, so no cap is needed.
+    code, out, _ = run_cli(
+        capsys,
+        "classify", "--json", "--max-moment=24",
+        "--alpha=1", "--alpha0=1/3", "--beta=-1/1000000", "--t=1",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["classification"]["n"] == 10**6
+    assert report["crosscheck"]["pass"] is True
+
+
 def test_classify_unsupported_crosscheck_is_not_a_failure(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -373,6 +386,8 @@ def small_argv(draw):
     argv = [command]
     if command in ("classify", "decompose"):
         params = draw(st.one_of(VALID_PARAMS, st.tuples(*[RATIONALS] * 4)))
+        if command == "classify" and draw(st.booleans()):  # a Binomial law on up to 10^6 + 1 points
+            params = (*params[:2], f"-1/{draw(st.integers(1, 10**6))}", "1")
         for name, value in zip(("alpha", "alpha0", "beta", "t"), params):
             argv.append(f"--{name}={value}")
     if command == "decompose":

@@ -5,7 +5,8 @@ of ``scripts/show_class_decompositions.py``; its digests were taken before
 the basis change and the extraction moved to integer kernels.  The moment
 commands (``classify --max-moment=24``, ``characterize --max-moment=40`` and
 ``verify --suite=gramschmidt --degree=16``, the sizes the benchmark uses)
-were pinned before the moment kernels moved to integers.
+were pinned before the moment kernels moved to integers, and
+``classify --max-moment=60`` before its oracles moved to integer pairs.
 """
 
 import contextlib
@@ -101,6 +102,18 @@ CLASSIFY_GOLDEN = {
     ("1", "-1/2", "-1/3", "2"): "42890dfebea77e95c04b69504b2e0daf57309af4c4995afa4a2ce5e3b226b4dd",
 }
 
+# At --max-moment=60 the integers run far past the benchmark's m = 24: a Binomial
+# law on 201 points and one on 2 points, both with an irrational sqrt(Delta),
+# Poisson, Gamma, Pascal with a rational sqrt(Delta) = 3/2, and Gaussian.
+CLASSIFY_GOLDEN_60 = {
+    ("1", "1/3", "-1/200", "1"): "6a47ea72fef330c7024d3d36b3b2169d70fce95ed78d1e2d30912a7553d14c2c",
+    ("1", "1/3", "-1", "1"): "1ba2f6d22342ef6ae348f6effab4de8548589b7ce75cb66b76cabbd3906af6cb",
+    ("2/3", "1/5", "0", "3/7"): "7e71e0a5f1b8830baa2592a7537299cbff68a227853ab01a04bf5a1b294fbe69",
+    ("1", "-1/2", "1/4", "3/2"): "3f271028a23e776328bf4e1803848b68d8dae58bd2e51bb5b9a2bbde60af0105",
+    ("5/2", "1/7", "1", "2/3"): "d1b0fa5aaf576cc61b71d9342a895291bfc03f1afc85d61f34b8d080beb8c5d9",
+    ("0", "-2/3", "0", "5/3"): "2c81c4b9dd04bf7508c5c19283731323acc89fd48a90e483f745b4e2dd3b0ccd",
+}
+
 # Mixed denominators, a zero-shift term in three of them, none in two.
 CHARACTERIZE_GOLDEN = {
     "1:1,-1:0": "52ea2db482f0bbc153912e515a19366186fbb52e2581ec6cd2cae0e9e9bbf869",
@@ -128,6 +141,12 @@ def _assert_golden(argv: list[str], digest: str) -> None:
 def test_classify_json_golden_and_deterministic(params):
     flags = [f"--{k}={v}" for k, v in zip(("alpha", "alpha0", "beta", "t"), params)]
     _assert_golden(["classify", *flags, "--max-moment=24", "--json"], CLASSIFY_GOLDEN[params])
+
+
+@pytest.mark.parametrize("params", list(CLASSIFY_GOLDEN_60), ids="/".join)
+def test_classify_json_golden_at_60_moments(params):
+    flags = [f"--{k}={v}" for k, v in zip(("alpha", "alpha0", "beta", "t"), params)]
+    _assert_golden(["classify", *flags, "--max-moment=60", "--json"], CLASSIFY_GOLDEN_60[params])
 
 
 @pytest.mark.parametrize("combo", list(CHARACTERIZE_GOLDEN))

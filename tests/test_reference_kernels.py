@@ -11,12 +11,19 @@ of the recurrence matrix in Fractions, the Chebyshev algorithm against
 polynomial Gram-Schmidt (same recovered coefficients, same support bound,
 same ``DegenerateMoments`` message), the three integer ``characterize``
 routes and the growth certificate against their Fraction recurrences, and
-``_affine_moments`` and ``Quadratic`` arithmetic against term-by-term powers
-and a constructor that normalizes every result.
+``Quadratic`` arithmetic against a constructor that normalizes every result.
+
+The ``classify`` oracles run on integer pairs in Z[sqrt(R)] through one
+Stirling transform of factorial moments and one affine step.  Their
+references are the ``Quadratic`` oracles they replaced: the walk over the
+n + 1 support points of a Binomial law, the Poisson moment recursion, rising
+factorials in Fractions and ``_affine_moments`` in ``Quadratic`` arithmetic,
+with the same errors and messages.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm, prod
 from random import Random
 
 import pytest
@@ -31,10 +38,20 @@ from meixnerops.characterize import (
     moments_via_cumulants,
     moments_via_recursion,
 )
-from meixnerops.classify import _affine_moments
+from meixnerops.classify import (
+    Binomial,
+    Gamma,
+    Gaussian,
+    Pascal,
+    Poisson,
+    Unsupported,
+    _affine_moments,
+    classify,
+    distribution_moments,
+)
 from meixnerops.cli import OP_GRADE, _build_op
-from meixnerops.exact import Poly
-from meixnerops.meixner import TranslationCombo, series_decomposition, szego_jacobi
+from meixnerops.exact import Poly, powers
+from meixnerops.meixner import MeixnerParams, TranslationCombo, series_decomposition, szego_jacobi
 from meixnerops.operators import GradedOp, change_of_basis, to_monomial_basis
 from meixnerops.orthopoly import (
     DegenerateMoments,
@@ -462,13 +479,94 @@ def test_bound_cert_matches_reference_on_any_moments(combo, tail):
 
 
 def reference_affine_moments(raw, scale, shift, m_max):
+    """E[(scale*Y + shift)^m] from the raw moments of Y, any exact scalar type."""
+    scaled = [sp * r for sp, r in zip(powers(scale, m_max), raw)]  # scale^j E[Y^j]
+    shifts = powers(shift, m_max)
     out = []
     for m in range(m_max + 1):
         acc = raw[0] * 0
         for j in range(m + 1):
-            acc = acc + comb(m, j) * scale**j * raw[j] * shift ** (m - j)
+            acc = acc + comb(m, j) * scaled[j] * shifts[m - j]
         out.append(acc)
     return out
+
+
+def reference_rising_powers(x, m_max, ratio=F(1)):
+    """x^(rising k) * ratio^k for k = 0 .. m_max, as running products."""
+    out = [F(1)]
+    for i in range(m_max):
+        out.append(out[-1] * (x + i) * ratio)
+    return out
+
+
+def reference_stirling2(m_max):
+    table = [[1] + [0] * m_max]
+    for m in range(1, m_max + 1):
+        row = [0] * (m_max + 1)
+        for k in range(1, m + 1):
+            row[k] = k * table[m - 1][k] + table[m - 1][k - 1]
+        table.append(row)
+    return table
+
+
+def reference_poisson_raw(rate, m_max):
+    """E[Y^(m+1)] = rate * sum_j C(m, j) E[Y^j] for Y ~ Poisson(rate)."""
+    raw = [F(1)]
+    for m in range(m_max):
+        raw.append(rate * sum(comb(m, j) * raw[j] for j in range(m + 1)))
+    return raw
+
+
+def reference_binomial(cls, m_max):
+    """Both branches by a walk over the n + 1 support points, in ``Quadratic`` arithmetic."""
+    per_branch = []
+    for branch in cls.branches:
+        successes = powers(branch.p, cls.n)
+        failures = powers(1 - branch.p, cls.n)
+        weights = [comb(cls.n, y) * successes[y] * failures[cls.n - y] for y in range(cls.n + 1)]
+        raw = [
+            sum((weights[y] * y**m for y in range(cls.n + 1)), Quadratic.of(0))
+            for m in range(m_max + 1)
+        ]
+        moments = reference_affine_moments(raw, branch.scale, branch.shift, m_max)
+        for m, value in enumerate(moments):
+            if not value.is_rational:
+                raise ArithmeticError(f"surd part of E[X^{m}] failed to cancel")
+        per_branch.append([value.as_rational() for value in moments])
+    if per_branch[0] != per_branch[1]:
+        raise ArithmeticError("the two binomial branches disagree; they must describe one law")
+    return per_branch[0]
+
+
+def reference_distribution_moments(cls, m_max):
+    if isinstance(cls, Gaussian):
+        central = [
+            F(0) if m % 2 else cls.variance ** (m // 2) * prod(range(1, m, 2))
+            for m in range(m_max + 1)
+        ]
+        return reference_affine_moments(central, F(1), cls.mean, m_max)
+    if isinstance(cls, Poisson):
+        raw = reference_poisson_raw(cls.rate, m_max)
+        return reference_affine_moments(raw, cls.scale, cls.shift, m_max)
+    if isinstance(cls, Gamma):
+        raw = reference_rising_powers(cls.shape, m_max)
+        return reference_affine_moments(raw, cls.scale, cls.shift, m_max)
+    if isinstance(cls, Pascal):
+        if not (cls.scale.is_rational and cls.p.is_rational and cls.shift.is_rational):
+            raise Unsupported("pascal moments need a rational scale; the radicand is not a square")
+        p = cls.p.as_rational()
+        factorial_moments = reference_rising_powers(cls.r, m_max, (1 - p) / p)
+        stirling = reference_stirling2(m_max)
+        raw = [
+            sum((stirling[m][k] * factorial_moments[k] for k in range(m + 1)), F(0))
+            for m in range(m_max + 1)
+        ]
+        return reference_affine_moments(
+            raw, cls.scale.as_rational(), cls.shift.as_rational(), m_max
+        )
+    if isinstance(cls, Binomial):
+        return reference_binomial(cls, m_max)
+    raise Unsupported("no exact moment oracle for the hyperbolic secant class")
 
 
 # The arithmetic of ``Quadratic`` with every result built by the constructor.
@@ -521,18 +619,115 @@ def test_perfect_square_radicands_fold_to_rationals():
     assert Quadratic.sqrt(2) * Quadratic.sqrt(2) == Quadratic.of(2)
 
 
-@settings(deadline=None, max_examples=60)
+def _pairs_over_common_q(values, s):
+    """Quadratics in Q(sqrt(s)) as (numerator pairs over q^j, q), sqrt(s) = sqrt(R) / s.den."""
+    parts = [(v.a, v.b / s.denominator) for v in values]
+    q = lcm(*(x.denominator for part in parts for x in part))
+    return [(int(a * q**j), int(c * q**j)) for j, (a, c) in enumerate(parts)], q
+
+
+def _outcome_of(fn, *args):
+    """The result as a list, or the type and message of the exception it raised."""
+    try:
+        return list(fn(*args))
+    except (ArithmeticError, Unsupported) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reference_affine_outcome(raw, scale, shift, m_max):
+    for m, value in enumerate(reference_affine_moments(raw, scale, shift, m_max)):
+        if not value.is_rational:
+            return ("ArithmeticError", f"surd part of E[X^{m}] failed to cancel")
+    return [value.as_rational() for value in reference_affine_moments(raw, scale, shift, m_max)]
+
+
+@settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_affine_moments_match_termwise_powers(data):
-    m_max = data.draw(st.integers(0, 10))
-    raw = [F(1)] + data.draw(st.lists(rats, min_size=m_max, max_size=m_max))
-    scale, shift = data.draw(rats), data.draw(rats)
-    assert _affine_moments(raw, scale, shift, m_max) == reference_affine_moments(
-        raw, scale, shift, m_max
-    )
+    # The integer-pair kernel against Quadratic arithmetic on the same numbers:
+    # equal where every surd part cancels, the same error where one does not.
+    m_max = data.draw(st.integers(0, 12))
     s = data.draw(st.sampled_from(RADICANDS))
-    qraw = [Quadratic.of(1)] + [data.draw(quadratics(s)) for _ in range(m_max)]
-    qscale, qshift = data.draw(quadratics(s)), data.draw(quadratics(s))
-    new = _affine_moments(qraw, qscale, qshift, m_max)
-    ref = reference_affine_moments(qraw, qscale, qshift, m_max)
-    assert [_fields(q) for q in new] == [_fields(q) for q in ref]
+    rational = data.draw(st.booleans())
+    raw = [Quadratic.of(1)] + [
+        Quadratic.of(data.draw(rats)) if rational else data.draw(quadratics(s))
+        for _ in range(m_max)
+    ]
+    scale, shift = data.draw(quadratics(s)), data.draw(quadratics(s))
+    if rational:
+        scale, shift = Quadratic.of(scale.a), Quadratic.of(shift.a)
+    pairs, q = _pairs_over_common_q(raw, s)
+    assert _outcome_of(_affine_moments, pairs, q, scale, shift, s, m_max) == (
+        _reference_affine_outcome(raw, scale, shift, m_max)
+    )
+
+
+# Radicands of sqrt(Delta): 1, 4 and 9/4 fold to rationals; 2, 3/5 and 7 do not.
+LAW_RADICANDS = [F(1), F(4), F(9, 4), F(2), F(3, 5), F(7)]
+positive_rats = st.builds(F, st.integers(1, 40), st.sampled_from([1, 2, 3, 5, 7, 9, 12]))
+
+
+@st.composite
+def supported_params(draw):
+    """Parameters of every class with an oracle; Delta = s * c^2 for the beta != 0 ones."""
+    kind = draw(st.sampled_from(["Gaussian", "Poisson", "Gamma", "Pascal", "Binomial"]))
+    alpha0, t, c = draw(rats), draw(positive_rats), draw(positive_rats)
+    if kind == "Gaussian":
+        return MeixnerParams(0, alpha0, 0, t)
+    if kind == "Poisson":
+        return MeixnerParams(c, alpha0, 0, t)
+    if kind == "Gamma":
+        return MeixnerParams(c, alpha0, c**2 / 4, t)
+    delta = draw(st.sampled_from(LAW_RADICANDS)) * c**2
+    if kind == "Pascal":  # alpha^2 > Delta > 0, so beta > 0
+        alpha = c * draw(st.builds(F, st.integers(12, 20), st.just(4)))
+        return MeixnerParams(alpha, alpha0, (alpha**2 - delta) / 4, t)
+    # Binomial: 0 <= alpha^2 < Delta and t = n (Delta - alpha^2) / 4, so t / -beta = n.
+    n = draw(st.integers(1, 40))
+    alpha = c * draw(st.builds(F, st.integers(0, 3), st.just(4)))
+    t = n * (delta - alpha**2) / 4
+    return MeixnerParams(alpha, alpha0, -t / n, t)
+
+
+@settings(deadline=None, max_examples=150)
+@given(supported_params(), st.integers(0, 30))
+def test_distribution_moments_match_reference(p, m_max):
+    cls = classify(p)
+    new = _outcome_of(distribution_moments, cls, m_max)
+    assert new == _outcome_of(reference_distribution_moments, cls, m_max)
+    if isinstance(new, list):  # irrational Pascal laws are the only unsupported draws
+        assert new == list(moments_from_sj(szego_jacobi(p), m_max))
+    else:
+        assert isinstance(cls, Pascal) and not cls.scale.is_rational
+
+
+@pytest.mark.parametrize("beta", [F(-1, 3), F(-1, 2), F(-1, 7)])
+def test_binomial_tampered_branches_raise_like_the_walk(beta):
+    cls = classify(MeixnerParams(1, F(1, 3), beta, 1))
+    plus, minus = cls.branches
+    # A rational shift moves one branch to another law: the branches disagree.
+    moved = replace(cls, branches=(plus, replace(minus, shift=minus.shift + 1)))
+    # A surd added to a shift leaves E[X] irrational.
+    surd = replace(cls, branches=(replace(plus, shift=plus.shift + plus.scale), minus))
+    for tampered, message in [
+        (moved, "the two binomial branches disagree; they must describe one law"),
+        (surd, "surd part of E[X^1] failed to cancel"),
+    ]:
+        for fn in (distribution_moments, reference_distribution_moments):
+            with pytest.raises(ArithmeticError) as exc:
+                fn(tampered, 6)
+            assert str(exc.value) == message
+
+
+def test_unsupported_messages_are_unchanged():
+    cases = [
+        (
+            MeixnerParams(3, 0, 1, 1),  # Delta = 5
+            "pascal moments need a rational scale; the radicand is not a square",
+        ),
+        (MeixnerParams(0, 0, 1, 1), "no exact moment oracle for the hyperbolic secant class"),
+    ]
+    for p, message in cases:
+        with pytest.raises(Unsupported) as exc:
+            distribution_moments(classify(p), 4)
+        assert str(exc.value) == message
