@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 
 from .characterize import (
@@ -25,7 +26,7 @@ from .characterize import (
     moments_via_recursion,
 )
 from .classify import Unsupported, classify, crosscheck
-from .exact import format_rat
+from .exact import Poly, format_rat
 from .meixner import (
     InvalidParams,
     MeixnerParams,
@@ -56,8 +57,9 @@ OP_GRADE = {"U": 0, "V": 1, "N": 0, "a0": 0, "a-": -1, "a+": 1}
 SUITES = ("universal", "pmd", "gramschmidt", "limit", "doublecomm")
 # Caps on the size flags, checked before any work; on a 2-core x86-64 host
 # with Python 3.11:
-# decompose costs about order^4.6: order 128 takes 0.3 s, 200 takes 2.2 s and
-# 256 about 6 s.
+# decompose costs about order^4.5, almost all of it the integer basis change:
+# --op=U with alpha = 5/7, alpha0 = -3/11, beta = 2/13, t = 7/5 takes 0.37 s
+# at order 128, 2.7 s at 200 and about 8 s at 256.
 MAX_ORDER = 200
 # --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 10
 # points with an irrational sqrt(Delta) (0.8 s at 100 points, 4.3 s at 10^6:
@@ -65,7 +67,7 @@ MAX_ORDER = 200
 # on a Pascal or a Poisson law; characterize on four terms takes 0.2 s (2.8 s
 # at 400).
 MAX_MOMENT = 200
-# verify --degree 200, one trial: pmd 8.7 s (0.75 s at 100), gramschmidt
+# verify --degree 200, one trial: pmd about 9.6 s (0.57 s at 100), gramschmidt
 # 1.0 s, universal, doublecomm and limit under 0.1 s.
 MAX_DEGREE = 200
 MAX_TRIALS = 1000
@@ -112,14 +114,20 @@ def _params_from_args(args: argparse.Namespace) -> MeixnerParams:
 
 
 def _build_op(name: str, sj, trunc: int) -> GradedOp:
+    """The one truncated operator ``name``; ``quantum_ops`` checks omega_n > 0."""
     aplus, azero, aminus = quantum_ops(sj, trunc)
-    u, v = semi_ops(aplus, azero, aminus)
-    table = {"U": u, "V": v, "N": number_op(trunc), "a0": azero, "a-": aminus, "a+": aplus}
-    return table[name]
+    if name == "N":
+        return number_op(trunc)
+    if name in ("U", "V"):  # a-/a+ plus a0/2, as in ``semi_ops``
+        return (aminus if name == "U" else aplus) + azero.scale(Fraction(1, 2))
+    return {"a0": azero, "a-": aminus, "a+": aplus}[name]
 
 
 def _extraction_agreement(p: MeixnerParams, op: str, order: int, closed: PMDecomp) -> dict:
     """Compare the closed-form coefficients ``closed`` against matrix extraction.
+
+    Only the columns the peel reads are formed.  On a mismatch the report
+    adds ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
 
     ``closed`` is the caller's ``series_decomposition(p, op, order)``; its
     coefficients do not depend on the order, so it serves every lower cap.
@@ -135,16 +143,12 @@ def _extraction_agreement(p: MeixnerParams, op: str, order: int, closed: PMDecom
     cap = min(order, graded.valid_degree - max(k, 0))
     if cap < 0:
         return {"checked_order": None, "pass": None}
-    matrix = to_monomial_basis(graded, sj)
-    extracted = extract_pmd(matrix, k, cap)
-    fail = None
-    for n in range(cap + 1):
-        if extracted.coeff(n) != closed.coeff(n):
-            fail = n
-            break
+    extracted = extract_pmd(to_monomial_basis(graded, sj, cap), k, cap)
+    fail = next((n for n in range(cap + 1) if extracted.coeff(n) != closed.coeff(n)), None)
     out = {"checked_order": cap, "pass": fail is None}
     if fail is not None:
         out["fail_index"] = fail
+        out["residual"] = (extracted.coeff(fail) - closed.coeff(fail)).to_json()
     return out
 
 
@@ -292,6 +296,7 @@ def _suite_pmd(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyRepo
                 passed=bool(agreement["pass"]),
                 max_degree=agreement["checked_order"],
                 fail_index=agreement.get("fail_index"),
+                residual=Poly.from_json(agreement["residual"]) if "residual" in agreement else None,
             )
         )
     return p, checks

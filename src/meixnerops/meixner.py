@@ -28,14 +28,14 @@ presentation over Q whether or not delta is rational; only its rendering
 needs coefficients in Q(sqrt(Delta)).
 
 The raising decomposition is derived from the identity a+ = X - a- - a0
-rather than from an independent closed form; see ``pmd_aplus``.
+rather than from an independent closed form; see ``_closed_parts``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 from typing import Mapping
 
 from .exact import Poly, format_rat, parse_rat, rational_sqrt
@@ -109,14 +109,18 @@ class MeixnerDerived:
 
 
 def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
-    alpha, beta, t = p.alpha, p.beta, p.t
-    alpha0 = p.alpha0
+    """alpha_n = (a1*n + a0)/da and omega_n = (w2*n + w1)*n/dw over integers fixed once."""
+    da = lcm(p.alpha.denominator, p.alpha0.denominator)
+    a1, a0 = int(p.alpha * da), int(p.alpha0 * da)
+    slope = p.t - p.beta
+    dw = lcm(p.beta.denominator, slope.denominator)
+    w2, w1 = int(p.beta * dw), int(slope * dw)
 
     def alpha_fn(n: int) -> Fraction:
-        return alpha * n + alpha0
+        return Fraction(a1 * n + a0, da)
 
     def omega_fn(n: int) -> Fraction:
-        return beta * n * n + (t - beta) * n
+        return Fraction((w2 * n + w1) * n, dw)
 
     return SzegoJacobi(alpha_fn, omega_fn, p.derived().support_bound)
 
@@ -137,104 +141,89 @@ def _x_minus(c: Fraction) -> Poly:
     return Poly.of(-c, 1)
 
 
-def pmd_u(p: MeixnerParams, order: int) -> PMDecomp:
-    """U = a- + a0/2 expanded in powers of D, truncated at the given order.
+_OPS = ("U", "V", "N", "a0", "a-", "a+")
 
-    A_0 = alpha0/2, odd coefficients Delta^n/(2n+1)! ((alpha/2)(X-alpha0)+t),
-    even coefficients (n >= 1) -(1/2) Delta^n/(2n)! (X - alpha0).
+
+def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
+    """(k, A_0, P_odd, P_even) with A_n = Delta^((n-1)//2)/n! * P_(n mod 2) for n >= 1.
+
+    U and N carry the closed forms; a0 = alpha N + alpha0 I, and the rest
+    follow by the derived routes V = X - U, a- = U - a0/2, a+ = X - a- - a0,
+    applied to the three polynomials.
     """
     d = p.derived()
-    base_odd = (p.alpha / 2) * _x_minus(p.alpha0) + p.t
-    coeffs: list[Poly] = []
-    for n in range(order + 1):
-        if n == 0:
-            coeffs.append(Poly.of(p.alpha0 / 2))
-        elif n % 2 == 1:
-            half = (n - 1) // 2
-            coeffs.append(Fraction(d.delta**half, factorial(n)) * base_odd)
-        else:
-            half = n // 2
-            coeffs.append(Fraction(-(d.delta**half), 2 * factorial(n)) * _x_minus(p.alpha0))
-    return PMDecomp(0, tuple(coeffs))
+    x = Poly.of(0, 1)
+    xm = _x_minus(p.alpha0)
+    lin = Poly.of(d.tau, p.alpha)
+    if op == "N":
+        return 0, Poly.zero(), xm, -lin
+    u = (Poly.of(p.alpha0 / 2), (p.alpha / 2) * xm + p.t, (-d.delta / 2) * xm)
+    if op in ("U", "V"):
+        return (0, *u) if op == "U" else (1, x - u[0], -u[1], -u[2])
+    a0 = (Poly.of(p.alpha0), p.alpha * xm, -p.alpha * lin)
+    if op == "a0":
+        return (0, *a0)
+    aminus = tuple(a - Fraction(1, 2) * b for a, b in zip(u, a0))
+    if op == "a-":
+        return (-1, *aminus)
+    return 1, x - aminus[0] - a0[0], -aminus[1] - a0[1], -aminus[2] - a0[2]
+
+
+def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
+    """Closed-form expansion of one of U, V, N, a0, a-, a+ through D^order.
+
+    U: A_0 = alpha0/2, odd coefficients Delta^n/(2n+1)! ((alpha/2)(X-alpha0)+t),
+    even coefficients (n >= 1) -(1/2) Delta^n/(2n)! (X - alpha0).
+    N: A_0 = 0, odd terms Delta^n/(2n+1)! (X - alpha0), even terms (n >= 1)
+    -Delta^(n-1)/(2n)! (alpha X + tau).  a+ comes from the complement
+    identity a+ = X - a- - a0 rather than an independent closed form, and is
+    checked against the operator matrix elsewhere.
+    """
+    if op not in _OPS:
+        raise ValueError(f"unknown operator {op!r}; choose from {sorted(_OPS)}")
+    k, head, odd, even = _closed_parts(p, op)
+    delta = p.derived().delta
+    coeffs = [head]
+    weight = Fraction(1)  # Delta^((n-1)//2) / n!
+    for n in range(1, order + 1):
+        weight = weight * (delta if n % 2 and n > 1 else 1) / n
+        coeffs.append(weight * (odd if n % 2 else even))
+    return PMDecomp(k, tuple(coeffs))
+
+
+def pmd_u(p: MeixnerParams, order: int) -> PMDecomp:
+    """U = a- + a0/2 expanded in powers of D, truncated at the given order."""
+    return series_decomposition(p, "U", order)
 
 
 def pmd_v(p: MeixnerParams, order: int) -> PMDecomp:
     """V = X - U: A_0 = X - alpha0/2 and negated tail coefficients."""
-    u = pmd_u(p, order)
-    coeffs = [Poly.of(0, 1) - u.coeff(0)]
-    coeffs += [-u.coeff(n) for n in range(1, order + 1)]
-    return PMDecomp(1, tuple(coeffs))
+    return series_decomposition(p, "V", order)
 
 
 def pmd_number(p: MeixnerParams, order: int) -> PMDecomp:
-    """Grade counter N: odd terms Delta^n/(2n+1)! (X - alpha0), even terms
-    (n >= 1) -Delta^(n-1)/(2n)! (alpha X + tau), and A_0 = 0."""
-    d = p.derived()
-    lin = Poly.of(d.tau, p.alpha)
-    coeffs: list[Poly] = [Poly.zero()]
-    for n in range(1, order + 1):
-        if n % 2 == 1:
-            half = (n - 1) // 2
-            coeffs.append(Fraction(d.delta**half, factorial(n)) * _x_minus(p.alpha0))
-        else:
-            half = n // 2
-            coeffs.append(Fraction(-(d.delta ** (half - 1)), factorial(n)) * lin)
-    return PMDecomp(0, tuple(coeffs))
+    """Grade counter N."""
+    return series_decomposition(p, "N", order)
 
 
 def pmd_a0(p: MeixnerParams, order: int) -> PMDecomp:
-    """a0 = alpha N + alpha0 I, coefficientwise."""
-    num = pmd_number(p, order)
-    coeffs = [p.alpha * num.coeff(n) for n in range(order + 1)]
-    coeffs[0] = coeffs[0] + p.alpha0
-    return PMDecomp(0, tuple(coeffs))
+    """a0 = alpha N + alpha0 I."""
+    return series_decomposition(p, "a0", order)
 
 
 def pmd_aminus(p: MeixnerParams, order: int) -> PMDecomp:
-    """a- = U - a0/2, coefficientwise; constants are annihilated (A_0 = 0)."""
-    u = pmd_u(p, order)
-    a0 = pmd_a0(p, order)
-    half = Fraction(1, 2)
-    coeffs = [u.coeff(n) - half * a0.coeff(n) for n in range(order + 1)]
-    return PMDecomp(-1, tuple(coeffs))
+    """a- = U - a0/2; constants are annihilated (A_0 = 0)."""
+    return series_decomposition(p, "a-", order)
 
 
 def pmd_aplus(p: MeixnerParams, order: int) -> PMDecomp:
-    """a+ = X - a- - a0.
-
-    Derived route: the raising part is eliminated through the position
-    decomposition instead of expanded on its own, and the result is checked
-    against the operator matrix elsewhere.  A_0 = X - alpha0.
-    """
-    am = pmd_aminus(p, order)
-    a0 = pmd_a0(p, order)
-    coeffs = [Poly.of(0, 1) - am.coeff(0) - a0.coeff(0)]
-    coeffs += [-am.coeff(n) - a0.coeff(n) for n in range(1, order + 1)]
-    return PMDecomp(1, tuple(coeffs))
+    """a+ = X - a- - a0, a derived route; A_0 = X - alpha0."""
+    return series_decomposition(p, "a+", order)
 
 
 def pmd_x() -> PMDecomp:
     """Multiplication by X is its own expansion: A_0 = X."""
     return PMDecomp(1, (Poly.of(0, 1),))
-
-
-_SERIES = {
-    "U": pmd_u,
-    "V": pmd_v,
-    "N": pmd_number,
-    "a0": pmd_a0,
-    "a-": pmd_aminus,
-    "a+": pmd_aplus,
-}
-
-
-def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
-    """Closed-form expansion of one of U, V, N, a0, a-, a+."""
-    try:
-        fn = _SERIES[op]
-    except KeyError:
-        raise ValueError(f"unknown operator {op!r}; choose from {sorted(_SERIES)}") from None
-    return fn(p, order)
 
 
 @dataclass(frozen=True)
@@ -249,15 +238,13 @@ class TranslationExpr:
     so ``apply`` involves only Delta and is exact over Q whether or not Delta
     is a rational square.  Written with translations, the coefficient of X^i
     on T_{+/-delta} is E_i/2 +/- delta O_i/(2 Delta), an element of
-    Q(sqrt(Delta)); ``rows`` lists the shift signs (+1, -1, 0 for I) of the
-    terms shown.
+    Q(sqrt(Delta)).  Terms whose coefficient vanishes are not shown.
     """
 
     delta_squared: Fraction
     even: Poly
     odd: Poly
     ident: Poly
-    rows: tuple[int, ...] = (1, -1, 0)
 
     def apply(self, f: Poly) -> Poly:
         halves = [Poly.zero(), Poly.zero()]  # C f, S f
@@ -285,11 +272,16 @@ class TranslationExpr:
         return tuple(coeffs)
 
     @property
+    def signs(self) -> tuple[int, ...]:
+        """Shift signs (+1, -1, 0 for I) of the terms with a nonzero coefficient."""
+        return tuple(sign for sign in (1, -1, 0) if self.coefficients(sign))
+
+    @property
     def terms(self) -> tuple[tuple[tuple[Quadratic, ...], Quadratic], ...]:
-        """(coefficients, shift) for each term shown, in ``rows`` order."""
+        """(coefficients, shift) for each term shown, in ``signs`` order."""
         return tuple(
             (self.coefficients(sign), sign * Quadratic.sqrt(self.delta_squared))
-            for sign in self.rows
+            for sign in self.signs
         )
 
     def to_json_dict(self) -> list[dict]:
@@ -301,7 +293,7 @@ class TranslationExpr:
     def __str__(self) -> str:
         step = Quadratic.sqrt(self.delta_squared)
         parts = []
-        for sign in self.rows:
+        for sign in self.signs:
             coeffs = self.coefficients(sign)
             coeff = str(Poly(tuple(c.a for c in coeffs)))
             root = Poly(tuple(c.b for c in coeffs))
@@ -313,33 +305,24 @@ class TranslationExpr:
 
 
 def translation_exprs(p: MeixnerParams) -> dict[str, TranslationExpr]:
-    """Translation forms of U, N, a- and a0 for Delta > 0.
-
-    Terms whose coefficient vanishes are dropped, except that a0 keeps the
-    terms of N.
-    """
+    """Translation forms of U, N, a- and a0 for Delta > 0."""
     d = p.derived()
     if d.delta <= 0:
         raise ValueError(f"translation forms need Delta > 0, got {d.delta}")
     xm = _x_minus(p.alpha0)
     lin = Poly.of(d.tau, p.alpha)
     even_am = Poly.of((p.alpha0 * d.delta + p.alpha * d.tau) / (2 * d.delta), 2 * p.beta / d.delta)
-
-    def form(even: Poly, odd: Poly, ident: Poly) -> TranslationExpr:
-        expr = TranslationExpr(d.delta, even, odd, ident)
-        return replace(expr, rows=tuple(s for s in expr.rows if expr.coefficients(s)))
-
     inv = 1 / d.delta
-    forms = {
-        "U": form(Fraction(-1, 2) * xm, Fraction(1, 2) * lin, Poly.of(0, Fraction(1, 2))),
-        "N": form(-inv * lin, xm, inv * lin),
-        "a-": form(even_am, Poly.of(p.t), -even_am),
+    half = Fraction(1, 2)
+    return {
+        "U": TranslationExpr(d.delta, -half * xm, half * lin, Poly.of(0, half)),
+        "N": TranslationExpr(d.delta, -inv * lin, xm, inv * lin),
+        "a-": TranslationExpr(d.delta, even_am, Poly.of(p.t), -even_am),
+        # a0 = alpha N + alpha0 I
+        "a0": TranslationExpr(
+            d.delta, -p.alpha * inv * lin, p.alpha * xm, p.alpha * inv * lin + p.alpha0
+        ),
     }
-    n = forms["N"]  # a0 = alpha N + alpha0 I
-    forms["a0"] = replace(
-        n, even=p.alpha * n.even, odd=p.alpha * n.odd, ident=p.alpha * n.ident + p.alpha0
-    )
-    return forms
 
 
 @dataclass(frozen=True)
@@ -399,11 +382,11 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
 
 
 def _check_against_series(p: MeixnerParams, name: str, action, max_degree: int) -> VerifyReport:
-    series_fn = _SERIES[name]
+    series = series_decomposition(p, name, max_degree)
     for m in range(max_degree + 1):
         xm = Poly.monomial(m)
         lhs = action(xm)
-        rhs = series_fn(p, m).apply(xm)
+        rhs = series.apply(xm)
         if lhs != rhs:
             return VerifyReport(
                 f"{name} translation form", False, max_degree, m, lhs - rhs

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .exact import Poly, RatLike, format_rat
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
+from .pmd import MonomialMatrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Diagonal = tuple[Fraction, ...]
@@ -344,30 +345,34 @@ def change_of_basis(sj: SzegoJacobi, trunc: int) -> Matrix:
     )
 
 
-def to_monomial_basis(op: GradedOp, sj: SzegoJacobi) -> Matrix:
+def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> MonomialMatrix:
     """Rewrite the operator to act on coordinates in {1, X, .., X^N}.
 
-    Column m of the result expands the image of X^m; columns with
-    m > op.valid_degree inherit the truncation unreliability.
+    Only columns 0 .. ``top`` (default N) are formed; column m expands the
+    image of X^m, and columns with m > op.valid_degree inherit the
+    truncation unreliability.
 
     The product C M C^-1 runs on integers in the variable Y = D X of
     ``rescaled_basis``.  With S = diag(D^i) the basis change is
     C = S G S^-1, so the middle factor S^-1 M S has entries M[n+k][n] D^-k.
-    Multiplied by E D^hi, where E is the common denominator of M's entries
-    and hi the top of its band, they become integers, and so does
-    R = G (E D^hi S^-1 M S) G^-1.  Entry (i, m) of the result is then
-    R[i][m] / (E D^(m + hi - i)); R vanishes below row m + hi.
+    Multiplied by E D^h, where E is the common denominator of M's entries
+    and h = max(hi, 0) bounds its band from above, they become integers, and
+    so does R = G (E D^h S^-1 M S) G^-1: the matrix on powers of Y is
+    R / (E D^h), one denominator for every entry.  R vanishes below row
+    m + hi in column m.
     """
     lo, hi = op.band
     size = op.trunc + 1
+    top = op.trunc if top is None else top
     scale, coeffs, coords = rescaled_basis(sj, op.trunc)
     common = lcm(*(v.denominator for diag in op.diags for v in diag))
+    h = max(hi, 0)
     mid = [
-        [v.numerator * (common // v.denominator) * scale ** (hi - k) for v in diag]
+        [v.numerator * (common // v.denominator) * scale ** (h - k) for v in diag]
         for k, diag in zip(range(lo, hi + 1), op.diags)
     ]
     cols = []
-    for m in range(size):
+    for m in range(top + 1):
         y = coords[m]
         # The image of Y^m in g-coordinates: diagonal k takes g_l to g_{l+k}.
         image = [0] * max(0, min(size, m + hi + 1))
@@ -382,12 +387,7 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi) -> Matrix:
             if c:
                 for i, g in enumerate(coeffs[r]):
                     col[i] += c * g
-        cols.append(col)
-    dens = [common * scale**e for e in range(size + max(hi, 0))]
-    return tuple(
-        tuple(
-            Fraction(col[i], dens[m + hi - i]) if i < len(col) and col[i] else _ZERO
-            for m, col in enumerate(cols)
-        )
-        for i in range(size)
-    )
+        while col and not col[-1]:
+            col.pop()
+        cols.append(tuple(col))
+    return MonomialMatrix(tuple(cols), common * scale**h, scale, size)

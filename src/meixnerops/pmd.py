@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .exact import Poly, format_rat
+from .exact import Poly, powers
 
 
 class NotFaithful(ValueError):
@@ -100,35 +100,79 @@ def apply_pmd(decomp: PMDecomp, f: Poly) -> Poly:
     return out
 
 
-def extract_pmd(matrix: Sequence[Sequence[Fraction]], k: int, order: int) -> PMDecomp:
+@dataclass(frozen=True)
+class MonomialMatrix:
+    """Columns 0 .. len(cols) - 1 of an operator's matrix on powers of Y = D*X.
+
+    ``cols[m][i] / den`` is the Y^i coefficient of the image of Y^m, trailing
+    zeros trimmed, so on powers of X the entry (i, m) is
+    cols[m][i] * D^(i - m) / den, with D = ``scale``.  ``size`` counts the
+    rows of the dense view.
+    """
+
+    cols: tuple[tuple[int, ...], ...]
+    den: int
+    scale: int
+    size: int
+
+    @staticmethod
+    def from_fractions(matrix: Sequence[Sequence[Fraction]]) -> "MonomialMatrix":
+        """``matrix[i][m]`` is the X^i coefficient of the image of X^m (so D = 1)."""
+        den = lcm(*(v.denominator for row in matrix for v in row))
+        cols = tuple(
+            tuple(_trim_ints([row[m].numerator * (den // row[m].denominator) for row in matrix]))
+            for m in range(len(matrix[0]) if matrix else 0)
+        )
+        return MonomialMatrix(cols, den, 1, len(matrix))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view: ``entries[i][m]`` is the X^i coefficient of the image of X^m."""
+        d = self.scale
+        return tuple(
+            tuple(
+                Fraction(col[i] * d**i, self.den * d**m) if i < len(col) else _ZERO
+                for m, col in enumerate(self.cols)
+            )
+            for i in range(self.size)
+        )
+
+
+def extract_pmd(
+    matrix: MonomialMatrix | Sequence[Sequence[Fraction]], k: int, order: int
+) -> PMDecomp:
     """Recover A_0 .. A_order from a monomial-basis matrix.
 
-    ``matrix[i][m]`` must hold the X^i coefficient of the image of X^m; only
-    columns 0 .. order are read, so a truncated matrix may be passed as long
-    as those columns are reliable.
+    ``matrix`` is a ``MonomialMatrix`` or a Fraction matrix whose entry
+    [i][m] holds the X^i coefficient of the image of X^m; only columns
+    0 .. order are read, so a truncated matrix may be passed as long as those
+    columns are reliable.
 
-    The peel runs on integers: with L the common denominator of the columns
-    read, B_m = L m! A_m satisfies
+    The peel runs on the integer columns in Y = D*X, where d/dX = D d/dY:
+    with L the common denominator, B_m = L m! A~_m satisfies
 
-        B_m = L * (column m) - sum_{n < m} C(m, n) X^(m-n) B_n,
+        B_m = L * (column m) - sum_{n < m} C(m, n) Y^(m-n) B_n,
 
-    and each coefficient of A_m = B_m / (L m!) becomes a Fraction once.
+    for T = sum_n A~_n(Y) (d/dY)^n, and A_m(X) = A~_m(D X) / D^m, so each
+    coefficient A_m[i] = B_m[i] D^(i-m) / (L m!) becomes a Fraction once.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order >= len(matrix[0]):
-        raise ValueError(f"matrix has {len(matrix[0])} columns, need {order + 1}")
-    columns = [[row[m] for row in matrix] for m in range(order + 1)]
-    common = lcm(*(v.denominator for col in columns for v in col))
+    if not isinstance(matrix, MonomialMatrix):
+        matrix = MonomialMatrix.from_fractions(matrix)
+    if order >= len(matrix.cols):
+        raise ValueError(f"matrix has {len(matrix.cols)} columns, need {order + 1}")
+    dpow = powers(matrix.scale, max(order, k))
     peeled: list[list[int]] = []
     coeffs: list[Poly] = []
-    for m, col in enumerate(columns):
-        b = _trim_ints([v.numerator * (common // v.denominator) for v in col])
+    den = matrix.den
+    for m in range(order + 1):
+        b = list(matrix.cols[m])
         if b and len(b) - 1 > m + k:
             raise NotFaithful(
                 f"image of X^{m} has degree {len(b) - 1}, exceeding {m} + k with k = {k}"
             )
-        # deg B_n <= n + k, so X^(m-n) B_n fits in degrees 0 .. m + k.
+        # deg B_n <= n + k, so Y^(m-n) B_n fits in degrees 0 .. m + k.
         b += [0] * (m + k + 1 - len(b))
         for n, prev in enumerate(peeled):
             c = comb(m, n)
@@ -138,8 +182,12 @@ def extract_pmd(matrix: Sequence[Sequence[Fraction]], k: int, order: int) -> PMD
         if b and len(b) - 1 > m + k:
             raise NotFaithful(f"coefficient A_{m} has degree {len(b) - 1} > {m + k}")
         peeled.append(b)
-        den = common * factorial(m)
-        coeffs.append(Poly(tuple(Fraction(v, den) if v else _ZERO for v in b)))
+        den *= max(m, 1)  # L * m!
+        coeffs.append(Poly([
+            (Fraction(v * dpow[i - m], den) if i >= m else Fraction(v, den * dpow[m - i]))
+            if v else _ZERO
+            for i, v in enumerate(b)
+        ]))
     return PMDecomp(k, tuple(coeffs))
 
 

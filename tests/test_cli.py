@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 import meixnerops.cli as cli
 from meixnerops.cli import main
+from meixnerops.exact import Poly
+from meixnerops.meixner import MeixnerParams, series_decomposition
+from meixnerops.pmd import PMDecomp
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +172,46 @@ def test_decompose_computes_the_closed_form_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--suite=pmd", "--degree=4", "--trials=2", "--seed=3")
     assert code == 0
     assert calls == [4] * 12  # once per operator and trial
+
+
+def _perturbed(decomp, index, delta):
+    """``decomp`` with ``delta`` added to its coefficient A_index."""
+    coeffs = [decomp.coeff(n) for n in range(max(decomp.order, index) + 1)]
+    coeffs[index] = coeffs[index] + delta
+    return PMDecomp(decomp.k, tuple(coeffs))
+
+
+def test_failing_extraction_agreement_carries_the_residual():
+    p = MeixnerParams(Fraction(3, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 4))
+    closed = _perturbed(series_decomposition(p, "U", 6), 3, Poly.of(Fraction(1, 7), 0, 2))
+    assert cli._extraction_agreement(p, "U", 6, closed) == {
+        "checked_order": 6,
+        "pass": False,
+        "fail_index": 3,
+        "residual": ["-1/7", "0", "-2"],
+    }
+
+
+def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
+    original = cli.series_decomposition
+
+    def perturbed(p, op, order):
+        closed = original(p, op, order)
+        return _perturbed(closed, 2, Poly.of(0, Fraction(-5, 3))) if op == "a-" else closed
+
+    argv = ("verify", "--suite=pmd", "--degree=8", "--trials=1", "--seed=3", "--json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    passing = json.loads(out)["trials_detail"][0]["checks"]
+    monkeypatch.setattr(cli, "series_decomposition", perturbed)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    checks = json.loads(out)["trials_detail"][0]["checks"]
+    for op, check, before in zip(cli.OPS, checks, passing):
+        if op == "a-":
+            assert check == dict(before, fail_index=2, residual=["0", "5/3"], **{"pass": False})
+        else:
+            assert check == before and check["residual"] is None
 
 
 def test_decompose_order_cap_is_inclusive(capsys):

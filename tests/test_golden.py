@@ -6,7 +6,9 @@ the basis change and the extraction moved to integer kernels.  The moment
 commands (``classify --max-moment=24``, ``characterize --max-moment=40`` and
 ``verify --suite=gramschmidt --degree=16``, the sizes the benchmark uses)
 were pinned before the moment kernels moved to integers, and
-``classify --max-moment=60`` before its oracles moved to integer pairs.
+``classify --max-moment=60`` before its oracles moved to integer pairs, and
+``verify --suite=pmd --degree=48`` before ``decompose`` moved to one integer
+pipeline.
 """
 
 import contextlib
@@ -161,3 +163,13 @@ def test_gramschmidt_json_golden_and_deterministic(seed):
         "verify", "--suite=gramschmidt", "--degree=16", "--trials=3", f"--seed={seed}", "--json",
     ]
     _assert_golden(argv, GRAMSCHMIDT_GOLDEN[seed])
+
+
+# Taken before ``decompose`` moved to one integer pipeline: six operators on a
+# Poisson and a Gamma draw at degree 48, each extracted at truncation 51.
+PMD_SUITE_GOLDEN = "4bbeb18b95ccc3bb3958ac478eaf9edb531d88412677ebadb53a90c15cb4124f"
+
+
+def test_pmd_suite_json_golden_and_deterministic():
+    argv = ["verify", "--suite=pmd", "--degree=48", "--trials=2", "--seed=1", "--json"]
+    _assert_golden(argv, PMD_SUITE_GOLDEN)

@@ -135,7 +135,7 @@ def test_duality_via_gram_norms():
 
 def test_to_monomial_basis_matches_polynomial_action():
     x = position_op(GAUSS, 5)
-    mat = to_monomial_basis(x, GAUSS)
+    mat = to_monomial_basis(x, GAUSS).entries
     for m in range(5):  # column 5 is above the reliable range
         col = [mat[i][m] for i in range(6)]
         assert col == [F(1) if i == m + 1 else F(0) for i in range(6)]
@@ -143,7 +143,7 @@ def test_to_monomial_basis_matches_polynomial_action():
 
 def test_monomial_matrix_of_number_operator():
     n = number_op(5)
-    mat = to_monomial_basis(n, GAUSS)
+    mat = to_monomial_basis(n, GAUSS).entries
     f = monic_polys(GAUSS, 5)
     # N x^m has leading coefficient m (the f_m component dominates)
     for m in range(6):

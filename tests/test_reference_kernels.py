@@ -5,6 +5,9 @@ variable.  The references below are the straightforward Fraction versions:
 C * M * C^-1 with C^-1 by back-substitution, and the peel that shifts each
 earlier coefficient with ``Poly.monomial``.  Outputs must be equal exactly,
 and ``extract_pmd`` must refuse the same matrices with the same message.
+``decompose`` as a whole (parameters evaluated from integers, one operator
+built, only the columns read, the peel in Y = D*X, the closed forms in one
+pass) is compared with the Fraction path it replaced, kept below.
 
 The moment layer has the same treatment: ``moments_from_sj`` against powers
 of the recurrence matrix in Fractions, the Chebyshev algorithm against
@@ -49,10 +52,17 @@ from meixnerops.classify import (
     classify,
     distribution_moments,
 )
-from meixnerops.cli import OP_GRADE, _build_op
+from meixnerops.cli import OP_GRADE, OPS, _build_op
 from meixnerops.exact import Poly, powers
 from meixnerops.meixner import MeixnerParams, TranslationCombo, series_decomposition, szego_jacobi
-from meixnerops.operators import GradedOp, change_of_basis, to_monomial_basis
+from meixnerops.operators import (
+    GradedOp,
+    change_of_basis,
+    number_op,
+    quantum_ops,
+    semi_ops,
+    to_monomial_basis,
+)
 from meixnerops.orthopoly import (
     DegenerateMoments,
     MomentSeq,
@@ -62,6 +72,7 @@ from meixnerops.orthopoly import (
     gram_schmidt_from_moments,
     moments_from_sj,
     monic_polys,
+    rescaled_basis,
 )
 from meixnerops.pmd import NotFaithful, PMDecomp, extract_pmd
 from meixnerops.sampling import sample_params
@@ -168,7 +179,7 @@ def graded_ops(draw, trunc):
 def test_to_monomial_basis_matches_dense_reference(data):
     trunc, sj = data.draw(recurrences())
     op = data.draw(graded_ops(trunc))
-    assert to_monomial_basis(op, sj) == reference_to_monomial_basis(op, sj)
+    assert to_monomial_basis(op, sj).entries == reference_to_monomial_basis(op, sj)
     assert change_of_basis(sj, trunc) == tuple(map(tuple, reference_change_of_basis(sj, trunc)))
 
 
@@ -233,14 +244,195 @@ def test_large_pmd_suite_case_matches_references():
     for op in ("U", "V"):
         graded = _build_op(op, sj, 51)
         matrix = to_monomial_basis(graded, sj)
-        assert matrix == reference_to_monomial_basis(graded, sj), op
+        assert matrix.entries == reference_to_monomial_basis(graded, sj), op
         k = OP_GRADE[op]
         cap = min(48, graded.valid_degree - max(k, 0))
         assert cap == 48
         extracted = extract_pmd(matrix, k, cap)
-        assert extracted == reference_extract_pmd(matrix, k, cap), op
+        assert extracted == reference_extract_pmd(matrix.entries, k, cap), op
         closed = series_decomposition(p, op, cap)
         assert all(extracted.coeff(n) == closed.coeff(n) for n in range(cap + 1)), op
+
+
+
+# The decompose path before it moved to one integer pipeline: the parameters
+# evaluated in Fractions, all six operators built, the dense monomial matrix
+# formed as Fractions over every column, and the peel on those Fractions.
+
+
+def parent_szego_jacobi(p):
+    return SzegoJacobi(
+        lambda n: p.alpha * n + p.alpha0,
+        lambda n: p.beta * n * n + (p.t - p.beta) * n,
+        p.derived().support_bound,
+    )
+
+
+def parent_build_op(name, sj, trunc):
+    aplus, azero, aminus = quantum_ops(sj, trunc)
+    u, v = semi_ops(aplus, azero, aminus)
+    table = {"U": u, "V": v, "N": number_op(trunc), "a0": azero, "a-": aminus, "a+": aplus}
+    return table[name]
+
+
+def parent_to_monomial_basis(op, sj):
+    lo, hi = op.band
+    size = op.trunc + 1
+    scale, coeffs, coords = rescaled_basis(sj, op.trunc)
+    common = lcm(*(v.denominator for diag in op.diags for v in diag))
+    mid = [
+        [v.numerator * (common // v.denominator) * scale ** (hi - k) for v in diag]
+        for k, diag in zip(range(lo, hi + 1), op.diags)
+    ]
+    cols = []
+    for m in range(size):
+        y = coords[m]
+        image = [0] * max(0, min(size, m + hi + 1))
+        for k, diag in zip(range(lo, hi + 1), mid):
+            off = min(k, 0)
+            for l in range(max(0, -k), min(m + 1, size - max(k, 0))):
+                if y[l]:
+                    image[l + k] += diag[l + off] * y[l]
+        col = [0] * len(image)
+        for r, c in enumerate(image):
+            if c:
+                for i, g in enumerate(coeffs[r]):
+                    col[i] += c * g
+        cols.append(col)
+    dens = [common * scale**e for e in range(size + max(hi, 0))]
+    return tuple(
+        tuple(
+            F(col[i], dens[m + hi - i]) if i < len(col) and col[i] else F(0)
+            for m, col in enumerate(cols)
+        )
+        for i in range(size)
+    )
+
+
+def parent_extract_pmd(matrix, k, order):
+    columns = [[row[m] for row in matrix] for m in range(order + 1)]
+    common = lcm(*(v.denominator for col in columns for v in col))
+    peeled, coeffs = [], []
+    for m, col in enumerate(columns):
+        b = [v.numerator * (common // v.denominator) for v in col]
+        while b and not b[-1]:
+            b.pop()
+        if b and len(b) - 1 > m + k:
+            raise NotFaithful(
+                f"image of X^{m} has degree {len(b) - 1}, exceeding {m} + k with k = {k}"
+            )
+        b += [0] * (m + k + 1 - len(b))
+        for n, prev in enumerate(peeled):
+            for i, v in enumerate(prev, m - n):
+                b[i] -= comb(m, n) * v
+        while b and not b[-1]:
+            b.pop()
+        if b and len(b) - 1 > m + k:
+            raise NotFaithful(f"coefficient A_{m} has degree {len(b) - 1} > {m + k}")
+        peeled.append(b)
+        coeffs.append(Poly(tuple(F(v, common * factorial(m)) for v in b)))
+    return PMDecomp(k, tuple(coeffs))
+
+
+def parent_series(p, op, order):
+    """The per-coefficient closed forms, with a0, V, a- and a+ derived termwise."""
+    d = p.derived()
+    xm = Poly.of(-p.alpha0, 1)
+    lin = Poly.of(d.tau, p.alpha)
+    x = Poly.of(0, 1)
+    u = [Poly.of(p.alpha0 / 2)]
+    num = [Poly.zero()]
+    for n in range(1, order + 1):
+        if n % 2:
+            w = F(d.delta ** ((n - 1) // 2), factorial(n))
+            u.append(w * ((p.alpha / 2) * xm + p.t))
+            num.append(w * xm)
+        else:
+            u.append(F(-(d.delta ** (n // 2)), 2 * factorial(n)) * xm)
+            num.append(F(-(d.delta ** (n // 2 - 1)), factorial(n)) * lin)
+    a0 = [p.alpha * c for c in num]
+    a0[0] = a0[0] + p.alpha0
+    am = [a - F(1, 2) * b for a, b in zip(u, a0)]
+    table = {
+        "U": (0, u),
+        "V": (1, [x - u[0]] + [-c for c in u[1:]]),
+        "N": (0, num),
+        "a0": (0, a0),
+        "a-": (-1, am),
+        "a+": (1, [x - am[0] - a0[0]] + [-a - b for a, b in zip(am[1:], a0[1:])]),
+    }
+    k, coeffs = table[op]
+    return PMDecomp(k, tuple(coeffs))
+
+
+def _fracs(lo, hi):
+    return st.fractions(lo, hi, max_denominator=6)
+
+
+@st.composite
+def meixner_params(draw):
+    """All six classes; Binomial laws on 2 .. 35 points."""
+    alpha, alpha0 = draw(_fracs(0, 3)), draw(_fracs(-2, 2))
+    t = draw(_fracs(F(1, 6), 3))
+    kind = draw(st.sampled_from(["beta0", "delta0", "pascal", "sech", "binomial"]))
+    if kind == "beta0":
+        beta = F(0)
+    elif kind == "delta0":
+        beta = alpha**2 / 4
+    elif kind == "pascal":
+        beta = alpha**2 / 4 * draw(_fracs(F(1, 6), F(5, 6)))
+    elif kind == "sech":
+        beta = alpha**2 / 4 + draw(_fracs(F(1, 6), 2))
+    else:
+        beta = -t / draw(st.integers(1, 34))
+    return MeixnerParams(alpha, alpha0, beta, t)
+
+
+def _both_paths(p, op, order):
+    """(new, parent) extraction at the truncation ``decompose`` uses, or None."""
+    bound = p.derived().support_bound
+    trunc = order + 3 if bound is None else min(order + 3, bound - 1)
+    k = OP_GRADE[op]
+    sj, parent_sj = szego_jacobi(p), parent_szego_jacobi(p)
+    graded, parent_graded = _build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
+    assert graded == parent_graded
+    cap = min(order, graded.valid_degree - max(k, 0))
+    if cap < 0:
+        return None
+    matrix = to_monomial_basis(graded, sj, cap)
+    parent_matrix = parent_to_monomial_basis(parent_graded, parent_sj)
+    assert matrix.entries == tuple(row[: cap + 1] for row in parent_matrix)
+    return extract_pmd(matrix, k, cap), parent_extract_pmd(parent_matrix, k, cap)
+
+
+@settings(deadline=None, max_examples=150)
+@given(meixner_params(), st.sampled_from(OPS), st.integers(0, 30))
+def test_decompose_pipeline_matches_fraction_path(p, op, order):
+    sj, parent_sj = szego_jacobi(p), parent_szego_jacobi(p)
+    top = order + 3 if sj.support_bound is None else sj.support_bound - 1
+    assert [sj.alpha(n) for n in range(top + 1)] == [parent_sj.alpha(n) for n in range(top + 1)]
+    assert [sj.omega(n) for n in range(top + 1)] == [parent_sj.omega(n) for n in range(top + 1)]
+    both = _both_paths(p, op, order)
+    if both is not None:
+        assert both[0] == both[1]
+        closed = series_decomposition(p, op, order)
+        assert all(both[0].coeff(n) == closed.coeff(n) for n in range(both[0].order + 1))
+
+
+@pytest.mark.parametrize("points", range(2, 13))
+def test_full_truncation_of_binomial_laws(points):
+    # trunc = support - 1: the last diagonal entry alpha_trunc enters a0 and
+    # U, though the basis change only needs alpha_0 .. alpha_(trunc - 1).
+    p = MeixnerParams(F(1, 3), F(-1, 2), F(-5, 3) / (points - 1), F(5, 3))
+    for op in OPS:
+        both = _both_paths(p, op, 8)
+        assert both is not None and both[0] == both[1], op
+
+
+@settings(deadline=None, max_examples=100)
+@given(meixner_params(), st.sampled_from(OPS), st.integers(0, 30))
+def test_series_decomposition_matches_termwise_closed_forms(p, op, order):
+    assert series_decomposition(p, op, order) == parent_series(p, op, order)
 
 
 # ---------------------------------------------------------------- moments

@@ -60,7 +60,7 @@ EXPECTED = (
     "    U = (-1/4*X + 1/2) T[2] + (-1/4*X - 1/2) T[-2] + (1/2*X) I\n"
     "    N = (1/4*X - 1/2) T[2] + (-1/4*X - 1/2) T[-2] + (1) I\n"
     "    a- = (-1/4*X + 1/2) T[2] + (-1/4*X - 1/2) T[-2] + (1/2*X) I\n"
-    "    a0 = (0) T[2] + (0) T[-2] + (0) I\n"
+    "    a0 = 0\n"
     "    translation identities verified: True\n"
     "\n"
 )
