@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Union
 
-from .exact import Rat, format_rat, powers
+from .exact import format_rat, powers
 from .meixner import MeixnerParams, szego_jacobi
 from .operators import VerifyReport
 from .orthopoly import MomentSeq, moments_from_sj
@@ -38,8 +38,8 @@ class Unsupported(ValueError):
 
 @dataclass(frozen=True)
 class Gaussian:
-    mean: Rat
-    variance: Rat
+    mean: Fraction
+    variance: Fraction
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,9 +53,9 @@ class Gaussian:
 class Poisson:
     """X = scale * Y + shift with Y ~ Poisson(rate)."""
 
-    rate: Rat
-    scale: Rat
-    shift: Rat
+    rate: Fraction
+    scale: Fraction
+    shift: Fraction
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,7 +70,7 @@ class Poisson:
 class Pascal:
     """X = scale * Y + shift with Y negative binomial: P(Y=y) = C(y+r-1,y) p^r (1-p)^y."""
 
-    r: Rat
+    r: Fraction
     p: Quadratic
     scale: Quadratic
     shift: Quadratic
@@ -89,9 +89,9 @@ class Pascal:
 class Gamma:
     """X = scale * Y + shift with Y ~ Gamma(shape) of unit scale."""
 
-    shape: Rat
-    scale: Rat
-    shift: Rat
+    shape: Fraction
+    scale: Fraction
+    shift: Fraction
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,7 +145,7 @@ class Binomial:
     """
 
     n: int
-    success_radicand: Rat
+    success_radicand: Fraction
     branches: tuple[BinomialBranch, BinomialBranch]
 
     def to_json_dict(self) -> dict:

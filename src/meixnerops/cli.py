@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -26,8 +25,9 @@ from .characterize import (
     moments_via_recursion,
 )
 from .classify import Unsupported, classify, crosscheck
-from .exact import Poly, format_rat
+from .exact import format_rat
 from .meixner import (
+    OPS,
     InvalidParams,
     MeixnerParams,
     TranslationCombo,
@@ -52,8 +52,6 @@ from .orthopoly import gram_schmidt_from_moments, moments_from_sj
 from .pmd import PMDecomp, extract_pmd
 from .sampling import sample_params, sample_params_delta0
 
-OPS = ("U", "V", "N", "a0", "a-", "a+")
-OP_GRADE = {"U": 0, "V": 1, "N": 0, "a0": 0, "a-": -1, "a+": 1}
 SUITES = ("universal", "pmd", "gramschmidt", "limit", "doublecomm")
 # Caps on the size flags, checked before any work; on a 2-core x86-64 host
 # with Python 3.11:
@@ -77,28 +75,9 @@ APLUS_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _config(command: str, **fields) -> dict:
     """Everything that determines a run's output, for reproducibility."""
-
-    command: str
-    params: dict | None
-    op: str | None
-    order: int | None
-    degree: int | None
-    trials: int | None
-    seed: int | None
-    combo: str | None
-    max_moment: int | None
-    as_json: bool
-
-    def to_json_dict(self) -> dict:
-        out = {"command": self.command}
-        for key in ("params", "op", "order", "degree", "trials", "seed", "combo", "max_moment"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+    return {"command": command, **{k: v for k, v in fields.items() if v is not None}}
 
 
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
@@ -123,33 +102,34 @@ def _build_op(name: str, sj, trunc: int) -> GradedOp:
     return {"a0": azero, "a-": aminus, "a+": aplus}[name]
 
 
-def _extraction_agreement(p: MeixnerParams, op: str, order: int, closed: PMDecomp) -> dict:
+def _extraction_agreement(
+    p: MeixnerParams, op: str, order: int, closed: PMDecomp
+) -> VerifyReport:
     """Compare the closed-form coefficients ``closed`` against matrix extraction.
 
     Only the columns the peel reads are formed.  On a mismatch the report
-    adds ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
+    carries ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
 
     ``closed`` is the caller's ``series_decomposition(p, op, order)``; its
-    coefficients do not depend on the order, so it serves every lower cap.
-    The checkable order is capped by the truncation: finite-support systems
-    only expose their quotient space, and raising operators need one spare
-    degree at the top.
+    coefficients do not depend on the order, so it serves every lower cap,
+    and its grade k is the operator's.  The checked order (``max_degree``)
+    is capped by the truncation: finite-support systems only expose their
+    quotient space, and raising operators need one spare degree at the top.
+    A law has at least 2 support points, so the truncation is at least 1 and
+    the cap at least 0.
     """
     sj = szego_jacobi(p)
     bound = sj.support_bound
     trunc = order + 3 if bound is None else min(order + 3, bound - 1)
     graded = _build_op(op, sj, trunc)
-    k = OP_GRADE[op]
+    k = closed.k
     cap = min(order, graded.valid_degree - max(k, 0))
-    if cap < 0:
-        return {"checked_order": None, "pass": None}
     extracted = extract_pmd(to_monomial_basis(graded, sj, cap), k, cap)
-    fail = next((n for n in range(cap + 1) if extracted.coeff(n) != closed.coeff(n)), None)
-    out = {"checked_order": cap, "pass": fail is None}
-    if fail is not None:
-        out["fail_index"] = fail
-        out["residual"] = (extracted.coeff(fail) - closed.coeff(fail)).to_json()
-    return out
+    name = f"extraction matches closed form for {op}"
+    for n in range(cap + 1):
+        if extracted.coeff(n) != closed.coeff(n):
+            return VerifyReport(name, False, cap, n, extracted.coeff(n) - closed.coeff(n))
+    return VerifyReport(name, True, cap)
 
 
 def _cap_reason(bound: int, k: int, order: int) -> str:
@@ -195,10 +175,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         check_json = f"unsupported: {exc}"
         check_ok = True
     report = {
-        "config": RunConfig(
-            "classify", p.to_json_dict(), None, None, None, None, None, None, args.max_moment,
-            args.json,
-        ).to_json_dict(),
+        "config": _config("classify", params=p.to_json_dict(), max_moment=args.max_moment),
         "classification": cls.to_json_dict(),
         "derived": {
             "delta": format_rat(derived.delta),
@@ -224,38 +201,34 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     try:
         p = _params_from_args(args)
         if args.order < 0:
-            raise InvalidParams("order must be nonnegative")
+            raise InvalidParams("--order must be nonnegative")
         if args.order > MAX_ORDER:
             raise InvalidParams(f"--order must be at most {MAX_ORDER}")
     except (InvalidParams, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     decomp = series_decomposition(p, args.op, args.order)
-    agreement = _extraction_agreement(p, args.op, args.order, decomp)
+    check = _extraction_agreement(p, args.op, args.order, decomp)
+    agreement = {"checked_order": check.max_degree, "pass": check.passed}
+    if not check.passed:
+        agreement.update(fail_index=check.fail_index, residual=check.residual.to_json())
     report = {
-        "config": RunConfig(
-            "decompose", p.to_json_dict(), args.op, args.order, None, None, None, None, None,
-            args.json,
-        ).to_json_dict(),
+        "config": _config("decompose", params=p.to_json_dict(), op=args.op, order=args.order),
         "decomposition": decomp.to_json_dict(),
         "extraction_agreement": agreement,
     }
     lines = [f"{args.op} = sum_n A_n(X) D^n with deg A_n <= n + ({decomp.k}):"]
     for n in range(args.order + 1):
         lines.append(f"  A_{n} = {decomp.coeff(n)}")
-    checked = agreement["checked_order"]
-    if checked is None:
-        lines.append("matrix extraction: not checkable at this truncation")
-    else:
-        verdict = "agrees" if agreement["pass"] else "DISAGREES"
-        lines.append(f"matrix extraction {verdict} through order {checked}")
-    if checked is None or checked < args.order:
+    verdict = "agrees" if check.passed else "DISAGREES"
+    lines.append(f"matrix extraction {verdict} through order {check.max_degree}")
+    if check.max_degree < args.order:
         lines.append(_cap_reason(p.derived().support_bound, decomp.k, args.order))
     if args.op == "a+":
         report["note"] = APLUS_NOTE
         lines.append(f"note: {APLUS_NOTE}")
     _emit(report, lines, args.json)
-    return 0 if agreement["pass"] in (True, None) else 1
+    return 0 if check.passed else 1
 
 
 def _suite_universal(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
@@ -286,20 +259,9 @@ def _suite_doublecomm(rng: Random, degree: int) -> tuple[MeixnerParams, list[Ver
 
 def _suite_pmd(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
     p = sample_params(rng, min_dim=degree + 4)
-    checks = []
-    for op in OPS:
-        closed = series_decomposition(p, op, degree)
-        agreement = _extraction_agreement(p, op, degree, closed)
-        checks.append(
-            VerifyReport(
-                name=f"extraction matches closed form for {op}",
-                passed=bool(agreement["pass"]),
-                max_degree=agreement["checked_order"],
-                fail_index=agreement.get("fail_index"),
-                residual=Poly.from_json(agreement["residual"]) if "residual" in agreement else None,
-            )
-        )
-    return p, checks
+    return p, [
+        _extraction_agreement(p, op, degree, series_decomposition(p, op, degree)) for op in OPS
+    ]
 
 
 def _suite_gramschmidt(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
@@ -385,10 +347,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     report = {
-        "config": RunConfig(
-            "verify", None, None, None, args.degree, args.trials, args.seed, None, None,
-            args.json,
-        ).to_json_dict(),
+        "config": _config("verify", degree=args.degree, trials=args.trials, seed=args.seed),
         "suite": args.suite,
         "trials_detail": detail,
         "pass": all_pass,
@@ -428,9 +387,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         for lam, d in verdict.poisson_terms
     ]
     report = {
-        "config": RunConfig(
-            "characterize", None, None, None, None, None, None, combo.format(), m, args.json,
-        ).to_json_dict(),
+        "config": _config("characterize", combo=combo.format(), max_moment=m),
         "valid": True,
         "moments_recursion": recursion.to_json(),
         "moments_cumulant": cumulant.to_json(),

@@ -1,8 +1,8 @@
 """Exact rational scalars and dense univariate polynomials.
 
 Every quantity in this package is exact: scalars are `fractions.Fraction`
-values (aliased ``Rat``) and polynomials are dense tuples of them, lowest
-degree first with trailing zeros trimmed.  No floating-point number enters
+values and polynomials are dense tuples of them, lowest degree first with
+trailing zeros trimmed.  No floating-point number enters
 the core algebra; floats appear only in optional decimal renderings.
 """
 
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Union
-
-Rat = Fraction
 
 RatLike = Union[Fraction, int]
 
@@ -53,7 +51,7 @@ def rational_sqrt(value: RatLike) -> Fraction | None:
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial over Rat; ``coeffs[i]`` multiplies X**i."""
+    """Dense univariate polynomial over Q; ``coeffs[i]`` multiplies X**i."""
 
     coeffs: tuple[Fraction, ...] = ()
 
@@ -71,20 +69,12 @@ class Poly:
         return Poly(tuple(Fraction(v) for v in values))
 
     @staticmethod
-    def from_coeffs(values: Iterable[RatLike]) -> "Poly":
-        return Poly(tuple(Fraction(v) for v in values))
-
-    @staticmethod
     def zero() -> "Poly":
         return Poly()
 
     @staticmethod
     def one() -> "Poly":
         return Poly.of(1)
-
-    @staticmethod
-    def constant(c: RatLike) -> "Poly":
-        return Poly.of(c)
 
     @staticmethod
     def monomial(degree: int, coeff: RatLike = 1) -> "Poly":

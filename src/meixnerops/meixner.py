@@ -141,7 +141,8 @@ def _x_minus(c: Fraction) -> Poly:
     return Poly.of(-c, 1)
 
 
-_OPS = ("U", "V", "N", "a0", "a-", "a+")
+# The six operators, in the order every report lists them.
+OPS = ("U", "V", "N", "a0", "a-", "a+")
 
 
 def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
@@ -179,8 +180,8 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
     identity a+ = X - a- - a0 rather than an independent closed form, and is
     checked against the operator matrix elsewhere.
     """
-    if op not in _OPS:
-        raise ValueError(f"unknown operator {op!r}; choose from {sorted(_OPS)}")
+    if op not in OPS:
+        raise ValueError(f"unknown operator {op!r}; choose from {sorted(OPS)}")
     k, head, odd, even = _closed_parts(p, op)
     delta = p.derived().delta
     coeffs = [head]
@@ -189,41 +190,6 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
         weight = weight * (delta if n % 2 and n > 1 else 1) / n
         coeffs.append(weight * (odd if n % 2 else even))
     return PMDecomp(k, tuple(coeffs))
-
-
-def pmd_u(p: MeixnerParams, order: int) -> PMDecomp:
-    """U = a- + a0/2 expanded in powers of D, truncated at the given order."""
-    return series_decomposition(p, "U", order)
-
-
-def pmd_v(p: MeixnerParams, order: int) -> PMDecomp:
-    """V = X - U: A_0 = X - alpha0/2 and negated tail coefficients."""
-    return series_decomposition(p, "V", order)
-
-
-def pmd_number(p: MeixnerParams, order: int) -> PMDecomp:
-    """Grade counter N."""
-    return series_decomposition(p, "N", order)
-
-
-def pmd_a0(p: MeixnerParams, order: int) -> PMDecomp:
-    """a0 = alpha N + alpha0 I."""
-    return series_decomposition(p, "a0", order)
-
-
-def pmd_aminus(p: MeixnerParams, order: int) -> PMDecomp:
-    """a- = U - a0/2; constants are annihilated (A_0 = 0)."""
-    return series_decomposition(p, "a-", order)
-
-
-def pmd_aplus(p: MeixnerParams, order: int) -> PMDecomp:
-    """a+ = X - a- - a0, a derived route; A_0 = X - alpha0."""
-    return series_decomposition(p, "a+", order)
-
-
-def pmd_x() -> PMDecomp:
-    """Multiplication by X is its own expansion: A_0 = X."""
-    return PMDecomp(1, (Poly.of(0, 1),))
 
 
 @dataclass(frozen=True)
@@ -363,10 +329,8 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
     if d.delta == 0:
         forms: Mapping[str, TranslationExpr] = {}
         limit_forms = {
-            "U": pmd_u(p, 1),
-            "N": pmd_number(p, 2),
-            "a0": pmd_a0(p, 2),
-            "a-": pmd_aminus(p, 2),
+            name: series_decomposition(p, name, order)
+            for name, order in (("U", 1), ("N", 2), ("a0", 2), ("a-", 2))
         }
         actions = {name: limit.apply for name, limit in limit_forms.items()}
     else:
@@ -403,7 +367,7 @@ def one_meixner_limit_check(p: MeixnerParams, order: int = 10) -> VerifyReport:
     d = p.derived()
     if d.delta != 0:
         raise InvalidParams(f"limit check requires Delta = 0, got {d.delta}")
-    u = pmd_u(p, order)
+    u = series_decomposition(p, "U", order)
     name = "Delta=0 limit of U"
     expected0 = Poly.of(p.alpha0 / 2)
     expected1 = Fraction(1, 2) * Poly.of(d.tau, p.alpha)

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .exact import Poly, RatLike, format_rat, parse_rat
+from .exact import Poly, RatLike, format_rat
 
 
 class TruncationBeyondSupport(ValueError):
@@ -86,6 +86,23 @@ def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
     return polys
 
 
+def _integer_recurrence(
+    sj: SzegoJacobi, n_alpha: int, n_omega: int
+) -> tuple[int, list[int], list[int]]:
+    """(D, shift, link) for alpha_0 .. alpha_{n_alpha-1} and omega_1 .. omega_{n_omega-1}.
+
+    D is the least common denominator of those coefficients, ``shift[n]`` is
+    the integer D alpha_n and ``link[n]`` the integer D^2 omega_n; ``link[0]``
+    is 0 and never read.
+    """
+    alphas = [Fraction(sj.alpha(n)) for n in range(n_alpha)]
+    omegas = [Fraction(sj.omega(n)) for n in range(1, n_omega)]
+    scale = lcm(*(v.denominator for v in alphas + omegas))
+    shift = [a.numerator * (scale // a.denominator) for a in alphas]
+    link = [0] + [w.numerator * (scale * scale // w.denominator) for w in omegas]
+    return scale, shift, link
+
+
 def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[int, list[list[int]], list[list[int]]]:
     """The f-basis and its inverse in integers, in the variable Y = D*X.
 
@@ -102,12 +119,7 @@ def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[int, list[list[int]], l
     Each costs O(n_max^2) integer operations.
     """
     _check_degree(sj, n_max)
-    alphas = [Fraction(sj.alpha(n)) for n in range(n_max)]
-    omegas = [Fraction(sj.omega(n)) for n in range(1, n_max)]
-    scale = lcm(*(v.denominator for v in alphas + omegas))
-    shift = [a.numerator * (scale // a.denominator) for a in alphas]  # D alpha_n
-    # D^2 omega_n, indexed by n; entry 0 is never read.
-    link = [0] + [w.numerator * (scale * scale // w.denominator) for w in omegas]
+    scale, shift, link = _integer_recurrence(sj, n_max, n_max)
     coeffs = [[1]]
     coords = [[1]]
     for n in range(n_max):
@@ -152,10 +164,6 @@ class MomentSeq:
     def to_json(self) -> list[str]:
         return [format_rat(v) for v in self.values]
 
-    @staticmethod
-    def from_json(data: Iterable[str]) -> "MomentSeq":
-        return MomentSeq(tuple(parse_rat(s) for s in data))
-
 
 def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
     """Moments E[X^0] .. E[X^m_max] via powers of the recurrence matrix.
@@ -176,11 +184,7 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
     size = m_max // 2 + 1
     if sj.support_bound is not None:
         size = min(size, sj.support_bound)
-    alphas = [Fraction(sj.alpha(n)) for n in range(min(size, (m_max + 1) // 2))]
-    omegas = [Fraction(sj.omega(n)) for n in range(1, size)]
-    scale = lcm(*(v.denominator for v in alphas + omegas))
-    shift = [a.numerator * (scale // a.denominator) for a in alphas]  # D alpha_n
-    link = [w.numerator * (scale * scale // w.denominator) for w in omegas]  # D^2 omega_{n+1}
+    scale, shift, link = _integer_recurrence(sj, min(size, (m_max + 1) // 2), size)
     state = [1]
     out = [Fraction(1)]
     for m in range(1, m_max + 1):
@@ -194,7 +198,7 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
                 if n < top:
                     nxt[n + 1] += v
                 if n >= 1:
-                    nxt[n - 1] += link[n - 1] * v
+                    nxt[n - 1] += link[n] * v
         state = nxt
         out.append(Fraction(state[0], scale**m))
     return MomentSeq(tuple(out))

@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from random import Random
 
-from .exact import Rat
 from .meixner import MeixnerParams, TranslationCombo
 
 KINDS = ("Gaussian", "Poisson", "Pascal", "Gamma", "HyperbolicSecant", "Binomial")
@@ -23,8 +22,8 @@ KINDS = ("Gaussian", "Poisson", "Pascal", "Gamma", "HyperbolicSecant", "Binomial
 
 def sample_rat(
     rng: Random,
-    lo: Rat,
-    hi: Rat,
+    lo: Fraction,
+    hi: Fraction,
     max_den: int = 6,
     strict_lo: bool = False,
 ) -> Fraction:

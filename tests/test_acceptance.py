@@ -25,7 +25,6 @@ from meixnerops.meixner import (
     MeixnerParams,
     TranslationCombo,
     comm_ux_closed_form,
-    pmd_u,
     series_decomposition,
     szego_jacobi,
 )
@@ -118,14 +117,14 @@ def test_criterion_3_pmd_closed_forms(param_sets):
     ok = True
     for p in param_sets:
         for op in ("U", "V", "N", "a0", "a-", "a+"):
-            agreement = _extraction_agreement(p, op, 10, series_decomposition(p, op, 10))
-            ok = ok and agreement["checked_order"] == 10 and agreement["pass"] is True
+            report = _extraction_agreement(p, op, 10, series_decomposition(p, op, 10))
+            ok = ok and report.max_degree == 10 and report.passed
         if not ok:
             break
     # on the Delta = 0 locus U keeps only the two leading terms
     rng = Random(31)
     for p in [sample_params_delta0(rng) for _ in range(10)] + [MeixnerParams(2, 1, 1, 1)]:
-        u = pmd_u(p, 10)
+        u = series_decomposition(p, "U", 10)
         ok = ok and u.coeff(0) == Poly.of(p.alpha0 / 2)
         ok = ok and u.coeff(1) == (p.alpha / 2) * Poly.of(-p.alpha0, 1) + Poly.of(p.t)
         ok = ok and not u.coeff(1).is_zero

@@ -11,6 +11,7 @@ import meixnerops.cli as cli
 from meixnerops.cli import main
 from meixnerops.exact import Poly
 from meixnerops.meixner import MeixnerParams, series_decomposition
+from meixnerops.operators import VerifyReport
 from meixnerops.pmd import PMDecomp
 
 
@@ -126,7 +127,7 @@ def test_decompose_rejects_negative_order(capsys):
         "--op", "N", "--order", "-1",
     )
     assert code == 2
-    assert "order must be nonnegative" in err
+    assert err == "invalid input: --order must be nonnegative\n"
 
 
 def test_decompose_order_cap_checked_before_any_work(capsys, monkeypatch):
@@ -181,10 +182,20 @@ def _perturbed(decomp, index, delta):
     return PMDecomp(decomp.k, tuple(coeffs))
 
 
-def test_failing_extraction_agreement_carries_the_residual():
+def test_failing_extraction_agreement_carries_the_residual(capsys, monkeypatch):
     p = MeixnerParams(Fraction(3, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 4))
     closed = _perturbed(series_decomposition(p, "U", 6), 3, Poly.of(Fraction(1, 7), 0, 2))
-    assert cli._extraction_agreement(p, "U", 6, closed) == {
+    assert cli._extraction_agreement(p, "U", 6, closed) == VerifyReport(
+        "extraction matches closed form for U", False, 6, 3, Poly.of(Fraction(-1, 7), 0, -2)
+    )
+    monkeypatch.setattr(cli, "series_decomposition", lambda p, op, order: closed)
+    code, out, _ = run_cli(
+        capsys,
+        "decompose", "--alpha=3/2", "--alpha0=1/3", "--beta=1/2", "--t=5/4",
+        "--op=U", "--order=6", "--json",
+    )
+    assert code == 1
+    assert json.loads(out)["extraction_agreement"] == {
         "checked_order": 6,
         "pass": False,
         "fail_index": 3,

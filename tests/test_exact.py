@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from meixnerops.exact import ONE, ZERO, Poly, X, format_rat, parse_rat, rational_sqrt
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
-polys = st.lists(rationals, max_size=6).map(Poly.from_coeffs)
+polys = st.lists(rationals, max_size=6).map(Poly)
 
 
 def test_parse_rat():
@@ -34,7 +34,7 @@ def test_rational_sqrt():
 
 
 def test_poly_normalization_and_degree():
-    assert Poly.from_coeffs([1, 2, 0, 0]).coeffs == (F(1), F(2))
+    assert Poly([1, 2, 0, 0]).coeffs == (F(1), F(2))
     assert Poly.zero().degree == -1
     assert Poly.zero().is_zero
     assert Poly.of(0, 0, 5).degree == 2

@@ -5,22 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meixnerops.cli import _build_op
 from meixnerops.exact import Poly, X, ZERO, rational_sqrt
 from meixnerops.meixner import (
     _check_against_series,
+    OPS,
     InvalidParams,
     MeixnerParams,
     NotASquare,
     TranslationCombo,
     comm_ux_closed_form,
     one_meixner_limit_check,
-    pmd_a0,
-    pmd_aminus,
-    pmd_aplus,
-    pmd_number,
-    pmd_u,
-    pmd_v,
-    pmd_x,
     series_decomposition,
     szego_jacobi,
     translation_exprs,
@@ -100,14 +95,14 @@ def test_double_commutator_closed_form():
 
 
 def test_pmd_u_gaussian_is_pure_momentum():
-    u = pmd_u(GAUSSIAN, 6)
+    u = series_decomposition(GAUSSIAN, "U", 6)
     assert u.coeff(0) == ZERO
     assert u.coeff(1) == Poly.of(1)
     assert all(u.coeff(n) == ZERO for n in range(2, 7))
 
 
 def test_pmd_u_coin_frozen_coefficients():
-    u = pmd_u(COIN, 4)
+    u = series_decomposition(COIN, "U", 4)
     assert u.coeff(0) == ZERO
     assert u.coeff(1) == Poly.of(2)  # (alpha/2)(X - alpha0) + t with alpha = 0
     assert u.coeff(2) == -X  # -(1/2) Delta/2! X with Delta = 4
@@ -116,7 +111,7 @@ def test_pmd_u_coin_frozen_coefficients():
 
 
 def test_pmd_a0_poisson():
-    a0 = pmd_a0(POISSON, 4)
+    a0 = series_decomposition(POISSON, "a0", 4)
     assert a0.coeff(0) == Poly.of(1)  # alpha0
     assert a0.coeff(1) == Poly.of(-1, 1)  # alpha (X - alpha0)
     assert a0.coeff(2) == Poly.of(F(-1, 2), F(-1, 2))  # -(alpha/2)(alpha X + tau)
@@ -125,29 +120,35 @@ def test_pmd_a0_poisson():
 
 def test_pmd_partitions_of_x():
     for p in ALL:
-        u = pmd_u(p, 8)
-        v = pmd_v(p, 8)
+        u = series_decomposition(p, "U", 8)
+        v = series_decomposition(p, "V", 8)
         assert (u.coeff(0) + v.coeff(0)) == X
         for n in range(1, 9):
             assert u.coeff(n) + v.coeff(n) == ZERO
-        am = pmd_aminus(p, 8)
-        a0 = pmd_a0(p, 8)
-        ap = pmd_aplus(p, 8)
+        am = series_decomposition(p, "a-", 8)
+        a0 = series_decomposition(p, "a0", 8)
+        ap = series_decomposition(p, "a+", 8)
         assert am.coeff(0) + a0.coeff(0) + ap.coeff(0) == X
         for n in range(1, 9):
             assert am.coeff(n) + a0.coeff(n) + ap.coeff(n) == ZERO
-    assert pmd_x().coeff(0) == X
-    assert pmd_x().order == 0
 
 
 def test_pmd_recursion_invariant():
     # A_{n+2} = Delta/((n+2)(n+1)) * (A_n - (1/2) X delta_{n0}) for the U series
     for p in ALL:
         delta = p.derived().delta
-        u = pmd_u(p, 9)
+        u = series_decomposition(p, "U", 9)
         for n in range(8):
             base = u.coeff(n) - (F(1, 2) * X if n == 0 else ZERO)
             assert u.coeff(n + 2) == delta * base * F(1, (n + 2) * (n + 1)), (p, n)
+
+
+def test_closed_form_grade_is_the_matrix_band():
+    # The grade k of each closed form is the top diagonal of the operator's matrix.
+    for p in ALL:
+        sj = szego_jacobi(p)
+        for op in OPS:
+            assert series_decomposition(p, op, 0).k == _build_op(op, sj, 2).band[1], (p, op)
 
 
 def test_series_decomposition_dispatch():
@@ -183,7 +184,7 @@ def test_translation_form_exact_square():
 def test_translation_form_apply_matches_operator_series():
     # applying the translation expression reproduces the series action on monomials
     rep = translation_form(COIN)
-    am = pmd_aminus(COIN, 12)
+    am = series_decomposition(COIN, "a-", 12)
     for m in range(8):
         mono = Poly.monomial(m)
         assert rep.forms["a-"].apply(mono) == am.apply(mono)

@@ -52,7 +52,7 @@ from meixnerops.classify import (
     classify,
     distribution_moments,
 )
-from meixnerops.cli import OP_GRADE, OPS, _build_op
+from meixnerops.cli import OPS, _build_op, _extraction_agreement
 from meixnerops.exact import Poly, powers
 from meixnerops.meixner import MeixnerParams, TranslationCombo, series_decomposition, szego_jacobi
 from meixnerops.operators import (
@@ -121,7 +121,7 @@ def reference_extract_pmd(matrix, k, order):
     if order >= len(matrix[0]):
         raise ValueError(f"matrix has {len(matrix[0])} columns, need {order + 1}")
     columns = [
-        Poly.from_coeffs([matrix[i][m] for i in range(len(matrix))]) for m in range(order + 1)
+        Poly([matrix[i][m] for i in range(len(matrix))]) for m in range(order + 1)
     ]
     coeffs = []
     for m, col in enumerate(columns):
@@ -206,7 +206,7 @@ def monomial_matrices(draw):
         coeffs = []
         for n in range(cols):
             top = n + k
-            coeffs.append(Poly.from_coeffs(
+            coeffs.append(Poly(
                 draw(st.lists(rats, max_size=max(0, top + 1))) if top >= 0 else []
             ))
         decomp = PMDecomp(k, tuple(coeffs))
@@ -245,7 +245,7 @@ def test_large_pmd_suite_case_matches_references():
         graded = _build_op(op, sj, 51)
         matrix = to_monomial_basis(graded, sj)
         assert matrix.entries == reference_to_monomial_basis(graded, sj), op
-        k = OP_GRADE[op]
+        k = graded.band[1]
         cap = min(48, graded.valid_degree - max(k, 0))
         assert cap == 48
         extracted = extract_pmd(matrix, k, cap)
@@ -389,16 +389,15 @@ def meixner_params(draw):
 
 
 def _both_paths(p, op, order):
-    """(new, parent) extraction at the truncation ``decompose`` uses, or None."""
+    """(new, parent) extraction at the truncation ``decompose`` uses."""
     bound = p.derived().support_bound
     trunc = order + 3 if bound is None else min(order + 3, bound - 1)
-    k = OP_GRADE[op]
     sj, parent_sj = szego_jacobi(p), parent_szego_jacobi(p)
     graded, parent_graded = _build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
     assert graded == parent_graded
+    k = parent_graded.band[1]
     cap = min(order, graded.valid_degree - max(k, 0))
-    if cap < 0:
-        return None
+    assert cap >= 0
     matrix = to_monomial_basis(graded, sj, cap)
     parent_matrix = parent_to_monomial_basis(parent_graded, parent_sj)
     assert matrix.entries == tuple(row[: cap + 1] for row in parent_matrix)
@@ -412,21 +411,25 @@ def test_decompose_pipeline_matches_fraction_path(p, op, order):
     top = order + 3 if sj.support_bound is None else sj.support_bound - 1
     assert [sj.alpha(n) for n in range(top + 1)] == [parent_sj.alpha(n) for n in range(top + 1)]
     assert [sj.omega(n) for n in range(top + 1)] == [parent_sj.omega(n) for n in range(top + 1)]
-    both = _both_paths(p, op, order)
-    if both is not None:
-        assert both[0] == both[1]
-        closed = series_decomposition(p, op, order)
-        assert all(both[0].coeff(n) == closed.coeff(n) for n in range(both[0].order + 1))
+    extracted, parent = _both_paths(p, op, order)
+    assert extracted == parent
+    closed = series_decomposition(p, op, order)
+    assert all(extracted.coeff(n) == closed.coeff(n) for n in range(extracted.order + 1))
 
 
 @pytest.mark.parametrize("points", range(2, 13))
 def test_full_truncation_of_binomial_laws(points):
     # trunc = support - 1: the last diagonal entry alpha_trunc enters a0 and
     # U, though the basis change only needs alpha_0 .. alpha_(trunc - 1).
+    # Order 0 on 2 points is the smallest truncation: trunc = 1, checked order 0.
     p = MeixnerParams(F(1, 3), F(-1, 2), F(-5, 3) / (points - 1), F(5, 3))
     for op in OPS:
-        both = _both_paths(p, op, 8)
-        assert both is not None and both[0] == both[1], op
+        for order in (0, 8):
+            extracted, parent = _both_paths(p, op, order)
+            assert extracted == parent, (op, order)
+            report = _extraction_agreement(p, op, order, series_decomposition(p, op, order))
+            expected = min(order, points - 1 - max(extracted.k, 0))
+            assert report.passed and report.max_degree == expected >= 0, (op, order)
 
 
 @settings(deadline=None, max_examples=100)
