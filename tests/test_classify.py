@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from meixnerops.classify import (
     distribution_moments,
 )
 from meixnerops.meixner import MeixnerParams, szego_jacobi
-from meixnerops.orthopoly import hankel_check, moments_from_sj
+from meixnerops.orthopoly import MomentSeq, hankel_check, moments_from_sj
 from meixnerops.sampling import KINDS, sample_params
 from meixnerops.surd import Quadratic
 
@@ -141,6 +142,24 @@ def test_crosscheck_report_shape():
     assert report.passed and report.max_degree == 6
     assert report.name.startswith("Poisson")
     assert report.to_json_dict()["pass"] is True
+
+
+def test_failing_crosscheck_reports_the_first_moment(monkeypatch):
+    # The package exports the function ``classify``, which hides the module.
+    classify_module = importlib.import_module("meixnerops.classify")
+
+    def perturbed(sj, m_max):
+        mu = moments_from_sj(sj, m_max)
+        return MomentSeq(tuple(v + (m in (5, 7)) for m, v in enumerate(mu.values)))
+
+    monkeypatch.setattr(classify_module, "moments_from_sj", perturbed)
+    assert crosscheck(MeixnerParams(1, 1, 0, 1), 8).to_json_dict() == {
+        "identity": "Poisson moments match recurrence moments",
+        "pass": False,
+        "max_degree": 8,
+        "fail_index": 5,
+        "residual": None,
+    }
 
 
 def test_finite_support_hankel_degeneracy():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,53 @@ def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
             assert check == dict(before, fail_index=2, residual=["0", "5/3"], **{"pass": False})
         else:
             assert check == before and check["residual"] is None
+
+
+def _gramschmidt_suite(capsys, monkeypatch, perturb):
+    """Run the suite with ``perturb`` applied to the recurrence Gram-Schmidt recovers."""
+    original = cli.gram_schmidt_from_moments
+    monkeypatch.setattr(cli, "gram_schmidt_from_moments", lambda mu, n: perturb(original(mu, n)))
+    # Seed 1 draws a Poisson law, so the checks run through degree 8.
+    argv = ("verify", "--suite=gramschmidt", "--degree=8", "--trials=1", "--seed=1", "--json")
+    code, out, _ = run_cli(capsys, *argv)
+    return code, json.loads(out)["trials_detail"][0]["checks"]
+
+
+def _bumped(fn, *indices):
+    return lambda n: fn(n) + (n in indices)
+
+
+@pytest.mark.parametrize(
+    "perturb,fail_index",
+    [
+        # A support mismatch is reported first, at index -1.
+        (lambda rec: replace(rec, support_bound=3, alpha=_bumped(rec.alpha, 0)), -1),
+        # Then the first alpha_n, n < 8, before any omega_n.
+        (lambda rec: replace(rec, alpha=_bumped(rec.alpha, 7), omega=_bumped(rec.omega, 2)), 7),
+        # Then the first omega_n, 1 <= n <= 8.
+        (lambda rec: replace(rec, omega=_bumped(rec.omega, 8, 5)), 5),
+        (lambda rec: replace(rec, alpha=_bumped(rec.alpha, 8), omega=_bumped(rec.omega, 8)), 8),
+    ],
+)
+def test_failing_gramschmidt_check_reports_its_first_index(capsys, monkeypatch, perturb, fail_index):
+    code, checks = _gramschmidt_suite(capsys, monkeypatch, perturb)
+    assert code == 1
+    assert checks == [{
+        "identity": "moments -> Gram-Schmidt recovers the recurrence",
+        "pass": False,
+        "max_degree": 8,
+        "fail_index": fail_index,
+        "residual": None,
+    }]
+
+
+def test_gramschmidt_check_reads_alpha_below_the_degree_only(capsys, monkeypatch):
+    # alpha_8 and omega_0 lie outside the recovered recurrence of degree 8.
+    code, checks = _gramschmidt_suite(
+        capsys, monkeypatch,
+        lambda rec: replace(rec, alpha=_bumped(rec.alpha, 8), omega=_bumped(rec.omega, 0)),
+    )
+    assert code == 0 and checks[0]["fail_index"] is None
 
 
 def test_decompose_order_cap_is_inclusive(capsys):

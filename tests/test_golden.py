@@ -8,7 +8,8 @@ commands (``classify --max-moment=24``, ``characterize --max-moment=40`` and
 were pinned before the moment kernels moved to integers, and
 ``classify --max-moment=60`` before its oracles moved to integer pairs, and
 ``verify --suite=pmd --degree=48`` before ``decompose`` moved to one integer
-pipeline.
+pipeline.  The ``universal``, ``doublecomm`` and ``limit`` suites at degree 12
+were pinned before the suites moved out of the CLI into ``meixnerops.suites``.
 """
 
 import contextlib
@@ -173,3 +174,17 @@ PMD_SUITE_GOLDEN = "4bbeb18b95ccc3bb3958ac478eaf9edb531d88412677ebadb53a90c15cb4
 def test_pmd_suite_json_golden_and_deterministic():
     argv = ["verify", "--suite=pmd", "--degree=48", "--trials=2", "--seed=1", "--json"]
     _assert_golden(argv, PMD_SUITE_GOLDEN)
+
+
+# Taken before the suite runners moved into ``meixnerops.suites``.
+SUITE_GOLDEN = {
+    "universal": "017686ce4adf7dc817ec45ce5d4fd96df6c230e2d564d8b4495f0521e03d6d7c",
+    "doublecomm": "cad688fe323462dc74aaf851e90150aef6fd0b59fc73b04396a43357051ed109",
+    "limit": "3cc24ca3e994f3c1ce1d2a63fe31586a556739775586f521ea49562a045b0503",
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_GOLDEN))
+def test_suite_json_golden_and_deterministic(suite):
+    argv = ["verify", f"--suite={suite}", "--degree=12", "--trials=3", "--seed=1", "--json"]
+    _assert_golden(argv, SUITE_GOLDEN[suite])

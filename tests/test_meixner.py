@@ -21,7 +21,8 @@ from meixnerops.meixner import (
     translation_exprs,
     translation_form,
 )
-from meixnerops.operators import commutator, position_op, quantum_ops, semi_ops
+from meixnerops.operators import VerifyReport, commutator, position_op, quantum_ops, semi_ops
+from meixnerops.pmd import PMDecomp
 
 GAUSSIAN = MeixnerParams(0, 0, 0, 1)
 POISSON = MeixnerParams(1, 1, 0, 1)
@@ -242,6 +243,49 @@ def test_translation_form_check_reports_perturbation():
         assert report.passed is False
         assert report.fail_index == 1
         assert report.residual == Poly.of(F(1, 7))
+
+
+def _perturb_series(monkeypatch, op, index, delta):
+    """Make ``series_decomposition`` add ``delta`` to A_index of ``op``."""
+    import meixnerops.meixner as meixner
+
+    original = meixner.series_decomposition
+
+    def perturbed(p, name, order):
+        decomp = original(p, name, order)
+        if name != op:
+            return decomp
+        coeffs = [decomp.coeff(n) for n in range(max(decomp.order, index) + 1)]
+        coeffs[index] = coeffs[index] + delta
+        return PMDecomp(decomp.k, tuple(coeffs))
+
+    monkeypatch.setattr(meixner, "series_decomposition", perturbed)
+
+
+@pytest.mark.parametrize("p", [PASCAL, SURD], ids=["rational", "irrational"])
+def test_failing_translation_form_reports_index_and_residual(monkeypatch, p):
+    _perturb_series(monkeypatch, "N", 3, Poly.of(F(1, 3), F(-2, 5)))
+    report = translation_form(p, max_degree=6)
+    assert report.passed is False
+    # The series gains A_3 D^3, which first acts on X^3, as 6 A_3.
+    assert [c.to_json_dict() for c in report.checks] == [
+        {"identity": f"{name} translation form", "pass": name != "N", "max_degree": 6,
+         "fail_index": 3 if name == "N" else None,
+         "residual": ["-2", "12/5"] if name == "N" else None}
+        for name in ("U", "N", "a0", "a-")
+    ]
+
+
+@pytest.mark.parametrize(
+    "index,delta",
+    [(0, Poly.of(F(2, 3))), (1, Poly.of(0, F(-1, 5))), (4, Poly.of(1, 0, 0, F(3, 4)))],
+)
+def test_failing_limit_check_reports_index_and_residual(monkeypatch, index, delta):
+    # A_0 and A_1 are compared with their closed forms, A_n (n >= 2) with zero.
+    _perturb_series(monkeypatch, "U", index, delta)
+    report = one_meixner_limit_check(GAMMA, order=10)
+    assert report == VerifyReport("Delta=0 limit of U", False, 10, index, delta)
+    assert report.to_json_dict()["residual"] == delta.to_json()
 
 
 def test_combo_parse_format_roundtrip():
