@@ -27,7 +27,7 @@ from typing import Union
 
 from .exact import format_rat, powers
 from .meixner import MeixnerParams, szego_jacobi
-from .operators import VerifyReport
+from .operators import VerifyReport, sequence_report
 from .orthopoly import MomentSeq, moments_from_sj
 from .surd import Quadratic
 
@@ -336,14 +336,8 @@ def crosscheck(p: MeixnerParams, m_max: int) -> VerifyReport:
     tag = cls.to_json_dict()["class"]
     predicted = distribution_moments(cls, m_max)
     actual = moments_from_sj(szego_jacobi(p), m_max)
-    fail: int | None = None
-    for m in range(m_max + 1):
-        if predicted[m] != actual[m]:
-            fail = m
-            break
-    return VerifyReport(
-        name=f"{tag} moments match recurrence moments",
-        passed=fail is None,
-        max_degree=m_max,
-        fail_index=fail,
+    return sequence_report(
+        f"{tag} moments match recurrence moments",
+        m_max,
+        ((m, predicted[m], actual[m]) for m in range(m_max + 1)),
     )

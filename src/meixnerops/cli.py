@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from random import Random
 
 from .characterize import (
@@ -26,33 +25,11 @@ from .characterize import (
 )
 from .classify import Unsupported, classify, crosscheck
 from .exact import format_rat
-from .meixner import (
-    OPS,
-    InvalidParams,
-    MeixnerParams,
-    TranslationCombo,
-    comm_ux_closed_form,
-    one_meixner_limit_check,
-    series_decomposition,
-    szego_jacobi,
-)
-from .operators import (
-    GradedOp,
-    VerifyReport,
-    _report,
-    commutator,
-    number_op,
-    position_op,
-    quantum_ops,
-    semi_ops,
-    to_monomial_basis,
-    verify_universal,
-)
-from .orthopoly import gram_schmidt_from_moments, moments_from_sj
-from .pmd import PMDecomp, extract_pmd
-from .sampling import sample_params, sample_params_delta0
+from .meixner import OPS, InvalidParams, MeixnerParams, TranslationCombo, series_decomposition
+# perfbench/test_perfbench.py checks that its tracer rebinds this name here.
+from .operators import to_monomial_basis  # noqa: F401
+from .suites import SUITE_RUNNERS, extraction_agreement
 
-SUITES = ("universal", "pmd", "gramschmidt", "limit", "doublecomm")
 # Caps on the size flags, checked before any work; on a 2-core x86-64 host
 # with Python 3.11:
 # decompose costs about order^4.5, almost all of it the integer basis change:
@@ -90,46 +67,6 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
 
 def _params_from_args(args: argparse.Namespace) -> MeixnerParams:
     return MeixnerParams.from_strings(args.alpha, args.alpha0, args.beta, args.t)
-
-
-def _build_op(name: str, sj, trunc: int) -> GradedOp:
-    """The one truncated operator ``name``; ``quantum_ops`` checks omega_n > 0."""
-    aplus, azero, aminus = quantum_ops(sj, trunc)
-    if name == "N":
-        return number_op(trunc)
-    if name in ("U", "V"):  # a-/a+ plus a0/2, as in ``semi_ops``
-        return (aminus if name == "U" else aplus) + azero.scale(Fraction(1, 2))
-    return {"a0": azero, "a-": aminus, "a+": aplus}[name]
-
-
-def _extraction_agreement(
-    p: MeixnerParams, op: str, order: int, closed: PMDecomp
-) -> VerifyReport:
-    """Compare the closed-form coefficients ``closed`` against matrix extraction.
-
-    Only the columns the peel reads are formed.  On a mismatch the report
-    carries ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
-
-    ``closed`` is the caller's ``series_decomposition(p, op, order)``; its
-    coefficients do not depend on the order, so it serves every lower cap,
-    and its grade k is the operator's.  The checked order (``max_degree``)
-    is capped by the truncation: finite-support systems only expose their
-    quotient space, and raising operators need one spare degree at the top.
-    A law has at least 2 support points, so the truncation is at least 1 and
-    the cap at least 0.
-    """
-    sj = szego_jacobi(p)
-    bound = sj.support_bound
-    trunc = order + 3 if bound is None else min(order + 3, bound - 1)
-    graded = _build_op(op, sj, trunc)
-    k = closed.k
-    cap = min(order, graded.valid_degree - max(k, 0))
-    extracted = extract_pmd(to_monomial_basis(graded, sj, cap), k, cap)
-    name = f"extraction matches closed form for {op}"
-    for n in range(cap + 1):
-        if extracted.coeff(n) != closed.coeff(n):
-            return VerifyReport(name, False, cap, n, extracted.coeff(n) - closed.coeff(n))
-    return VerifyReport(name, True, cap)
 
 
 def _cap_reason(bound: int, k: int, order: int) -> str:
@@ -208,7 +145,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     decomp = series_decomposition(p, args.op, args.order)
-    check = _extraction_agreement(p, args.op, args.order, decomp)
+    check = extraction_agreement(p, args.op, args.order, decomp)
     agreement = {"checked_order": check.max_degree, "pass": check.passed}
     if not check.passed:
         agreement.update(fail_index=check.fail_index, residual=check.residual.to_json())
@@ -231,87 +168,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0 if check.passed else 1
 
 
-def _suite_universal(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
-    p = sample_params(rng, min_dim=degree + 1)
-    return p, verify_universal(szego_jacobi(p), degree)
-
-
-def _suite_doublecomm(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
-    p = sample_params(rng, min_dim=degree + 1)
-    sj = szego_jacobi(p)
-    d = p.derived()
-    aplus, azero, aminus = quantum_ops(sj, degree)
-    u, _ = semi_ops(aplus, azero, aminus)
-    x = position_op(sj, degree)
-    step1 = commutator(u, x)
-    checks = [
-        _report("[U,X] = (alpha/2)X - (delta/2)N + (tau/2)I", step1,
-                comm_ux_closed_form(p, degree), sj),
-        _report(
-            "[[U,X],X] = -(delta/2)(X - 2U)",
-            commutator(step1, x),
-            (x - u.scale(2)).scale(-d.delta / 2),
-            sj,
-        ),
-    ]
-    return p, checks
-
-
-def _suite_pmd(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
-    p = sample_params(rng, min_dim=degree + 4)
-    return p, [
-        _extraction_agreement(p, op, degree, series_decomposition(p, op, degree)) for op in OPS
-    ]
-
-
-def _suite_gramschmidt(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
-    p = sample_params(rng)
-    sj = szego_jacobi(p)
-    mu = moments_from_sj(sj, 2 * degree)
-    rec = gram_schmidt_from_moments(mu, degree)
-    expected_bound = (
-        sj.support_bound
-        if sj.support_bound is not None and sj.support_bound <= degree
-        else None
-    )
-    fail = None
-    if rec.support_bound != expected_bound:
-        fail = -1
-    else:
-        top = rec.support_bound if rec.support_bound is not None else degree
-        for n in range(top):
-            if rec.alpha(n) != sj.alpha(n):
-                fail = n
-                break
-        if fail is None:
-            for n in range(1, top + 1):
-                if rec.omega(n) != sj.omega(n):
-                    fail = n
-                    break
-    return p, [
-        VerifyReport(
-            name="moments -> Gram-Schmidt recovers the recurrence",
-            passed=fail is None,
-            max_degree=degree,
-            fail_index=fail,
-        )
-    ]
-
-
-def _suite_limit(rng: Random, degree: int) -> tuple[MeixnerParams, list[VerifyReport]]:
-    p = sample_params_delta0(rng)
-    return p, [one_meixner_limit_check(p, order=degree)]
-
-
-_SUITE_RUNNERS = {
-    "universal": _suite_universal,
-    "pmd": _suite_pmd,
-    "gramschmidt": _suite_gramschmidt,
-    "limit": _suite_limit,
-    "doublecomm": _suite_doublecomm,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.degree < 4:
         print("invalid input: --degree must be at least 4", file=sys.stderr)
@@ -332,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("invalid input: MEIXNER_SEED must be an integer", file=sys.stderr)
             return 2
     rng = Random(args.seed)
-    runner = _SUITE_RUNNERS[args.suite]
+    runner = SUITE_RUNNERS[args.suite]
     detail = []
     all_pass = True
     for trial in range(args.trials):
@@ -382,10 +238,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     laplace = laplace_series(combo, m)
     agree = tuple(recursion) == tuple(cumulant) == tuple(laplace)
     cert = bound_cert(combo, recursion)
-    decomposition = [
-        {"scale": format_rat(d), "mean": format_rat(lam)}
-        for lam, d in verdict.poisson_terms
-    ]
+    decomposition = verdict.to_json_dict()["poisson_terms"]
     report = {
         "config": _config("characterize", combo=combo.format(), max_moment=m),
         "valid": True,
@@ -439,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="randomized exact verification suites")
-    p_ver.add_argument("--suite", choices=SUITES, required=True)
+    p_ver.add_argument("--suite", choices=tuple(SUITE_RUNNERS), required=True)
     p_ver.add_argument("--degree", type=int, default=12, help=f"4 .. {MAX_DEGREE}")
     p_ver.add_argument("--trials", type=int, default=25, help=f"1 .. {MAX_TRIALS}")
     p_ver.add_argument("--seed", type=int, default=None, help="defaults to $MEIXNER_SEED or 0")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Union
+from typing import Union
 
 RatLike = Union[Fraction, int]
 
@@ -170,10 +170,6 @@ class Poly:
 
     def to_json(self) -> list[str]:
         return [format_rat(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: Iterable[str]) -> "Poly":
-        return Poly(tuple(parse_rat(s) for s in data))
 
     def __str__(self) -> str:
         if self.is_zero:

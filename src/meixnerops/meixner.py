@@ -39,7 +39,7 @@ from math import lcm
 from typing import Mapping
 
 from .exact import Poly, format_rat, parse_rat, rational_sqrt
-from .operators import GradedOp, VerifyReport, identity_op, number_op, position_op
+from .operators import GradedOp, VerifyReport, identity_op, number_op, sequence_report
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
 from .surd import Quadratic
@@ -125,15 +125,13 @@ def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
     return SzegoJacobi(alpha_fn, omega_fn, p.derived().support_bound)
 
 
-def comm_ux_closed_form(p: MeixnerParams, trunc: int) -> GradedOp:
-    """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I as a truncated operator."""
+def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:
+    """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, truncated like the position operator ``x``."""
     d = p.derived()
-    sj = szego_jacobi(p)
-    x = position_op(sj, trunc)
     return (
         x.scale(p.alpha / 2)
-        - number_op(trunc).scale(d.delta / 2)
-        + identity_op(trunc).scale(d.tau / 2)
+        - number_op(x.trunc).scale(d.delta / 2)
+        + identity_op(x.trunc).scale(d.tau / 2)
     )
 
 
@@ -347,15 +345,12 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
 
 def _check_against_series(p: MeixnerParams, name: str, action, max_degree: int) -> VerifyReport:
     series = series_decomposition(p, name, max_degree)
-    for m in range(max_degree + 1):
-        xm = Poly.monomial(m)
-        lhs = action(xm)
-        rhs = series.apply(xm)
-        if lhs != rhs:
-            return VerifyReport(
-                f"{name} translation form", False, max_degree, m, lhs - rhs
-            )
-    return VerifyReport(f"{name} translation form", True, max_degree)
+    monomials = (Poly.monomial(m) for m in range(max_degree + 1))
+    return sequence_report(
+        f"{name} translation form",
+        max_degree,
+        ((m, action(xm), series.apply(xm)) for m, xm in enumerate(monomials)),
+    )
 
 
 def one_meixner_limit_check(p: MeixnerParams, order: int = 10) -> VerifyReport:
@@ -368,17 +363,12 @@ def one_meixner_limit_check(p: MeixnerParams, order: int = 10) -> VerifyReport:
     if d.delta != 0:
         raise InvalidParams(f"limit check requires Delta = 0, got {d.delta}")
     u = series_decomposition(p, "U", order)
-    name = "Delta=0 limit of U"
-    expected0 = Poly.of(p.alpha0 / 2)
-    expected1 = Fraction(1, 2) * Poly.of(d.tau, p.alpha)
-    if u.coeff(0) != expected0:
-        return VerifyReport(name, False, order, 0, u.coeff(0) - expected0)
-    if u.coeff(1) != expected1:
-        return VerifyReport(name, False, order, 1, u.coeff(1) - expected1)
-    for n in range(2, order + 1):
-        if not u.coeff(n).is_zero:
-            return VerifyReport(name, False, order, n, u.coeff(n))
-    return VerifyReport(name, True, order)
+    # A_0 and A_1 are checked at every order, and A_n must vanish for n >= 2.
+    expected = [Poly.of(p.alpha0 / 2), Fraction(1, 2) * Poly.of(d.tau, p.alpha)]
+    expected += [Poly.zero()] * (order - 1)
+    return sequence_report(
+        "Delta=0 limit of U", order, ((n, u.coeff(n), e) for n, e in enumerate(expected))
+    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact import Poly, RatLike, format_rat
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
@@ -218,8 +218,8 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
 
 def semi_ops(aplus: GradedOp, azero: GradedOp, aminus: GradedOp) -> tuple[GradedOp, GradedOp]:
     """The halves U = a- + a0/2 and V = a+ + a0/2 of multiplication by X."""
-    half = Fraction(1, 2)
-    return aminus + azero.scale(half), aplus + azero.scale(half)
+    half = azero.scale(Fraction(1, 2))
+    return aminus + half, aplus + half
 
 
 def position_op(sj: SzegoJacobi, trunc: int) -> GradedOp:
@@ -279,17 +279,29 @@ class VerifyReport:
         }
 
 
-def _report(
-    name: str, lhs: GradedOp, rhs: GradedOp, sj: SzegoJacobi, up_to: int | None = None
+def sequence_report(
+    name: str, max_degree: int, pairs: Iterable[tuple[int, object, object]]
 ) -> VerifyReport:
+    """Report on the first unequal pair of the ``(index, lhs, rhs)`` triples.
+
+    The triples are read lazily, so nothing past the first failure is
+    computed.  A failing report carries the index as ``fail_index`` and, when
+    the pair are polynomials, ``lhs - rhs`` as its residual; scalars carry none.
+    """
+    for index, lhs, rhs in pairs:
+        if lhs != rhs:
+            residual = lhs - rhs if isinstance(lhs, Poly) else None
+            return VerifyReport(name, False, max_degree, index, residual)
+    return VerifyReport(name, True, max_degree)
+
+
+def operator_report(name: str, lhs: GradedOp, rhs: GradedOp, sj: SzegoJacobi) -> VerifyReport:
     """Compare two operators; on failure, expand the residual column in X.
 
     The f-basis of ``sj`` is built only when the check fails.
     """
     top = min(lhs.valid_degree, rhs.valid_degree)
-    if up_to is not None:
-        top = min(top, up_to)
-    miss = first_mismatch(lhs, rhs, up_to=top)
+    miss = first_mismatch(lhs, rhs)
     if miss is None:
         return VerifyReport(name, True, top)
     index, residual = miss
@@ -312,14 +324,14 @@ def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
     x = aminus + azero + aplus
     num = number_op(trunc)
     reports = [
-        _report("[N,a+] = a+", commutator(num, aplus), aplus, sj),
-        _report("[N,a0] = 0", commutator(num, azero), zero_op(trunc), sj),
-        _report("[a-,N] = a-", commutator(aminus, num), aminus, sj),
-        _report("[N,V] = a+", commutator(num, v), aplus, sj),
-        _report("[U,N] = a-", commutator(u, num), aminus, sj),
+        operator_report("[N,a+] = a+", commutator(num, aplus), aplus, sj),
+        operator_report("[N,a0] = 0", commutator(num, azero), zero_op(trunc), sj),
+        operator_report("[a-,N] = a-", commutator(aminus, num), aminus, sj),
+        operator_report("[N,V] = a+", commutator(num, v), aplus, sj),
+        operator_report("[U,N] = a-", commutator(u, num), aminus, sj),
     ]
-    left = _report("[N,X] = V - U", commutator(num, x), v - u, sj)
-    right = _report("V - U = a+ - a-", v - u, aplus - aminus, sj)
+    left = operator_report("[N,X] = V - U", commutator(num, x), v - u, sj)
+    right = operator_report("V - U = a+ - a-", v - u, aplus - aminus, sj)
     if left.passed and right.passed:
         reports.append(
             VerifyReport("[N,X] = V - U = a+ - a-", True, min(left.max_degree, right.max_degree))

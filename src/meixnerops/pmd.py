@@ -138,15 +138,12 @@ class MonomialMatrix:
         )
 
 
-def extract_pmd(
-    matrix: MonomialMatrix | Sequence[Sequence[Fraction]], k: int, order: int
-) -> PMDecomp:
+def extract_pmd(matrix: MonomialMatrix, k: int, order: int) -> PMDecomp:
     """Recover A_0 .. A_order from a monomial-basis matrix.
 
-    ``matrix`` is a ``MonomialMatrix`` or a Fraction matrix whose entry
-    [i][m] holds the X^i coefficient of the image of X^m; only columns
-    0 .. order are read, so a truncated matrix may be passed as long as those
-    columns are reliable.
+    Only columns 0 .. order of ``matrix`` are read, so a truncated matrix may
+    be passed as long as those columns are reliable; a Fraction matrix enters
+    through ``MonomialMatrix.from_fractions``.
 
     The peel runs on the integer columns in Y = D*X, where d/dX = D d/dY:
     with L the common denominator, B_m = L m! A~_m satisfies
@@ -158,8 +155,6 @@ def extract_pmd(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if not isinstance(matrix, MonomialMatrix):
-        matrix = MonomialMatrix.from_fractions(matrix)
     if order >= len(matrix.cols):
         raise ValueError(f"matrix has {len(matrix.cols)} columns, need {order + 1}")
     dpow = powers(matrix.scale, max(order, k))

@@ -19,7 +19,6 @@ from meixnerops.characterize import (
     moments_via_recursion,
 )
 from meixnerops.classify import Unsupported, class_predicates, classify, crosscheck
-from meixnerops.cli import _extraction_agreement
 from meixnerops.exact import Poly, X, rational_sqrt
 from meixnerops.meixner import (
     MeixnerParams,
@@ -42,6 +41,7 @@ from meixnerops.orthopoly import (
 )
 from meixnerops.pmd import XDWord, normal_order
 from meixnerops.sampling import sample_combo, sample_params, sample_params_delta0
+from meixnerops.suites import extraction_agreement
 
 TRUNC = 12
 
@@ -100,7 +100,7 @@ def test_criterion_2_step1_commutator(param_sets):
         u, _ = semi_ops(aplus, azero, aminus)
         x = position_op(sj, TRUNC)
         step1 = commutator(u, x)
-        closed1 = comm_ux_closed_form(p, TRUNC)
+        closed1 = comm_ux_closed_form(p, x)
         for n in range(11):
             ok = ok and step1.column(n) == closed1.column(n)
         step2 = commutator(step1, x)
@@ -117,7 +117,7 @@ def test_criterion_3_pmd_closed_forms(param_sets):
     ok = True
     for p in param_sets:
         for op in ("U", "V", "N", "a0", "a-", "a+"):
-            report = _extraction_agreement(p, op, 10, series_decomposition(p, op, 10))
+            report = extraction_agreement(p, op, 10, series_decomposition(p, op, 10))
             ok = ok and report.max_degree == 10 and report.passed
         if not ok:
             break

@@ -144,20 +144,21 @@ def test_crosscheck_report_shape():
     assert report.to_json_dict()["pass"] is True
 
 
-def test_failing_crosscheck_reports_the_first_moment(monkeypatch):
+@pytest.mark.parametrize("bumped,fail_index", [((5, 7), 5), ((8,), 8)])
+def test_failing_crosscheck_reports_the_first_moment(monkeypatch, bumped, fail_index):
     # The package exports the function ``classify``, which hides the module.
     classify_module = importlib.import_module("meixnerops.classify")
 
     def perturbed(sj, m_max):
         mu = moments_from_sj(sj, m_max)
-        return MomentSeq(tuple(v + (m in (5, 7)) for m, v in enumerate(mu.values)))
+        return MomentSeq(tuple(v + (m in bumped) for m, v in enumerate(mu.values)))
 
     monkeypatch.setattr(classify_module, "moments_from_sj", perturbed)
     assert crosscheck(MeixnerParams(1, 1, 0, 1), 8).to_json_dict() == {
         "identity": "Poisson moments match recurrence moments",
         "pass": False,
         "max_degree": 8,
-        "fail_index": 5,
+        "fail_index": fail_index,
         "residual": None,
     }
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meixnerops.cli as cli
+import meixnerops.suites as suites
 from meixnerops.cli import main
 from meixnerops.exact import Poly
 from meixnerops.meixner import MeixnerParams, series_decomposition
@@ -138,7 +139,7 @@ def test_decompose_order_cap_checked_before_any_work(capsys, monkeypatch):
         raise AssertionError("work started above the order cap")
 
     monkeypatch.setattr(cli, "series_decomposition", forbidden)
-    monkeypatch.setattr(cli, "szego_jacobi", forbidden)
+    monkeypatch.setattr(suites, "szego_jacobi", forbidden)
     code, out, err = run_cli(
         capsys,
         "decompose", "--alpha=0", "--alpha0=0", "--beta=0", "--t=1",
@@ -159,7 +160,8 @@ def test_decompose_computes_the_closed_form_once(capsys, monkeypatch):
         calls.append(order)
         return original(p, op, order)
 
-    monkeypatch.setattr(cli, "series_decomposition", counted)
+    for module in (cli, suites):  # decompose, and the pmd suite
+        monkeypatch.setattr(module, "series_decomposition", counted)
     for op, expected in (("V", 1), ("N", 2)):  # capped below --order 6 by the support
         calls.clear()
         code, out, _ = run_cli(
@@ -186,7 +188,7 @@ def _perturbed(decomp, index, delta):
 def test_failing_extraction_agreement_carries_the_residual(capsys, monkeypatch):
     p = MeixnerParams(Fraction(3, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 4))
     closed = _perturbed(series_decomposition(p, "U", 6), 3, Poly.of(Fraction(1, 7), 0, 2))
-    assert cli._extraction_agreement(p, "U", 6, closed) == VerifyReport(
+    assert suites.extraction_agreement(p, "U", 6, closed) == VerifyReport(
         "extraction matches closed form for U", False, 6, 3, Poly.of(Fraction(-1, 7), 0, -2)
     )
     monkeypatch.setattr(cli, "series_decomposition", lambda p, op, order: closed)
@@ -205,7 +207,7 @@ def test_failing_extraction_agreement_carries_the_residual(capsys, monkeypatch):
 
 
 def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
-    original = cli.series_decomposition
+    original = suites.series_decomposition
 
     def perturbed(p, op, order):
         closed = original(p, op, order)
@@ -215,7 +217,7 @@ def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     passing = json.loads(out)["trials_detail"][0]["checks"]
-    monkeypatch.setattr(cli, "series_decomposition", perturbed)
+    monkeypatch.setattr(suites, "series_decomposition", perturbed)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     checks = json.loads(out)["trials_detail"][0]["checks"]
@@ -228,8 +230,8 @@ def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
 
 def _gramschmidt_suite(capsys, monkeypatch, perturb):
     """Run the suite with ``perturb`` applied to the recurrence Gram-Schmidt recovers."""
-    original = cli.gram_schmidt_from_moments
-    monkeypatch.setattr(cli, "gram_schmidt_from_moments", lambda mu, n: perturb(original(mu, n)))
+    original = suites.gram_schmidt_from_moments
+    monkeypatch.setattr(suites, "gram_schmidt_from_moments", lambda mu, n: perturb(original(mu, n)))
     # Seed 1 draws a Poisson law, so the checks run through degree 8.
     argv = ("verify", "--suite=gramschmidt", "--degree=8", "--trials=1", "--seed=1", "--json")
     code, out, _ = run_cli(capsys, *argv)
@@ -432,13 +434,23 @@ def test_help_exits_zero(capsys):
 
 
 def _forbid(monkeypatch, *names):
+    """Make the named ``cli`` kernels, ``szego_jacobi`` and every suite runner raise."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started above a size cap")
 
     for name in names:
         monkeypatch.setattr(cli, name, forbidden)
-    for suite in cli._SUITE_RUNNERS:
-        monkeypatch.setitem(cli._SUITE_RUNNERS, suite, forbidden)
+    monkeypatch.setattr(suites, "szego_jacobi", forbidden)
+    for suite in suites.SUITE_RUNNERS:
+        monkeypatch.setitem(suites.SUITE_RUNNERS, suite, forbidden)
+
+
+def test_forbid_intercepts_every_suite(monkeypatch):
+    # The runner table _forbid patches is the one ``verify`` reads.
+    _forbid(monkeypatch)
+    for suite in suites.SUITE_RUNNERS:
+        with pytest.raises(AssertionError, match="above a size cap"):
+            main(["verify", f"--suite={suite}", "--degree=4", "--trials=1", "--json"])
 
 
 SIZE_CAPS = [
@@ -458,7 +470,7 @@ SIZE_CAPS = [
 
 @pytest.mark.parametrize("argv,flag,cap,kernels", SIZE_CAPS, ids=lambda v: str(v))
 def test_size_cap_checked_before_any_work(capsys, monkeypatch, argv, flag, cap, kernels):
-    _forbid(monkeypatch, "szego_jacobi", *kernels)
+    _forbid(monkeypatch, *kernels)
     code, out, err = run_cli(capsys, *argv, f"--{flag}={cap + 1}", "--json")
     assert code == 2
     assert out == ""
@@ -498,7 +510,7 @@ def small_argv(draw):
     if command in ("classify", "characterize"):
         argv.append(f"--max-moment={draw(st.integers(-1, 10))}")
     if command == "verify":
-        argv.append(f"--suite={draw(st.sampled_from(cli.SUITES))}")
+        argv.append(f"--suite={draw(st.sampled_from(tuple(suites.SUITE_RUNNERS)))}")
         argv.append(f"--degree={draw(st.integers(3, 6))}")
         argv.append(f"--trials={draw(st.integers(0, 2))}")
         argv.append(f"--seed={draw(st.integers(0, 99))}")

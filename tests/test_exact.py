@@ -70,7 +70,6 @@ def test_poly_shift():
 
 def test_poly_json_roundtrip():
     p = Poly.of(F(1, 3), 0, F(-5, 2))
-    assert Poly.from_json(p.to_json()) == p
     assert p.to_json() == ["1/3", "0", "-5/2"]
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meixnerops.cli import _build_op
 from meixnerops.exact import Poly, X, ZERO, rational_sqrt
 from meixnerops.meixner import (
     _check_against_series,
@@ -23,6 +22,7 @@ from meixnerops.meixner import (
 )
 from meixnerops.operators import VerifyReport, commutator, position_op, quantum_ops, semi_ops
 from meixnerops.pmd import PMDecomp
+from meixnerops.suites import build_op
 
 GAUSSIAN = MeixnerParams(0, 0, 0, 1)
 POISSON = MeixnerParams(1, 1, 0, 1)
@@ -73,7 +73,7 @@ def test_step1_commutator_closed_form():
         u, _ = semi_ops(aplus, azero, aminus)
         x = position_op(sj, 12)
         lhs = commutator(u, x)
-        rhs = comm_ux_closed_form(p, 12)
+        rhs = comm_ux_closed_form(p, x)
         assert lhs.valid_degree >= 10
         for n in range(11):
             assert lhs.column(n) == rhs.column(n), (p, n)
@@ -149,7 +149,7 @@ def test_closed_form_grade_is_the_matrix_band():
     for p in ALL:
         sj = szego_jacobi(p)
         for op in OPS:
-            assert series_decomposition(p, op, 0).k == _build_op(op, sj, 2).band[1], (p, op)
+            assert series_decomposition(p, op, 0).k == build_op(op, sj, 2).band[1], (p, op)
 
 
 def test_series_decomposition_dispatch():
@@ -278,7 +278,12 @@ def test_failing_translation_form_reports_index_and_residual(monkeypatch, p):
 
 @pytest.mark.parametrize(
     "index,delta",
-    [(0, Poly.of(F(2, 3))), (1, Poly.of(0, F(-1, 5))), (4, Poly.of(1, 0, 0, F(3, 4)))],
+    [
+        (0, Poly.of(F(2, 3))),
+        (1, Poly.of(0, F(-1, 5))),
+        (4, Poly.of(1, 0, 0, F(3, 4))),
+        (10, Poly.of(0, F(5, 2))),  # the last coefficient checked at order 10
+    ],
 )
 def test_failing_limit_check_reports_index_and_residual(monkeypatch, index, delta):
     # A_0 and A_1 are compared with their closed forms, A_n (n >= 2) with zero.

@@ -8,11 +8,11 @@ from meixnerops.exact import Poly
 from meixnerops.meixner import MeixnerParams, comm_ux_closed_form, szego_jacobi
 from meixnerops.operators import (
     GradedOp,
-    _report,
     commutator,
     first_mismatch,
     identity_op,
     number_op,
+    operator_report,
     position_op,
     quantum_ops,
     semi_ops,
@@ -260,8 +260,8 @@ def test_report_expands_the_first_failing_column():
     x = position_op(sj, trunc)
     rows = [[F(0)] * (trunc + 1) for _ in range(trunc + 1)]
     rows[2][3], rows[3][3], rows[4][3], rows[5][5] = F(1, 2), F(-2), F(3, 7), F(9)
-    rhs = comm_ux_closed_form(p, trunc) + _to_graded(trunc, (-1, 1), 0, rows)
-    report = _report("perturbed", commutator(u, x), rhs, sj)
+    rhs = comm_ux_closed_form(p, x) + _to_graded(trunc, (-1, 1), 0, rows)
+    report = operator_report("perturbed", commutator(u, x), rhs, sj)
     assert not report.passed
     assert report.max_degree == 7
     assert report.fail_index == 3
@@ -270,7 +270,7 @@ def test_report_expands_the_first_failing_column():
     )
     f = monic_polys(sj, trunc)
     assert report.residual == -(F(1, 2) * f[2] - 2 * f[3] + F(3, 7) * f[4])
-    assert _report("unperturbed", commutator(u, x), comm_ux_closed_form(p, trunc), sj).passed
+    assert operator_report("unperturbed", commutator(u, x), comm_ux_closed_form(p, x), sj).passed
 
 
 

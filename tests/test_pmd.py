@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from meixnerops.exact import Poly, X, ZERO
 from meixnerops.pmd import (
+    MonomialMatrix,
     NotFaithful,
     PMDecomp,
     XDWord,
@@ -54,7 +55,7 @@ def test_extract_recovers_known_decomposition():
         image = d.apply(Poly.monomial(m))
         for i, coef in enumerate(image.coeffs):
             matrix[i][m] = coef
-    recovered = extract_pmd(matrix, 1, 5)
+    recovered = extract_pmd(MonomialMatrix.from_fractions(matrix), 1, 5)
     for n in range(6):
         assert recovered.coeff(n) == d.coeff(n)
 
@@ -65,12 +66,12 @@ def test_extract_rejects_unfaithful_matrix():
     for m in range(size - 2):
         matrix[m + 2][m] = F(1)  # x^m -> x^(m+2), too steep for k = 1
     with pytest.raises(NotFaithful):
-        extract_pmd(matrix, 1, 3)
+        extract_pmd(MonomialMatrix.from_fractions(matrix), 1, 3)
 
 
 def test_extract_zero_operator():
     matrix = [[F(0)] * 5 for _ in range(5)]
-    d = extract_pmd(matrix, -2, 4)
+    d = extract_pmd(MonomialMatrix.from_fractions(matrix), -2, 4)
     assert all(d.coeff(n) == ZERO for n in range(5))
 
 

@@ -52,9 +52,14 @@ from meixnerops.classify import (
     classify,
     distribution_moments,
 )
-from meixnerops.cli import OPS, _build_op, _extraction_agreement
 from meixnerops.exact import Poly, powers
-from meixnerops.meixner import MeixnerParams, TranslationCombo, series_decomposition, szego_jacobi
+from meixnerops.meixner import (
+    OPS,
+    MeixnerParams,
+    TranslationCombo,
+    series_decomposition,
+    szego_jacobi,
+)
 from meixnerops.operators import (
     GradedOp,
     change_of_basis,
@@ -74,8 +79,9 @@ from meixnerops.orthopoly import (
     monic_polys,
     rescaled_basis,
 )
-from meixnerops.pmd import NotFaithful, PMDecomp, extract_pmd
+from meixnerops.pmd import MonomialMatrix, NotFaithful, PMDecomp, extract_pmd
 from meixnerops.sampling import sample_params
+from meixnerops.suites import build_op, extraction_agreement
 from meixnerops.surd import Quadratic
 
 
@@ -230,7 +236,7 @@ def monomial_matrices(draw):
 @given(monomial_matrices())
 def test_extract_pmd_matches_monomial_peel(case):
     matrix, k, order = case
-    assert _outcome(extract_pmd, matrix, k, order) == _outcome(
+    assert _outcome(extract_pmd, MonomialMatrix.from_fractions(matrix), k, order) == _outcome(
         reference_extract_pmd, matrix, k, order
     )
 
@@ -242,7 +248,7 @@ def test_large_pmd_suite_case_matches_references():
     p = sample_params(Random(1), min_dim=52)
     sj = szego_jacobi(p)
     for op in ("U", "V"):
-        graded = _build_op(op, sj, 51)
+        graded = build_op(op, sj, 51)
         matrix = to_monomial_basis(graded, sj)
         assert matrix.entries == reference_to_monomial_basis(graded, sj), op
         k = graded.band[1]
@@ -393,7 +399,7 @@ def _both_paths(p, op, order):
     bound = p.derived().support_bound
     trunc = order + 3 if bound is None else min(order + 3, bound - 1)
     sj, parent_sj = szego_jacobi(p), parent_szego_jacobi(p)
-    graded, parent_graded = _build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
+    graded, parent_graded = build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
     assert graded == parent_graded
     k = parent_graded.band[1]
     cap = min(order, graded.valid_degree - max(k, 0))
@@ -427,7 +433,7 @@ def test_full_truncation_of_binomial_laws(points):
         for order in (0, 8):
             extracted, parent = _both_paths(p, op, order)
             assert extracted == parent, (op, order)
-            report = _extraction_agreement(p, op, order, series_decomposition(p, op, order))
+            report = extraction_agreement(p, op, order, series_decomposition(p, op, order))
             expected = min(order, points - 1 - max(extracted.k, 0))
             assert report.passed and report.max_degree == expected >= 0, (op, order)
 
