@@ -144,35 +144,6 @@ def moments_via_recursion(combo: TranslationCombo, m_max: int) -> MomentSeq:
     return _unscaled(nu, q * s)
 
 
-@dataclass(frozen=True)
-class CumulantSeq:
-    """kappa_1 .. kappa_M of a centered variable; kappa_1 = 0 always."""
-
-    kappas: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.kappas)
-        if vals and vals[0] != 0:
-            raise ValueError("a centered variable must have kappa_1 = 0")
-        object.__setattr__(self, "kappas", vals)
-
-    def kappa(self, m: int) -> Fraction:
-        if m < 1 or m > len(self.kappas):
-            raise IndexError(f"kappa_{m} not computed")
-        return self.kappas[m - 1]
-
-    def to_json(self) -> list[str]:
-        return [format_rat(v) for v in self.kappas]
-
-
-def combo_cumulants(combo: TranslationCombo, m_max: int) -> CumulantSeq:
-    """kappa_m = sum_i c_i d_i^(m-1) for m >= 2: summed scaled Poisson cumulants."""
-    ensure_valid(combo)
-    z, sums = _power_sums(combo, max(m_max - 1, 0))
-    kappas = [Fraction(0)] + [Fraction(k, z**m) for m, k in enumerate(sums[1:m_max], 2)]
-    return CumulantSeq(tuple(kappas[: max(m_max, 0)]))
-
-
 def moments_via_cumulants(combo: TranslationCombo, m_max: int) -> MomentSeq:
     """Standard cumulant-to-moment recursion m_n = sum C(n-1,j-1) kappa_j m_{n-j}.
 

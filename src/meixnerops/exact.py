@@ -8,6 +8,7 @@ the core algebra; floats appear only in optional decimal renderings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -17,11 +18,13 @@ RatLike = Union[Fraction, int]
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or plain ``"p"``) into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """Parse ``"p/q"`` or ``"p"`` (signed, space-padded); no decimal or exponent forms."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # q = 0, or too many digits for int()
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def format_rat(value: RatLike) -> str:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Poly, RatLike, format_rat
+from .exact import Poly, RatLike
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
 from .pmd import MonomialMatrix
 
@@ -125,13 +125,6 @@ class GradedOp:
         diags = tuple(tuple(c * v for v in diag) for diag in self.diags)
         return GradedOp(self.trunc, self.band, self.margin, diags)
 
-    def __mul__(self, other: object) -> "GradedOp":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def compose(self, other: "GradedOp") -> "GradedOp":
         """Operator product self o other (apply ``other`` first)."""
         self._require_same_trunc(other)
@@ -163,14 +156,6 @@ class GradedOp:
         if self.margin > 0:
             margin = max(margin, self.margin + other.band[1])
         return GradedOp(self.trunc, band, margin, tuple(tuple(d) for d in acc))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.trunc,
-            "band": list(self.band),
-            "margin": self.margin,
-            "entries": [format_rat(v) for row in self.entries for v in row],
-        }
 
 
 def _diagonal_op(trunc: int, values: Sequence[Fraction]) -> GradedOp:
@@ -222,19 +207,11 @@ def semi_ops(aplus: GradedOp, azero: GradedOp, aminus: GradedOp) -> tuple[Graded
     return aminus + half, aplus + half
 
 
-def position_op(sj: SzegoJacobi, trunc: int) -> GradedOp:
-    """Multiplication by X in the f-basis: a- + a0 + a+."""
-    aplus, azero, aminus = quantum_ops(sj, trunc)
-    return aminus + azero + aplus
-
-
 def commutator(a: GradedOp, b: GradedOp) -> GradedOp:
     return a.compose(b) - b.compose(a)
 
 
-def first_mismatch(
-    a: GradedOp, b: GradedOp, up_to: int | None = None
-) -> tuple[int, tuple[Fraction, ...]] | None:
+def first_mismatch(a: GradedOp, b: GradedOp) -> tuple[int, tuple[Fraction, ...]] | None:
     """First reliable input degree where the two operators differ, if any.
 
     The diagonals of both bands are scanned; the dense residual column is
@@ -242,8 +219,6 @@ def first_mismatch(
     """
     a._require_same_trunc(b)
     top = min(a.valid_degree, b.valid_degree)
-    if up_to is not None:
-        top = min(top, up_to)
     size = a.trunc + 1
     found = top + 1
     for k in range(min(a.band[0], b.band[0]), max(a.band[1], b.band[1]) + 1):

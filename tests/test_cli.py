@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -421,6 +422,21 @@ def test_classify_rejects_negative_max_moment(capsys):
     assert code == 2
     assert out == ""
     assert "invalid input:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["1e30000", "1e3000"])
+def test_exponent_form_rational_is_refused_at_once(capsys, alpha):
+    # Fraction would read these as integers of 30001 and 3001 digits; decompose
+    # then ran for over a minute, or failed with a traceback.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose", f"--alpha={alpha}", "--alpha0=0", "--beta=0", "--t=1",
+        "--op=U", "--order=24",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "invalid input: not a rational number" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):

@@ -18,6 +18,13 @@ def test_parse_rat():
         parse_rat("a/b")
     with pytest.raises(ValueError):
         parse_rat("1/0")
+    assert parse_rat("+3/4") == F(3, 4)
+    assert parse_rat("\t-0/5\n") == 0
+    # Fraction's own syntax beyond [+-]p[/q] is refused, so "1e10000000"
+    # cannot stand for a ten-million-digit integer.
+    for text in ("1e3000", "1e10000000", "1E5", "0.5", ".5", "1_000", "1 / 2", "3/-4", "", "/2"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rat(text)
 
 
 def test_format_rat_roundtrip():

@@ -20,7 +20,7 @@ from meixnerops.meixner import (
     translation_exprs,
     translation_form,
 )
-from meixnerops.operators import VerifyReport, commutator, position_op, quantum_ops, semi_ops
+from meixnerops.operators import VerifyReport, commutator, quantum_ops, semi_ops
 from meixnerops.pmd import PMDecomp
 from meixnerops.suites import build_op
 
@@ -71,7 +71,7 @@ def test_step1_commutator_closed_form():
         sj = szego_jacobi(p)
         aplus, azero, aminus = quantum_ops(sj, 12)
         u, _ = semi_ops(aplus, azero, aminus)
-        x = position_op(sj, 12)
+        x = aminus + azero + aplus
         lhs = commutator(u, x)
         rhs = comm_ux_closed_form(p, x)
         assert lhs.valid_degree >= 10
@@ -86,7 +86,7 @@ def test_double_commutator_closed_form():
         trunc = 12 if d.support_bound is None else d.support_bound - 1
         aplus, azero, aminus = quantum_ops(sj, trunc)
         u, _ = semi_ops(aplus, azero, aminus)
-        x = position_op(sj, trunc)
+        x = aminus + azero + aplus
         lhs = commutator(commutator(u, x), x)
         rhs = (x - u.scale(2)).scale(-d.delta / 2)
         top = min(lhs.valid_degree, rhs.valid_degree)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,8 @@ from meixnerops.orthopoly import (
     TruncationBeyondSupport,
     apply_functional,
     gram_schmidt_from_moments,
-    hankel_check,
     moments_from_sj,
     monic_polys,
-    shift_moments,
 )
 
 GAUSS = SzegoJacobi(lambda n: F(0), lambda n: F(n))
@@ -68,15 +67,6 @@ def test_moment_seq_validates_normalization():
         MomentSeq((F(2), F(0)))
 
 
-def test_shift_moments_matches_direct_expansion():
-    mu = moments_from_sj(POISSON1, 6)
-    shifted = shift_moments(mu, F(-1))
-    # E[(X-1)^2] = E[X^2] - 2E[X] + 1 = 2 - 2 + 1
-    assert shifted[2] == 1
-    back = shift_moments(shifted, F(1))
-    assert tuple(back) == tuple(mu)
-
-
 def test_apply_functional():
     mu = moments_from_sj(GAUSS, 6)
     assert apply_functional(mu, Poly.of(0, 0, 1)) == 1
@@ -122,24 +112,6 @@ def test_gram_schmidt_rejects_nonpositive():
         gram_schmidt_from_moments(bad, 2)
 
 
-def test_hankel_positive_for_gaussian():
-    rep = hankel_check(moments_from_sj(GAUSS, 12), 6)
-    assert rep.status == "positive"
-    assert rep.index is None
-
-
-def test_hankel_degenerate_at_support_size():
-    rep = hankel_check(moments_from_sj(COIN, 16), 8)
-    assert rep.status == "degenerate"
-    assert rep.index == 3
-
-
-def test_hankel_invalid():
-    rep = hankel_check(MomentSeq((F(1), F(0), F(-1), F(0), F(2))), 2)
-    assert rep.status == "invalid"
-    assert rep.index == 1
-
-
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 pos_rats = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
 
@@ -158,12 +130,13 @@ def test_gram_schmidt_round_trip(alphas, omegas):
 @given(st.lists(small_rats, min_size=6, max_size=6), st.lists(pos_rats, min_size=6, max_size=6),
        small_rats)
 def test_shifted_moments_are_moments_of_shifted_recurrence(alphas, omegas, c):
-    # adding c to every alpha_n translates the variable by c
+    # adding c to every alpha_n translates the variable by c, and
+    # E[(X + c)^m] = sum_j C(m, j) c^(m-j) E[X^j] is the binomial transform
     sj = SzegoJacobi.from_lists(alphas, omegas)
     shifted_sj = SzegoJacobi.from_lists([a + c for a in alphas], omegas)
-    assert tuple(shift_moments(moments_from_sj(sj, 6), c)) == tuple(
-        moments_from_sj(shifted_sj, 6)
-    )
+    mu = moments_from_sj(sj, 6)
+    shifted = tuple(sum(comb(m, j) * c ** (m - j) * mu[j] for j in range(m + 1)) for m in range(7))
+    assert shifted == tuple(moments_from_sj(shifted_sj, 6))
 
 
 @settings(deadline=None, max_examples=30)

@@ -12,7 +12,9 @@ pass) is compared with the Fraction path it replaced, kept below.
 The moment layer has the same treatment: ``moments_from_sj`` against powers
 of the recurrence matrix in Fractions, the Chebyshev algorithm against
 polynomial Gram-Schmidt (same recovered coefficients, same support bound,
-same ``DegenerateMoments`` message), the three integer ``characterize``
+same ``DegenerateMoments`` message), the leading Hankel minors of the
+moments against their closed form (the product of the squared norms
+omega_1 ... omega_i, i <= k), the three integer ``characterize``
 routes and the growth certificate against their Fraction recurrences, and
 ``Quadratic`` arithmetic against a constructor that normalizes every result.
 
@@ -36,7 +38,6 @@ from hypothesis import strategies as st
 from meixnerops.characterize import (
     _max_power_over_factorial,
     bound_cert,
-    combo_cumulants,
     laplace_series,
     moments_via_cumulants,
     moments_via_recursion,
@@ -571,6 +572,61 @@ def test_chebyshev_zero_norm_and_negative_norm_cases():
     assert outcome == _reference_recovered(bad, 2)
 
 
+def reference_det(matrix):
+    """Exact determinant by Gaussian elimination with pivot search."""
+    rows = [list(row) for row in matrix]
+    det = F(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, len(rows)):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+def hankel_minors(p, k_max):
+    """det(E[X^(i+j)])_{0<=i,j<=k} for k <= k_max, from ``moments_from_sj``."""
+    mu = moments_from_sj(szego_jacobi(p), 2 * k_max)
+    return [reference_det([[mu[i + j] for j in range(k + 1)] for i in range(k + 1)])
+            for k in range(k_max + 1)]
+
+
+def closed_form_minors(p, k_max):
+    """det H_k = prod_{i<=k} prod_{1<=j<=i} omega_j: the product of the squared norms."""
+    sj = szego_jacobi(p)
+    minors, norm, det = [], F(1), F(1)
+    for i in range(k_max + 1):
+        norm *= sj.omega(i) if i else 1
+        det *= norm
+        minors.append(det)
+    return minors
+
+
+def test_hankel_minors_positive():
+    # Pascal (Delta = 5) and Gaussian laws have infinite support.
+    for p in (MeixnerParams(3, 1, 1, 2), MeixnerParams(0, 0, 0, 1)):
+        minors = hankel_minors(p, 6)
+        assert minors == closed_form_minors(p, 6)
+        assert all(m > 0 for m in minors)
+
+
+def test_hankel_minors_vanish_from_support_size():
+    # A Binomial law on 4 points: omega_4 = 0, so det H_k = 0 exactly for k >= 4.
+    p = MeixnerParams(1, 0, -1, 3)
+    assert p.derived().support_bound == 4
+    minors = hankel_minors(p, 6)
+    assert minors == closed_form_minors(p, 6)
+    assert all(m > 0 for m in minors[:4]) and minors[4:] == [0, 0, 0]
+    assert gram_schmidt_from_moments(moments_from_sj(szego_jacobi(p), 12), 6).support_bound == 4
+
+
 # ---------------------------------------------------------- characterize
 
 
@@ -658,7 +714,6 @@ def test_characterize_routes_match_fraction_recurrences(combo, m_max):
     assert tuple(recursion) == reference_recursion(terms, m_max)
     assert tuple(moments_via_cumulants(combo, m_max)) == reference_cumulant_moments(terms, m_max)
     assert tuple(laplace_series(combo, m_max)) == reference_laplace(terms, m_max)
-    assert combo_cumulants(combo, m_max).kappas == reference_cumulants(terms, m_max)
     cert = bound_cert(combo, recursion)
     assert (cert.a_const, cert.k, cert.checked_up_to, cert.passed, cert.even_passed) == (
         reference_bound_cert(terms, reference_recursion(terms, m_max))
