@@ -99,7 +99,8 @@ def _scaled_terms(combo: TranslationCombo) -> tuple[int, int, list[tuple[int, in
     """Integer form of the terms: Q, S and the pairs (Q c_i, Z d_i) with Z = Q S.
 
     Q and S are the least common denominators of the c_i and of the d_i.
-    Every route below computes nu_m = Z^m E[X^m], which is an integer.
+    Every route below computes the integers nu_m = Z^m E[X^m] and returns
+    them over the scale Z.
     """
     q = lcm(*(c.denominator for c, _ in combo.terms))
     s = lcm(*(d.denominator for _, d in combo.terms))
@@ -121,10 +122,6 @@ def _power_sums(combo: TranslationCombo, top: int) -> tuple[int, list[int]]:
     return q * s, sums
 
 
-def _unscaled(nu: list[int], z: int) -> MomentSeq:
-    return MomentSeq(tuple(Fraction(v, zm) for v, zm in zip(nu, powers(z, len(nu) - 1))))
-
-
 def moments_via_recursion(combo: TranslationCombo, m_max: int) -> MomentSeq:
     """E[X^m] = sum_i c_i sum_{j<m} C(m-1,j) d_i^{m-1-j} E[X^j].
 
@@ -141,7 +138,7 @@ def moments_via_recursion(combo: TranslationCombo, m_max: int) -> MomentSeq:
         for c, pw in falling:
             total += c * sum(w * p for w, p in zip(weighted, pw[m_max - m + 1 :]))
         nu.append(s * total)
-    return _unscaled(nu, q * s)
+    return MomentSeq(tuple(nu), q * s)
 
 
 def moments_via_cumulants(combo: TranslationCombo, m_max: int) -> MomentSeq:
@@ -156,7 +153,7 @@ def moments_via_cumulants(combo: TranslationCombo, m_max: int) -> MomentSeq:
     nu = [1]
     for m in range(1, m_max + 1):
         nu.append(sum(comb(m - 1, j) * kappas[j] * nu[m - 1 - j] for j in range(m)))
-    return _unscaled(nu, z)
+    return MomentSeq(tuple(nu), z)
 
 
 def laplace_series(combo: TranslationCombo, m_max: int) -> MomentSeq:
@@ -189,7 +186,7 @@ def laplace_series(combo: TranslationCombo, m_max: int) -> MomentSeq:
             raise ArithmeticError(
                 f"formal transform identity failed at order {m}; series is inconsistent"
             )
-    return _unscaled([v * facts[m] // facts[m_max] for m, v in enumerate(psi)], z)
+    return MomentSeq(tuple(v * facts[m] // facts[m_max] for m, v in enumerate(psi)), z)
 
 
 @dataclass(frozen=True)
@@ -232,6 +229,9 @@ def bound_cert(combo: TranslationCombo, mu: MomentSeq) -> BoundCert:
     max_p |d_i|^p/p!) and k = max(A sum_i |c_i|, 1) give |E[X^m]| <= k^m m!
     for m <= m_max, and the even moments also satisfy
     E[X^{2m}] <= (2k)^{2m} (2m)!.
+
+    Both are checked on integers: with E[X^m] = nu_m / z^m and k = p / q,
+    |E[X^m]| <= k^m m! is |nu_m| q^m <= (z p)^m m!.
     """
     ensure_valid(combo)
     m_max = len(mu) - 1
@@ -239,12 +239,16 @@ def bound_cert(combo: TranslationCombo, mu: MomentSeq) -> BoundCert:
     for _, d in combo.terms:
         a_const = max(a_const, _max_power_over_factorial(abs(d)))
     k = max(a_const * sum((abs(c) for c, _ in combo.terms), Fraction(0)), Fraction(1))
-    bounds = [Fraction(1)]  # k^m m!
+    lefts = powers(k.denominator, m_max)  # q^m
+    bounds = [1]  # (z p)^m m!
     for m in range(1, m_max + 1):
-        bounds.append(bounds[-1] * k * m)
-    passed = all(abs(v) <= bound for v, bound in zip(mu, bounds))
+        bounds.append(bounds[-1] * mu.scale * k.numerator * m)
+    nums = mu.nums
+    passed = all(abs(v) * left <= bound for v, left, bound in zip(nums, lefts, bounds))
     # (2k)^{2m} (2m)! = 4^m k^{2m} (2m)!
-    even_passed = all(mu[2 * m] <= 4**m * bounds[2 * m] for m in range(m_max // 2 + 1))
+    even_passed = all(
+        nums[2 * m] * lefts[2 * m] <= 4**m * bounds[2 * m] for m in range(m_max // 2 + 1)
+    )
     return BoundCert(a_const, k, m_max, passed, even_passed)
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from random import Random
+from typing import Callable
 
 from .characterize import (
     InvalidCombo,
@@ -57,11 +58,12 @@ def _config(command: str, **fields) -> dict:
     return {"command": command, **{k: v for k, v in fields.items() if v is not None}}
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
+def _emit(report: dict, text: Callable[[], list[str]], as_json: bool) -> None:
+    """Print the report as JSON, or the lines of ``text``, which is called only then."""
     if as_json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        for line in lines:
+        for line in text():
             print(line)
 
 
@@ -111,9 +113,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except Unsupported as exc:
         check_json = f"unsupported: {exc}"
         check_ok = True
+    classification = cls.to_json_dict()
     report = {
         "config": _config("classify", params=p.to_json_dict(), max_moment=args.max_moment),
-        "classification": cls.to_json_dict(),
+        "classification": classification,
         "derived": {
             "delta": format_rat(derived.delta),
             "tau": format_rat(derived.tau),
@@ -121,16 +124,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
         },
         "crosscheck": check_json,
     }
-    lines = [
-        f"class: {cls.to_json_dict()['class']}",
-        f"parameters: {cls.to_json_dict()}",
-        f"delta = {format_rat(derived.delta)}, tau = {format_rat(derived.tau)}"
-        + (f", support points = {derived.support_bound}" if derived.support_bound else ""),
-        f"moment crosscheck: {'pass' if check_ok else 'FAIL'}"
-        if not isinstance(check_json, str)
-        else f"moment crosscheck: {check_json}",
-    ]
-    _emit(report, lines, args.json)
+
+    def text() -> list[str]:
+        return [
+            f"class: {classification['class']}",
+            f"parameters: {classification}",
+            f"delta = {format_rat(derived.delta)}, tau = {format_rat(derived.tau)}"
+            + (f", support points = {derived.support_bound}" if derived.support_bound else ""),
+            f"moment crosscheck: {'pass' if check_ok else 'FAIL'}"
+            if not isinstance(check_json, str)
+            else f"moment crosscheck: {check_json}",
+        ]
+
+    _emit(report, text, args.json)
     return 0 if check_ok else 1
 
 
@@ -154,17 +160,22 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "decomposition": decomp.to_json_dict(),
         "extraction_agreement": agreement,
     }
-    lines = [f"{args.op} = sum_n A_n(X) D^n with deg A_n <= n + ({decomp.k}):"]
-    for n in range(args.order + 1):
-        lines.append(f"  A_{n} = {decomp.coeff(n)}")
-    verdict = "agrees" if check.passed else "DISAGREES"
-    lines.append(f"matrix extraction {verdict} through order {check.max_degree}")
-    if check.max_degree < args.order:
-        lines.append(_cap_reason(p.derived().support_bound, decomp.k, args.order))
     if args.op == "a+":
         report["note"] = APLUS_NOTE
-        lines.append(f"note: {APLUS_NOTE}")
-    _emit(report, lines, args.json)
+
+    def text() -> list[str]:
+        lines = [f"{args.op} = sum_n A_n(X) D^n with deg A_n <= n + ({decomp.k}):"]
+        for n in range(args.order + 1):
+            lines.append(f"  A_{n} = {decomp.coeff(n)}")
+        verdict = "agrees" if check.passed else "DISAGREES"
+        lines.append(f"matrix extraction {verdict} through order {check.max_degree}")
+        if check.max_degree < args.order:
+            lines.append(_cap_reason(p.derived().support_bound, decomp.k, args.order))
+        if args.op == "a+":
+            lines.append(f"note: {APLUS_NOTE}")
+        return lines
+
+    _emit(report, text, args.json)
     return 0 if check.passed else 1
 
 
@@ -208,13 +219,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "trials_detail": detail,
         "pass": all_pass,
     }
-    lines = [f"suite {args.suite}: degree {args.degree}, {args.trials} trials, seed {args.seed}"]
-    for entry in detail:
-        for check in entry["checks"]:
-            mark = "ok " if check["pass"] else "FAIL"
-            lines.append(f"  trial {entry['trial']:3d} {mark} {check['identity']}")
-    lines.append("all identities hold" if all_pass else "FAILURES found")
-    _emit(report, lines, args.json)
+
+    def text() -> list[str]:
+        lines = [
+            f"suite {args.suite}: degree {args.degree}, {args.trials} trials, seed {args.seed}"
+        ]
+        for entry in detail:
+            for check in entry["checks"]:
+                mark = "ok " if check["pass"] else "FAIL"
+                lines.append(f"  trial {entry['trial']:3d} {mark} {check['identity']}")
+        lines.append("all identities hold" if all_pass else "FAILURES found")
+        return lines
+
+    _emit(report, text, args.json)
     return 0 if all_pass else 1
 
 
@@ -236,29 +253,34 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     recursion = moments_via_recursion(combo, m)
     cumulant = moments_via_cumulants(combo, m)
     laplace = laplace_series(combo, m)
-    agree = tuple(recursion) == tuple(cumulant) == tuple(laplace)
+    agree = recursion == cumulant == laplace
     cert = bound_cert(combo, recursion)
     decomposition = verdict.to_json_dict()["poisson_terms"]
+    # Routes that agree have the same rendering.
+    moments = recursion.to_json()
     report = {
         "config": _config("characterize", combo=combo.format(), max_moment=m),
         "valid": True,
-        "moments_recursion": recursion.to_json(),
-        "moments_cumulant": cumulant.to_json(),
-        "moments_laplace": laplace.to_json(),
+        "moments_recursion": moments,
+        "moments_cumulant": moments if agree else cumulant.to_json(),
+        "moments_laplace": moments if agree else laplace.to_json(),
         "routes_agree": agree,
         "bound_certificate": cert.to_json_dict(),
         "poisson_decomposition": decomposition,
     }
-    statement = " + ".join(f"{d['scale']}*Y({d['mean']})" for d in decomposition)
-    lines = [
-        f"combination {combo.format()} is a valid annihilation operator",
-        f"moments through m = {m}: {recursion.to_json()}",
-        f"three oracle routes agree: {'yes' if agree else 'NO'}",
-        f"growth bound |E[X^m]| <= k^m m! with k = {format_rat(cert.k)}: "
-        + ("holds" if cert.passed and cert.even_passed else "FAILS"),
-        f"X = {statement} with independent Poisson Y(mean)",
-    ]
-    _emit(report, lines, args.json)
+
+    def text() -> list[str]:
+        statement = " + ".join(f"{d['scale']}*Y({d['mean']})" for d in decomposition)
+        return [
+            f"combination {combo.format()} is a valid annihilation operator",
+            f"moments through m = {m}: {moments}",
+            f"three oracle routes agree: {'yes' if agree else 'NO'}",
+            f"growth bound |E[X^m]| <= k^m m! with k = {format_rat(cert.k)}: "
+            + ("holds" if cert.passed and cert.even_passed else "FAILS"),
+            f"X = {statement} with independent Poisson Y(mean)",
+        ]
+
+    _emit(report, text, args.json)
     return 0 if agree and cert.passed and cert.even_passed else 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -28,8 +29,14 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(value: RatLike) -> str:
-    """Render as ``"p/q"`` in lowest terms, or ``"p"`` for integers."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    """Render as ``"p/q"`` in lowest terms, or ``"p"`` for integers, at any size."""
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() lets str() write
+        # Decimal writes an integer's digits exactly, with no such limit.
+        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def powers(x, top: int) -> list:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .exact import Poly, RatLike, format_rat
+from .exact import Poly, RatLike, format_rat, powers
 
 
 class TruncationBeyondSupport(ValueError):
@@ -142,21 +143,65 @@ def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[int, list[list[int]], l
 
 @dataclass(frozen=True)
 class MomentSeq:
-    """Raw moments E[X^m] for m = 0 .. len-1, with E[X^0] = 1."""
+    """Raw moments E[X^m] = nums[m] / scale**m for m = 0 .. len-1, with E[X^0] = 1.
 
-    values: tuple[Fraction, ...]
+    ``nums`` are integers over the powers of one positive integer ``scale``,
+    as the moment kernels produce them.  Equality is exact and integer:
+    sequences with different scales are compared by cross-multiplying with
+    the powers of the scales.  A ``Fraction`` is built only for ``mu[m]``,
+    ``values`` and the JSON rendering.
+    """
+
+    nums: tuple[int, ...]
+    scale: int
 
     def __post_init__(self) -> None:
-        vals = tuple([v if isinstance(v, Fraction) else Fraction(v) for v in self.values])
-        if not vals or vals[0] != 1:
+        if not self.nums or self.nums[0] != 1:
             raise ValueError("moment sequence must start with E[X^0] = 1")
-        object.__setattr__(self, "values", vals)
+        if self.scale < 1:
+            raise ValueError("the scale must be a positive integer")
+
+    @staticmethod
+    def from_values(values: Sequence[RatLike]) -> "MomentSeq":
+        """The sequence of the given exact values, over their least common denominator."""
+        vals = [Fraction(v) for v in values]
+        scale = lcm(*(v.denominator for v in vals))
+        scales = powers(scale, len(vals) - 1)
+        nums = tuple(v.numerator * (sm // v.denominator) for v, sm in zip(vals, scales))
+        return MomentSeq(nums, scale)
+
+    def cross(self, other: "MomentSeq") -> Iterator[tuple[int, int, int]]:
+        """``(m, u, v)`` for each common order m; u == v exactly when both E[X^m] agree.
+
+        Over one scale u and v are the numerators; otherwise they are
+        cross-multiplied by the powers of the scales.  Read lazily.
+        """
+        if self.scale == other.scale:
+            yield from zip(count(), self.nums, other.nums)
+            return
+        mine = theirs = 1  # self.scale^m and other.scale^m
+        for m, (a, b) in enumerate(zip(self.nums, other.nums)):
+            yield m, a * theirs, b * mine
+            mine *= self.scale
+            theirs *= other.scale
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MomentSeq):
+            return NotImplemented
+        return len(self.nums) == len(other.nums) and all(u == v for _, u, v in self.cross(other))
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, sm) for a, sm in zip(self.nums, powers(self.scale, len(self) - 1)))
 
     def __getitem__(self, m: int) -> Fraction:
-        return self.values[m]
+        return Fraction(self.nums[m], self.scale ** (m % len(self.nums)))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.values)
@@ -176,8 +221,9 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
 
     The state runs on integers in the variable Y = D*X of ``rescaled_basis``:
     with g_n = D^n f_n, Y g_n = g_{n+1} + D alpha_n g_n + D^2 omega_n g_{n-1},
-    and the g_0-coordinate of Y^m is D^m E[X^m].  D only covers the alpha_n
-    and omega_n that can reach an output.
+    and the g_0-coordinate of Y^m is D^m E[X^m]; those integers are returned
+    over the scale D.  D only covers the alpha_n and omega_n that can reach
+    an output.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
@@ -186,7 +232,7 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
         size = min(size, sj.support_bound)
     scale, shift, link = _integer_recurrence(sj, min(size, (m_max + 1) // 2), size)
     state = [1]
-    out = [Fraction(1)]
+    out = [1]
     for m in range(1, m_max + 1):
         # After this step only degrees up to m_max - m can still reach an output.
         top = min(m, m_max - m, size - 1)
@@ -200,8 +246,8 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
                 if n >= 1:
                     nxt[n - 1] += link[n] * v
         state = nxt
-        out.append(Fraction(state[0], scale**m))
-    return MomentSeq(tuple(out))
+        out.append(state[0])
+    return MomentSeq(tuple(out), scale)
 
 
 def apply_functional(mu: MomentSeq, f: Poly) -> Fraction:
@@ -224,7 +270,8 @@ def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
 
     starting from sigma_{-1,l} = 0 and sigma_{0,l} = E[X^l]; sigma_{k,k} is
     the squared norm of f_k.  Each row is held as integers over one
-    denominator, reduced by the row's gcd.  It never uses a forward
+    denominator; row 0 comes straight from the integer moments, and every
+    later row is reduced by its gcd.  It never uses a forward
     recurrence, only the moments.
 
     If some squared norm vanishes at step n0 <= n_max the functional comes
@@ -238,9 +285,10 @@ def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
     if len(mu) < 2 * n_max + 1:
         raise ValueError(f"need moments up to order {2 * n_max}, have {len(mu) - 1}")
     top = 2 * n_max
-    den = lcm(*(mu[l].denominator for l in range(top + 1)))
-    # sigma_{k,l} = row[l] / row_den for l >= k; prev holds row k - 1.
-    row, row_den = [mu[l].numerator * (den // mu[l].denominator) for l in range(top + 1)], den
+    # sigma_{k,l} = row[l] / row_den for l >= k; prev holds row k - 1.  Row 0
+    # puts E[X^l] = nums[l] / scale^l over scale^top.
+    scales = powers(mu.scale, top)
+    row, row_den = [mu.nums[l] * scales[top - l] for l in range(top + 1)], scales[top]
     prev, prev_den = [0] * (top + 2), 1
     alphas: list[Fraction] = []
     omegas: list[Fraction] = []

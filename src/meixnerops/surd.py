@@ -8,7 +8,9 @@ Decimal strings are offered for display only.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,7 +138,38 @@ class Quadratic:
         return float(self.a) + float(self.b) * math.sqrt(float(self.s))
 
     def decimal(self, digits: int = 12) -> str:
-        return f"{float(self):.{digits}g}"
+        """``digits`` significant digits in ``%g`` style, also beyond float range."""
+        try:
+            value = float(self)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return f"{value:.{digits}g}"
+        return self._wide_decimal(digits)
+
+    def _wide_decimal(self, digits: int) -> str:
+        """``decimal`` where a float overflows, computed in decimal arithmetic.
+
+        The result goes through a float only when it is a normal float.
+        """
+        def dec(q: Fraction) -> decimal.Decimal:
+            return decimal.Decimal(q.numerator) / q.denominator
+
+        wide = decimal.Context(prec=digits + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        with decimal.localcontext(wide) as ctx:
+            root = dec(self.b) * dec(self.s).sqrt()
+            if self.a * self.b < 0:
+                # a + b*sqrt(s) = (a^2 - b^2 s) / (a - b*sqrt(s)): the numerator is
+                # exact and the denominator adds terms of one sign, so nothing cancels.
+                value = dec(self.a**2 - self.b**2 * self.s) / (dec(self.a) - root)
+            else:
+                value = dec(self.a) + root
+            ctx.prec = digits
+            rounded = value.normalize()
+        as_float = float(value)
+        if sys.float_info.min <= abs(as_float) <= sys.float_info.max:
+            return f"{as_float:.{digits}g}"  # only an operand was beyond float range
+        return f"{rounded:.{digits}g}"
 
     def to_json(self) -> object:
         if self.is_rational:

@@ -141,10 +141,10 @@ def test_bound_cert_frozen_values():
 
 def test_bound_cert_checks_the_moments_it_is_given():
     # STEP has k = 2: E[X^2] = 20 breaks k^2 2! = 8 but not (2k)^2 2! = 32.
-    cert = bound_cert(STEP, MomentSeq((F(1), F(0), F(20))))
+    cert = bound_cert(STEP, MomentSeq.from_values((F(1), F(0), F(20))))
     assert cert.checked_up_to == 2
     assert not cert.passed and cert.even_passed
-    assert not bound_cert(STEP, MomentSeq((F(1), F(0), F(33)))).even_passed
+    assert not bound_cert(STEP, MomentSeq.from_values((F(1), F(0), F(33)))).even_passed
 
 
 def test_bound_cert_json_keys():

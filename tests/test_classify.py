@@ -151,7 +151,7 @@ def test_failing_crosscheck_reports_the_first_moment(monkeypatch, bumped, fail_i
 
     def perturbed(sj, m_max):
         mu = moments_from_sj(sj, m_max)
-        return MomentSeq(tuple(v + (m in bumped) for m, v in enumerate(mu.values)))
+        return MomentSeq.from_values(tuple(v + (m in bumped) for m, v in enumerate(mu.values)))
 
     monkeypatch.setattr(classify_module, "moments_from_sj", perturbed)
     assert crosscheck(MeixnerParams(1, 1, 0, 1), 8).to_json_dict() == {
@@ -161,6 +161,37 @@ def test_failing_crosscheck_reports_the_first_moment(monkeypatch, bumped, fail_i
         "fail_index": fail_index,
         "residual": None,
     }
+
+
+@pytest.mark.parametrize("factor", [1, 6])
+@pytest.mark.parametrize("bumped", [None, 4])
+def test_crosscheck_compares_moments_over_different_scales(monkeypatch, factor, bumped):
+    # The oracle's moments, over another scale than the recurrence's (36 against 12),
+    # and then over 6 times that; one is bumped by E[X^4] -> E[X^4] + 1/scale^4.
+    classify_module = importlib.import_module("meixnerops.classify")
+    original = classify_module.distribution_moments
+    seen = []
+
+    def rescaled(cls, m_max):
+        mu = original(cls, m_max)
+        seen.append(mu.scale)
+        nums = tuple(a * factor**m + (m == bumped) for m, a in enumerate(mu.nums))
+        return MomentSeq(nums, mu.scale * factor)
+
+    monkeypatch.setattr(classify_module, "distribution_moments", rescaled)
+    p = MeixnerParams(F(3, 2), F(1, 3), 0, F(5, 4))
+    report = crosscheck(p, 8).to_json_dict()
+    assert seen == [36] and moments_from_sj(szego_jacobi(p), 8).scale == 12
+    if bumped is None:
+        assert report["pass"] is True
+    else:
+        assert report == {
+            "identity": "Poisson moments match recurrence moments",
+            "pass": False,
+            "max_degree": 8,
+            "fail_index": bumped,
+            "residual": None,
+        }
 
 
 # The Chebyshev squared norms are ratios of consecutive Hankel minors,

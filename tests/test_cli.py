@@ -15,6 +15,7 @@ from meixnerops.cli import main
 from meixnerops.exact import Poly
 from meixnerops.meixner import MeixnerParams, series_decomposition
 from meixnerops.operators import VerifyReport
+from meixnerops.orthopoly import MomentSeq
 from meixnerops.pmd import PMDecomp
 
 
@@ -387,6 +388,79 @@ def test_characterize_step_combo(capsys):
     assert report["routes_agree"] is True
     assert report["bound_certificate"]["k"] == "2"
     assert report["poisson_decomposition"] == [{"scale": "1", "mean": "1"}]
+
+
+def test_characterize_renders_disagreeing_routes_separately(capsys, monkeypatch):
+    # E[X^3] of the Laplace route, over the scale 6, moves by 1/6^3.
+    original = cli.laplace_series
+
+    def perturbed(combo, m_max):
+        mu = original(combo, m_max)
+        assert mu.scale == 6
+        return MomentSeq(tuple(a + (m == 3) for m, a in enumerate(mu.nums)), mu.scale)
+
+    monkeypatch.setattr(cli, "laplace_series", perturbed)
+    argv = ("characterize", "--combo=1/2:1/3,-1/2:0", "--max-moment=6")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["routes_agree"] is False
+    recursion, laplace = report["moments_recursion"], report["moments_laplace"]
+    assert report["moments_cumulant"] == recursion
+    assert laplace == [
+        str(Fraction(v) + Fraction(1, 216)) if m == 3 else v for m, v in enumerate(recursion)
+    ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "three oracle routes agree: NO" in out
+
+
+def test_json_output_builds_no_text(capsys, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("text rendered under --json")
+
+    monkeypatch.setattr(Poly, "__str__", forbidden)
+    rendered = []
+    to_json = MomentSeq.to_json
+    monkeypatch.setattr(MomentSeq, "to_json", lambda mu: rendered.append(mu) or to_json(mu))
+    for argv in (
+        [
+            "decompose", "--alpha=3/2", "--alpha0=1/3", "--beta=1/2", "--t=5/4",
+            "--op=U", "--order=24",
+        ],
+        ["characterize", "--combo=1/2:1/3,-1/2:0", "--max-moment=12"],
+        ["classify", "--alpha=1", "--alpha0=1/3", "--beta=-1/7", "--t=1"],
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["config"]["command"] == argv[0]
+    # The three characterize routes agree, so their moments are rendered once.
+    assert len(rendered) == 1
+
+
+def test_classify_renders_values_beyond_float_range(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--alpha=3", f"--alpha0={10**400}", "--beta=1", "--t=1", "--json"
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["classification"]["class"] == "Pascal"
+    assert report["classification"]["shift"]["decimal"] == "1e+400"
+
+
+def test_decompose_renders_integers_past_the_digit_limit(capsys):
+    # The coefficients outgrow the 4300 digits str() writes for an int by default.
+    code, out, err = run_cli(
+        capsys, "decompose", f"--alpha={10**40 + 7}", "--alpha0=0", "--beta=0", "--t=1",
+        "--op=U", "--order=120", "--json",
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["extraction_agreement"] == {"checked_order": 120, "pass": True}
+    digits = max(len(c) for coeff in report["decomposition"]["coeffs"] for c in coeff)
+    assert digits > 4300
 
 
 def test_characterize_rejects_nonpositive_mean(capsys):

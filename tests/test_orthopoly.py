@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +64,7 @@ def test_finite_support_moments():
 
 def test_moment_seq_validates_normalization():
     with pytest.raises(ValueError):
-        MomentSeq((F(2), F(0)))
+        MomentSeq.from_values((F(2), F(0)))
 
 
 def test_apply_functional():
@@ -107,13 +107,36 @@ def test_gram_schmidt_detects_finite_support():
 
 
 def test_gram_schmidt_rejects_nonpositive():
-    bad = MomentSeq((F(1), F(0), F(-1), F(0), F(1)))
+    bad = MomentSeq.from_values((F(1), F(0), F(-1), F(0), F(1)))
     with pytest.raises(DegenerateMoments):
         gram_schmidt_from_moments(bad, 2)
 
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 pos_rats = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+
+
+def _over_scale(mu, factor):
+    """The same moments over ``factor`` times the scale."""
+    return MomentSeq(tuple(a * factor**m for m, a in enumerate(mu.nums)), mu.scale * factor)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(small_rats, max_size=8), st.lists(small_rats, max_size=8),
+       st.sampled_from([2, 3, 6]), st.booleans())
+def test_moment_seq_agrees_with_fractions_across_scales(tail, other_tail, factor, same):
+    first = (F(1), *tail)
+    second = first if same else (F(1), *other_tail)
+    mu = MomentSeq.from_values(first)
+    assert mu.scale == lcm(*(v.denominator for v in first))
+    wide = _over_scale(MomentSeq.from_values(second), factor)
+    assert wide.values == tuple(wide) == second
+    assert [wide[m] for m in range(len(second))] == list(second)
+    assert (mu == wide) == (wide == mu) == (first == second)
+    assert (mu != wide) == (first != second)
+    if first == second:
+        assert hash(mu) == hash(wide)
+        assert [u == v for _, u, v in mu.cross(wide)] == [True] * len(first)
 
 
 @settings(deadline=None, max_examples=40)

@@ -544,32 +544,45 @@ def test_moments_from_sj_reads_only_what_reaches_an_output():
     )
 
 
+def _over_scale(mu, factor):
+    """The same moments over ``factor`` times the least common scale."""
+    return MomentSeq(tuple(a * factor**m for m, a in enumerate(mu.nums)), mu.scale * factor)
+
+
+# Gram-Schmidt reads the moments as integers over their scale: above the
+# least one it must find the same recurrence, or raise the same message.
+SCALE_FACTORS = st.sampled_from([1, 2, 3, 6])
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.data(), st.integers(0, 6))
-def test_chebyshev_matches_polynomial_gram_schmidt(data, n_max):
+@given(st.data(), st.integers(0, 6), SCALE_FACTORS)
+def test_chebyshev_matches_polynomial_gram_schmidt(data, n_max, factor):
     sj, _ = data.draw(signed_recurrences(min_size=max(1, 2 * n_max), max_size=2 * n_max + 1))
-    mu = MomentSeq(reference_moments_from_sj(sj, 2 * n_max))
+    mu = _over_scale(MomentSeq.from_values(reference_moments_from_sj(sj, 2 * n_max)), factor)
     assert _recovered(mu, n_max) == _reference_recovered(mu, n_max)
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.lists(rats, min_size=2, max_size=10), st.integers(0, 5))
-def test_chebyshev_matches_on_arbitrary_moments(tail, n_max):
+@given(st.lists(rats, min_size=2, max_size=10), st.integers(0, 5), SCALE_FACTORS)
+def test_chebyshev_matches_on_arbitrary_moments(tail, n_max, factor):
     # Mostly not moment sequences of a measure: DegenerateMoments with its message.
-    mu = MomentSeq((F(1), *tail))
+    mu = _over_scale(MomentSeq.from_values((F(1), *tail)), factor)
     n_max = min(n_max, len(tail) // 2)
     assert _recovered(mu, n_max) == _reference_recovered(mu, n_max)
 
 
 def test_chebyshev_zero_norm_and_negative_norm_cases():
-    coin = MomentSeq(reference_moments_from_sj(
-        SzegoJacobi.from_lists([0, 0, 0], [2, 2], support_bound=3), 12
-    ))
-    assert _recovered(coin, 6) == ([0, 0, 0], [2, 2, 0], 3)
-    bad = MomentSeq((F(1), F(0), F(-1), F(0), F(1)))
-    outcome = _recovered(bad, 2)
-    assert outcome == ("DegenerateMoments", "squared norm of degree-1 polynomial is negative: -1")
-    assert outcome == _reference_recovered(bad, 2)
+    for factor in (1, 6):
+        coin = _over_scale(MomentSeq.from_values(reference_moments_from_sj(
+            SzegoJacobi.from_lists([0, 0, 0], [2, 2], support_bound=3), 12
+        )), factor)
+        assert _recovered(coin, 6) == ([0, 0, 0], [2, 2, 0], 3)
+        bad = _over_scale(MomentSeq.from_values((F(1), F(0), F(-1), F(0), F(1))), factor)
+        outcome = _recovered(bad, 2)
+        assert outcome == (
+            "DegenerateMoments", "squared norm of degree-1 polynomial is negative: -1"
+        )
+        assert outcome == _reference_recovered(bad, 2)
 
 
 def reference_det(matrix):
@@ -724,7 +737,7 @@ def test_characterize_routes_match_fraction_recurrences(combo, m_max):
 @given(valid_combos(), st.lists(st.integers(-(10**12), 10**12) | rats, max_size=12))
 def test_bound_cert_matches_reference_on_any_moments(combo, tail):
     # Moments that are not the combination's, so either bound can fail.
-    mu = MomentSeq((F(1), *tail))
+    mu = MomentSeq.from_values((F(1), *tail))
     cert = bound_cert(combo, mu)
     assert (cert.a_const, cert.k, cert.checked_up_to, cert.passed, cert.even_passed) == (
         reference_bound_cert(combo.terms, tuple(mu))
