@@ -37,6 +37,13 @@ from .suites import SUITE_RUNNERS, extraction_agreement
 # --op=U with alpha = 5/7, alpha0 = -3/11, beta = 2/13, t = 7/5 takes 0.37 s
 # at order 128, 2.7 s at 200 and about 8 s at 256.
 MAX_ORDER = 200
+# decompose also grows with the parameters, about as order^4.5 * bits^1.5 with
+# bits the total bit length of their numerators and denominators: --op=U with
+# alpha = 10^40 + 7, alpha0 = 0, beta = 0, t = 1 (138 bits) takes 6.9 s at
+# order 120, 25 s at 160 and 79 s at 200; a 101-digit alpha (337 bits) takes
+# 1.0 s at order 60 and 13 s at 100.  Capping order^3 * bits caps that cost
+# near the 6.9 s of the first run.
+MAX_ORDER_CUBED_BITS = 240_000_000
 # --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 10
 # points with an irrational sqrt(Delta) (0.8 s at 100 points, 4.3 s at 10^6:
 # the oracle's integers grow with the digits of n, its steps do not), 0.3 s
@@ -147,6 +154,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise InvalidParams("--order must be nonnegative")
         if args.order > MAX_ORDER:
             raise InvalidParams(f"--order must be at most {MAX_ORDER}")
+        bits = sum(
+            v.numerator.bit_length() + v.denominator.bit_length()
+            for v in (p.alpha, p.alpha0, p.beta, p.t)
+        )
+        if args.order**3 * bits > MAX_ORDER_CUBED_BITS:
+            raise InvalidParams(
+                f"at --order={args.order} the parameters may have at most "
+                f"{MAX_ORDER_CUBED_BITS // args.order**3} bits in all, got {bits}"
+            )
     except (InvalidParams, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

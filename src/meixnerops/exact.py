@@ -1,9 +1,11 @@
 """Exact rational scalars and dense univariate polynomials.
 
-Every quantity in this package is exact: scalars are `fractions.Fraction`
-values and polynomials are dense tuples of them, lowest degree first with
-trailing zeros trimmed.  No floating-point number enters
-the core algebra; floats appear only in optional decimal renderings.
+Every quantity in this package is exact.  Scalars are `fractions.Fraction`
+values; a polynomial is a dense tuple of integer numerators over one
+positive denominator, lowest degree first with trailing zeros trimmed, and
+its Fraction coefficients are built only on request.  No floating-point
+number enters the core algebra; floats appear only in optional decimal
+renderings.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
-from typing import Union
+from math import gcd, isqrt, lcm, perm
+from typing import Sequence, Union
 
 RatLike = Union[Fraction, int]
 
@@ -31,12 +33,16 @@ def parse_rat(text: str) -> Fraction:
 def format_rat(value: RatLike) -> str:
     """Render as ``"p/q"`` in lowest terms, or ``"p"`` for integers, at any size."""
     value = value if isinstance(value, Fraction) else Fraction(value)
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """``"num/den"``, or ``"num"`` when den is 1, for a ratio in lowest terms with den > 0."""
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # more digits than sys.get_int_max_str_digits() lets str() write
         # Decimal writes an integer's digits exactly, with no such limit.
-        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
-        return num if den == "1" else f"{num}/{den}"
+        return str(Decimal(num)) if den == 1 else f"{str(Decimal(num))}/{str(Decimal(den))}"
 
 
 def powers(x, top: int) -> list:
@@ -59,24 +65,44 @@ def rational_sqrt(value: RatLike) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poly:
-    """Dense univariate polynomial over Q; ``coeffs[i]`` multiplies X**i."""
+    """Dense univariate polynomial over Q: the X**i coefficient is ``nums[i] / den``.
 
-    coeffs: tuple[Fraction, ...] = ()
+    The integers ``nums`` share one positive denominator ``den`` and are kept
+    canonical, with trailing zeros trimmed and gcd(den, *nums) == 1 (the zero
+    polynomial is ``((), 1)``), so field equality and hash are exact.
+    Arithmetic runs on the integers with one gcd per result; a ``Fraction``
+    is built only by ``coeffs``, ``coeff(i)``, evaluation and rendering.
+    """
 
-    def __post_init__(self) -> None:
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, nums: Sequence[int] = (), den: int = 1) -> None:
         # Built from a list, the tuple is taken from the free list of its own
         # size; one built from a generator is not, so freed coefficient tuples
         # would pile up in those free lists until a full garbage collection.
-        cleaned = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not den:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        common = gcd(den, *nums)  # a TypeError for anything but integers
+        if den < 0:
+            common = -common
+        if common != 1:
+            nums = [v // common for v in nums]
+            den //= common
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def of(*values: RatLike) -> "Poly":
-        return Poly(tuple(Fraction(v) for v in values))
+        """The polynomial sum_i values[i] X**i, over the values' least common denominator."""
+        vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in vals))
+        return Poly([v.numerator * (den // v.denominator) for v in vals], den)
 
     @staticmethod
     def zero() -> "Poly":
@@ -84,111 +110,130 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly.of(1)
+        return Poly((1,))
 
     @staticmethod
     def monomial(degree: int, coeff: RatLike = 1) -> "Poly":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return Poly(tuple([Fraction(0)] * degree + [Fraction(coeff)]))
+        c = Fraction(coeff)
+        return Poly([0] * degree + [c.numerator], c.denominator)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def _coerce(self, other: object) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.of(other)
-        return None
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     def __add__(self, other: object) -> "Poly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        size = max(len(self.coeffs), len(rhs.coeffs))
-        return Poly(tuple(self.coeff(i) + rhs.coeff(i) for i in range(size)))
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.of(other)
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            common = gcd(den, other.den)
+            ma, mb = other.den // common, den // common
+            a, b, den = [v * ma for v in a], [v * mb for v in b], den * ma
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return Poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-v for v in self.nums], self.den)
 
     def __sub__(self, other: object) -> "Poly":
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return self + (-rhs)
+        return self + (-other)
 
     def __rsub__(self, other: object) -> "Poly":
         return (-self) + other
 
     def __mul__(self, other: object) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
-            return Poly(tuple(c * factor for c in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        if isinstance(other, Poly):
+            if self.is_zero or other.is_zero:
+                return Poly()
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j, b in enumerate(other.nums, i):
+                        out[j] += a * b
+            return Poly(out, self.den * other.den)
+        if isinstance(other, int):
+            return Poly([v * other for v in self.nums], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return Poly([v * p for v in self.nums], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        poly = self
-        for _ in range(order):
-            poly = Poly(tuple(poly.coeffs[i] * i for i in range(1, len(poly.coeffs))))
-            if poly.is_zero:
-                break
-        return poly
+        if order == 0:
+            return self
+        nums = self.nums
+        return Poly([perm(i, order) * nums[i] for i in range(order, len(nums))], self.den)
 
     def shift(self, c: RatLike) -> "Poly":
-        """Substitute X + c for X, exactly: returns f(X + c)."""
+        """Substitute X + c for X, exactly: returns f(X + c).
+
+        With c = p/q and d = deg f, g(Y) = q^d f(Y/q) has integer
+        coefficients, and f(X + c) = h(qX) / q^d with h(Z) = g(Z + p), an
+        integer Taylor shift by repeated synthetic division.
+        """
         c = Fraction(c)
-        if c == 0 or self.is_zero:
+        top = len(self.nums) - 1
+        if c == 0 or top < 1:
             return self
-        linear = Poly.of(c, 1)
-        acc = Poly()
-        for a in reversed(self.coeffs):
-            acc = acc * linear + a
-        return acc
+        p = c.numerator
+        qpow = powers(c.denominator, top)
+        h = [v * qpow[top - i] for i, v in enumerate(self.nums)]
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                h[j] += p * h[j + 1]
+        return Poly([v * w for v, w in zip(h, qpow)], self.den * qpow[top])
 
     def __call__(self, x: RatLike) -> Fraction:
+        """f(x) for x = p/q, by Horner's rule on q^deg f(p/q) in integers."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1
+        for v in reversed(self.nums):
+            acc = acc * p + v * qpow
+            qpow *= q
+        return Fraction(acc * q, self.den * qpow)
 
     def to_json(self) -> list[str]:
-        return [format_rat(c) for c in self.coeffs]
+        den = self.den
+        return [_format_ratio(v // (g := gcd(v, den)), den // g) for v in self.nums]
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
+        for i in range(self.degree, -1, -1):
+            if not self.nums[i]:
                 continue
+            c = self.coeff(i)
             if i == 0:
                 body = format_rat(abs(c))
             else:
@@ -204,4 +249,4 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly.one()
-X = Poly.of(0, 1)
+X = Poly((0, 1))

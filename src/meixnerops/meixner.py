@@ -183,10 +183,14 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
     k, head, odd, even = _closed_parts(p, op)
     delta = p.derived().delta
     coeffs = [head]
-    weight = Fraction(1)  # Delta^((n-1)//2) / n!
+    num, den = 1, 1  # Delta^((n-1)//2) / n!, unreduced
     for n in range(1, order + 1):
-        weight = weight * (delta if n % 2 and n > 1 else 1) / n
-        coeffs.append(weight * (odd if n % 2 else even))
+        if n % 2 and n > 1:
+            num *= delta.numerator
+            den *= delta.denominator
+        den *= n
+        part = odd if n % 2 else even
+        coeffs.append(Poly([v * num for v in part.nums], part.den * den))
     return PMDecomp(k, tuple(coeffs))
 
 
@@ -259,8 +263,8 @@ class TranslationExpr:
         parts = []
         for sign in self.signs:
             coeffs = self.coefficients(sign)
-            coeff = str(Poly(tuple(c.a for c in coeffs)))
-            root = Poly(tuple(c.b for c in coeffs))
+            coeff = str(Poly.of(*(c.a for c in coeffs)))
+            root = Poly.of(*(c.b for c in coeffs))
             if not root.is_zero:
                 coeff += f" + sqrt({format_rat(self.delta_squared)})*({root})"
             where = f"T[{sign * step}]" if sign else "I"

@@ -340,8 +340,10 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
     truncation unreliability.
 
     The product C M C^-1 runs on integers in the variable Y = D X of
-    ``rescaled_basis``.  With S = diag(D^i) the basis change is
-    C = S G S^-1, so the middle factor S^-1 M S has entries M[n+k][n] D^-k.
+    ``rescaled_basis``, built only through degree top + max(hi, 0): those
+    are the rows the columns read, and D clears their denominators.  With
+    S = diag(D^i) the basis change is C = S G S^-1, so the middle factor
+    S^-1 M S has entries M[n+k][n] D^-k.
     Multiplied by E D^h, where E is the common denominator of M's entries
     and h = max(hi, 0) bounds its band from above, they become integers, and
     so does R = G (E D^h S^-1 M S) G^-1: the matrix on powers of Y is
@@ -351,9 +353,10 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
     lo, hi = op.band
     size = op.trunc + 1
     top = op.trunc if top is None else top
-    scale, coeffs, coords = rescaled_basis(sj, op.trunc)
-    common = lcm(*(v.denominator for diag in op.diags for v in diag))
     h = max(hi, 0)
+    # Column m reads coords[m] and coeffs[r] for r <= m + h only.
+    scale, coeffs, coords = rescaled_basis(sj, min(op.trunc, top + h))
+    common = lcm(*(v.denominator for diag in op.diags for v in diag))
     mid = [
         [v.numerator * (common // v.denominator) * scale ** (h - k) for v in diag]
         for k, diag in zip(range(lo, hi + 1), op.diags)

@@ -150,14 +150,14 @@ def extract_pmd(matrix: MonomialMatrix, k: int, order: int) -> PMDecomp:
 
         B_m = L * (column m) - sum_{n < m} C(m, n) Y^(m-n) B_n,
 
-    for T = sum_n A~_n(Y) (d/dY)^n, and A_m(X) = A~_m(D X) / D^m, so each
-    coefficient A_m[i] = B_m[i] D^(i-m) / (L m!) becomes a Fraction once.
+    for T = sum_n A~_n(Y) (d/dY)^n, and A_m(X) = A~_m(D X) / D^m, so A_m
+    is the integer polynomial B_m[i] D^i over L m! D^m, reduced once.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order >= len(matrix.cols):
         raise ValueError(f"matrix has {len(matrix.cols)} columns, need {order + 1}")
-    dpow = powers(matrix.scale, max(order, k))
+    dpow = powers(matrix.scale, order + max(k, 0))
     peeled: list[list[int]] = []
     coeffs: list[Poly] = []
     den = matrix.den
@@ -178,11 +178,7 @@ def extract_pmd(matrix: MonomialMatrix, k: int, order: int) -> PMDecomp:
             raise NotFaithful(f"coefficient A_{m} has degree {len(b) - 1} > {m + k}")
         peeled.append(b)
         den *= max(m, 1)  # L * m!
-        coeffs.append(Poly([
-            (Fraction(v * dpow[i - m], den) if i >= m else Fraction(v, den * dpow[m - i]))
-            if v else _ZERO
-            for i, v in enumerate(b)
-        ]))
+        coeffs.append(Poly([v * d for v, d in zip(b, dpow)], den * dpow[m]))
     return PMDecomp(k, tuple(coeffs))
 
 

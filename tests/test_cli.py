@@ -463,6 +463,24 @@ def test_decompose_renders_integers_past_the_digit_limit(capsys):
     assert digits > 4300
 
 
+@pytest.mark.parametrize("digits,bits", [(41, 138), (101, 338)])
+def test_decompose_caps_parameter_size_by_order(capsys, monkeypatch, digits, bits):
+    # At order 200 these ran for 79 s and 340 s before the cap.
+    _forbid(monkeypatch, "series_decomposition")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose", f"--alpha={10**(digits - 1) + 7}", "--alpha0=0", "--beta=0",
+        "--t=1", "--op=U", "--order=200", "--json",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "invalid input: at --order=200 the parameters may have at most 30 bits in all, "
+        f"got {bits}\n"
+    )
+
+
 def test_characterize_rejects_nonpositive_mean(capsys):
     code, _, err = run_cli(capsys, "characterize", "--combo", "1:1,-1:2")
     assert code == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from meixnerops.exact import ONE, ZERO, Poly, X, format_rat, parse_rat, rational_sqrt
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
-polys = st.lists(rationals, max_size=6).map(Poly)
+polys = st.lists(rationals, max_size=6).map(lambda values: Poly.of(*values))
 
 
 def test_parse_rat():

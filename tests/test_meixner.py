@@ -22,7 +22,7 @@ from meixnerops.meixner import (
 )
 from meixnerops.operators import VerifyReport, commutator, quantum_ops, semi_ops
 from meixnerops.pmd import PMDecomp
-from meixnerops.suites import build_op
+from meixnerops.suites import build_op, extraction_agreement
 
 GAUSSIAN = MeixnerParams(0, 0, 0, 1)
 POISSON = MeixnerParams(1, 1, 0, 1)
@@ -156,6 +156,19 @@ def test_series_decomposition_dispatch():
     assert series_decomposition(POISSON, "U", 3).coeff(0) == Poly.of(F(1, 2))
     with pytest.raises(ValueError):
         series_decomposition(POISSON, "Q", 3)
+
+
+def test_passing_extraction_builds_no_coefficient_fraction(monkeypatch):
+    # Closed forms, peel and comparison all stay on integer polynomials.
+    def forbidden(*args):
+        raise AssertionError("a Fraction coefficient was built")
+
+    monkeypatch.setattr(Poly, "coeffs", property(forbidden))
+    monkeypatch.setattr(Poly, "coeff", forbidden)
+    for p in ALL + (MeixnerParams(F(5, 7), F(-3, 11), F(2, 13), F(7, 5)),):
+        for op in OPS:
+            closed = series_decomposition(p, op, 12)
+            assert extraction_agreement(p, op, 12, closed).passed, (p, op)
 
 
 def test_one_meixner_limit():
@@ -388,7 +401,7 @@ def _apply_rows(expr, f: Poly) -> Poly:
     """Reference action of the rendered terms: sum_i p_i(X) f(X + c_i) over Q."""
     out = Poly.zero()
     for coeffs, shift in expr.terms:
-        out = out + Poly(tuple(c.as_rational() for c in coeffs)) * f.shift(shift.as_rational())
+        out = out + Poly.of(*(c.as_rational() for c in coeffs)) * f.shift(shift.as_rational())
     return out
 
 

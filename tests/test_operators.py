@@ -149,7 +149,7 @@ def test_monomial_matrix_of_number_operator():
     f = monic_polys(GAUSS, 5)
     # N x^m has leading coefficient m (the f_m component dominates)
     for m in range(6):
-        image = Poly([mat[i][m] for i in range(6)])
+        image = Poly.of(*(mat[i][m] for i in range(6)))
         assert image.coeff(m) == m
 
 
@@ -263,8 +263,8 @@ def test_report_expands_the_first_failing_column():
     assert not report.passed
     assert report.max_degree == 7
     assert report.fail_index == 3
-    assert report.residual == Poly(
-        [F(-3653, 84), F(-799, 42), F(401, 28), F(11, 7), F(-3, 7)]
+    assert report.residual == Poly.of(
+        F(-3653, 84), F(-799, 42), F(401, 28), F(11, 7), F(-3, 7)
     )
     f = monic_polys(sj, trunc)
     assert report.residual == -(F(1, 2) * f[2] - 2 * f[3] + F(3, 7) * f[4])

@@ -24,11 +24,16 @@ references are the ``Quadratic`` oracles they replaced: the walk over the
 n + 1 support points of a Binomial law, the Poisson moment recursion, rising
 factorials in Fractions and ``_affine_moments`` in ``Quadratic`` arithmetic,
 with the same errors and messages.
+
+``Poly`` holds integer numerators over one denominator.  Its arithmetic,
+Taylor shift, evaluation and rendering are checked against lists of reduced
+Fraction coefficients, and equal values must have equal fields and hashes.
 """
 
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction as F
-from math import comb, factorial, lcm, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 from random import Random
 
 import pytest
@@ -128,7 +133,7 @@ def reference_extract_pmd(matrix, k, order):
     if order >= len(matrix[0]):
         raise ValueError(f"matrix has {len(matrix[0])} columns, need {order + 1}")
     columns = [
-        Poly([matrix[i][m] for i in range(len(matrix))]) for m in range(order + 1)
+        Poly.of(*(matrix[i][m] for i in range(len(matrix)))) for m in range(order + 1)
     ]
     coeffs = []
     for m, col in enumerate(columns):
@@ -213,8 +218,8 @@ def monomial_matrices(draw):
         coeffs = []
         for n in range(cols):
             top = n + k
-            coeffs.append(Poly(
-                draw(st.lists(rats, max_size=max(0, top + 1))) if top >= 0 else []
+            coeffs.append(Poly.of(
+                *(draw(st.lists(rats, max_size=max(0, top + 1))) if top >= 0 else [])
             ))
         decomp = PMDecomp(k, tuple(coeffs))
         for m in range(cols):
@@ -337,7 +342,7 @@ def parent_extract_pmd(matrix, k, order):
         if b and len(b) - 1 > m + k:
             raise NotFaithful(f"coefficient A_{m} has degree {len(b) - 1} > {m + k}")
         peeled.append(b)
-        coeffs.append(Poly(tuple(F(v, common * factorial(m)) for v in b)))
+        coeffs.append(Poly.of(*(F(v, common * factorial(m)) for v in b)))
     return PMDecomp(k, tuple(coeffs))
 
 
@@ -1000,3 +1005,128 @@ def test_unsupported_messages_are_unchanged():
         with pytest.raises(Unsupported) as exc:
             distribution_moments(classify(p), 4)
         assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------- polynomials
+# ``Poly`` holds integers over one denominator; the reference is the list of
+# reduced Fraction coefficients it replaced, with the same trimming.
+
+
+def _ref_trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_poly_add(a, b):
+    size = max(len(a), len(b))
+    a, b = list(a) + [F(0)] * (size - len(a)), list(b) + [F(0)] * (size - len(b))
+    return _ref_trim(x + y for x, y in zip(a, b))
+
+
+def reference_poly_mul(a, b):
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def reference_poly_derivative(a, order):
+    for _ in range(order):
+        a = _ref_trim(a[i] * i for i in range(1, len(a)))
+    return a
+
+
+def reference_poly_shift(a, c):
+    acc = ()
+    for x in reversed(a):
+        acc = reference_poly_add(reference_poly_mul(acc, (c, F(1))), (x,))
+    return acc
+
+
+def reference_poly_call(a, x):
+    acc = F(0)
+    for v in reversed(a):
+        acc = acc * x + v
+    return acc
+
+
+def reference_poly_str(a):
+    parts = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            lead = "" if mag == 1 else f"{mag}*"
+            body = f"{lead}X" if i == 1 else f"{lead}X^{i}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+poly_values = st.lists(rats | st.just(F(0)), max_size=7)
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_values, poly_values, rats, st.integers(-5, 5), st.integers(0, 3))
+def test_integer_poly_matches_fraction_lists(a, b, c, k, order):
+    ra, rb = _ref_trim(a), _ref_trim(b)
+    pa, pb = Poly.of(*a), Poly.of(*b)
+    assert pa.coeffs == ra
+    assert [pa.coeff(i) for i in range(-1, len(ra) + 1)] == [F(0), *ra, F(0)]
+    assert (pa + pb).coeffs == (pb + pa).coeffs == reference_poly_add(ra, rb)
+    assert (pa - pb).coeffs == reference_poly_add(ra, tuple(-v for v in rb))
+    assert (-pa).coeffs == tuple(-v for v in ra)
+    assert (pa + c).coeffs == (c + pa).coeffs == reference_poly_add(ra, (c,))
+    assert (pa - c).coeffs == reference_poly_add(ra, (-c,))
+    assert (c - pa).coeffs == reference_poly_add((c,), tuple(-v for v in ra))
+    assert (pa * pb).coeffs == reference_poly_mul(ra, rb)
+    assert (pa * c).coeffs == (c * pa).coeffs == reference_poly_mul(ra, (c,))
+    assert (k * pa).coeffs == reference_poly_mul(ra, (F(k),))
+    assert pa.derivative(order).coeffs == reference_poly_derivative(ra, order)
+    assert pa.shift(c).coeffs == reference_poly_shift(ra, c)
+    assert pa.shift(k).coeffs == reference_poly_shift(ra, F(k))
+    assert pa(c) == reference_poly_call(ra, c)
+    assert pa(k) == reference_poly_call(ra, F(k))
+    assert pa.to_json() == [str(v) for v in ra]
+    assert str(pa) == reference_poly_str(ra)
+
+
+@settings(deadline=None, max_examples=150)
+@given(poly_values, poly_values, st.integers(1, 10**6), st.sampled_from([1, -1]))
+def test_equal_polys_have_equal_fields_and_hashes(a, b, factor, sign):
+    pa, pb = Poly.of(*a), Poly.of(*b)
+    assert pa.den > 0 and gcd(pa.den, *pa.nums) == 1 and (not pa.nums or pa.nums[-1])
+    assert pa.coeffs == _ref_trim(a)
+    same = [
+        Poly([v * factor * sign for v in pa.nums] + [0, 0], pa.den * factor * sign),
+        (pa + pb) - pb,
+        pa * Poly.of(F(factor, 7)) * F(7, factor),
+        pa.shift(F(factor, 3)).shift(F(-factor, 3)),
+        Poly.of(*pa.coeffs),
+    ]
+    for q in same:
+        assert q == pa
+        assert (q.nums, q.den) == (pa.nums, pa.den)
+        assert hash(q) == hash(pa)
+
+
+def test_poly_takes_integers_over_a_nonzero_denominator():
+    assert Poly((0, 0)) == Poly() == Poly((), 5) and Poly().den == 1
+    with pytest.raises(TypeError):
+        Poly((F(1, 2),))
+    with pytest.raises(ZeroDivisionError):
+        Poly((1,), 0)
+    # Rendering writes integers past the digits str() allows for an int.
+    big = F(10**5000 + 1, 3**9000)
+    text = f"{Decimal(big.numerator)}/{Decimal(big.denominator)}"
+    assert Poly.of(0, big).to_json() == ["0", text]
+    assert str(Poly.of(-big)) == f"-{text}"
