@@ -109,20 +109,25 @@ class MeixnerDerived:
 
 
 def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
-    """alpha_n = (a1*n + a0)/da and omega_n = (w2*n + w1)*n/dw over integers fixed once."""
-    da = lcm(p.alpha.denominator, p.alpha0.denominator)
-    a1, a0 = int(p.alpha * da), int(p.alpha0 * da)
-    slope = p.t - p.beta
-    dw = lcm(p.beta.denominator, slope.denominator)
-    w2, w1 = int(p.beta * dw), int(slope * dw)
+    """The recurrence over the least common denominator D of alpha_0, alpha_1, omega_1, omega_2.
 
-    def alpha_fn(n: int) -> Fraction:
-        return Fraction(a1 * n + a0, da)
+    In the binomial basis of n, D alpha_n = D alpha_0 + n (D alpha) and
+    D^2 omega_n = n (D^2 t) + C(n, 2) (2 D^2 beta), as omega_1 = t and
+    omega_2 = 2 (beta + t); each bracket is an integer, though D^2 beta need
+    not be (alpha0 = 1/3, beta = 1/2, t = 1 give D = 3).
+    """
+    firsts = (p.alpha0, p.alpha + p.alpha0, p.t, 2 * (p.beta + p.t))
+    scale = lcm(*(v.denominator for v in firsts))
+    a0, a1, w1, w2 = (v.numerator * scale**e // v.denominator for v, e in zip(firsts, (1, 1, 2, 2)))
+    step, bend = a1 - a0, w2 - 2 * w1
 
-    def omega_fn(n: int) -> Fraction:
-        return Fraction((w2 * n + w1) * n, dw)
+    def shift(n: int) -> int:
+        return a0 + n * step
 
-    return SzegoJacobi(alpha_fn, omega_fn, p.derived().support_bound)
+    def link(n: int) -> int:
+        return n * w1 + n * (n - 1) // 2 * bend
+
+    return SzegoJacobi(shift, link, scale, p.derived().support_bound)
 
 
 def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:

@@ -186,15 +186,14 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
         )
     size = trunc + 1
     full = bound is not None and trunc == bound - 1
-    diag = []
+    square = sj.scale * sj.scale
+    diag = [Fraction(sj.shift(n), sj.scale) for n in range(size)]
     down = []
-    for n in range(size):
-        diag.append(Fraction(sj.alpha(n)))
-        if n >= 1:
-            w = Fraction(sj.omega(n))
-            if w <= 0:
-                raise ValueError(f"omega_{n} = {w} is not positive inside the support")
-            down.append(w)
+    for n in range(1, size):
+        w = sj.link(n)
+        if w <= 0:
+            raise ValueError(f"omega_{n} = {sj.omega(n)} is not positive inside the support")
+        down.append(Fraction(w, square))
     aplus = GradedOp(trunc, (1, 1), 0 if full else 1, ((Fraction(1),) * trunc,))
     azero = _diagonal_op(trunc, diag)
     aminus = GradedOp(trunc, (-1, -1), 0, (tuple(down),))
@@ -323,11 +322,11 @@ def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
 
 def change_of_basis(sj: SzegoJacobi, trunc: int) -> Matrix:
     """Matrix C with column n holding the monomial coefficients of f_n."""
-    scale, coeffs, _ = rescaled_basis(sj, trunc)
+    coeffs, _ = rescaled_basis(sj, trunc)
     size = trunc + 1
     # f_n(X) = D^-n g_n(D X), so its X^i coefficient is G[i][n] / D^(n - i).
     return tuple(
-        tuple(Fraction(coeffs[n][i], scale ** (n - i)) if i <= n else _ZERO for n in range(size))
+        tuple(Fraction(coeffs[n][i], sj.scale ** (n - i)) if i <= n else _ZERO for n in range(size))
         for i in range(size)
     )
 
@@ -355,7 +354,8 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
     top = op.trunc if top is None else top
     h = max(hi, 0)
     # Column m reads coords[m] and coeffs[r] for r <= m + h only.
-    scale, coeffs, coords = rescaled_basis(sj, min(op.trunc, top + h))
+    coeffs, coords = rescaled_basis(sj, min(op.trunc, top + h))
+    scale = sj.scale
     common = lcm(*(v.denominator for diag in op.diags for v in diag))
     mid = [
         [v.numerator * (common // v.denominator) * scale ** (h - k) for v in diag]

@@ -37,10 +37,15 @@ class DegenerateMoments(ValueError):
 
 @dataclass(frozen=True)
 class SzegoJacobi:
-    """Recurrence coefficients alpha_n (n >= 0) and omega_n (n >= 1)."""
+    """Recurrence coefficients as integers over one scale D.
 
-    alpha: Callable[[int], Fraction]
-    omega: Callable[[int], Fraction]
+    ``shift(n)`` is D*alpha_n (n >= 0) and ``link(n)`` is D^2*omega_n, with
+    ``link(0) = 0``; ``alpha(n)`` and ``omega(n)`` build the ``Fraction``.
+    """
+
+    shift: Callable[[int], int]
+    link: Callable[[int], int]
+    scale: int
     support_bound: int | None = None
 
     @staticmethod
@@ -49,17 +54,24 @@ class SzegoJacobi:
         omegas: Sequence[RatLike],
         support_bound: int | None = None,
     ) -> "SzegoJacobi":
-        """Wrap finite coefficient lists; omegas[i] holds omega_{i+1}."""
-        alpha_vals = tuple(Fraction(a) for a in alphas)
-        omega_vals = tuple(Fraction(w) for w in omegas)
+        """Finite lists over their least common denominator; omegas[i] holds omega_{i+1}."""
+        alpha_vals = [Fraction(a) for a in alphas]
+        omega_vals = [Fraction(w) for w in omegas]
+        scale = lcm(*(v.denominator for v in alpha_vals + omega_vals))
+        shifts = tuple(a.numerator * (scale // a.denominator) for a in alpha_vals)
+        links = (0, *(w.numerator * (scale * scale // w.denominator) for w in omega_vals))
+        return SzegoJacobi(shifts.__getitem__, links.__getitem__, scale, support_bound)
 
-        def alpha(n: int) -> Fraction:
-            return alpha_vals[n]
+    def alpha(self, n: int) -> Fraction:
+        if n < 0:
+            raise IndexError(f"alpha_{n} is undefined")
+        return Fraction(self.shift(n), self.scale)
 
-        def omega(n: int) -> Fraction:
-            return omega_vals[n - 1]
-
-        return SzegoJacobi(alpha, omega, support_bound)
+    def omega(self, n: int) -> Fraction:
+        """omega_n, with omega_0 = 0."""
+        if n < 0:
+            raise IndexError(f"omega_{n} is undefined")
+        return Fraction(self.link(n), self.scale * self.scale)
 
 
 def _check_degree(sj: SzegoJacobi, n_max: int) -> None:
@@ -87,40 +99,23 @@ def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
     return polys
 
 
-def _integer_recurrence(
-    sj: SzegoJacobi, n_alpha: int, n_omega: int
-) -> tuple[int, list[int], list[int]]:
-    """(D, shift, link) for alpha_0 .. alpha_{n_alpha-1} and omega_1 .. omega_{n_omega-1}.
-
-    D is the least common denominator of those coefficients, ``shift[n]`` is
-    the integer D alpha_n and ``link[n]`` the integer D^2 omega_n; ``link[0]``
-    is 0 and never read.
-    """
-    alphas = [Fraction(sj.alpha(n)) for n in range(n_alpha)]
-    omegas = [Fraction(sj.omega(n)) for n in range(1, n_omega)]
-    scale = lcm(*(v.denominator for v in alphas + omegas))
-    shift = [a.numerator * (scale // a.denominator) for a in alphas]
-    link = [0] + [w.numerator * (scale * scale // w.denominator) for w in omegas]
-    return scale, shift, link
-
-
-def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[int, list[list[int]], list[list[int]]]:
+def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[list[list[int]], list[list[int]]]:
     """The f-basis and its inverse in integers, in the variable Y = D*X.
 
-    D is the least common denominator of alpha_0 .. alpha_{n_max-1} and
-    omega_1 .. omega_{n_max-1}, the coefficients that f_0 .. f_{n_max} use,
-    so g_n(Y) = D^n f_n(Y/D) is monic with integer coefficients:
+    D is ``sj.scale``, so g_n(Y) = D^n f_n(Y/D) is monic with integer
+    coefficients:
 
         g_0 = 1,    g_{n+1} = (Y - D alpha_n) g_n - D^2 omega_n g_{n-1}.
 
-    Returns D, ``coeffs`` with ``coeffs[n][i]`` the Y^i coefficient of g_n,
+    Returns ``coeffs`` with ``coeffs[n][i]`` the Y^i coefficient of g_n,
     and ``coords`` with ``coords[m][n]`` the g_n-coordinate of Y^m.  Both
     are unit upper triangular, so entry n of either list has n + 1 entries;
     ``coords`` follows Y g_n = g_{n+1} + D alpha_n g_n + D^2 omega_n g_{n-1}.
     Each costs O(n_max^2) integer operations.
     """
     _check_degree(sj, n_max)
-    scale, shift, link = _integer_recurrence(sj, n_max, n_max)
+    shift = [sj.shift(n) for n in range(n_max)]
+    link = [sj.link(n) for n in range(n_max)]
     coeffs = [[1]]
     coords = [[1]]
     for n in range(n_max):
@@ -138,7 +133,7 @@ def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[int, list[list[int]], l
                 if j >= 1:
                     y[j - 1] += link[j] * c
         coords.append(y)
-    return scale, coeffs, coords
+    return coeffs, coords
 
 
 @dataclass(frozen=True)
@@ -222,15 +217,16 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
     The state runs on integers in the variable Y = D*X of ``rescaled_basis``:
     with g_n = D^n f_n, Y g_n = g_{n+1} + D alpha_n g_n + D^2 omega_n g_{n-1},
     and the g_0-coordinate of Y^m is D^m E[X^m]; those integers are returned
-    over the scale D.  D only covers the alpha_n and omega_n that can reach
-    an output.
+    over the scale D = ``sj.scale``.  Only the alpha_n and omega_n that can
+    reach an output are read.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     size = m_max // 2 + 1
     if sj.support_bound is not None:
         size = min(size, sj.support_bound)
-    scale, shift, link = _integer_recurrence(sj, min(size, (m_max + 1) // 2), size)
+    shift = [sj.shift(n) for n in range(min(size, (m_max + 1) // 2))]
+    link = [sj.link(n) for n in range(size)]
     state = [1]
     out = [1]
     for m in range(1, m_max + 1):
@@ -247,7 +243,7 @@ def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
                     nxt[n - 1] += link[n] * v
         state = nxt
         out.append(state[0])
-    return MomentSeq(tuple(out), scale)
+    return MomentSeq(tuple(out), sj.scale)
 
 
 def apply_functional(mu: MomentSeq, f: Poly) -> Fraction:

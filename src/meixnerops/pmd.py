@@ -64,7 +64,17 @@ class PMDecomp:
         return len(self.coeffs) - 1
 
     def apply(self, f: Poly) -> Poly:
-        return apply_pmd(self, f)
+        """Evaluate sum_n A_n(X) f^(n) exactly."""
+        out = Poly.zero()
+        df = f
+        for n, a in enumerate(self.coeffs):
+            if n > 0:
+                df = df.derivative()
+                if df.is_zero:
+                    break
+            if not a.is_zero:
+                out = out + a * df
+        return out
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "coeffs": [a.to_json() for a in self.coeffs]}
@@ -84,20 +94,6 @@ class PMDecomp:
             else:
                 parts.append(head)
         return " + ".join(parts)
-
-
-def apply_pmd(decomp: PMDecomp, f: Poly) -> Poly:
-    """Evaluate sum_n A_n(X) f^(n) exactly."""
-    out = Poly.zero()
-    df = f
-    for n, a in enumerate(decomp.coeffs):
-        if n > 0:
-            df = df.derivative()
-            if df.is_zero:
-                break
-        if not a.is_zero:
-            out = out + a * df
-    return out
 
 
 @dataclass(frozen=True)

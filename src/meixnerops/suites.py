@@ -117,11 +117,12 @@ def suite_gramschmidt(rng: Random, degree: int) -> Suite:
     bound = sj.support_bound
     expected_bound = bound if bound is not None and bound <= degree else None
     top = degree if rec.support_bound is None else rec.support_bound
-    # A support mismatch fails at index -1; then the first alpha_n, then omega_n.
+    # A support mismatch fails at index -1; then the first alpha_n, then omega_n,
+    # each as integers cross-multiplied by the other recurrence's scale.
     pairs = chain(
         [(-1, rec.support_bound, expected_bound)],
-        ((n, rec.alpha(n), sj.alpha(n)) for n in range(top)),
-        ((n, rec.omega(n), sj.omega(n)) for n in range(1, top + 1)),
+        ((n, rec.shift(n) * sj.scale, sj.shift(n) * rec.scale) for n in range(top)),
+        ((n, rec.link(n) * sj.scale**2, sj.link(n) * rec.scale**2) for n in range(1, top + 1)),
     )
     return p, [sequence_report("moments -> Gram-Schmidt recovers the recurrence", degree, pairs)]
 

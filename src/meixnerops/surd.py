@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .exact import RatLike, format_rat, rational_sqrt
 
+DIGITS = 12  # significant digits of the decimal rendering
+
 
 @dataclass(frozen=True)
 class Quadratic:
@@ -137,17 +139,17 @@ class Quadratic:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(float(self.s))
 
-    def decimal(self, digits: int = 12) -> str:
-        """``digits`` significant digits in ``%g`` style, also beyond float range."""
+    def decimal(self) -> str:
+        """``DIGITS`` significant digits in ``%g`` style, also beyond float range."""
         try:
             value = float(self)
         except OverflowError:
             value = math.inf
         if math.isfinite(value):
-            return f"{value:.{digits}g}"
-        return self._wide_decimal(digits)
+            return f"{value:.{DIGITS}g}"
+        return self._wide_decimal()
 
-    def _wide_decimal(self, digits: int) -> str:
+    def _wide_decimal(self) -> str:
         """``decimal`` where a float overflows, computed in decimal arithmetic.
 
         The result goes through a float only when it is a normal float.
@@ -155,7 +157,7 @@ class Quadratic:
         def dec(q: Fraction) -> decimal.Decimal:
             return decimal.Decimal(q.numerator) / q.denominator
 
-        wide = decimal.Context(prec=digits + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        wide = decimal.Context(prec=DIGITS + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
         with decimal.localcontext(wide) as ctx:
             root = dec(self.b) * dec(self.s).sqrt()
             if self.a * self.b < 0:
@@ -164,12 +166,12 @@ class Quadratic:
                 value = dec(self.a**2 - self.b**2 * self.s) / (dec(self.a) - root)
             else:
                 value = dec(self.a) + root
-            ctx.prec = digits
+            ctx.prec = DIGITS
             rounded = value.normalize()
         as_float = float(value)
         if sys.float_info.min <= abs(as_float) <= sys.float_info.max:
-            return f"{as_float:.{digits}g}"  # only an operand was beyond float range
-        return f"{rounded:.{digits}g}"
+            return f"{as_float:.{DIGITS}g}"  # only an operand was beyond float range
+        return f"{rounded:.{DIGITS}g}"
 
     def to_json(self) -> object:
         if self.is_rational:

@@ -248,12 +248,12 @@ def _bumped(fn, *indices):
     "perturb,fail_index",
     [
         # A support mismatch is reported first, at index -1.
-        (lambda rec: replace(rec, support_bound=3, alpha=_bumped(rec.alpha, 0)), -1),
+        (lambda rec: replace(rec, support_bound=3, shift=_bumped(rec.shift, 0)), -1),
         # Then the first alpha_n, n < 8, before any omega_n.
-        (lambda rec: replace(rec, alpha=_bumped(rec.alpha, 7), omega=_bumped(rec.omega, 2)), 7),
+        (lambda rec: replace(rec, shift=_bumped(rec.shift, 7), link=_bumped(rec.link, 2)), 7),
         # Then the first omega_n, 1 <= n <= 8.
-        (lambda rec: replace(rec, omega=_bumped(rec.omega, 8, 5)), 5),
-        (lambda rec: replace(rec, alpha=_bumped(rec.alpha, 8), omega=_bumped(rec.omega, 8)), 8),
+        (lambda rec: replace(rec, link=_bumped(rec.link, 8, 5)), 5),
+        (lambda rec: replace(rec, shift=_bumped(rec.shift, 8), link=_bumped(rec.link, 8)), 8),
     ],
 )
 def test_failing_gramschmidt_check_reports_its_first_index(capsys, monkeypatch, perturb, fail_index):
@@ -272,7 +272,7 @@ def test_gramschmidt_check_reads_alpha_below_the_degree_only(capsys, monkeypatch
     # alpha_8 and omega_0 lie outside the recovered recurrence of degree 8.
     code, checks = _gramschmidt_suite(
         capsys, monkeypatch,
-        lambda rec: replace(rec, alpha=_bumped(rec.alpha, 8), omega=_bumped(rec.omega, 0)),
+        lambda rec: replace(rec, shift=_bumped(rec.shift, 8), link=_bumped(rec.link, 0)),
     )
     assert code == 0 and checks[0]["fail_index"] is None
 

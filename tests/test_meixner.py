@@ -1,8 +1,9 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meixnerops.exact import Poly, X, ZERO, rational_sqrt
@@ -64,6 +65,33 @@ def test_szego_jacobi_coefficients():
     sj2 = szego_jacobi(COIN)
     assert sj2.support_bound == 3
     assert [sj2.omega(n) for n in range(1, 4)] == [2, 2, 0]
+
+
+def _fracs(lo, hi):
+    return st.fractions(lo, hi, max_denominator=12)
+
+
+@st.composite
+def meixner_params(draw):
+    """Every class; beta < 0 puts the law on 2 .. 41 points."""
+    alpha, alpha0, t = draw(_fracs(0, 3)), draw(_fracs(-2, 2)), draw(_fracs(F(1, 12), 3))
+    beta = -t / draw(st.integers(1, 40)) if draw(st.booleans()) else draw(_fracs(0, 3))
+    return MeixnerParams(alpha, alpha0, beta, t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(meixner_params(), st.integers(3, 40))
+# D = 3 though D^2 beta = 9/2 is not an integer: D^2 omega_n = 9 n (n + 1) / 2.
+@example(MeixnerParams(0, F(1, 3), F(1, 2), 1), 3)
+def test_szego_jacobi_is_the_recurrence_over_its_least_scale(p, top):
+    sj = szego_jacobi(p)
+    bound = sj.support_bound
+    alphas = [p.alpha * n + p.alpha0 for n in range(41)]
+    omegas = [p.beta * n * n + (p.t - p.beta) * n for n in range(41)]
+    inside = 41 if bound is None else min(41, bound)
+    assert [sj.alpha(n) for n in range(inside)] == alphas[:inside]
+    assert [sj.omega(n) for n in range(min(41, inside + 1))] == omegas[:inside + 1]
+    assert sj.scale == lcm(*(v.denominator for v in alphas[:top + 1] + omegas[1:top + 1]))
 
 
 def test_step1_commutator_closed_form():

@@ -21,9 +21,9 @@ from meixnerops.operators import (
 )
 from meixnerops.orthopoly import SzegoJacobi, monic_polys
 
-POISSON1 = SzegoJacobi(lambda n: F(n + 1), lambda n: F(n))
-GAUSS = SzegoJacobi(lambda n: F(0), lambda n: F(n))
-COIN = SzegoJacobi(lambda n: F(0), lambda n: F(-(n**2) + 3 * n), support_bound=3)
+POISSON1 = SzegoJacobi(lambda n: n + 1, lambda n: n, 1)
+GAUSS = SzegoJacobi(lambda n: 0, lambda n: n, 1)
+COIN = SzegoJacobi(lambda n: 0, lambda n: -(n**2) + 3 * n, 1, support_bound=3)
 
 
 def test_quantum_ops_structure():
@@ -37,7 +37,7 @@ def test_quantum_ops_structure():
 
 
 def test_quantum_ops_reject_nonpositive_omega():
-    bad = SzegoJacobi(lambda n: F(0), lambda n: F(n - 2))
+    bad = SzegoJacobi(lambda n: 0, lambda n: n - 2, 1)
     with pytest.raises(ValueError):
         quantum_ops(bad, 4)
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meixnerops.exact import Poly, X
+from meixnerops.meixner import MeixnerParams, szego_jacobi
+from meixnerops.operators import quantum_ops, to_monomial_basis
 from meixnerops.orthopoly import (
     DegenerateMoments,
     MomentSeq,
@@ -15,13 +17,14 @@ from meixnerops.orthopoly import (
     gram_schmidt_from_moments,
     moments_from_sj,
     monic_polys,
+    rescaled_basis,
 )
 
-GAUSS = SzegoJacobi(lambda n: F(0), lambda n: F(n))
+GAUSS = SzegoJacobi(lambda n: 0, lambda n: n, 1)
 # alpha_n = n + 1, omega_n = n: standard Poisson(1) system
-POISSON1 = SzegoJacobi(lambda n: F(n + 1), lambda n: F(n))
+POISSON1 = SzegoJacobi(lambda n: n + 1, lambda n: n, 1)
 # two-sided coin flip scaled by 2: support {-2, 0, 2}
-COIN = SzegoJacobi(lambda n: F(0), lambda n: F(-(n**2) + 3 * n), support_bound=3)
+COIN = SzegoJacobi(lambda n: 0, lambda n: -(n**2) + 3 * n, 1, support_bound=3)
 
 
 def test_monic_polys_gaussian():
@@ -34,10 +37,20 @@ def test_monic_polys_gaussian():
 
 
 def test_monic_polys_never_reads_omega_0():
-    # omegas[0] is omega_1; omega(0) would wrap to omegas[-1] or raise IndexError.
     assert monic_polys(SzegoJacobi.from_lists([0], []), 1) == [Poly.of(1), X]
     sj = SzegoJacobi.from_lists([1, 2], [3, 5])
     assert monic_polys(sj, 2) == [Poly.of(1), Poly.of(-1, 1), Poly.of(-1, -3, 1)]
+
+
+def test_from_lists_indexes_without_wrapping():
+    sj = SzegoJacobi.from_lists([1, 2], [3, 5])
+    assert sj.omega(0) == 0
+    assert [sj.alpha(n) for n in range(2)] == [1, 2]
+    assert [sj.omega(n) for n in range(1, 3)] == [3, 5]
+    for probe in (lambda: sj.alpha(-1), lambda: sj.omega(-1), lambda: sj.alpha(2),
+                  lambda: sj.omega(3)):
+        with pytest.raises(IndexError):
+            probe()
 
 
 def test_monic_polys_respect_support():
@@ -171,3 +184,43 @@ def test_recurrence_polys_are_orthogonal(alphas, omegas):
     for i in range(4):
         for j in range(i):
             assert apply_functional(mu, f[i] * f[j]) == 0
+
+
+def _forbidden(*args):
+    raise AssertionError("a recurrence Fraction was built")
+
+
+recurrences = st.builds(
+    SzegoJacobi.from_lists,
+    st.lists(small_rats, min_size=8, max_size=8),
+    st.lists(pos_rats, min_size=8, max_size=8),
+) | st.sampled_from([
+    szego_jacobi(MeixnerParams(F(3, 2), F(1, 3), 0, F(5, 4))),
+    szego_jacobi(MeixnerParams(0, F(1, 3), F(1, 2), 1)),
+    szego_jacobi(MeixnerParams(F(5, 7), F(-3, 11), F(2, 13), F(7, 5))),
+    szego_jacobi(MeixnerParams(F(1, 3), F(-1, 2), F(-5, 6), F(5, 3))),
+])
+
+
+@settings(deadline=None, max_examples=40)
+@given(recurrences, st.integers(0, 7))
+def test_integer_kernels_read_only_the_integer_recurrence(sj, n_max):
+    n_max = min(n_max, 7 if sj.support_bound is None else sj.support_bound - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SzegoJacobi, "alpha", _forbidden)
+        patch.setattr(SzegoJacobi, "omega", _forbidden)
+        coeffs, _ = rescaled_basis(sj, n_max)
+        mu = moments_from_sj(sj, 2 * n_max)
+        aplus, azero, aminus = quantum_ops(sj, n_max)
+        x = aminus + azero + aplus
+        matrix = to_monomial_basis(x, sj)
+    d = sj.scale
+    f = monic_polys(sj, n_max)
+    # g_n(Y) = D^n f_n(Y / D) has the Y^i coefficient D^(n - i) times that of f_n.
+    assert f == [Poly.of(*(F(c, d ** (n - i)) for i, c in enumerate(g)))
+                 for n, g in enumerate(coeffs)]
+    assert mu.scale == d
+    assert [apply_functional(mu, f[n]) for n in range(n_max + 1)] == [1] + [0] * n_max
+    # Below the top degree, the position operator takes X^m to X^(m+1).
+    assert all(matrix.entries[i][m] == (i == m + 1) for m in range(min(x.valid_degree + 1, n_max))
+               for i in range(n_max + 1))

@@ -11,7 +11,6 @@ from meixnerops.pmd import (
     NotFaithful,
     PMDecomp,
     XDWord,
-    apply_pmd,
     extract_pmd,
     normal_order,
 )
@@ -44,7 +43,6 @@ def test_apply_matches_incremental_helper():
     f = Poly.of(1, 0, 0, 1)  # 1 + X^3
     direct = d.coeff(0) * f + d.coeff(1) * f.derivative() + d.coeff(2) * f.derivative(2)
     assert d.apply(f) == direct
-    assert apply_pmd(d, f) == direct
 
 
 def test_extract_recovers_known_decomposition():

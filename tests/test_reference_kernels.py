@@ -273,11 +273,20 @@ def test_large_pmd_suite_case_matches_references():
 
 
 def parent_szego_jacobi(p):
+    # Over the common denominator of the four parameters, which clears every
+    # alpha_n and omega_n, though it may exceed the least one.
+    scale = lcm(p.alpha.denominator, p.alpha0.denominator, p.beta.denominator, p.t.denominator)
     return SzegoJacobi(
-        lambda n: p.alpha * n + p.alpha0,
-        lambda n: p.beta * n * n + (p.t - p.beta) * n,
+        lambda n: _integer((p.alpha * n + p.alpha0) * scale),
+        lambda n: _integer((p.beta * n * n + (p.t - p.beta) * n) * scale * scale),
+        scale,
         p.derived().support_bound,
     )
+
+
+def _integer(value):
+    assert value.denominator == 1
+    return value.numerator
 
 
 def parent_build_op(name, sj, trunc):
@@ -290,7 +299,8 @@ def parent_build_op(name, sj, trunc):
 def parent_to_monomial_basis(op, sj):
     lo, hi = op.band
     size = op.trunc + 1
-    scale, coeffs, coords = rescaled_basis(sj, op.trunc)
+    coeffs, coords = rescaled_basis(sj, op.trunc)
+    scale = sj.scale
     common = lcm(*(v.denominator for diag in op.diags for v in diag))
     mid = [
         [v.numerator * (common // v.denominator) * scale ** (hi - k) for v in diag]
