@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
+from operator import mul
 
 from .exact import format_rat, powers
 from .meixner import InvalidParams, MeixnerParams, TranslationCombo, translation_exprs
@@ -123,21 +125,33 @@ def _power_sums(combo: TranslationCombo, top: int) -> tuple[int, list[int]]:
 
 
 def moments_via_recursion(combo: TranslationCombo, m_max: int) -> MomentSeq:
-    """E[X^m] = sum_i c_i sum_{j<m} C(m-1,j) d_i^{m-1-j} E[X^j].
+    """E[X^m] = sum_i c_i E[(X + d_i)^(m-1)], on nu_m = Z^m E[X^m].
 
-    On integers: nu_m = S sum_i (Q c_i) sum_{j<m} C(m-1,j) (Z d_i)^{m-1-j} nu_j.
+    Term i contributes S (Q c_i) T_i[m-1][0], where T_i[n][k] =
+    Z^(n+k) E[X^k (X + d_i)^n] follows Pascal's rule
+
+        T_i[0][k] = nu_k,    T_i[n][k] = T_i[n-1][k+1] + (Z d_i) T_i[n-1][k],
+
+    so each step multiplies a big integer only by the small Z d_i.  A zero
+    shift has T[m-1][0] = nu_(m-1) and folds into one coefficient; every
+    other shift keeps the antidiagonal n + k = m - 1 of its triangle, which
+    ends in T[m-1][0].  No power sum is read.
     """
     ensure_valid(combo)
     q, s, terms = _scaled_terms(combo)
-    # Each term's powers, highest first, so a slice lines up with nu_0 .. nu_{m-1}.
-    falling = [(c, powers(e, m_max)[::-1]) for c, e in terms]
+    still = s * sum(c for c, e in terms if not e)
+    moving = [(s * c, e) for c, e in terms if e]
+    diagonals = [[1] for _ in moving]  # T[0][0] = nu_0
     nu = [1]
     for m in range(1, m_max + 1):
-        weighted = [comb(m - 1, j) * v for j, v in enumerate(nu)]
-        total = 0
-        for c, pw in falling:
-            total += c * sum(w * p for w, p in zip(weighted, pw[m_max - m + 1 :]))
-        nu.append(s * total)
+        v = still * nu[-1] + sum(c * diag[-1] for (c, _), diag in zip(moving, diagonals))
+        nu.append(v)
+        if m < m_max:
+            # T[0][m] = nu_m, then T[n][m-n] = T[n-1][m-n+1] + e T[n-1][m-n].
+            diagonals = [
+                list(accumulate(map(e.__mul__, diag), initial=v))
+                for (_, e), diag in zip(moving, diagonals)
+            ]
     return MomentSeq(tuple(nu), q * s)
 
 
@@ -168,25 +182,31 @@ def laplace_series(combo: TranslationCombo, m_max: int) -> MomentSeq:
     coefficient psi_m = M! Z^m E[X^m] / m! is an integer, the log series of
     phi(Z s) has coefficients K_j / j! with K_j = S sum_i (Q c_i) (Z d_i)^(j-1),
     and m psi_m = sum_j j (K_j / j!) psi_{m-j} = sum_j K_j (psi_{m-j} / (j-1)!),
-    where every division is exact.
+    where every division is exact.  Step m reads the quotients psi_k / j! on
+    the antidiagonal k + j = m - 1, each one exact division by j from the
+    last; the series and the identity check at order m - 1 share them.
     """
     ensure_valid(combo)
     # source[j] / j! is the s^j coefficient of Z * source(Z s).
     z, source = _power_sums(combo, m_max)
     log_scaled = [0, 0] + source[1:m_max]  # K_j for j = 0 .. m_max; K_1 = 0
-    facts = [factorial(j) for j in range(m_max + 1)]
-    psi = [facts[m_max]]
+    psi = [factorial(m_max)]
+    quotients: list[int] = []  # quotients[k] = psi_k / (m - 1 - k)! at step m
     for m in range(1, m_max + 1):
-        acc = sum(log_scaled[j] * (psi[m - j] // facts[j - 1]) for j in range(2, m + 1))
-        psi.append(acc // m)
-    for m in range(m_max):
-        derivative_coeff = (m + 1) * psi[m + 1]
-        product_coeff = sum(source[j] * (psi[m - j] // facts[j]) for j in range(m + 1))
-        if derivative_coeff != product_coeff:
+        quotients = [v // (m - 1 - k) for k, v in enumerate(quotients)]
+        quotients.append(psi[-1])
+        # sum over j = 2 .. m of K_j psi_{m-j} / (j-1)!, with k = m - j
+        psi.append(sum(map(mul, log_scaled[m:1:-1], quotients)) // m)
+        if m * psi[m] != sum(map(mul, source[m - 1 :: -1], quotients)):
             raise ArithmeticError(
-                f"formal transform identity failed at order {m}; series is inconsistent"
+                f"formal transform identity failed at order {m - 1}; series is inconsistent"
             )
-    return MomentSeq(tuple(v * facts[m] // facts[m_max] for m, v in enumerate(psi)), z)
+    # nu_m = psi_m / (M! / m!)
+    nu, falling = [0] * (m_max + 1), 1
+    for m in range(m_max, -1, -1):
+        nu[m] = psi[m] // falling
+        falling *= m
+    return MomentSeq(tuple(nu), z)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Union
 
-from .exact import format_rat, powers
+from .exact import format_rat
 from .meixner import MeixnerParams, szego_jacobi
 from .operators import VerifyReport, sequence_report
 from .orthopoly import MomentSeq, moments_from_sj
@@ -238,19 +238,24 @@ def _products(factors: list[tuple[int, int]], r: int) -> list[tuple[int, int]]:
 
 
 def _from_factorial(factorial: list[tuple[int, int]], q: int, m_max: int) -> list[tuple[int, int]]:
-    """Numerators over q^j of E[Y^j] = sum_k S(j, k) F_k, where F_k = factorial[k] / q^k.
+    """Numerators over q^j of E[Y^j], where factorial[k] / q^k is F_k = E[Y^(falling k)].
 
-    The Stirling numbers of the second kind are made one row at a time,
-    S(j, k) = k S(j-1, k) + S(j-1, k-1); nothing is tabulated.
+    U[j][k] = q^(j+k) E[Y^j Y^(falling k)] follows from
+    Y Y^(falling k) = Y^(falling k+1) + k Y^(falling k):
+
+        U[0][k] = factorial[k],    U[j][k] = U[j-1][k+1] + k q U[j-1][k],
+
+    so each step multiplies a big pair only by the small k q, and U[j][0] is
+    the numerator of E[Y^j].  This is the Stirling transform
+    E[Y^j] = sum_k S(j, k) F_k without tabulating S(j, k).
     """
-    qs = powers(q, m_max)
-    out, row = [], [1]
-    for j in range(m_max + 1):
-        if j:
-            row = [0, *(k * row[k] + row[k - 1] for k in range(1, j)), 1]
-        w = [c * qs[j - k] for k, c in enumerate(row)]
-        out.append((sum(c * f[0] for c, f in zip(w, factorial)),
-                    sum(c * f[1] for c, f in zip(w, factorial))))
+    steps = [k * q for k in range(m_max + 1)]
+    a, b = [x for x, _ in factorial], [y for _, y in factorial]
+    out = []
+    for _ in range(m_max + 1):
+        out.append((a[0], b[0]))
+        a = [x1 + c * x0 for c, x0, x1 in zip(steps, a, a[1:])]
+        b = [y1 + c * y0 for c, y0, y1 in zip(steps, b, b[1:])]
     return out
 
 
@@ -258,26 +263,32 @@ def _affine_moments(raw, q: int, scale, shift, s, m_max: int) -> MomentSeq:
     """E[(scale*Y + shift)^m] for m <= m_max; ``raw[j]`` is the numerator of E[Y^j] over q^j.
 
     raw is a list of integer pairs in Z[sqrt(R)], R = s.num * s.den, and scale
-    and shift are exact numbers in Q(sqrt(s)).  Over D^m, D = sd * q * hd, term j
-    of the binomial expansion is C(m, j) (S hd)^j raw[j] (H sd q)^(m-j), with
-    scale = S / sd and shift = H / hd.  The result holds those integers over
-    the scale D, each after its surd part is checked to vanish.
+    and shift are exact numbers in Q(sqrt(s)).  With scale = S / sd,
+    shift = H / hd and D = sd * q * hd, Z = D * scale * Y has the integer
+    moments E[Z^j] = (S hd)^j raw[j], and T[n][k] = E[Z^k (Z + h)^n] with
+    h = D * shift = H sd q follows Pascal's rule
+
+        T[n][k] = T[n-1][k+1] + h T[n-1][k],
+
+    each step a big pair times the small pair h.  T[m][0] = D^m E[X^m] is
+    kept over the scale D once its surd part is checked to vanish.
     """
     r = s.numerator * s.denominator
     sa, sb, sd = _pair(scale, s)
     ha, hb, hd = _pair(shift, s)
     left = [_mul(x, y, r) for x, y in zip(_products([(sa * hd, sb * hd)] * m_max, r), raw)]
-    right = _products([(ha * sd * q, hb * sd * q)] * m_max, r)
+    a, b = [x for x, _ in left], [y for _, y in left]  # row n of the triangle
+    ha, hb = ha * sd * q, hb * sd * q
+    rhb = r * hb
     out = []
     for m in range(m_max + 1):
-        a = b = 0
-        for j in range(m + 1):
-            (la, lb), (ra, rb), c = left[j], right[m - j], comb(m, j)
-            a += c * (la * ra + r * lb * rb)
-            b += c * (la * rb + lb * ra)
-        if b:
+        if b[0]:
             raise ArithmeticError(f"surd part of E[X^{m}] failed to cancel")
-        out.append(a)
+        out.append(a[0])
+        a, b = (
+            [a1 + ha * a0 + rhb * b0 for a0, a1, b0 in zip(a, a[1:], b)],
+            [b1 + ha * b0 + hb * a0 for a0, b0, b1 in zip(a, b, b[1:])],
+        )
     return MomentSeq(tuple(out), sd * q * hd)
 
 

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from math import isqrt
 from random import Random
 from typing import Callable
 
@@ -44,12 +45,25 @@ MAX_ORDER = 200
 # 1.0 s at order 60 and 13 s at 100.  Capping order^3 * bits caps that cost
 # near the 6.9 s of the first run.
 MAX_ORDER_CUBED_BITS = 240_000_000
-# --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 10
-# points with an irrational sqrt(Delta) (0.8 s at 100 points, 4.3 s at 10^6:
-# the oracle's integers grow with the digits of n, its steps do not), 0.3 s
-# on a Pascal or a Poisson law; characterize on four terms takes 0.2 s (2.8 s
-# at 400).
+# --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 1008
+# points with an irrational sqrt(Delta) (alpha = 1007, alpha0 = 1/1007,
+# beta = -1/1007, t = 1; 1.5 s at 10^6 + 7 points: the oracle's integers grow
+# with the digits of n), under 0.2 s on a Pascal, Gamma or Poisson law;
+# characterize takes 0.1 s on four small terms and 0.3 s on 24.
 MAX_MOMENT = 200
+# classify and characterize also grow with the parameters, about as
+# max_moment^3 * bits^1.6 to bits^1.8, with bits the total bit length of the
+# numerators and denominators (of the four parameters, or of every c_i and
+# d_i).  The cap is on max_moment^3 * bits^2, set by the bits allowed at the
+# largest --max-moment, and was timed at the cap on the costliest inputs found.
+# classify: Binomial laws with alpha = 2^k - 1, alpha0 = 1/alpha,
+# beta = -1/alpha, t = 1 take 5.3 s at 200 (150 bits), 4.3 s at 100, 4.0 s
+# at 50 and 2.8 s at 24; 206 bits took 8.8 s at 200.  characterize: one to
+# ten random shifts p/q with p and q of equal size, coefficients 1 to 3 times
+# the shift and a zero-shift balance take 2.5 to 4.8 s at 200 (400 bits),
+# 1.7 to 3.2 s at 100 and 1.0 to 1.9 s at 50; 1141 bits took 23 s at 200.
+CLASSIFY_BITS_AT_MAX_MOMENT = 150
+CHARACTERIZE_BITS_AT_MAX_MOMENT = 400
 # verify --degree 200, one trial: pmd about 9.6 s (0.57 s at 100), gramschmidt
 # 1.0 s, universal, doublecomm and limit under 0.1 s.
 MAX_DEGREE = 200
@@ -93,12 +107,24 @@ def _cap_reason(bound: int, k: int, order: int) -> str:
     return reason
 
 
-def _max_moment_problem(m: int) -> str | None:
+def _max_moment_problem(m: int, bits: int, bits_at_max: int, holder: str) -> str | None:
+    """Why --max-moment=m is refused for inputs of ``bits`` bits in all, or None."""
     if m < 0:
         return "--max-moment must be nonnegative"
     if m > MAX_MOMENT:
         return f"--max-moment must be at most {MAX_MOMENT}"
+    budget = MAX_MOMENT**3 * bits_at_max**2
+    if m**3 * bits**2 > budget:
+        return (
+            f"at --max-moment={m} the {holder} may have at most "
+            f"{isqrt(budget // m**3)} bits in all, got {bits}"
+        )
     return None
+
+
+def _bits(values) -> int:
+    """Total bit length of the numerators and denominators of exact values."""
+    return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -107,7 +133,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except (InvalidParams, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    problem = _max_moment_problem(args.max_moment)
+    bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
+    problem = _max_moment_problem(
+        args.max_moment, bits, CLASSIFY_BITS_AT_MAX_MOMENT, "parameters"
+    )
     if problem:
         print(f"invalid input: {problem}", file=sys.stderr)
         return 2
@@ -154,10 +183,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise InvalidParams("--order must be nonnegative")
         if args.order > MAX_ORDER:
             raise InvalidParams(f"--order must be at most {MAX_ORDER}")
-        bits = sum(
-            v.numerator.bit_length() + v.denominator.bit_length()
-            for v in (p.alpha, p.alpha0, p.beta, p.t)
-        )
+        bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
         if args.order**3 * bits > MAX_ORDER_CUBED_BITS:
             raise InvalidParams(
                 f"at --order={args.order} the parameters may have at most "
@@ -262,7 +288,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     m = args.max_moment
-    problem = _max_moment_problem(m)
+    bits = _bits(v for term in combo.terms for v in term)
+    problem = _max_moment_problem(m, bits, CHARACTERIZE_BITS_AT_MAX_MOMENT, "combination")
     if problem:
         print(f"invalid input: {problem}", file=sys.stderr)
         return 2

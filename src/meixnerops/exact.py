@@ -33,10 +33,10 @@ def parse_rat(text: str) -> Fraction:
 def format_rat(value: RatLike) -> str:
     """Render as ``"p/q"`` in lowest terms, or ``"p"`` for integers, at any size."""
     value = value if isinstance(value, Fraction) else Fraction(value)
-    return _format_ratio(value.numerator, value.denominator)
+    return format_ratio(value.numerator, value.denominator)
 
 
-def _format_ratio(num: int, den: int) -> str:
+def format_ratio(num: int, den: int) -> str:
     """``"num/den"``, or ``"num"`` when den is 1, for a ratio in lowest terms with den > 0."""
     try:
         return str(num) if den == 1 else f"{num}/{den}"
@@ -224,7 +224,7 @@ class Poly:
 
     def to_json(self) -> list[str]:
         den = self.den
-        return [_format_ratio(v // (g := gcd(v, den)), den // g) for v in self.nums]
+        return [format_ratio(v // (g := gcd(v, den)), den // g) for v in self.nums]
 
     def __str__(self) -> str:
         if self.is_zero:

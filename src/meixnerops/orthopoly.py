@@ -24,7 +24,7 @@ from itertools import count
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
-from .exact import Poly, RatLike, format_rat, powers
+from .exact import Poly, RatLike, format_ratio, powers
 
 
 class TruncationBeyondSupport(ValueError):
@@ -55,12 +55,11 @@ class SzegoJacobi:
         support_bound: int | None = None,
     ) -> "SzegoJacobi":
         """Finite lists over their least common denominator; omegas[i] holds omega_{i+1}."""
-        alpha_vals = [Fraction(a) for a in alphas]
-        omega_vals = [Fraction(w) for w in omegas]
-        scale = lcm(*(v.denominator for v in alpha_vals + omega_vals))
-        shifts = tuple(a.numerator * (scale // a.denominator) for a in alpha_vals)
-        links = (0, *(w.numerator * (scale * scale // w.denominator) for w in omega_vals))
-        return SzegoJacobi(shifts.__getitem__, links.__getitem__, scale, support_bound)
+        return _over_lcm(
+            [(v.numerator, v.denominator) for v in map(Fraction, alphas)],
+            [(v.numerator, v.denominator) for v in map(Fraction, omegas)],
+            support_bound,
+        )
 
     def alpha(self, n: int) -> Fraction:
         if n < 0:
@@ -72,6 +71,19 @@ class SzegoJacobi:
         if n < 0:
             raise IndexError(f"omega_{n} is undefined")
         return Fraction(self.link(n), self.scale * self.scale)
+
+
+def _over_lcm(
+    alphas: list[tuple[int, int]], omegas: list[tuple[int, int]], support_bound: int | None
+) -> SzegoJacobi:
+    """Finite lists of reduced (numerator, denominator) pairs over the lcm of the denominators.
+
+    omegas[i] holds omega_{i+1}.
+    """
+    scale = lcm(*(q for _, q in alphas), *(v for _, v in omegas))
+    shifts = tuple(p * (scale // q) for p, q in alphas)
+    links = (0, *(u * (scale * scale // v) for u, v in omegas))
+    return SzegoJacobi(shifts.__getitem__, links.__getitem__, scale, support_bound)
 
 
 def _check_degree(sj: SzegoJacobi, n_max: int) -> None:
@@ -143,8 +155,8 @@ class MomentSeq:
     ``nums`` are integers over the powers of one positive integer ``scale``,
     as the moment kernels produce them.  Equality is exact and integer:
     sequences with different scales are compared by cross-multiplying with
-    the powers of the scales.  A ``Fraction`` is built only for ``mu[m]``,
-    ``values`` and the JSON rendering.
+    the powers of the scales.  A ``Fraction`` is built only for ``mu[m]``
+    and ``values``.
     """
 
     nums: tuple[int, ...]
@@ -202,7 +214,8 @@ class MomentSeq:
         return iter(self.values)
 
     def to_json(self) -> list[str]:
-        return [format_rat(v) for v in self.values]
+        scales = powers(self.scale, len(self) - 1)
+        return [format_ratio(a // (g := gcd(a, sm)), sm // g) for a, sm in zip(self.nums, scales)]
 
 
 def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:
@@ -267,8 +280,9 @@ def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
     starting from sigma_{-1,l} = 0 and sigma_{0,l} = E[X^l]; sigma_{k,k} is
     the squared norm of f_k.  Each row is held as integers over one
     denominator; row 0 comes straight from the integer moments, and every
-    later row is reduced by its gcd.  It never uses a forward
-    recurrence, only the moments.
+    later row is reduced by its gcd.  Each alpha_n and omega_n is kept as a
+    reduced integer pair, and the recurrence is built over the lcm of their
+    denominators.  It never uses a forward recurrence, only the moments.
 
     If some squared norm vanishes at step n0 <= n_max the functional comes
     from a measure on exactly n0 points; the coefficients found so far are
@@ -282,19 +296,20 @@ def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
         raise ValueError(f"need moments up to order {2 * n_max}, have {len(mu) - 1}")
     top = 2 * n_max
     # sigma_{k,l} = row[l] / row_den for l >= k; prev holds row k - 1.  Row 0
-    # puts E[X^l] = nums[l] / scale^l over scale^top.
+    # puts E[X^l] = nums[l] / scale^l over scale^top.  Every squared norm
+    # row[k] read below is positive.
     scales = powers(mu.scale, top)
     row, row_den = [mu.nums[l] * scales[top - l] for l in range(top + 1)], scales[top]
     prev, prev_den = [0] * (top + 2), 1
-    alphas: list[Fraction] = []
-    omegas: list[Fraction] = []
-    omega = Fraction(0)  # omega_0 f_{-1} vanishes
+    alphas: list[tuple[int, int]] = []  # alpha_n = p / q in lowest terms, q > 0
+    omegas: list[tuple[int, int]] = []  # omega_(n+1) = u / v likewise
+    u, v = 0, 1  # omega_0 f_{-1} vanishes
     for n in range(n_max):
-        alpha = Fraction(row[n + 1], row[n])
+        p, q = row[n + 1], row[n]
         if n:
-            alpha -= Fraction(prev[n], prev[n - 1])
-        p, q = alpha.numerator, alpha.denominator
-        u, v = omega.numerator, omega.denominator
+            p, q = p * prev[n - 1] - prev[n] * q, q * prev[n - 1]
+        common = gcd(p, q)
+        p, q = p // common, q // common
         lead, mid, back = q * v * prev_den, p * v * prev_den, u * q * row_den
         nxt = [0] * (top - n)
         for l in range(n + 1, top - n):
@@ -308,11 +323,12 @@ def gram_schmidt_from_moments(mu: MomentSeq, n_max: int) -> SzegoJacobi:
                 f"squared norm of degree-{n + 1} polynomial is negative: "
                 f"{Fraction(nxt[n + 1], nxt_den)}"
             )
-        omega = Fraction(nxt[n + 1] * row_den, nxt_den * row[n])
-        alphas.append(alpha)
-        omegas.append(omega)
-        if omega == 0:
-            return SzegoJacobi.from_lists(alphas, omegas, support_bound=n + 1)
+        u, v = nxt[n + 1] * row_den, nxt_den * row[n]
+        common = gcd(u, v)
+        u, v = u // common, v // common
+        alphas.append((p, q))
+        omegas.append((u, v))
+        if not u:
+            return _over_lcm(alphas, omegas, support_bound=n + 1)
         prev, prev_den, row, row_den = row, row_den, nxt, nxt_den
-    return SzegoJacobi.from_lists(alphas, omegas, support_bound=None)
-
+    return _over_lcm(alphas, omegas, support_bound=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meixnerops.characterize as characterize_module
 from meixnerops.characterize import (
     DuplicateShift,
     NegativeMean,
@@ -214,3 +215,21 @@ def test_routes_agree_property(pairs):
     assert moments_via_cumulants(combo, 8).values == mu.values
     assert laplace_series(combo, 8).values == mu.values
     assert bound_cert(combo, mu).passed
+
+
+@pytest.mark.parametrize("m_max", [1, 6, 40])
+def test_laplace_identity_check_catches_a_corrupted_source(monkeypatch, m_max):
+    # source[0] = S sum_i (Q c_i) vanishes because the coefficients sum to zero;
+    # the series never reads it, so only the identity check can see it move.
+    original = characterize_module._power_sums
+
+    def corrupted(combo, top):
+        z, source = original(combo, top)
+        return z, [source[0] + 1, *source[1:]]
+
+    monkeypatch.setattr(characterize_module, "_power_sums", corrupted)
+    with pytest.raises(ArithmeticError) as exc:
+        laplace_series(STEP, m_max)
+    assert str(exc.value) == (
+        "formal transform identity failed at order 0; series is inconsistent"
+    )

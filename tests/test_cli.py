@@ -481,6 +481,54 @@ def test_decompose_caps_parameter_size_by_order(capsys, monkeypatch, digits, bit
     )
 
 
+BIG = 10**20 + 7  # 67 bits
+HUGE = 10**600 + 7  # 1994 bits
+MOMENT_KERNELS = {
+    "classify": ("classify", "crosscheck"),
+    "characterize": (
+        "moments_via_recursion", "moments_via_cumulants", "laplace_series", "bound_cert",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,holder,bits", [
+    # Without the caps these ran for 8.5 s and 109 s.
+    (
+        ["classify", f"--alpha={BIG}", f"--alpha0=1/{BIG}", f"--beta=-1/{BIG}", "--t=1"],
+        "parameters", 206,
+    ),
+    (["characterize", f"--combo={HUGE}:1/{HUGE},-{HUGE}:0"], "combination", 5986),
+])
+def test_moment_commands_cap_parameter_size_by_max_moment(capsys, monkeypatch, argv, holder, bits):
+    _forbid(monkeypatch, *MOMENT_KERNELS[argv[0]])
+    allowed = {"parameters": 150, "combination": 400}[holder]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--max-moment=200", "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"invalid input: at --max-moment=200 the {holder} may have at most {allowed} bits "
+        f"in all, got {bits}\n"
+    )
+
+
+@pytest.mark.parametrize("t,refused", [("2", False), ("4", True)])
+def test_classify_parameter_cap_is_inclusive(capsys, monkeypatch, t, refused):
+    # alpha = 2^48 - 1 takes 48 bits, so the four parameters take 147 + bits(t) + 1.
+    c = 2**48 - 1
+    _forbid(monkeypatch, *MOMENT_KERNELS["classify"])
+    argv = ["classify", f"--alpha={c}", f"--alpha0=1/{c}", f"--beta=-1/{c}", f"--t={t}",
+            "--max-moment=200"]
+    if refused:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.endswith("may have at most 150 bits in all, got 151\n")
+    else:
+        with pytest.raises(AssertionError, match="above a size cap"):
+            main(argv)
+
+
 def test_characterize_rejects_nonpositive_mean(capsys):
     code, _, err = run_cli(capsys, "characterize", "--combo", "1:1,-1:2")
     assert code == 2

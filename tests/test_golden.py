@@ -10,6 +10,9 @@ were pinned before the moment kernels moved to integers, and
 ``verify --suite=pmd --degree=48`` before ``decompose`` moved to one integer
 pipeline.  The ``universal``, ``doublecomm`` and ``limit`` suites at degree 12
 were pinned before the suites moved out of the CLI into ``meixnerops.suites``.
+``characterize`` and ``classify`` at ``--max-moment=200`` and
+``verify --suite=gramschmidt --degree=64`` were pinned before the moment
+kernels moved to Pascal's rule and small divisors.
 """
 
 import contextlib
@@ -188,3 +191,40 @@ SUITE_GOLDEN = {
 def test_suite_json_golden_and_deterministic(suite):
     argv = ["verify", f"--suite={suite}", "--degree=12", "--trials=3", "--seed=1", "--json"]
     _assert_golden(argv, SUITE_GOLDEN[suite])
+
+
+# Taken before the moment kernels moved to Pascal's rule and small divisors.
+# characterize: a zero-shift pair, three terms with mixed denominators and a
+# zero shift, two nonzero shifts.
+CHARACTERIZE_GOLDEN_200 = {
+    "1:1,-1:0": "93a717f9b0e025447963f7539161f34bf3e6d8cad6efdd0dfaccf8ac303af16c",
+    "3/2:1/2,-1/3:-2/3,-7/6:0": "352140d220f648794b506a4e00877fa16c4179326338519547a8f0a8fe669a3d",
+    "2:3/2,-2:-5/3": "a85d0dde0adb0c0708a8fb8c6968b25bcd416d11b0f5b5362f3f23194a7a2103",
+}
+# classify: a Binomial law on 7 points with Delta = 7/3, so p is irrational; a
+# Pascal law with sqrt(Delta) = 3/2; a Gamma law.
+CLASSIFY_GOLDEN_200 = {
+    ("1", "-1/2", "-1/3", "2"): "bbbf0e7a1c2982b429c2a251eae7e80c7913f1da58444d85101dc360cbfa592f",
+    ("5/2", "1/7", "1", "2/3"): "b922cac8d1343b02948bf10f086e609be28277429f1de263c4909f0a5e2a75f9",
+    ("1", "-1/2", "1/4", "3/2"): "8495e8a828160ea737bea64de570eb6b432063ab3fd12680cb0849ac554f2a1c",
+}
+GRAMSCHMIDT_GOLDEN_64 = "bcaa0cf5a0ff85fe14e160e2e772bc6f3f84fb0bfb5ccfa2373dd1ac5e534b00"
+
+
+@pytest.mark.parametrize("combo", list(CHARACTERIZE_GOLDEN_200))
+def test_characterize_json_golden_at_200_moments(combo):
+    argv = ["characterize", f"--combo={combo}", "--max-moment=200", "--json"]
+    _assert_golden(argv, CHARACTERIZE_GOLDEN_200[combo])
+
+
+@pytest.mark.parametrize("params", list(CLASSIFY_GOLDEN_200), ids="/".join)
+def test_classify_json_golden_at_200_moments(params):
+    flags = [f"--{k}={v}" for k, v in zip(("alpha", "alpha0", "beta", "t"), params)]
+    _assert_golden(["classify", *flags, "--max-moment=200", "--json"], CLASSIFY_GOLDEN_200[params])
+
+
+def test_gramschmidt_json_golden_at_degree_64():
+    argv = [
+        "verify", "--suite=gramschmidt", "--degree=64", "--trials=3", "--seed=1", "--json",
+    ]
+    _assert_golden(argv, GRAMSCHMIDT_GOLDEN_64)

@@ -25,11 +25,18 @@ n + 1 support points of a Binomial law, the Poisson moment recursion, rising
 factorials in Fractions and ``_affine_moments`` in ``Quadratic`` arithmetic,
 with the same errors and messages.
 
+The moment kernels that now step by Pascal's rule and small divisors (the
+``characterize`` recursion and Laplace series, the Stirling transform and
+the affine step of ``classify``, and the Chebyshev algorithm) are checked
+against the integer kernels they replaced, kept below: the same integers
+over the same scale, the same recurrence fields, the same errors.
+
 ``Poly`` holds integer numerators over one denominator.  Its arithmetic,
 Taylor shift, evaluation and rendering are checked against lists of reduced
 Fraction coefficients, and equal values must have equal fields and hashes.
 """
 
+import importlib
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
@@ -42,6 +49,8 @@ from hypothesis import strategies as st
 
 from meixnerops.characterize import (
     _max_power_over_factorial,
+    _power_sums,
+    _scaled_terms,
     bound_cert,
     laplace_series,
     moments_via_cumulants,
@@ -55,6 +64,9 @@ from meixnerops.classify import (
     Poisson,
     Unsupported,
     _affine_moments,
+    _mul,
+    _pair,
+    _products,
     classify,
     distribution_moments,
 )
@@ -89,6 +101,9 @@ from meixnerops.pmd import MonomialMatrix, NotFaithful, PMDecomp, extract_pmd
 from meixnerops.sampling import sample_params
 from meixnerops.suites import build_op, extraction_agreement
 from meixnerops.surd import Quadratic
+
+# The package's ``classify`` attribute is the function; this is its module.
+classify_module = importlib.import_module("meixnerops.classify")
 
 
 def reference_change_of_basis(sj, trunc):
@@ -1140,3 +1155,200 @@ def test_poly_takes_integers_over_a_nonzero_denominator():
     text = f"{Decimal(big.numerator)}/{Decimal(big.denominator)}"
     assert Poly.of(0, big).to_json() == ["0", text]
     assert str(Poly.of(-big)) == f"-{text}"
+
+
+# ------------------------------------------------------ parent moment kernels
+# The integer moment kernels as they were before each step became a big
+# integer times (or over) a small one.  The current kernels must return the
+# same integers over the same scale.
+
+
+def parent_moments_via_recursion(combo, m_max):
+    q, s, terms = _scaled_terms(combo)
+    falling = [(c, powers(e, m_max)[::-1]) for c, e in terms]
+    nu = [1]
+    for m in range(1, m_max + 1):
+        weighted = [comb(m - 1, j) * v for j, v in enumerate(nu)]
+        total = 0
+        for c, pw in falling:
+            total += c * sum(w * p for w, p in zip(weighted, pw[m_max - m + 1 :]))
+        nu.append(s * total)
+    return MomentSeq(tuple(nu), q * s)
+
+
+def parent_laplace_series(combo, m_max):
+    z, source = _power_sums(combo, m_max)
+    log_scaled = [0, 0] + source[1:m_max]
+    facts = [factorial(j) for j in range(m_max + 1)]
+    psi = [facts[m_max]]
+    for m in range(1, m_max + 1):
+        acc = sum(log_scaled[j] * (psi[m - j] // facts[j - 1]) for j in range(2, m + 1))
+        psi.append(acc // m)
+    for m in range(m_max):
+        derivative_coeff = (m + 1) * psi[m + 1]
+        product_coeff = sum(source[j] * (psi[m - j] // facts[j]) for j in range(m + 1))
+        if derivative_coeff != product_coeff:
+            raise ArithmeticError(
+                f"formal transform identity failed at order {m}; series is inconsistent"
+            )
+    return MomentSeq(tuple(v * facts[m] // facts[m_max] for m, v in enumerate(psi)), z)
+
+
+def parent_from_factorial(factorial_moments, q, m_max):
+    qs = powers(q, m_max)
+    out, row = [], [1]
+    for j in range(m_max + 1):
+        if j:
+            row = [0, *(k * row[k] + row[k - 1] for k in range(1, j)), 1]
+        w = [c * qs[j - k] for k, c in enumerate(row)]
+        out.append((sum(c * f[0] for c, f in zip(w, factorial_moments)),
+                    sum(c * f[1] for c, f in zip(w, factorial_moments))))
+    return out
+
+
+def parent_affine_moments(raw, q, scale, shift, s, m_max):
+    r = s.numerator * s.denominator
+    sa, sb, sd = _pair(scale, s)
+    ha, hb, hd = _pair(shift, s)
+    left = [_mul(x, y, r) for x, y in zip(_products([(sa * hd, sb * hd)] * m_max, r), raw)]
+    right = _products([(ha * sd * q, hb * sd * q)] * m_max, r)
+    out = []
+    for m in range(m_max + 1):
+        a = b = 0
+        for j in range(m + 1):
+            (la, lb), (ra, rb), c = left[j], right[m - j], comb(m, j)
+            a += c * (la * ra + r * lb * rb)
+            b += c * (la * rb + lb * ra)
+        if b:
+            raise ArithmeticError(f"surd part of E[X^{m}] failed to cancel")
+        out.append(a)
+    return MomentSeq(tuple(out), sd * q * hd)
+
+
+def parent_gram_schmidt(mu, n_max):
+    top = 2 * n_max
+    scales = powers(mu.scale, top)
+    row, row_den = [mu.nums[l] * scales[top - l] for l in range(top + 1)], scales[top]
+    prev, prev_den = [0] * (top + 2), 1
+    alphas, omegas = [], []
+    omega = F(0)
+    for n in range(n_max):
+        alpha = F(row[n + 1], row[n])
+        if n:
+            alpha -= F(prev[n], prev[n - 1])
+        p, q = alpha.numerator, alpha.denominator
+        u, v = omega.numerator, omega.denominator
+        lead, mid, back = q * v * prev_den, p * v * prev_den, u * q * row_den
+        nxt = [0] * (top - n)
+        for l in range(n + 1, top - n):
+            nxt[l] = lead * row[l + 1] - mid * row[l] - back * prev[l]
+        nxt_den = q * v * row_den * prev_den
+        common = gcd(nxt_den, *nxt)
+        nxt = [c // common for c in nxt]
+        nxt_den //= common
+        if nxt[n + 1] < 0:
+            raise DegenerateMoments(
+                f"squared norm of degree-{n + 1} polynomial is negative: "
+                f"{F(nxt[n + 1], nxt_den)}"
+            )
+        omega = F(nxt[n + 1] * row_den, nxt_den * row[n])
+        alphas.append(alpha)
+        omegas.append(omega)
+        if omega == 0:
+            return SzegoJacobi.from_lists(alphas, omegas, support_bound=n + 1)
+        prev, prev_den, row, row_den = row, row_den, nxt, nxt_den
+    return SzegoJacobi.from_lists(alphas, omegas, support_bound=None)
+
+
+def _seq_fields(fn, *args):
+    """``(nums, scale)`` of the returned sequence, or the type and message of its error."""
+    try:
+        mu = fn(*args)
+    except (ArithmeticError, Unsupported) as exc:
+        return (type(exc).__name__, str(exc))
+    return mu.nums, mu.scale
+
+
+@settings(deadline=None, max_examples=150)
+@given(valid_combos(), st.integers(0, 60))
+def test_characterize_kernels_match_parent_kernels(combo, m_max):
+    # 2 to 5 terms, with and without a zero shift.
+    assert _seq_fields(moments_via_recursion, combo, m_max) == _seq_fields(
+        parent_moments_via_recursion, combo, m_max
+    )
+    assert _seq_fields(laplace_series, combo, m_max) == _seq_fields(
+        parent_laplace_series, combo, m_max
+    )
+
+
+def _parent_distribution_moments(cls, m_max):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify_module, "_from_factorial", parent_from_factorial)
+        patch.setattr(classify_module, "_affine_moments", parent_affine_moments)
+        return _seq_fields(distribution_moments, cls, m_max)
+
+
+@settings(deadline=None, max_examples=150)
+@given(supported_params() | meixner_params(), st.integers(0, 60))
+def test_classify_oracles_match_parent_kernels(p, m_max):
+    # All six classes; Binomial laws on up to 41 points, with rational and irrational p.
+    cls = classify(p)
+    assert _seq_fields(distribution_moments, cls, m_max) == _parent_distribution_moments(
+        cls, m_max
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_affine_moments_match_parent_on_any_pairs(data):
+    # Integer pairs that are not the moments of a law: the surd part mostly
+    # fails to cancel, and both kernels must name the same order.
+    m_max = data.draw(st.integers(0, 12))
+    s = data.draw(st.sampled_from(RADICANDS))
+    q = data.draw(st.integers(1, 12))
+    ints = st.integers(-50, 50)
+    raw = [(1, 0)] + [
+        (data.draw(ints), data.draw(st.sampled_from([0, 0, 1, -3])) * data.draw(ints))
+        for _ in range(m_max)
+    ]
+    scale, shift = data.draw(quadratics(s)), data.draw(quadratics(s))
+    args = (raw, q, scale, shift, s, m_max)
+    assert _seq_fields(_affine_moments, *args) == _seq_fields(parent_affine_moments, *args)
+    # The same pairs read as factorial moments.
+    assert classify_module._from_factorial(raw, q, m_max) == parent_from_factorial(raw, q, m_max)
+
+
+def _recurrence_fields(fn, mu, n_max):
+    """(shifts, links, scale, support_bound) of the recovered recurrence, or the error."""
+    try:
+        rec = fn(mu, n_max)
+    except DegenerateMoments as exc:
+        return str(exc)
+    top = n_max if rec.support_bound is None else rec.support_bound
+    return (
+        [rec.shift(n) for n in range(top)],
+        [rec.link(n) for n in range(top + 1)],
+        rec.scale,
+        rec.support_bound,
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), st.integers(0, 8), SCALE_FACTORS)
+def test_chebyshev_matches_parent_kernel(data, n_max, factor):
+    # Finite supports, vanishing and negative squared norms.
+    sj, _ = data.draw(signed_recurrences(min_size=max(1, 2 * n_max), max_size=2 * n_max + 1))
+    mu = _over_scale(MomentSeq.from_values(reference_moments_from_sj(sj, 2 * n_max)), factor)
+    assert _recurrence_fields(gram_schmidt_from_moments, mu, n_max) == _recurrence_fields(
+        parent_gram_schmidt, mu, n_max
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(meixner_params(), st.integers(0, 30))
+def test_chebyshev_matches_parent_kernel_on_laws(p, n_max):
+    # Binomial laws stop at their support; the other classes run to n_max.
+    mu = moments_from_sj(szego_jacobi(p), 2 * n_max)
+    assert _recurrence_fields(gram_schmidt_from_moments, mu, n_max) == _recurrence_fields(
+        parent_gram_schmidt, mu, n_max
+    )
