@@ -20,9 +20,8 @@ real consistency check, not a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import lcm
 from typing import Union
 
 from .exact import format_rat
@@ -36,38 +35,44 @@ class Unsupported(ValueError):
     """No exact moment oracle exists for this class or parameter choice."""
 
 
+def _json_fields(law) -> dict:
+    """Each field in declaration order: a rational by ``format_rat``, a surd by
+    ``to_json``, the branches of a Binomial law as field dicts, ``n`` as is."""
+    out = {}
+    for f in fields(law):
+        value = getattr(law, f.name)
+        if isinstance(value, Fraction):
+            value = format_rat(value)
+        elif isinstance(value, Quadratic):
+            value = value.to_json()
+        elif isinstance(value, tuple):
+            value = [_json_fields(branch) for branch in value]
+        out[f.name] = value
+    return out
+
+
+class _Law:
+    def to_json_dict(self) -> dict:
+        return {"class": type(self).__name__, **_json_fields(self)}
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Law):
     mean: Fraction
     variance: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "Gaussian",
-            "mean": format_rat(self.mean),
-            "variance": format_rat(self.variance),
-        }
-
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Law):
     """X = scale * Y + shift with Y ~ Poisson(rate)."""
 
     rate: Fraction
     scale: Fraction
     shift: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "Poisson",
-            "rate": format_rat(self.rate),
-            "scale": format_rat(self.scale),
-            "shift": format_rat(self.shift),
-        }
-
 
 @dataclass(frozen=True)
-class Pascal:
+class Pascal(_Law):
     """X = scale * Y + shift with Y negative binomial: P(Y=y) = C(y+r-1,y) p^r (1-p)^y."""
 
     r: Fraction
@@ -75,35 +80,18 @@ class Pascal:
     scale: Quadratic
     shift: Quadratic
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "Pascal",
-            "r": format_rat(self.r),
-            "p": self.p.to_json(),
-            "scale": self.scale.to_json(),
-            "shift": self.shift.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(_Law):
     """X = scale * Y + shift with Y ~ Gamma(shape) of unit scale."""
 
     shape: Fraction
     scale: Fraction
     shift: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "Gamma",
-            "shape": format_rat(self.shape),
-            "scale": format_rat(self.scale),
-            "shift": format_rat(self.shift),
-        }
-
 
 @dataclass(frozen=True)
-class HyperbolicSecant:
+class HyperbolicSecant(_Law):
     """Continuous class with density proportional to a hyperbolic-secant power.
 
     gamma = sqrt(4*beta - alpha^2), r = 2*sqrt(beta), k = 2t/(r*gamma) and
@@ -116,15 +104,6 @@ class HyperbolicSecant:
     k: Quadratic
     tan_theta: Quadratic
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "HyperbolicSecant",
-            "gamma": self.gamma.to_json(),
-            "r": self.r.to_json(),
-            "k": self.k.to_json(),
-            "tan_theta": self.tan_theta.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class BinomialBranch:
@@ -132,12 +111,9 @@ class BinomialBranch:
     scale: Quadratic
     shift: Quadratic
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p.to_json(), "scale": self.scale.to_json(), "shift": self.shift.to_json()}
-
 
 @dataclass(frozen=True)
-class Binomial:
+class Binomial(_Law):
     """X = scale * Y + shift with Y ~ Binomial(n, p); two equivalent branches.
 
     The success probability satisfies (1 - 2p)^2 = success_radicand; the two
@@ -147,14 +123,6 @@ class Binomial:
     n: int
     success_radicand: Fraction
     branches: tuple[BinomialBranch, BinomialBranch]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class": "Binomial",
-            "n": self.n,
-            "success_radicand": format_rat(self.success_radicand),
-            "branches": [b.to_json_dict() for b in self.branches],
-        }
 
 
 MeixnerClass = Union[Gaussian, Poisson, Pascal, Gamma, HyperbolicSecant, Binomial]
@@ -214,16 +182,6 @@ def classify(p: MeixnerParams) -> MeixnerClass:
     )
 
 
-def _pair(x, s) -> tuple[int, int, int]:
-    """x = a + b*sqrt(s) as integers (A, B, d): x = (A + B*sqrt(R)) / d, R = s.num * s.den.
-
-    sqrt(s) = sqrt(R) / s.denominator; a rational x (not a ``Quadratic``) has B = 0.
-    """
-    a, c = (x.a, x.b / s.denominator) if isinstance(x, Quadratic) else (Fraction(x), Fraction(0))
-    d = lcm(a.denominator, c.denominator)
-    return a.numerator * (d // a.denominator), c.numerator * (d // c.denominator), d
-
-
 def _mul(x: tuple[int, int], y: tuple[int, int], r: int) -> tuple[int, int]:
     """(x0 + x1*sqrt(r)) * (y0 + y1*sqrt(r)) on integer pairs."""
     return x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -259,23 +217,23 @@ def _from_factorial(factorial: list[tuple[int, int]], q: int, m_max: int) -> lis
     return out
 
 
-def _affine_moments(raw, q: int, scale, shift, s, m_max: int) -> MomentSeq:
+def _affine_moments(raw, q: int, scale: Quadratic, shift: Quadratic, m_max: int) -> MomentSeq:
     """E[(scale*Y + shift)^m] for m <= m_max; ``raw[j]`` is the numerator of E[Y^j] over q^j.
 
-    raw is a list of integer pairs in Z[sqrt(R)], R = s.num * s.den, and scale
-    and shift are exact numbers in Q(sqrt(s)).  With scale = S / sd,
-    shift = H / hd and D = sd * q * hd, Z = D * scale * Y has the integer
-    moments E[Z^j] = (S hd)^j raw[j], and T[n][k] = E[Z^k (Z + h)^n] with
-    h = D * shift = H sd q follows Pascal's rule
+    raw is a list of integer pairs in Z[sqrt(R)], and scale and shift lie in
+    Q(sqrt(R)); R is read from whichever of them is irrational.  With
+    scale = S / sd, shift = H / hd and D = sd * q * hd, Z = D * scale * Y has
+    the integer moments E[Z^j] = (S hd)^j raw[j], and T[n][k] = E[Z^k (Z + h)^n]
+    with h = D * shift = H sd q follows Pascal's rule
 
         T[n][k] = T[n-1][k+1] + h T[n-1][k],
 
     each step a big pair times the small pair h.  T[m][0] = D^m E[X^m] is
     kept over the scale D once its surd part is checked to vanish.
     """
-    r = s.numerator * s.denominator
-    sa, sb, sd = _pair(scale, s)
-    ha, hb, hd = _pair(shift, s)
+    r = scale.int_radicand or shift.int_radicand
+    sa, sb, sd = scale.num, scale.root, scale.den
+    ha, hb, hd = shift.num, shift.root, shift.den
     left = [_mul(x, y, r) for x, y in zip(_products([(sa * hd, sb * hd)] * m_max, r), raw)]
     a, b = [x for x, _ in left], [y for _, y in left]  # row n of the triangle
     ha, hb = ha * sd * q, hb * sd * q
@@ -293,13 +251,11 @@ def _affine_moments(raw, q: int, scale, shift, s, m_max: int) -> MomentSeq:
 
 
 def _binomial_branch_moments(n: int, branch: BinomialBranch, m_max: int) -> MomentSeq:
-    s = branch.scale.s  # the radicand of sqrt(Delta), shared by p and shift
-    r = s.numerator * s.denominator
-    pa, pb, q = _pair(branch.p, s)
+    p = branch.p
     # F_k = n^(falling k) p^k; the factor n - k is 0 once k > n.
-    factorial = _products([((n - k) * pa, (n - k) * pb) for k in range(m_max)], r)
-    raw = _from_factorial(factorial, q, m_max)
-    return _affine_moments(raw, q, branch.scale, branch.shift, s, m_max)
+    falling = [((n - k) * p.num, (n - k) * p.root) for k in range(m_max)]
+    raw = _from_factorial(_products(falling, p.int_radicand), p.den, m_max)
+    return _affine_moments(raw, p.den, branch.scale, branch.shift, m_max)
 
 
 def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
@@ -320,7 +276,7 @@ def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
         vn, vd = cls.variance.numerator, cls.variance.denominator
         even = _products([((2 * i + 1) * vn * vd, 0) for i in range(m_max // 2)], 0)
         raw = [(0, 0) if j % 2 else even[j // 2] for j in range(m_max + 1)]
-        return _affine_moments(raw, vd, 1, cls.mean, 0, m_max)
+        return _affine_moments(raw, vd, Quadratic.of(1), Quadratic.of(cls.mean), m_max)
     if isinstance(cls, Poisson):
         ln, q = cls.rate.numerator, cls.rate.denominator
         raw = _from_factorial(_products([(ln, 0)] * m_max, 0), q, m_max)
@@ -335,9 +291,10 @@ def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
         q = rd * ratio.denominator
         rising = [((rn + i * rd) * ratio.numerator, 0) for i in range(m_max)]
         raw = _from_factorial(_products(rising, 0), q, m_max)
+        return _affine_moments(raw, q, cls.scale, cls.shift, m_max)
     else:
         raise Unsupported("no exact moment oracle for the hyperbolic secant class")
-    return _affine_moments(raw, q, cls.scale, cls.shift, 0, m_max)
+    return _affine_moments(raw, q, Quadratic.of(cls.scale), Quadratic.of(cls.shift), m_max)
 
 
 def crosscheck(p: MeixnerParams, m_max: int) -> VerifyReport:

@@ -1,9 +1,13 @@
-"""Exact numbers of the form a + b*sqrt(s) with rational a, b and s >= 0.
+"""Exact numbers a + b*sqrt(s) with rational a, b and s >= 0, held as integers.
 
 Classification reports involve square roots of rational discriminants.  They
-are kept symbolic: the radicand stays exact, a perfect-square radicand folds
-into the rational part, and arithmetic stays inside one quadratic extension.
-Decimal strings are offered for display only.
+are kept symbolic: with R = s.numerator * s.denominator, sqrt(s) is
+sqrt(R) / s.denominator, so a + b*sqrt(s) is (A + B*sqrt(R)) / d for
+integers A, B and d.  Those integers are the whole value; the moment kernels
+of ``classify`` read them directly, and ``s`` is kept as given for rendering.
+A perfect-square radicand folds into the rational part at construction.  The
+only arithmetic is negation and scaling by a rational.  Decimal strings are
+offered for display only.
 """
 
 from __future__ import annotations
@@ -13,172 +17,144 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .exact import RatLike, format_rat, rational_sqrt
+from .exact import RatLike, format_rat, format_ratio, rational_sqrt
 
 DIGITS = 12  # significant digits of the decimal rendering
+# ``_wide_decimal`` works with 20 guard digits and no exponent limit.
+WIDE = decimal.Context(prec=DIGITS + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Quadratic:
-    """Normalized a + b*sqrt(s): b = 0 for rationals, s square-free-ish kept raw."""
+    """(num + root*sqrt(R)) / den with R = s.numerator * s.denominator.
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
+    Canonical, so field equality and hash are exact: den > 0,
+    gcd(num, root, den) = 1, and root = 0 forces s = 0.  A nonzero root
+    means s is not a rational square.
+    """
 
-    def __post_init__(self) -> None:
-        a, b, s = Fraction(self.a), Fraction(self.b), Fraction(self.s)
+    num: int
+    root: int
+    den: int
+    s: Fraction
+
+    def __init__(self, a: RatLike, b: RatLike = 0, s: RatLike = 0) -> None:
+        """The number a + b*sqrt(s)."""
+        a, b, s = Fraction(a), Fraction(b), Fraction(s)
         if s < 0:
             raise ValueError("radicand must be nonnegative")
-        root = rational_sqrt(s)
-        if root is not None:
-            a, b, s = a + b * root, Fraction(0), Fraction(0)
-        if b == 0:
-            s = Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "s", s)
+        square = rational_sqrt(s) if b else None
+        if square is not None:
+            a, b = a + b * square, Fraction(0)
+        root_den = b.denominator * s.denominator  # b*sqrt(s) = b.numerator*sqrt(R) / root_den
+        den = lcm(a.denominator, root_den)
+        num, root = a.numerator * (den // a.denominator), b.numerator * (den // root_den)
+        self._set(num, root, den, s)
 
-    @staticmethod
-    def _exact(a: Fraction, b: Fraction, s: Fraction) -> "Quadratic":
-        """An arithmetic result: a and b are Fractions, s an operand's radicand.
+    def _set(self, num: int, root: int, den: int, s: Fraction) -> None:
+        common = gcd(num, root, den)
+        object.__setattr__(self, "num", num // common)
+        object.__setattr__(self, "root", root // common)
+        object.__setattr__(self, "den", den // common)
+        object.__setattr__(self, "s", s if root else Fraction(0))
 
-        That radicand was normalized when its operand was built, so only the
-        b = 0 rule is left to apply; ``rational_sqrt`` is not called again.
-        """
+    def _new(self, num: int, root: int, den: int) -> "Quadratic":
+        """A result in this number's extension, whose radicand is already normalized."""
         out = object.__new__(Quadratic)
-        object.__setattr__(out, "a", a)
-        object.__setattr__(out, "b", b)
-        object.__setattr__(out, "s", s if b else Fraction(0))
+        out._set(num, root, den, self.s)
         return out
 
     @staticmethod
     def of(value: RatLike) -> "Quadratic":
-        return Quadratic(Fraction(value))
+        return Quadratic(value)
 
     @staticmethod
     def sqrt(radicand: RatLike) -> "Quadratic":
-        return Quadratic(Fraction(0), Fraction(1), Fraction(radicand))
+        return Quadratic(0, 1, radicand)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.root * self.s.denominator, self.den)
+
+    @property
+    def int_radicand(self) -> int:
+        """R, with sqrt(s) = sqrt(R) / s.denominator; 0 for a rational."""
+        return self.s.numerator * self.s.denominator
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.root == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
         return self.a
 
-    def conjugate(self) -> "Quadratic":
-        return Quadratic._exact(self.a, -self.b, self.s)
-
-    def _join(self, other: "Quadratic") -> Fraction:
-        if self.b == 0:
-            return other.s
-        if other.b == 0 or self.s == other.s:
-            return self.s
-        raise ValueError(f"incompatible radicands {self.s} and {other.s}")
-
-    def _coerce(self, other: object) -> "Quadratic | None":
-        if isinstance(other, Quadratic):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Quadratic._exact(Fraction(other), Fraction(0), Fraction(0))
-        return None
-
-    def __add__(self, other: object) -> "Quadratic":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        s = self._join(rhs)
-        return Quadratic._exact(self.a + rhs.a, self.b + rhs.b, s)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "Quadratic":
-        return Quadratic._exact(-self.a, -self.b, self.s)
-
-    def __sub__(self, other: object) -> "Quadratic":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "Quadratic":
-        return (-self) + other
+        return self._new(-self.num, -self.root, self.den)
 
     def __mul__(self, other: object) -> "Quadratic":
-        if isinstance(other, (int, Fraction)):
-            return Quadratic._exact(self.a * other, self.b * other, self.s)
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        s = self._join(rhs)
-        return Quadratic._exact(
-            self.a * rhs.a + self.b * rhs.b * s,
-            self.a * rhs.b + self.b * rhs.a,
-            s,
-        )
+        p, q = other.numerator, other.denominator
+        return self._new(self.num * p, self.root * p, self.den * q)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Quadratic":
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        out = Quadratic._exact(Fraction(1), Fraction(0), Fraction(0))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.s))
+        # Each integer quotient is the correctly rounded float of a or of b.
+        a, b = self.num / self.den, self.root * self.s.denominator / self.den
+        return a + b * math.sqrt(float(self.s))
 
     def decimal(self) -> str:
-        """``DIGITS`` significant digits in ``%g`` style, also beyond float range."""
-        try:
-            value = float(self)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return f"{value:.{DIGITS}g}"
+        """``DIGITS`` significant digits in ``%g`` style, also beyond float range.
+
+        The float sum serves only terms of one sign: terms of opposite sign
+        may cancel, and take the exact route of ``_wide_decimal``.
+        """
+        if self.num * self.root >= 0:
+            try:
+                value = float(self)
+            except OverflowError:
+                value = math.inf
+            if math.isfinite(value):
+                return f"{value:.{DIGITS}g}"
         return self._wide_decimal()
 
     def _wide_decimal(self) -> str:
-        """``decimal`` where a float overflows, computed in decimal arithmetic.
+        """``decimal`` in decimal arithmetic, where a float overflows or cancels.
 
         The result goes through a float only when it is a normal float.
         """
-        def dec(q: Fraction) -> decimal.Decimal:
-            return decimal.Decimal(q.numerator) / q.denominator
-
-        wide = decimal.Context(prec=DIGITS + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        with decimal.localcontext(wide) as ctx:
-            root = dec(self.b) * dec(self.s).sqrt()
-            if self.a * self.b < 0:
-                # a + b*sqrt(s) = (a^2 - b^2 s) / (a - b*sqrt(s)): the numerator is
+        r = self.int_radicand
+        with decimal.localcontext(WIDE) as ctx:  # a copy, so WIDE keeps its precision
+            surd = self.root * decimal.Decimal(r).sqrt()
+            if self.num * self.root < 0:
+                # A + B sqrt(R) = (A^2 - B^2 R) / (A - B sqrt(R)): the numerator is
                 # exact and the denominator adds terms of one sign, so nothing cancels.
-                value = dec(self.a**2 - self.b**2 * self.s) / (dec(self.a) - root)
+                value = (self.num**2 - self.root**2 * r) / (self.num - surd) / self.den
             else:
-                value = dec(self.a) + root
+                value = (self.num + surd) / self.den
             ctx.prec = DIGITS
             rounded = value.normalize()
         as_float = float(value)
         if sys.float_info.min <= abs(as_float) <= sys.float_info.max:
-            return f"{as_float:.{DIGITS}g}"  # only an operand was beyond float range
+            return f"{as_float:.{DIGITS}g}"
         return f"{rounded:.{DIGITS}g}"
 
     def to_json(self) -> object:
+        rational_part = _format_reduced(self.num, self.den)
         if self.is_rational:
-            return format_rat(self.a)
+            return rational_part
         return {
-            "rational_part": format_rat(self.a),
-            "root_coefficient": format_rat(self.b),
+            "rational_part": rational_part,
+            "root_coefficient": _format_reduced(self.root * self.s.denominator, self.den),
             "radicand": format_rat(self.s),
             "decimal": self.decimal(),
         }
@@ -193,3 +169,9 @@ class Quadratic:
             return scaled if self.b > 0 else f"-{scaled}"
         sign = "+" if self.b > 0 else "-"
         return f"{format_rat(self.a)} {sign} {scaled}"
+
+
+def _format_reduced(num: int, den: int) -> str:
+    """``format_rat`` of num/den, den > 0, with no ``Fraction`` built."""
+    common = gcd(num, den)
+    return format_ratio(num // common, den // common)

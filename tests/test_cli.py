@@ -449,6 +449,17 @@ def test_classify_renders_values_beyond_float_range(capsys):
     assert report["classification"]["shift"]["decimal"] == "1e+400"
 
 
+def test_classify_renders_nearly_cancelling_surds_exactly(capsys):
+    # p = 0.999999999999... and shift = -1.000000000001...; summed in floats,
+    # they printed 0.999938964844 and -1.00006103516.
+    code, out, _ = run_cli(
+        capsys, "classify", "--alpha=1", "--alpha0=0", "--beta=1/1000000000000", "--t=1", "--json"
+    )
+    assert code == 0
+    law = json.loads(out)["classification"]
+    assert (law["p"]["decimal"], law["shift"]["decimal"]) == ("0.999999999999", "-1")
+
+
 def test_decompose_renders_integers_past_the_digit_limit(capsys):
     # The coefficients outgrow the 4300 digits str() writes for an int by default.
     code, out, err = run_cli(

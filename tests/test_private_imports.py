@@ -3,11 +3,12 @@
 A name that starts with an underscore belongs to its module.  When another
 module needs it, it gets a public name where it is defined.
 
-A public top-level function or class must be reached by the program: some
-package module other than ``__init__`` (its own module counts), a script or
-the benchmark refers to it.  The benchmark tracer names its targets in
-strings such as ``"GradedOp.compose"``, so string parts count there.  Only
-documented features and test oracles in ``KEPT`` are exempt.
+A public top-level function or class, and a public method or property of a
+package class, must be reached by the program: some package module other
+than ``__init__`` (its own module counts), a script or the benchmark refers
+to it by name.  The benchmark tracer names its targets in strings such as
+``"GradedOp.compose"``, so string parts count there.  Only documented
+features and test oracles in ``KEPT`` are exempt.
 """
 
 import ast
@@ -17,7 +18,18 @@ import meixnerops
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "meixnerops"
-KEPT = {"beta0_combo", "class_predicates", "normal_order", "sample_combo"}
+KEPT = {
+    "beta0_combo",
+    "class_predicates",
+    "normal_order",
+    "sample_combo",
+    # Test conveniences: they build or read a value in the form a test writes.
+    "GradedOp.entries",  # the band as a dict, for asserting on entries
+    "MonomialMatrix.entries",  # the same for the monomial-basis matrix
+    "MonomialMatrix.from_fractions",  # a matrix from Fraction entries
+    "SzegoJacobi.from_lists",  # a recurrence from alpha and omega lists
+    "MomentSeq.from_values",  # a moment sequence from rational values
+}
 
 
 def private_imports(path: Path) -> list[str]:
@@ -68,21 +80,33 @@ def referenced_names(path: Path, strings: bool = False) -> set[str]:
     return found
 
 
+def public_definitions(path: Path) -> dict[str, str]:
+    """Reported name -> bare name of each public top-level function and class,
+    and of each public method and property of a class (``"Class.method"``)."""
+    found = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    found[f"{node.name}.{member.name}"] = member.name
+    return found
+
+
 def unreferenced(package: Path, *outside: Path) -> list[str]:
-    """Public top-level functions and classes of ``package`` that nothing reaches."""
-    defined, used = set(), set()
+    """Public names of ``package`` (functions, classes, methods) that nothing reaches."""
+    defined, used = {}, set()
     for path in package.glob("*.py"):
-        defined |= {
-            node.name
-            for node in ast.parse(path.read_text(), str(path)).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        }
+        defined.update(public_definitions(path))
         if path.name != "__init__.py":
             used |= referenced_names(path)
     for directory in outside:
         for path in directory.glob("*.py"):
             used |= referenced_names(path, strings=True)
-    return sorted(defined - used)
+    return sorted(full for full, bare in defined.items() if bare not in used)
 
 
 def test_every_public_name_is_reached():
@@ -95,11 +119,17 @@ def test_unreferenced_names_are_found(tmp_path):
     bench.mkdir()
     (package / "__init__.py").write_text("from .a import dead, traced, used\n")
     (package / "a.py").write_text(
-        "def dead(): pass\ndef traced(): pass\nclass Used: pass\ndef used(): return Used()\n"
+        "def dead(): pass\ndef traced(): pass\ndef used(): return Used().size\n"
+        "class Used:\n"
+        "    def __len__(self): pass\n"
+        "    def _helper(self): pass\n"
+        "    @property\n"
+        "    def size(self): pass\n"
+        "    def unused(self): pass\n"
     )
     (package / "b.py").write_text("from .a import used\n")
     (bench / "tracer.py").write_text('TARGETS = [("a", "traced.__call__")]\n')
-    assert unreferenced(package, bench) == ["dead"]
+    assert unreferenced(package, bench) == ["Used.unused", "dead"]
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -14,16 +14,17 @@ of the recurrence matrix in Fractions, the Chebyshev algorithm against
 polynomial Gram-Schmidt (same recovered coefficients, same support bound,
 same ``DegenerateMoments`` message), the leading Hankel minors of the
 moments against their closed form (the product of the squared norms
-omega_1 ... omega_i, i <= k), the three integer ``characterize``
-routes and the growth certificate against their Fraction recurrences, and
-``Quadratic`` arithmetic against a constructor that normalizes every result.
+omega_1 ... omega_i, i <= k), and the three integer ``characterize``
+routes and the growth certificate against their Fraction recurrences.
 
-The ``classify`` oracles run on integer pairs in Z[sqrt(R)] through one
-Stirling transform of factorial moments and one affine step.  Their
-references are the ``Quadratic`` oracles they replaced: the walk over the
-n + 1 support points of a Binomial law, the Poisson moment recursion, rising
-factorials in Fractions and ``_affine_moments`` in ``Quadratic`` arithmetic,
-with the same errors and messages.
+The ``classify`` oracles run on the integers (A + B*sqrt(R))/d that
+``Quadratic`` holds, through one Stirling transform of factorial moments and
+one affine step.  Their references are the oracles they replaced: the walk
+over the n + 1 support points of a Binomial law, the Poisson moment
+recursion, rising factorials in Fractions and the termwise affine sum.  Where
+those meet surds they compute in ``Surd``, this file's own arithmetic on
+Fraction pairs, which reads a ``Quadratic`` only through its a, b and s; the
+errors and messages must be the same.
 
 The moment kernels that now step by Pascal's rule and small divisors (the
 ``characterize`` recursion and Laplace series, the Stirling transform and
@@ -37,7 +38,7 @@ Fraction coefficients, and equal values must have equal fields and hashes.
 """
 
 import importlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction as F
 from math import comb, factorial, gcd, lcm, perm, prod
@@ -65,7 +66,6 @@ from meixnerops.classify import (
     Unsupported,
     _affine_moments,
     _mul,
-    _pair,
     _products,
     classify,
     distribution_moments,
@@ -817,21 +817,23 @@ def reference_poisson_raw(rate, m_max):
 
 
 def reference_binomial(cls, m_max):
-    """Both branches by a walk over the n + 1 support points, in ``Quadratic`` arithmetic."""
+    """Both branches by a walk over the n + 1 support points, in ``Surd`` arithmetic."""
     per_branch = []
     for branch in cls.branches:
-        successes = powers(branch.p, cls.n)
-        failures = powers(1 - branch.p, cls.n)
+        p = Surd.of(branch.p)
+        successes = powers(p, cls.n)
+        failures = powers(1 - p, cls.n)
         weights = [comb(cls.n, y) * successes[y] * failures[cls.n - y] for y in range(cls.n + 1)]
         raw = [
-            sum((weights[y] * y**m for y in range(cls.n + 1)), Quadratic.of(0))
+            sum((weights[y] * y**m for y in range(cls.n + 1)), Surd.of(0))
             for m in range(m_max + 1)
         ]
-        moments = reference_affine_moments(raw, branch.scale, branch.shift, m_max)
+        scale, shift = Surd.of(branch.scale), Surd.of(branch.shift)
+        moments = reference_affine_moments(raw, scale, shift, m_max)
         for m, value in enumerate(moments):
-            if not value.is_rational:
+            if value.b:
                 raise ArithmeticError(f"surd part of E[X^{m}] failed to cancel")
-        per_branch.append([value.as_rational() for value in moments])
+        per_branch.append([value.a for value in moments])
     if per_branch[0] != per_branch[1]:
         raise ArithmeticError("the two binomial branches disagree; they must describe one law")
     return per_branch[0]
@@ -868,14 +870,47 @@ def reference_distribution_moments(cls, m_max):
     raise Unsupported("no exact moment oracle for the hyperbolic secant class")
 
 
-# The arithmetic of ``Quadratic`` with every result built by the constructor.
-def reference_add(x, y):
-    return Quadratic(x.a + y.a, x.b + y.b, x._join(y))
+@dataclass(frozen=True)
+class Surd:
+    """a + b*sqrt(s) on Fractions: the oracles' arithmetic in one extension Q(sqrt(s)).
 
+    A rational takes the radicand of the number it meets; two irrational
+    operands must share theirs.  It reads a ``Quadratic`` only through its
+    a, b and s, and shares no code with ``surd``.
+    """
 
-def reference_mul(x, y):
-    s = x._join(y)
-    return Quadratic(x.a * y.a + x.b * y.b * s, x.a * y.b + x.b * y.a, s)
+    a: F
+    b: F = F(0)
+    s: F = F(0)
+
+    @staticmethod
+    def of(x):
+        """A ``Quadratic`` (read through its a, b and s), a ``Surd`` or a rational."""
+        return Surd(x.a, x.b, x.s) if isinstance(x, (Quadratic, Surd)) else Surd(F(x))
+
+    def _join(self, y):
+        assert not (self.s and y.s) or self.s == y.s, (self.s, y.s)
+        return self.s or y.s
+
+    def __add__(self, other):
+        y = Surd.of(other)
+        return Surd(self.a + y.a, self.b + y.b, self._join(y))
+
+    def __neg__(self):
+        return Surd(-self.a, -self.b, self.s)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        y = Surd.of(other)
+        s = self._join(y)
+        return Surd(self.a * y.a + self.b * y.b * s, self.a * y.b + self.b * y.a, s)
+
+    __rmul__ = __mul__
+
+    def quadratic(self):
+        return Quadratic(self.a, self.b, self.s)
 
 
 # Perfect squares fold into the rational part; the others stay symbolic.
@@ -895,31 +930,22 @@ def _fields(q):
 @given(st.data())
 def test_quadratic_results_are_normalized(data):
     s = data.draw(st.sampled_from(RADICANDS))
-    x, y = data.draw(quadratics(s)), data.draw(quadratics(s))
+    x = data.draw(quadratics(s))
     scalar = data.draw(rats | st.integers(-5, 5))
-    as_quadratic = Quadratic(F(scalar))
-    assert _fields(x + y) == _fields(reference_add(x, y))
-    assert _fields(x - y) == _fields(reference_add(x, Quadratic(-y.a, -y.b, y.s)))
-    assert _fields(x * y) == _fields(reference_mul(x, y))
-    assert _fields(x * scalar) == _fields(reference_mul(x, as_quadratic))
-    assert _fields(scalar * x) == _fields(reference_mul(as_quadratic, x))
-    assert _fields(scalar - x) == _fields(reference_add(as_quadratic, -x))
-    assert _fields(x.conjugate()) == _fields(Quadratic(x.a, -x.b, x.s))
-    power = reference_mul(Quadratic(1), Quadratic(1))
-    for e in range(data.draw(st.integers(0, 5)) + 1):
-        assert _fields(x**e) == _fields(power), e
-        power = reference_mul(power, x)
+    scaled = Quadratic(x.a * scalar, x.b * scalar, x.s)
+    assert _fields(x * scalar) == _fields(scaled)
+    assert _fields(scalar * x) == _fields(scaled)
+    assert _fields(-x) == _fields(Quadratic(-x.a, -x.b, x.s))
 
 
 def test_perfect_square_radicands_fold_to_rationals():
     assert _fields(Quadratic(1, 2, F(9, 4))) == (4, 0, 0)
-    assert _fields(Quadratic.sqrt(2) * Quadratic.sqrt(2)) == (2, 0, 0)
-    assert _fields(Quadratic(1, 1, 3) - Quadratic(0, 1, 3)) == (1, 0, 0)
-    assert Quadratic.sqrt(2) * Quadratic.sqrt(2) == Quadratic.of(2)
+    assert _fields(Quadratic.sqrt(F(9, 4))) == (F(3, 2), 0, 0)
+    assert Quadratic.sqrt(4) == Quadratic.of(2)
 
 
 def _pairs_over_common_q(values, s):
-    """Quadratics in Q(sqrt(s)) as (numerator pairs over q^j, q), sqrt(s) = sqrt(R) / s.den."""
+    """Numbers in Q(sqrt(s)) as (numerator pairs over q^j, q), sqrt(s) = sqrt(R) / s.den."""
     parts = [(v.a, v.b / s.denominator) for v in values]
     q = lcm(*(x.denominator for part in parts for x in part))
     return [(int(a * q**j), int(c * q**j)) for j, (a, c) in enumerate(parts)], q
@@ -934,31 +960,38 @@ def _outcome_of(fn, *args):
 
 
 def _reference_affine_outcome(raw, scale, shift, m_max):
-    for m, value in enumerate(reference_affine_moments(raw, scale, shift, m_max)):
-        if not value.is_rational:
+    moments = reference_affine_moments(raw, scale, shift, m_max)
+    for m, value in enumerate(moments):
+        if value.b:
             return ("ArithmeticError", f"surd part of E[X^{m}] failed to cancel")
-    return [value.as_rational() for value in reference_affine_moments(raw, scale, shift, m_max)]
+    return [value.a for value in moments]
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_affine_moments_match_termwise_powers(data):
-    # The integer-pair kernel against Quadratic arithmetic on the same numbers:
+    # The integer-pair kernel against Surd arithmetic on the same numbers:
     # equal where every surd part cancels, the same error where one does not.
     m_max = data.draw(st.integers(0, 12))
     s = data.draw(st.sampled_from(RADICANDS))
     rational = data.draw(st.booleans())
-    raw = [Quadratic.of(1)] + [
-        Quadratic.of(data.draw(rats)) if rational else data.draw(quadratics(s))
+    raw = [Surd.of(1)] + [
+        Surd.of(data.draw(rats) if rational else data.draw(quadratics(s)))
         for _ in range(m_max)
     ]
     scale, shift = data.draw(quadratics(s)), data.draw(quadratics(s))
     if rational:
         scale, shift = Quadratic.of(scale.a), Quadratic.of(shift.a)
     pairs, q = _pairs_over_common_q(raw, s)
-    assert _outcome_of(_affine_moments, pairs, q, scale, shift, s, m_max) == (
-        _reference_affine_outcome(raw, scale, shift, m_max)
+    assert _outcome_of(_affine_moments, pairs, q, scale, shift, m_max) == (
+        _reference_affine_outcome(raw, Surd.of(scale), Surd.of(shift), m_max)
     )
+
+
+def test_affine_moments_read_the_radicand_of_either_operand():
+    # X = Y + sqrt(2) with E[Y] = -sqrt(2) and E[Y^2] = 3: E[X] = 0, E[X^2] = 3 - 4 + 2.
+    raw = [(1, 0), (0, -1), (3, 0)]
+    assert list(_affine_moments(raw, 1, Quadratic.of(1), Quadratic.sqrt(2), 2)) == [1, 0, 1]
 
 
 # Radicands of sqrt(Delta): 1, 4 and 9/4 fold to rationals; 2, 3/5 and 7 do not.
@@ -1005,9 +1038,11 @@ def test_binomial_tampered_branches_raise_like_the_walk(beta):
     cls = classify(MeixnerParams(1, F(1, 3), beta, 1))
     plus, minus = cls.branches
     # A rational shift moves one branch to another law: the branches disagree.
-    moved = replace(cls, branches=(plus, replace(minus, shift=minus.shift + 1)))
+    moved_shift = (Surd.of(minus.shift) + 1).quadratic()
+    moved = replace(cls, branches=(plus, replace(minus, shift=moved_shift)))
     # A surd added to a shift leaves E[X] irrational.
-    surd = replace(cls, branches=(replace(plus, shift=plus.shift + plus.scale), minus))
+    surd_shift = (Surd.of(plus.shift) + plus.scale).quadratic()
+    surd = replace(cls, branches=(replace(plus, shift=surd_shift), minus))
     for tampered, message in [
         (moved, "the two binomial branches disagree; they must describe one law"),
         (surd, "surd part of E[X^1] failed to cancel"),
@@ -1206,10 +1241,18 @@ def parent_from_factorial(factorial_moments, q, m_max):
     return out
 
 
-def parent_affine_moments(raw, q, scale, shift, s, m_max):
+def parent_pair(x, s):
+    """x = a + b*sqrt(s) as integers (A, B, d): x = (A + B*sqrt(R)) / d, R = s.num * s.den."""
+    a, c = x.a, x.b / s.denominator
+    d = lcm(a.denominator, c.denominator)
+    return a.numerator * (d // a.denominator), c.numerator * (d // c.denominator), d
+
+
+def parent_affine_moments(raw, q, scale, shift, m_max):
+    s = scale.s or shift.s  # an operand's radicand; R is unused when both are rational
     r = s.numerator * s.denominator
-    sa, sb, sd = _pair(scale, s)
-    ha, hb, hd = _pair(shift, s)
+    sa, sb, sd = parent_pair(scale, s)
+    ha, hb, hd = parent_pair(shift, s)
     left = [_mul(x, y, r) for x, y in zip(_products([(sa * hd, sb * hd)] * m_max, r), raw)]
     right = _products([(ha * sd * q, hb * sd * q)] * m_max, r)
     out = []
@@ -1312,7 +1355,7 @@ def test_affine_moments_match_parent_on_any_pairs(data):
         for _ in range(m_max)
     ]
     scale, shift = data.draw(quadratics(s)), data.draw(quadratics(s))
-    args = (raw, q, scale, shift, s, m_max)
+    args = (raw, q, scale, shift, m_max)
     assert _seq_fields(_affine_moments, *args) == _seq_fields(parent_affine_moments, *args)
     # The same pairs read as factorial moments.
     assert classify_module._from_factorial(raw, q, m_max) == parent_from_factorial(raw, q, m_max)

@@ -1,4 +1,9 @@
+import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meixnerops.surd import Quadratic
 
@@ -40,6 +45,89 @@ def test_decimal_beyond_float_range():
     ]
     for value, expected in cases:
         assert value.decimal() == expected
-    # Inside float range the rendering is the float's.
+    # Inside float range, and where little cancels, the rendering is the float's.
     for value in (Quadratic(F(3, 7), 2, 5), Quadratic(F(10**300), -1, 2), Quadratic(0, F(1, 9), 3)):
         assert value.decimal() == f"{float(value):.12g}"
+
+
+def test_decimal_of_nearly_cancelling_terms():
+    # 3*10^10 - sqrt(9*10^20 + 1): the float sum of the two terms printed "0".
+    assert Quadratic(3 * 10**10, -1, 9 * 10**20 + 1).decimal() == "-1.66666666667e-11"
+
+
+# Square radicands fold into the rational part; the others stay symbolic.
+SQUARES = [F(0), F(1), F(4), F(9, 4)]
+NON_SQUARES = [F(2), F(3, 5), F(7), F(8, 3), F(1, 12)]
+rationals = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+scalars = st.integers(-7, 7) | st.builds(F, st.integers(-50, 50), st.integers(1, 30))
+
+
+def reference_fields(a, b, s):
+    """(a, b, s) as the Fraction-field ``Quadratic`` normalized them: a square
+    radicand folds into a, and s is 0 whenever b is."""
+    top, bottom = math.isqrt(s.numerator), math.isqrt(s.denominator)
+    if top * top == s.numerator and bottom * bottom == s.denominator:
+        a, b = a + b * F(top, bottom), F(0)
+    return a, b, s if b else F(0)
+
+
+def reference_str(a, b, s):
+    if not b:
+        return str(a)
+    root = f"sqrt({s})"
+    scaled = root if abs(b) == 1 else f"{abs(b)}*{root}"
+    if not a:
+        return scaled if b > 0 else f"-{scaled}"
+    return f"{a} {'+' if b > 0 else '-'} {scaled}"
+
+
+def reference_decimal(a, b, s):
+    """The float sum where a and b*sqrt(s) share a sign; else the value at 80
+    digits, which outlast any cancellation of the drawn sizes, as a float."""
+    if a * b >= 0:
+        value = float(a) + float(b) * math.sqrt(float(s))
+    else:
+        with localcontext(Context(prec=80)):
+            dec = [Decimal(x.numerator) / x.denominator for x in (a, b, s)]
+            value = float(dec[0] + dec[1] * dec[2].sqrt())
+    return f"{value:.12g}"
+
+
+def reference_json(a, b, s):
+    if not b:
+        return str(a)
+    return {
+        "rational_part": str(a),
+        "root_coefficient": str(b),
+        "radicand": str(s),
+        "decimal": reference_decimal(a, b, s),
+    }
+
+
+def check_canonical(x, a, b, s):
+    """x holds (a + b*sqrt(s)) in canonical integers, (a, b, s) already normalized."""
+    assert all(type(v) is int for v in (x.num, x.root, x.den))
+    assert x.den > 0 and math.gcd(x.num, x.root, x.den) == 1
+    assert (x.root == 0) == (x.s == 0) == (b == 0)
+    assert x.int_radicand == x.s.numerator * x.s.denominator
+    # (num + root*sqrt(R)) / den = a + b*sqrt(s), since sqrt(R) = s.den * sqrt(s).
+    assert (F(x.num, x.den), F(x.root * x.s.denominator, x.den), x.s) == (a, b, s)
+    assert (x.a, x.b, x.s) == (a, b, s)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rationals, rationals | st.just(F(0)), st.sampled_from(SQUARES + NON_SQUARES), scalars)
+def test_integer_form_is_canonical_and_renders_as_before(a, b, s, k):
+    x = Quadratic(a, b, s)
+    a, b, s = reference_fields(a, b, s)
+    check_canonical(x, a, b, s)
+    assert x.is_rational == (b == 0)
+    assert x == Quadratic(a, b, s) and hash(x) == hash(Quadratic(a, b, s))
+    assert str(x) == reference_str(a, b, s)
+    assert x.to_json() == reference_json(a, b, s)
+    assert x.decimal() == reference_decimal(a, b, s)
+    check_canonical(-x, -a, -b, s)
+    scaled = reference_fields(k * a, k * b, s)
+    for product in (k * x, x * k):
+        check_canonical(product, *scaled)
+        assert product == Quadratic(*scaled)
