@@ -297,9 +297,8 @@ def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
     return _affine_moments(raw, q, Quadratic.of(cls.scale), Quadratic.of(cls.shift), m_max)
 
 
-def crosscheck(p: MeixnerParams, m_max: int) -> VerifyReport:
-    """Recurrence moments against distribution moments, exact equality on integers."""
-    cls = classify(p)
+def crosscheck(p: MeixnerParams, cls: MeixnerClass, m_max: int) -> VerifyReport:
+    """Recurrence moments of ``p`` against the moments of its law ``cls``, exactly."""
     predicted = distribution_moments(cls, m_max)
     actual = moments_from_sj(szego_jacobi(p), m_max)
     return sequence_report(

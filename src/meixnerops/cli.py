@@ -143,7 +143,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cls = classify(p)
     derived = p.derived()
     try:
-        check = crosscheck(p, args.max_moment)
+        check = crosscheck(p, cls, args.max_moment)
         check_json: dict | str = check.to_json_dict()
         check_ok = check.passed
     except Unsupported as exc:

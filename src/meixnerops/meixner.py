@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Mapping
+from itertools import zip_longest
+from math import factorial, lcm
+from typing import Mapping, Sequence
 
 from .exact import Poly, format_rat, parse_rat, rational_sqrt
 from .operators import GradedOp, VerifyReport, identity_op, number_op, sequence_report
@@ -140,10 +141,6 @@ def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:
     )
 
 
-def _x_minus(c: Fraction) -> Poly:
-    return Poly.of(-c, 1)
-
-
 # The six operators, in the order every report lists them.
 OPS = ("U", "V", "N", "a0", "a-", "a+")
 
@@ -157,7 +154,7 @@ def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
     """
     d = p.derived()
     x = Poly.of(0, 1)
-    xm = _x_minus(p.alpha0)
+    xm = Poly.of(-p.alpha0, 1)
     lin = Poly.of(d.tau, p.alpha)
     if op == "N":
         return 0, Poly.zero(), xm, -lin
@@ -186,7 +183,11 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
     if op not in OPS:
         raise ValueError(f"unknown operator {op!r}; choose from {sorted(OPS)}")
     k, head, odd, even = _closed_parts(p, op)
-    delta = p.derived().delta
+    return PMDecomp(k, _series(head, odd, even, p.derived().delta, order))
+
+
+def _series(head: Poly, odd: Poly, even: Poly, delta: Fraction, order: int) -> tuple[Poly, ...]:
+    """A_0 = head and A_n = Delta^((n-1)//2)/n! * (odd for odd n, even for even n), n <= order."""
     coeffs = [head]
     num, den = 1, 1  # Delta^((n-1)//2) / n!, unreduced
     for n in range(1, order + 1):
@@ -196,7 +197,7 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
         den *= n
         part = odd if n % 2 else even
         coeffs.append(Poly([v * num for v in part.nums], part.den * den))
-    return PMDecomp(k, tuple(coeffs))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -208,10 +209,10 @@ class TranslationExpr:
         C f = (T_delta f + T_-delta f)/2 = sum_k Delta^k f^(2k)/(2k)!,
         S f = (T_delta f - T_-delta f)/(2 delta) = sum_k Delta^k f^(2k+1)/(2k+1)!,
 
-    so ``apply`` involves only Delta and is exact over Q whether or not Delta
-    is a rational square.  Written with translations, the coefficient of X^i
-    on T_{+/-delta} is E_i/2 +/- delta O_i/(2 Delta), an element of
-    Q(sqrt(Delta)).  Terms whose coefficient vanishes are not shown.
+    so the form's operator series (``series``) involves only Delta and is exact
+    over Q whether or not Delta is a rational square.  Written with translations,
+    the coefficient of X^i on T_{+/-delta} is E_i/2 +/- delta O_i/(2 Delta), an
+    element of Q(sqrt(Delta)).  Terms whose coefficient vanishes are not shown.
     """
 
     delta_squared: Fraction
@@ -219,16 +220,10 @@ class TranslationExpr:
     odd: Poly
     ident: Poly
 
-    def apply(self, f: Poly) -> Poly:
-        halves = [Poly.zero(), Poly.zero()]  # C f, S f
-        weight = Fraction(1)  # Delta^(j // 2) / j!
-        j, deriv = 0, f
-        while not deriv.is_zero:
-            halves[j % 2] = halves[j % 2] + weight * deriv
-            j += 1
-            weight = weight * (self.delta_squared if j % 2 == 0 else 1) / j
-            deriv = deriv.derivative()
-        return self.even * halves[0] + self.odd * halves[1] + self.ident * f
+    def series(self, order: int) -> tuple[Poly, ...]:
+        """A_0 .. A_order of the form as sum_n A_n(X) D^n; A_0 = E + Z, then O and Delta E."""
+        delta = self.delta_squared
+        return _series(self.even + self.ident, self.odd, delta * self.even, delta, order)
 
     def coefficients(self, sign: int) -> tuple[Quadratic, ...]:
         """Coefficients of X^0, X^1, ... on T_{sign*delta}, or on I for sign 0."""
@@ -282,7 +277,7 @@ def translation_exprs(p: MeixnerParams) -> dict[str, TranslationExpr]:
     d = p.derived()
     if d.delta <= 0:
         raise ValueError(f"translation forms need Delta > 0, got {d.delta}")
-    xm = _x_minus(p.alpha0)
+    xm = Poly.of(-p.alpha0, 1)
     lin = Poly.of(d.tau, p.alpha)
     even_am = Poly.of((p.alpha0 * d.delta + p.alpha * d.tau) / (2 * d.delta), 2 * p.beta / d.delta)
     inv = 1 / d.delta
@@ -325,8 +320,8 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
 
     Every Delta > 0 has such a presentation; ``delta`` is its rational square
     root, or None when it is irrational.  Each presentation is verified
-    against the series expansion by applying both to X^m for m <= max_degree
-    (a formal polynomial identity, so no truncation is involved).  When
+    against the closed-form expansion through D^max_degree, coefficient by
+    coefficient (a formal identity, so no truncation is involved).  When
     Delta = 0 the translations collapse and the two-term momentum forms are
     reported instead; Delta < 0 raises ``NotASquare``.
     """
@@ -339,12 +334,12 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
             name: series_decomposition(p, name, order)
             for name, order in (("U", 1), ("N", 2), ("a0", 2), ("a-", 2))
         }
-        actions = {name: limit.apply for name, limit in limit_forms.items()}
+        series = {name: limit.coeffs for name, limit in limit_forms.items()}
     else:
         forms, limit_forms = translation_exprs(p), {}
-        actions = {name: expr.apply for name, expr in forms.items()}
+        series = {name: expr.series(max_degree) for name, expr in forms.items()}
     checks = tuple(
-        _check_against_series(p, name, actions[name], max_degree)
+        _check_against_series(p, name, series[name], max_degree)
         for name in ("U", "N", "a0", "a-")
     )
     return TranslationFormReport(
@@ -352,14 +347,19 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
     )
 
 
-def _check_against_series(p: MeixnerParams, name: str, action, max_degree: int) -> VerifyReport:
-    series = series_decomposition(p, name, max_degree)
-    monomials = (Poly.monomial(m) for m in range(max_degree + 1))
-    return sequence_report(
-        f"{name} translation form",
-        max_degree,
-        ((m, action(xm), series.apply(xm)) for m, xm in enumerate(monomials)),
-    )
+def _check_against_series(
+    p: MeixnerParams, name: str, coeffs: Sequence[Poly], max_degree: int
+) -> VerifyReport:
+    """Compare A_0 .. A_max_degree of a form with those of ``series_decomposition``.
+
+    Expansions act on X^m through A_0 .. A_m alone, and A_n D^n maps X^n to
+    n! A_n, so the triples (n, n! A_n, n! B_n) fail first where the images of
+    X^0 .. X^max_degree would, with the same difference.
+    """
+    series = series_decomposition(p, name, max_degree).coeffs
+    pairs = zip(range(max_degree + 1), zip_longest(coeffs, series, fillvalue=Poly.zero()))
+    triples = ((n, factorial(n) * a, factorial(n) * b) for n, (a, b) in pairs)
+    return sequence_report(f"{name} translation form", max_degree, triples)
 
 
 def one_meixner_limit_check(p: MeixnerParams, order: int = 10) -> VerifyReport:

@@ -187,12 +187,12 @@ def test_criterion_8_classification():
         tag = cls.to_json_dict()["class"]
         ok = ok and preds[tag]
         if tag in ("Gaussian", "Poisson", "Gamma", "Binomial"):
-            ok = ok and crosscheck(p, 8).passed
+            ok = ok and crosscheck(p, cls, 8).passed
         elif tag == "Pascal" and rational_sqrt(p.derived().delta) is not None:
-            ok = ok and crosscheck(p, 8).passed
+            ok = ok and crosscheck(p, cls, 8).passed
         else:
             with pytest.raises(Unsupported):
-                crosscheck(p, 8)
+                crosscheck(p, cls, 8)
         if tag == "Binomial":
             points = p.derived().support_bound  # n + 1
             mu = moments_from_sj(szego_jacobi(p), 2 * points)

@@ -43,7 +43,7 @@ def test_pascal_representative():
     assert cls.p.as_rational() == F(1, 2)
     assert cls.scale.as_rational() == 1
     assert cls.shift.as_rational() == -1
-    assert crosscheck(MeixnerParams(3, 0, 2, 2), 8).passed
+    assert crosscheck(MeixnerParams(3, 0, 2, 2), cls, 8).passed
 
 
 def test_gamma_representative():
@@ -56,7 +56,7 @@ def test_gamma_representative():
 def test_gamma_shape_differs_from_rate_times_two():
     cls = classify(MeixnerParams(1, 0, F(1, 4), 1))
     assert cls == Gamma(shape=F(4), scale=F(1, 2), shift=F(-2))
-    assert crosscheck(MeixnerParams(1, 0, F(1, 4), 1), 8).passed
+    assert crosscheck(MeixnerParams(1, 0, F(1, 4), 1), cls, 8).passed
 
 
 def test_hyperbolic_secant_representative():
@@ -79,7 +79,7 @@ def test_binomial_representative():
     assert plus.p.as_rational() == F(1, 2) and minus.p.as_rational() == F(1, 2)
     assert plus.scale.as_rational() == 2 and minus.scale.as_rational() == -2
     assert plus.shift.as_rational() == -2 and minus.shift.as_rational() == 2
-    assert crosscheck(MeixnerParams(0, 0, -1, 2), 8).passed
+    assert crosscheck(MeixnerParams(0, 0, -1, 2), cls, 8).passed
 
 
 def test_binomial_plain_coin_moments():
@@ -97,7 +97,7 @@ def test_binomial_irrational_scale():
     plus = cls.branches[0]
     assert plus.p == Quadratic(F(1, 2), F(-1, 6), 3)
     # the surds cancel between the two branches and against the recurrence
-    assert crosscheck(p, 8).passed
+    assert crosscheck(p, cls, 8).passed
 
 
 def test_binomial_moments_on_a_million_points():
@@ -133,12 +133,13 @@ def test_crosschecks_on_sampled_parameters():
     for kind in ("Gaussian", "Poisson", "Gamma", "Binomial"):
         for _ in range(4):
             p = sample_params(rng, kind=kind)
-            report = crosscheck(p, 8)
+            report = crosscheck(p, classify(p), 8)
             assert report.passed, (kind, p, report)
 
 
 def test_crosscheck_report_shape():
-    report = crosscheck(MeixnerParams(1, 1, 0, 1), 6)
+    p = MeixnerParams(1, 1, 0, 1)
+    report = crosscheck(p, classify(p), 6)
     assert report.passed and report.max_degree == 6
     assert report.name.startswith("Poisson")
     assert report.to_json_dict()["pass"] is True
@@ -154,7 +155,8 @@ def test_failing_crosscheck_reports_the_first_moment(monkeypatch, bumped, fail_i
         return MomentSeq.from_values(tuple(v + (m in bumped) for m, v in enumerate(mu.values)))
 
     monkeypatch.setattr(classify_module, "moments_from_sj", perturbed)
-    assert crosscheck(MeixnerParams(1, 1, 0, 1), 8).to_json_dict() == {
+    p = MeixnerParams(1, 1, 0, 1)
+    assert crosscheck(p, classify(p), 8).to_json_dict() == {
         "identity": "Poisson moments match recurrence moments",
         "pass": False,
         "max_degree": 8,
@@ -180,7 +182,7 @@ def test_crosscheck_compares_moments_over_different_scales(monkeypatch, factor, 
 
     monkeypatch.setattr(classify_module, "distribution_moments", rescaled)
     p = MeixnerParams(F(3, 2), F(1, 3), 0, F(5, 4))
-    report = crosscheck(p, 8).to_json_dict()
+    report = crosscheck(p, classify(p), 8).to_json_dict()
     assert seen == [36] and moments_from_sj(szego_jacobi(p), 8).scale == 12
     if bumped is None:
         assert report["pass"] is True

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import time
@@ -32,6 +33,22 @@ def test_classify_poisson_example(capsys):
     assert code == 0
     assert "class: Poisson" in out
     assert "moment crosscheck: pass" in out
+
+
+def test_classify_op_classifies_the_law_once(capsys, monkeypatch):
+    # The report and the moment crosscheck share the one law the command built.
+    classify_module = importlib.import_module("meixnerops.classify")
+    original, laws = classify_module.classify, []
+
+    def counted(p):
+        laws.append(original(p))
+        return laws[-1]
+
+    monkeypatch.setattr(cli, "classify", counted)
+    monkeypatch.setattr(classify_module, "classify", counted)
+    code, out, _ = run_cli(capsys, "classify", "--alpha=1", "--alpha0=1", "--beta=0", "--t=1")
+    assert code == 0 and "moment crosscheck: pass" in out
+    assert len(laws) == 1
 
 
 def test_classify_rejects_bad_support(capsys):
@@ -461,15 +478,16 @@ def test_classify_renders_nearly_cancelling_surds_exactly(capsys):
 
 
 def test_decompose_renders_integers_past_the_digit_limit(capsys):
-    # The coefficients outgrow the 4300 digits str() writes for an int by default.
+    # The coefficients outgrow the 4300 digits str() writes for an int by default:
+    # A_12 carries alpha^12, about 4800 digits.
     code, out, err = run_cli(
-        capsys, "decompose", f"--alpha={10**40 + 7}", "--alpha0=0", "--beta=0", "--t=1",
-        "--op=U", "--order=120", "--json",
+        capsys, "decompose", f"--alpha={10**400 + 7}", "--alpha0=0", "--beta=0", "--t=1",
+        "--op=U", "--order=12", "--json",
     )
     assert code == 0
     assert "Traceback" not in err
     report = json.loads(out)
-    assert report["extraction_agreement"] == {"checked_order": 120, "pass": True}
+    assert report["extraction_agreement"] == {"checked_order": 12, "pass": True}
     digits = max(len(c) for coeff in report["decomposition"]["coeffs"] for c in coeff)
     assert digits > 4300
 

@@ -12,18 +12,24 @@ pipeline.  The ``universal``, ``doublecomm`` and ``limit`` suites at degree 12
 were pinned before the suites moved out of the CLI into ``meixnerops.suites``.
 ``characterize`` and ``classify`` at ``--max-moment=200`` and
 ``verify --suite=gramschmidt --degree=64`` were pinned before the moment
-kernels moved to Pascal's rule and small divisors.
+kernels moved to Pascal's rule and small divisors.  ``translation_form`` at
+degree 48 was pinned while it still applied each form to every X^m.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import runpy
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from meixnerops.cli import OPS, main
+from meixnerops.exact import rational_sqrt
+from meixnerops.meixner import MeixnerParams, translation_form
+from meixnerops.sampling import sample_params, sample_params_delta0
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "show_class_decompositions.py"
 REPRESENTATIVES = runpy.run_path(str(SCRIPT))["REPRESENTATIVES"]
@@ -228,3 +234,41 @@ def test_gramschmidt_json_golden_at_degree_64():
         "verify", "--suite=gramschmidt", "--degree=64", "--trials=3", "--seed=1", "--json",
     ]
     _assert_golden(argv, GRAMSCHMIDT_GOLDEN_64)
+
+
+# ``translation_form(p, 48).to_json_dict()``, dumped with sorted keys: the first
+# five Delta > 0 draws of ``sample_params(Random(1))`` (all with a rational
+# sqrt(Delta)), its first draw with an irrational one, and the first two draws
+# of ``sample_params_delta0(Random(1))``.
+TRANSLATION_GOLDEN = {
+    ("2/3", "-8/5", "0", "2"): "64460f258eab385b1483052e63c2d3de1854e87d06b4c4f7a0687cc1d3159f53",
+    ("4/5", "-2", "0", "2"): "d01c5a3e80bc6fcc24773093dc1754ed42788f43ddb562a4fcd05027b689a858",
+    ("11/4", "0", "0", "3/2"): "10dd169e87fbe55da09202c672f9eed79bd05eac2ae9cfa532e2458ab8c0ef66",
+    ("1", "-3/5", "0", "3"): "8ee5fb06089b976b03f6359cf4187d18f1551e5862b042105e58144b78200351",
+    ("1/3", "2", "0", "1/2"): "294924615934d7530b320c11fbae10123249cef5480197d9ac2ccd79de263989",
+    ("7/6", "0", "49/576", "1/2"): "64e3bee7be4bfd5a3e4de105c18ef0028c6192c4407cde8219bc721746cb4f46",
+    ("2", "0", "1", "2"): "dd5c63f2f473589a98bf1cb56d37a60259cbe94b2ae35c59a63d51722e77d8da",
+    ("7/4", "0", "49/64", "1/2"): "a821ab8698d1031df8b25d68577da0d464460e48063b5af1201b49db5c23ed36",
+}
+
+
+def _fields(p: MeixnerParams) -> tuple[str, ...]:
+    return tuple(str(v) for v in (p.alpha, p.alpha0, p.beta, p.t))
+
+
+def test_translation_golden_holds_the_sampled_draws():
+    rng = Random(1)
+    positive = [p for p in (sample_params(rng) for _ in range(26)) if p.derived().delta > 0]
+    irrational = [p for p in positive if rational_sqrt(p.derived().delta) is None]
+    rng = Random(1)
+    flat = [sample_params_delta0(rng) for _ in range(2)]
+    draws = positive[:5] + irrational[:1] + flat
+    assert [_fields(p) for p in draws] == list(TRANSLATION_GOLDEN)
+
+
+@pytest.mark.parametrize("params", list(TRANSLATION_GOLDEN), ids="/".join)
+def test_translation_form_json_golden_at_degree_48(params):
+    p = MeixnerParams.from_strings(*params)
+    out = json.dumps(translation_form(p, 48).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSLATION_GOLDEN[params]
+    assert json.dumps(translation_form(p, 48).to_json_dict(), sort_keys=True) == out

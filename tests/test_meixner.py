@@ -225,12 +225,14 @@ def test_translation_form_exact_square():
 
 
 def test_translation_form_apply_matches_operator_series():
-    # applying the translation expression reproduces the series action on monomials
+    # the translation expression, as an operator series, acts on monomials as the closed form
     rep = translation_form(COIN)
     am = series_decomposition(COIN, "a-", 12)
+    form = PMDecomp(am.k, rep.forms["a-"].series(12))
+    assert form == am
     for m in range(8):
         mono = Poly.monomial(m)
-        assert rep.forms["a-"].apply(mono) == am.apply(mono)
+        assert form.apply(mono) == am.apply(mono)
 
 
 def test_translation_form_collapses_at_delta_zero():
@@ -282,11 +284,22 @@ def test_translation_form_check_reports_perturbation():
     for p in (PASCAL, SURD):
         form = translation_exprs(p)["U"]
         bad = replace(form, odd=form.odd + F(1, 7))
-        report = _check_against_series(p, "U", bad.apply, 12)
+        report = _check_against_series(p, "U", bad.series(12), 12)
         # S annihilates constants and maps X to 1, so the check fails at X^1
         assert report.passed is False
         assert report.fail_index == 1
         assert report.residual == Poly.of(F(1, 7))
+
+
+def test_passing_translation_form_acts_on_no_polynomial(monkeypatch):
+    # The check compares coefficients: it differentiates nothing and applies no expansion.
+    def forbidden(*args):
+        raise AssertionError("the translation check acted on a polynomial")
+
+    monkeypatch.setattr(Poly, "derivative", forbidden)
+    monkeypatch.setattr(PMDecomp, "apply", forbidden)
+    for p in (PASCAL, SURD, COIN, GAMMA, GAUSSIAN):
+        assert translation_form(p, max_degree=24).passed
 
 
 def _perturb_series(monkeypatch, op, index, delta):
@@ -440,9 +453,10 @@ def _apply_rows(expr, f: Poly) -> Poly:
 @given(square_delta_params())
 def test_translation_rows_match_apply_for_square_delta(p):
     for expr in translation_exprs(p).values():
+        series = PMDecomp(0, expr.series(8))
         for m in range(9):
             mono = Poly.monomial(m)
-            assert _apply_rows(expr, mono) == expr.apply(mono)
+            assert _apply_rows(expr, mono) == series.apply(mono)
 
 
 @settings(deadline=None, max_examples=30)

@@ -29,6 +29,9 @@ KEPT = {
     "MonomialMatrix.from_fractions",  # a matrix from Fraction entries
     "SzegoJacobi.from_lists",  # a recurrence from alpha and omega lists
     "MomentSeq.from_values",  # a moment sequence from rational values
+    "Poly.monomial",  # a monomial c*X^n, as tests write one
+    "PMDecomp.apply",  # test oracle: an expansion acting on a polynomial
+    "TranslationCombo.apply",  # test oracle: a combination acting on a polynomial
 }
 
 

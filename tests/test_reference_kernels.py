@@ -32,6 +32,11 @@ the affine step of ``classify``, and the Chebyshev algorithm) are checked
 against the integer kernels they replaced, kept below: the same integers
 over the same scale, the same recurrence fields, the same errors.
 
+The translation forms are checked as operator series, coefficient by
+coefficient.  Their reference is the check they replaced, which applied the
+form (by summing its weighted derivatives) and the closed form to every
+X^m: the same ``VerifyReport``, failing index and residual included.
+
 ``Poly`` holds integer numerators over one denominator.  Its arithmetic,
 Taylor shift, evaluation and rendering are checked against lists of reduced
 Fraction coefficients, and equal values must have equal fields and hashes.
@@ -41,6 +46,7 @@ import importlib
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction as F
+from functools import partial
 from math import comb, factorial, gcd, lcm, perm, prod
 from random import Random
 
@@ -77,6 +83,7 @@ from meixnerops.meixner import (
     TranslationCombo,
     series_decomposition,
     szego_jacobi,
+    translation_exprs,
 )
 from meixnerops.operators import (
     GradedOp,
@@ -84,6 +91,7 @@ from meixnerops.operators import (
     number_op,
     quantum_ops,
     semi_ops,
+    sequence_report,
     to_monomial_basis,
 )
 from meixnerops.orthopoly import (
@@ -104,6 +112,7 @@ from meixnerops.surd import Quadratic
 
 # The package's ``classify`` attribute is the function; this is its module.
 classify_module = importlib.import_module("meixnerops.classify")
+meixner_module = importlib.import_module("meixnerops.meixner")
 
 
 def reference_change_of_basis(sj, trunc):
@@ -473,6 +482,94 @@ def test_full_truncation_of_binomial_laws(points):
 @given(meixner_params(), st.sampled_from(OPS), st.integers(0, 30))
 def test_series_decomposition_matches_termwise_closed_forms(p, op, order):
     assert series_decomposition(p, op, order) == parent_series(p, op, order)
+
+
+# ---------------------------------------------------------------- translation forms
+# Before the translation forms became operator series: the form applied to a
+# polynomial by summing its derivatives, weighted by Delta^(j // 2) / j!, and
+# the check that applied the form and the closed form to every X^m.
+
+
+def parent_translation_apply(expr, f):
+    halves = [Poly.zero(), Poly.zero()]  # C f, S f
+    weight = F(1)  # Delta^(j // 2) / j!
+    j, deriv = 0, f
+    while not deriv.is_zero:
+        halves[j % 2] = halves[j % 2] + weight * deriv
+        j += 1
+        weight = weight * (expr.delta_squared if j % 2 == 0 else 1) / j
+        deriv = deriv.derivative()
+    return expr.even * halves[0] + expr.odd * halves[1] + expr.ident * f
+
+
+def parent_check_against_series(p, name, action, max_degree):
+    series = meixner_module.series_decomposition(p, name, max_degree)
+    monomials = (Poly.monomial(m) for m in range(max_degree + 1))
+    return sequence_report(
+        f"{name} translation form",
+        max_degree,
+        ((m, action(xm), series.apply(xm)) for m, xm in enumerate(monomials)),
+    )
+
+
+@st.composite
+def translation_params(draw):
+    """Delta a rational square, Delta > 0 not a square, or Delta = 0."""
+    alpha, alpha0 = draw(_fracs(0, 3)), draw(_fracs(-2, 2))
+    kind = draw(st.sampled_from(["square", "surd", "zero"]))
+    delta = F(0) if kind == "zero" else draw(_fracs(F(1, 6), 2)) ** 2
+    if kind == "surd":
+        delta *= draw(st.sampled_from([F(2), F(3), F(5, 3), F(1, 7), F(8, 3)]))
+    beta = (alpha**2 - delta) / 4
+    t = -beta * draw(st.integers(1, 6)) if beta < 0 else draw(_fracs(F(1, 6), 3))
+    return MeixnerParams(alpha, alpha0, beta, t)
+
+
+def _bumped(coeffs, index, bump):
+    """``coeffs`` with ``bump`` added to A_index, as a series that admits any bump."""
+    coeffs = list(coeffs) + [Poly.zero()] * (index + 1 - len(coeffs))
+    coeffs[index] = coeffs[index] + bump
+    return PMDecomp(2, tuple(coeffs))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_translation_check_matches_action_reference(data):
+    # The coefficient check against applying both expansions to X^0 .. X^max_degree,
+    # with E, O or Z of a form, one coefficient of a form (or of a Delta = 0 limit
+    # form) or one closed-form coefficient perturbed by a polynomial, maybe zero.
+    p = data.draw(translation_params())
+    name = data.draw(st.sampled_from(["U", "N", "a0", "a-"]))
+    max_degree = data.draw(st.integers(0, 16))
+    delta = p.derived().delta
+    targets = ["form", "series"] + (["even", "odd", "ident"] if delta else [])
+    target = data.draw(st.sampled_from(targets))
+    bump = Poly.of(*data.draw(st.lists(_fracs(-2, 2), min_size=1, max_size=3)))
+    index = data.draw(st.integers(0, max_degree + 2))
+    if delta:
+        expr = translation_exprs(p)[name]
+        if target in ("even", "odd", "ident"):
+            expr = replace(expr, **{target: getattr(expr, target) + bump})
+        coeffs = expr.series(max_degree)
+        action = partial(parent_translation_apply, expr)
+    else:
+        limit = series_decomposition(p, name, {"U": 1}.get(name, 2))
+        coeffs, action = limit.coeffs, limit.apply
+    if target == "form":
+        bumped = _bumped(coeffs, index, bump)
+        coeffs, action = bumped.coeffs, bumped.apply
+    original = meixner_module.series_decomposition
+
+    def closed(p, op, order):
+        series = original(p, op, order)
+        return _bumped(series.coeffs, index, bump) if target == "series" else series
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meixner_module, "series_decomposition", closed)
+        report = meixner_module._check_against_series(p, name, coeffs, max_degree)
+        assert report == parent_check_against_series(p, name, action, max_degree)
+    if bump.is_zero or target in ("form", "series") and index > max_degree:
+        assert report.passed
 
 
 # ---------------------------------------------------------------- moments
