@@ -293,11 +293,12 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     if problem:
         print(f"invalid input: {problem}", file=sys.stderr)
         return 2
-    recursion = moments_via_recursion(combo, m)
-    cumulant = moments_via_cumulants(combo, m)
-    laplace = laplace_series(combo, m)
+    # The verdict carries the validated integer form, so no route validates again.
+    recursion = moments_via_recursion(verdict, m)
+    cumulant = moments_via_cumulants(verdict, m)
+    laplace = laplace_series(verdict, m)
     agree = recursion == cumulant == laplace
-    cert = bound_cert(combo, recursion)
+    cert = bound_cert(verdict, recursion)
     decomposition = verdict.to_json_dict()["poisson_terms"]
     # Routes that agree have the same rendering.
     moments = recursion.to_json()

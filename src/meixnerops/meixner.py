@@ -239,18 +239,20 @@ class TranslationExpr:
             coeffs.pop()
         return tuple(coeffs)
 
-    @property
-    def signs(self) -> tuple[int, ...]:
-        """Shift signs (+1, -1, 0 for I) of the terms with a nonzero coefficient."""
-        return tuple(sign for sign in (1, -1, 0) if self.coefficients(sign))
+    def _shown(self) -> list[tuple[int, tuple[Quadratic, ...]]]:
+        """(sign, coefficients) of each term shown: T_delta, T_-delta, then I (sign 0).
+
+        ``coefficients`` runs once per sign; a term whose coefficients all
+        vanish is not shown.
+        """
+        pairs = ((sign, self.coefficients(sign)) for sign in (1, -1, 0))
+        return [(sign, coeffs) for sign, coeffs in pairs if coeffs]
 
     @property
     def terms(self) -> tuple[tuple[tuple[Quadratic, ...], Quadratic], ...]:
-        """(coefficients, shift) for each term shown, in ``signs`` order."""
-        return tuple(
-            (self.coefficients(sign), sign * Quadratic.sqrt(self.delta_squared))
-            for sign in self.signs
-        )
+        """(coefficients, shift) for each term shown, in ``_shown`` order."""
+        step = Quadratic.sqrt(self.delta_squared)
+        return tuple((coeffs, sign * step) for sign, coeffs in self._shown())
 
     def to_json_dict(self) -> list[dict]:
         return [
@@ -261,8 +263,7 @@ class TranslationExpr:
     def __str__(self) -> str:
         step = Quadratic.sqrt(self.delta_squared)
         parts = []
-        for sign in self.signs:
-            coeffs = self.coefficients(sign)
+        for sign, coeffs in self._shown():
             coeff = str(Poly.of(*(c.a for c in coeffs)))
             root = Poly.of(*(c.b for c in coeffs))
             if not root.is_zero:
@@ -322,18 +323,16 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
     root, or None when it is irrational.  Each presentation is verified
     against the closed-form expansion through D^max_degree, coefficient by
     coefficient (a formal identity, so no truncation is involved).  When
-    Delta = 0 the translations collapse and the two-term momentum forms are
-    reported instead; Delta < 0 raises ``NotASquare``.
+    Delta = 0 the translations collapse, and the limit forms of degree at
+    most 2 in D, written out from the parameters, are reported and checked
+    instead; Delta < 0 raises ``NotASquare``.
     """
     d = p.derived()
     if d.delta < 0:
         raise NotASquare(f"Delta = {d.delta} is not the square of a rational")
     if d.delta == 0:
         forms: Mapping[str, TranslationExpr] = {}
-        limit_forms = {
-            name: series_decomposition(p, name, order)
-            for name, order in (("U", 1), ("N", 2), ("a0", 2), ("a-", 2))
-        }
+        limit_forms = _limit_forms(p)
         series = {name: limit.coeffs for name, limit in limit_forms.items()}
     else:
         forms, limit_forms = translation_exprs(p), {}
@@ -345,6 +344,27 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
     return TranslationFormReport(
         d.delta, rational_sqrt(d.delta), forms, limit_forms, checks, all(c.passed for c in checks)
     )
+
+
+def _limit_forms(p: MeixnerParams) -> dict[str, PMDecomp]:
+    """U, N, a0 and a- at Delta = 0 as A_0 + A_1 D + A_2 D^2, from the parameters.
+
+    With tau = 2t - alpha*alpha0:
+    U is alpha0/2, (alpha X + tau)/2;
+    N is 0, X - alpha0, -(alpha X + tau)/2;
+    a0 is alpha0, alpha (X - alpha0), -alpha (alpha X + tau)/2;
+    a- is 0, t, alpha (alpha X + tau)/4.
+    They are written out here, not read off ``series_decomposition``, so the
+    check against it can fail.
+    """
+    half_lin = Poly.of(p.derived().tau / 2, p.alpha / 2)  # (alpha X + tau)/2
+    xm = Poly.of(-p.alpha0, 1)
+    return {
+        "U": PMDecomp(0, (Poly.of(p.alpha0 / 2), half_lin)),
+        "N": PMDecomp(0, (Poly.zero(), xm, -half_lin)),
+        "a0": PMDecomp(0, (Poly.of(p.alpha0), p.alpha * xm, -p.alpha * half_lin)),
+        "a-": PMDecomp(-1, (Poly.zero(), Poly.of(p.t), (p.alpha / 2) * half_lin)),
+    }
 
 
 def _check_against_series(
@@ -372,11 +392,12 @@ def one_meixner_limit_check(p: MeixnerParams, order: int = 10) -> VerifyReport:
     if d.delta != 0:
         raise InvalidParams(f"limit check requires Delta = 0, got {d.delta}")
     u = series_decomposition(p, "U", order)
+    limit = _limit_forms(p)["U"]
     # A_0 and A_1 are checked at every order, and A_n must vanish for n >= 2.
-    expected = [Poly.of(p.alpha0 / 2), Fraction(1, 2) * Poly.of(d.tau, p.alpha)]
-    expected += [Poly.zero()] * (order - 1)
     return sequence_report(
-        "Delta=0 limit of U", order, ((n, u.coeff(n), e) for n, e in enumerate(expected))
+        "Delta=0 limit of U",
+        order,
+        ((n, u.coeff(n), limit.coeff(n)) for n in range(max(order, 1) + 1)),
     )
 
 

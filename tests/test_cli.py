@@ -432,6 +432,32 @@ def test_characterize_renders_disagreeing_routes_separately(capsys, monkeypatch)
     assert "three oracle routes agree: NO" in out
 
 
+def test_characterize_op_validates_once(capsys, monkeypatch):
+    # The command validates the combination once and hands the verdict to the
+    # three routes and the certificate; cumulants and Laplace share one pass
+    # of power sums.
+    characterize_module = importlib.import_module("meixnerops.characterize")
+    calls = {"validate_combo": 0, "_power_sums": 0}
+
+    def counting(name):
+        original = getattr(characterize_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(characterize_module, name, counted)
+
+    for name in calls:
+        counting(name)
+    code, out, _ = run_cli(
+        capsys, "characterize", "--combo=1/2:1/3,-1/2:0", "--max-moment=40", "--json"
+    )
+    assert code == 0 and json.loads(out)["routes_agree"] is True
+    assert calls["validate_combo"] == 1
+    assert calls["_power_sums"] <= 1
+
+
 def test_json_output_builds_no_text(capsys, monkeypatch):
     def forbidden(self):
         raise AssertionError("text rendered under --json")

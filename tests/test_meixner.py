@@ -468,3 +468,27 @@ def test_series_coefficients_do_not_depend_on_order(p, low, extra):
         short = series_decomposition(p, op, low)
         long = series_decomposition(p, op, low + extra)
         assert [long.coeff(n) for n in range(low + 1)] == [short.coeff(n) for n in range(low + 1)]
+
+
+@pytest.mark.parametrize("name", ["U", "N", "a0", "a-"])
+@pytest.mark.parametrize(
+    "index,factorial,delta",
+    [
+        (1, 1, Poly.of(F(-2, 5))),  # a- has k = -1, so A_1 of degree 0
+        (2, 2, Poly.of(F(1, 3), F(-2, 5))),
+        (5, 120, Poly.of(F(1, 3), F(-2, 5))),
+    ],
+)
+def test_failing_limit_form_check_at_delta_zero(monkeypatch, name, index, factorial, delta):
+    # The limit forms are written out from the parameters, so a closed form
+    # that moves makes exactly that form's check fail, at X^index by index! delta.
+    _perturb_series(monkeypatch, name, index, delta)
+    for p in (GAMMA, GAUSSIAN, MeixnerParams(F(7, 4), 0, F(49, 64), F(1, 2))):
+        report = translation_form(p, max_degree=6)
+        assert report.passed is False
+        assert [c.to_json_dict() for c in report.checks] == [
+            {"identity": f"{other} translation form", "pass": other != name, "max_degree": 6,
+             "fail_index": index if other == name else None,
+             "residual": (-factorial * delta).to_json() if other == name else None}
+            for other in ("U", "N", "a0", "a-")
+        ]

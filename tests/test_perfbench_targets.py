@@ -3,12 +3,18 @@
 ``perfbench/tracer.py`` names its targets as (module, attribute path)
 pairs; a rename in ``src/`` would make the tracer fail at install time.
 ``perfbench/workloads.py`` builds the argv pools; a size cap that refused one
-of them would drop that op from its workload.  Both files are loaded by
-path, without adding ``perfbench`` to ``sys.path``.
+of them would drop that op from its workload, and the outputs of one pass
+over each seed-1 pool must keep the digests of ``perfbench/reference.json``.
+These files are only read, and loaded by path, without adding ``perfbench``
+to ``sys.path``.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +70,27 @@ def test_no_benchmark_argv_is_refused(monkeypatch):
                     cli.main(argv)
                 runs += 1
     assert runs == 2 * (36 + 24 + 72)
+
+
+REFERENCE = TRACER.parent / "reference.json"
+
+
+def test_benchmark_outputs_match_the_reference_digests():
+    # One pass over each seed-1 pool, as the benchmark digests it: the stdout
+    # of every argv in pool order, concatenated.  A byte change in any
+    # benchmarked output fails here, not only in the benchmark.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    expected = json.loads(REFERENCE.read_text())["output_digest"]
+    assert set(expected) == set(workloads.WORKLOADS)
+    for workload in workloads.WORKLOADS:
+        outputs = []
+        for argv in workloads.build_pool(workload, 1):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+            assert (code, err.getvalue()) == (0, ""), argv
+            outputs.append(out.getvalue())
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == expected[workload], workload

@@ -30,7 +30,10 @@ The moment kernels that now step by Pascal's rule and small divisors (the
 ``characterize`` recursion and Laplace series, the Stirling transform and
 the affine step of ``classify``, and the Chebyshev algorithm) are checked
 against the integer kernels they replaced, kept below: the same integers
-over the same scale, the same recurrence fields, the same errors.
+over the same scale, the same recurrence fields, the same errors.  So is
+the cumulant route, which now reads a power-sum pass it shares with the
+Laplace route.  The certificate's max_p r^p / p!, now one power and one
+factorial at p = floor(r), is checked against the loop over every p.
 
 The translation forms are checked as operator series, coefficient by
 coefficient.  Their reference is the check they replaced, which applied the
@@ -59,6 +62,7 @@ from meixnerops.characterize import (
     _power_sums,
     _scaled_terms,
     bound_cert,
+    ensure_valid,
     laplace_series,
     moments_via_cumulants,
     moments_via_recursion,
@@ -823,6 +827,44 @@ def reference_bound_cert(terms, mu):
     return a_const, k, m_max, passed, even
 
 
+def reference_max_power_over_factorial(r):
+    """The Fraction loop the certificate used: every r^p / p! for p <= ceil(r) + 1."""
+    if r < 0:
+        raise ValueError("expected a nonnegative value")
+    ceiling = -((-r.numerator) // r.denominator)
+    best = F(1)
+    for p in range(ceiling + 2):
+        value = r**p / factorial(p)
+        if value > best:
+            best = value
+    return best
+
+
+@st.composite
+def power_ratios(draw):
+    """r = p/q with 0 <= p <= 10^6 and 1 <= q <= 10^6, and r <= 64 so that
+    the reference loop stays short."""
+    q = draw(st.integers(1, 10**6))
+    return F(draw(st.integers(0, min(10**6, 64 * q))), q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(power_ratios())
+def test_max_power_over_factorial_matches_fraction_loop(r):
+    assert _max_power_over_factorial(r) == reference_max_power_over_factorial(r)
+
+
+def test_max_power_over_factorial_at_integer_ties():
+    # At an integer r, r^(r-1)/(r-1)! and r^r/r! are equal.
+    for r in range(41):
+        value = _max_power_over_factorial(F(r))
+        assert value == reference_max_power_over_factorial(F(r))
+        if r:
+            assert value == F(r ** (r - 1), factorial(r - 1)) == F(r**r, factorial(r))
+    with pytest.raises(ValueError):
+        _max_power_over_factorial(F(-1, 2))
+
+
 shift_rats = st.builds(F, st.integers(-12, 12).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 7]))
 mean_rats = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 6]))
 
@@ -1417,6 +1459,30 @@ def test_characterize_kernels_match_parent_kernels(combo, m_max):
         parent_moments_via_recursion, combo, m_max
     )
     assert _seq_fields(laplace_series, combo, m_max) == _seq_fields(
+        parent_laplace_series, combo, m_max
+    )
+
+
+def parent_moments_via_cumulants(combo, m_max):
+    z, sums = _power_sums(combo, max(m_max - 1, 0))
+    kappas = [0] + sums[1:]
+    nu = [1]
+    for m in range(1, m_max + 1):
+        nu.append(sum(comb(m - 1, j) * kappas[j] * nu[m - 1 - j] for j in range(m)))
+    return MomentSeq(tuple(nu), z)
+
+
+@settings(deadline=None, max_examples=150)
+@given(valid_combos(), st.integers(0, 60))
+def test_cumulant_kernel_matches_parent_kernel(combo, m_max):
+    # The cumulant and Laplace routes now read one power-sum pass, kept on the
+    # verdict, and either may read a longer pass than it needs.
+    expected = _seq_fields(parent_moments_via_cumulants, combo, m_max)
+    assert _seq_fields(moments_via_cumulants, combo, m_max) == expected
+    verdict = ensure_valid(combo)
+    laplace_series(verdict, m_max + 3)
+    assert _seq_fields(moments_via_cumulants, verdict, m_max) == expected
+    assert _seq_fields(laplace_series, verdict, m_max) == _seq_fields(
         parent_laplace_series, combo, m_max
     )
 
