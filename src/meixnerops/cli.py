@@ -64,6 +64,16 @@ MAX_MOMENT = 200
 # 1.7 to 3.2 s at 100 and 1.0 to 1.9 s at 50; 1141 bits took 23 s at 200.
 CLASSIFY_BITS_AT_MAX_MOMENT = 150
 CHARACTERIZE_BITS_AT_MAX_MOMENT = 400
+# characterize's growth certificate raises each shift d = u/v to the power
+# floor(|d|), so its integers have about floor(|d|) * (bits(u) + bits(v))
+# bits, summed over the shifts: a shift of 10^9 has 31 bits, but its
+# certificate would need gigabytes.  The bounds it checks grow with
+# --max-moment, so the cap is on (max_moment + 10) times those bits, and was
+# timed at the cap, whole runs: one shift 73 + 1/(2^61 - 1) (388 bits in all)
+# takes 7.3 s at 200, of which the certificate 1.7 s and the moment routes
+# most of the rest; the same family takes 5.3 s at 100 and 2.7 s at 50.
+# Integer shifts take 2.2 s at 200 (865), 0.7 s at 50 and 0.3 s at 0 (13333).
+CERTIFICATE_BITS_BUDGET = 2_000_000
 # verify --degree 200, one trial: pmd about 9.6 s (0.57 s at 100), gramschmidt
 # 1.0 s, universal, doublecomm and limit under 0.1 s.
 MAX_DEGREE = 200
@@ -118,6 +128,25 @@ def _max_moment_problem(m: int, bits: int, bits_at_max: int, holder: str) -> str
         return (
             f"at --max-moment={m} the {holder} may have at most "
             f"{isqrt(budget // m**3)} bits in all, got {bits}"
+        )
+    return None
+
+
+def _certificate_problem(m: int, combo: TranslationCombo) -> str | None:
+    """Why the growth certificate of ``combo`` is refused at --max-moment=m, or None.
+
+    Each shift d = u/v is raised to the power floor(|d|); the certificate's
+    bits are counted as floor(|d|) * (bits(u) + bits(v)), summed over the shifts.
+    """
+    bits = sum(
+        int(abs(d)) * (d.numerator.bit_length() + d.denominator.bit_length())
+        for _, d in combo.terms
+    )
+    allowed = CERTIFICATE_BITS_BUDGET // (m + 10)
+    if bits > allowed:
+        return (
+            f"at --max-moment={m} the growth certificate may have at most "
+            f"{allowed} bits, got {bits}"
         )
     return None
 
@@ -290,6 +319,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     m = args.max_moment
     bits = _bits(v for term in combo.terms for v in term)
     problem = _max_moment_problem(m, bits, CHARACTERIZE_BITS_AT_MAX_MOMENT, "combination")
+    problem = problem or _certificate_problem(m, combo)
     if problem:
         print(f"invalid input: {problem}", file=sys.stderr)
         return 2

@@ -11,7 +11,10 @@ degrees, so an identity reported as holding is exact, never approximate.
 
 Only the band is stored, so construction checks shapes in O(width), add,
 neg and scale cost O(N * width), and compose costs O(N * w1 * w2).  The
-dense views ``entries`` and ``column(n)`` are built on demand.
+dense views ``entries`` and ``column(n)`` are built on demand.  Products run
+on integer rows: each operand's diagonals go over their common denominator
+once, and each output entry becomes one ``Fraction``.  A commutator runs
+both of its products into the same integer rows, in one pass.
 
 The quantum decomposition of multiplication by X is
 
@@ -127,35 +130,60 @@ class GradedOp:
 
     def compose(self, other: "GradedOp") -> "GradedOp":
         """Operator product self o other (apply ``other`` first)."""
-        self._require_same_trunc(other)
-        size = self.trunc + 1
-        band = (self.band[0] + other.band[0], self.band[1] + other.band[1])
-        acc = [[_ZERO] * _diag_len(self.trunc, k) for k in range(band[0], band[1] + 1)]
-        # Diagonal kb of other takes f_n to f_{n+kb}, then diagonal ka of self
-        # takes that to f_{n+k} with k = ka + kb; n runs over the columns where
+        return _product(self, other, minus_swapped=False)
+
+
+def _int_diags(op: GradedOp) -> tuple[int, list[list[int]]]:
+    """The diagonals of ``op`` as integers over their common denominator."""
+    den = lcm(*(v.denominator for diag in op.diags for v in diag))
+    return den, [[v.numerator * (den // v.denominator) for v in diag] for diag in op.diags]
+
+
+def _product(a: GradedOp, b: GradedOp, minus_swapped: bool) -> GradedOp:
+    """a o b, less b o a when ``minus_swapped`` (the commutator [a, b]).
+
+    Both products have the band (lo_a + lo_b, hi_a + hi_b) and accumulate
+    into one set of integer rows over den_a * den_b; the margin is the
+    larger of their margins.
+    """
+    a._require_same_trunc(b)
+    size = a.trunc + 1
+    lo, hi = a.band[0] + b.band[0], a.band[1] + b.band[1]
+    den_a, rows_a = _int_diags(a)
+    den_b, rows_b = _int_diags(b)
+    acc = [[0] * _diag_len(a.trunc, k) for k in range(lo, hi + 1)]
+    passes = [(a, rows_a, b, rows_b)]
+    if minus_swapped:
+        passes.append((b, [[-v for v in row] for row in rows_b], a, rows_a))
+    margin = 0
+    for left, rows_l, right, rows_r in passes:
+        # Diagonal kr of right takes f_n to f_{n+kr}, then diagonal kl of left
+        # takes that to f_{n+k} with k = kl + kr; n runs over the columns where
         # all three indices stay inside 0 .. N.
-        for kb, db in zip(range(other.band[0], other.band[1] + 1), other.diags):
-            for ka, da in zip(range(self.band[0], self.band[1] + 1), self.diags):
-                k = ka + kb
-                target = acc[k - band[0]]
-                first = max(0, -kb, -k)
-                stop = min(size, size - kb, size - k)
-                off_b = min(kb, 0)
-                off_a = kb + min(ka, 0)
+        for kr, dr in zip(range(right.band[0], right.band[1] + 1), rows_r):
+            for kl, dl in zip(range(left.band[0], left.band[1] + 1), rows_l):
+                k = kl + kr
+                target = acc[k - lo]
+                first = max(0, -kr, -k)
+                stop = min(size, size - kr, size - k)
+                off_r = min(kr, 0)
+                off_l = kr + min(kl, 0)
                 off_t = min(k, 0)
                 for n in range(first, stop):
-                    b = db[n + off_b]
-                    if not b:
+                    y = dr[n + off_r]
+                    if not y:
                         continue
-                    a = da[n + off_a]
-                    if a:
-                        target[n + off_t] += a * b
-        # A column n of the product is reliable when other's column n is
-        # reliable and every level it feeds lies in self's reliable range.
-        margin = max(0, other.margin)
-        if self.margin > 0:
-            margin = max(margin, self.margin + other.band[1])
-        return GradedOp(self.trunc, band, margin, tuple(tuple(d) for d in acc))
+                    x = dl[n + off_l]
+                    if x:
+                        target[n + off_t] += x * y
+        # A column n of the product is reliable when right's column n is
+        # reliable and every level it feeds lies in left's reliable range.
+        margin = max(margin, right.margin)
+        if left.margin > 0:
+            margin = max(margin, left.margin + right.band[1])
+    den = den_a * den_b
+    diags = tuple(tuple(Fraction(v, den) if v else _ZERO for v in row) for row in acc)
+    return GradedOp(a.trunc, (lo, hi), margin, diags)
 
 
 def _diagonal_op(trunc: int, values: Sequence[Fraction]) -> GradedOp:
@@ -207,7 +235,8 @@ def semi_ops(aplus: GradedOp, azero: GradedOp, aminus: GradedOp) -> tuple[Graded
 
 
 def commutator(a: GradedOp, b: GradedOp) -> GradedOp:
-    return a.compose(b) - b.compose(a)
+    """[a, b] = a o b - b o a, both products in one integer pass."""
+    return _product(a, b, minus_swapped=True)
 
 
 def first_mismatch(a: GradedOp, b: GradedOp) -> tuple[int, tuple[Fraction, ...]] | None:
@@ -304,8 +333,9 @@ def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
         operator_report("[N,V] = a+", commutator(num, v), aplus, sj),
         operator_report("[U,N] = a-", commutator(u, num), aminus, sj),
     ]
-    left = operator_report("[N,X] = V - U", commutator(num, x), v - u, sj)
-    right = operator_report("V - U = a+ - a-", v - u, aplus - aminus, sj)
+    v_minus_u = v - u
+    left = operator_report("[N,X] = V - U", commutator(num, x), v_minus_u, sj)
+    right = operator_report("V - U = a+ - a-", v_minus_u, aplus - aminus, sj)
     if left.passed and right.passed:
         reports.append(
             VerifyReport("[N,X] = V - U = a+ - a-", True, min(left.max_degree, right.max_degree))

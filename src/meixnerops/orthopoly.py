@@ -154,9 +154,9 @@ class MomentSeq:
 
     ``nums`` are integers over the powers of one positive integer ``scale``,
     as the moment kernels produce them.  Equality is exact and integer:
-    sequences with different scales are compared by cross-multiplying with
-    the powers of the scales.  A ``Fraction`` is built only for ``mu[m]``
-    and ``values``.
+    sequences over one scale compare their numerators, and sequences with
+    different scales are compared by cross-multiplying with the powers of
+    the scales.  A ``Fraction`` is built only for ``mu[m]`` and ``values``.
     """
 
     nums: tuple[int, ...]
@@ -195,7 +195,11 @@ class MomentSeq:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentSeq):
             return NotImplemented
-        return len(self.nums) == len(other.nums) and all(u == v for _, u, v in self.cross(other))
+        if len(self.nums) != len(other.nums):
+            return False
+        if self.scale == other.scale:
+            return self.nums == other.nums
+        return all(u == v for _, u, v in self.cross(other))
 
     def __hash__(self) -> int:
         return hash(self.values)

@@ -568,6 +568,38 @@ def test_moment_commands_cap_parameter_size_by_max_moment(capsys, monkeypatch, a
     )
 
 
+def test_characterize_caps_the_growth_certificate(capsys, monkeypatch):
+    # A shift of 10^9 has 31 bits and passes the bit cap, but the certificate
+    # raises it to the power 10^9.
+    _forbid(monkeypatch, *MOMENT_KERNELS["characterize"])
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "characterize", "--combo=1000000000:1000000000,-1000000000:0", "--max-moment=4"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "invalid input: at --max-moment=4 the growth certificate may have at most "
+        "142857 bits, got 31000000000\n"
+    )
+
+
+@pytest.mark.parametrize("shift,refused", [(865, False), (866, True)])
+def test_certificate_cap_is_inclusive(capsys, monkeypatch, shift, refused):
+    # At --max-moment=200 the certificate may have 2000000 // 210 = 9523 bits;
+    # a shift r of 10 bits counts r * (10 + 1): 9515 for 865, 9526 for 866.
+    _forbid(monkeypatch, *MOMENT_KERNELS["characterize"])
+    argv = ["characterize", f"--combo={shift}:{shift},-{shift}:0", "--max-moment=200"]
+    if refused:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.endswith("may have at most 9523 bits, got 9526\n")
+    else:
+        with pytest.raises(AssertionError, match="above a size cap"):
+            main(argv)
+
+
 @pytest.mark.parametrize("t,refused", [("2", False), ("4", True)])
 def test_classify_parameter_cap_is_inclusive(capsys, monkeypatch, t, refused):
     # alpha = 2^48 - 1 takes 48 bits, so the four parameters take 147 + bits(t) + 1.

@@ -187,6 +187,10 @@ def _dense_compose(a, b):
             for m in range(size)]
 
 
+def _dense_margin(margin_a, margin_b, hi_b):
+    return max(margin_b, margin_a + hi_b) if margin_a > 0 else margin_b
+
+
 def _dense_first_mismatch(a, b, top):
     for n in range(top + 1):
         col_a = tuple(row[n] for row in a)
@@ -237,14 +241,44 @@ def test_banded_kernels_match_dense_reference(data):
     assert a.scale(c).entries == _freeze([[c * v for v in row] for row in rows_a])
 
     prod = a.compose(b)
-    assert prod.band == (band_a[0] + band_b[0], band_a[1] + band_b[1])
-    expected_margin = max(margin_b, margin_a + band_b[1]) if margin_a > 0 else margin_b
-    assert prod.margin == expected_margin
+    band = (band_a[0] + band_b[0], band_a[1] + band_b[1])
+    assert prod.band == band
+    assert prod.margin == _dense_margin(margin_a, margin_b, band_b[1])
     assert prod.entries == _freeze(_dense_compose(rows_a, rows_b))
+
+    comm = commutator(a, b)
+    assert comm.band == band
+    assert comm.margin == max(
+        _dense_margin(margin_a, margin_b, band_b[1]), _dense_margin(margin_b, margin_a, band_a[1])
+    )
+    ab, ba = _dense_compose(rows_a, rows_b), _dense_compose(rows_b, rows_a)
+    assert comm.entries == _freeze(
+        [[ab[m][n] - ba[m][n] for n in range(size)] for m in range(size)]
+    )
+    with pytest.raises(ValueError):
+        commutator(a, zero_op(trunc + 1))
 
     top = min(trunc - margin_a, trunc - margin_b)
     assert first_mismatch(a, b) == _dense_first_mismatch(rows_a, rows_b, top)
     assert first_mismatch(a, a + a.scale(0)) is None
+
+
+def test_commutator_reduces_entries_over_shared_denominators():
+    # The operands' common denominators 6 and 4 share a factor: the products
+    # run over 24, and four of the seven entries reduce (to 12ths and 6ths).
+    a = _to_graded(2, (0, 1), 0, [[F(1, 6), F(0), F(0)], [F(5, 6), F(1, 2), F(0)],
+                                  [F(0), F(1, 3), F(7, 6)]])
+    b = _to_graded(2, (-1, 0), 0, [[F(3, 4), F(1, 4), F(0)], [F(0), F(1, 2), F(5, 4)],
+                                   [F(0), F(0), F(1, 4)]])
+    comm = commutator(a, b)
+    assert comm.band == (-1, 1) and comm.margin == 0
+    assert comm.diags == (
+        (F(-1, 12), F(-5, 6)),
+        (F(-5, 24), F(-5, 24), F(5, 12)),
+        (F(5, 24), F(1, 12)),
+    )
+    ab, ba = _dense_compose(a.entries, b.entries), _dense_compose(b.entries, a.entries)
+    assert comm.entries == _freeze([[ab[m][n] - ba[m][n] for n in range(3)] for m in range(3)])
 
 
 def test_report_expands_the_first_failing_column():
