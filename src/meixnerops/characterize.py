@@ -129,13 +129,6 @@ def ensure_valid(combo: TranslationCombo | ComboValidity) -> ComboValidity:
     return verdict
 
 
-def _validated(combo: TranslationCombo | ComboValidity) -> ComboValidity:
-    """A valid verdict as given; anything else through ``ensure_valid``."""
-    if isinstance(combo, ComboValidity) and combo.ok:
-        return combo
-    return ensure_valid(combo)
-
-
 def _scaled_terms(combo: TranslationCombo) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """Integer form of the terms: Q, S and the pairs (Q c_i, Z d_i) with Z = Q S.
 
@@ -184,7 +177,7 @@ def moments_via_recursion(combo: TranslationCombo | ComboValidity, m_max: int) -
     ends in T[m-1][0].  ``combo`` is a verdict of ``ensure_valid`` or a raw
     combination, validated here; only its integer form is read, no power sum.
     """
-    q, s, terms = _validated(combo).scaled
+    q, s, terms = ensure_valid(combo).scaled
     still = s * sum(c for c, e in terms if not e)
     moving = [(s * c, e) for c, e in terms if e]
     diagonals = [[1] for _ in moving]  # T[0][0] = nu_0
@@ -209,7 +202,7 @@ def moments_via_cumulants(combo: TranslationCombo | ComboValidity, m_max: int) -
     ``moments_via_recursion``.  Of the power sums it reads only K_2 .. K_m_max,
     from the verdict's one pass, which it shares with ``laplace_series``.
     """
-    valid = _validated(combo)
+    valid = ensure_valid(combo)
     q, s, _ = valid.scaled
     sums = _shared_power_sums(valid, max(m_max, 0))
     kappas = [0] + sums[1:m_max]  # kappas[j] = K_{j+1}, and K_1 = 0
@@ -239,7 +232,7 @@ def laplace_series(combo: TranslationCombo | ComboValidity, m_max: int) -> Momen
     pass, which it shares with ``moments_via_cumulants``, and the identity
     check is what catches a wrong one.
     """
-    valid = _validated(combo)
+    valid = ensure_valid(combo)
     q, s, _ = valid.scaled
     # source[j] / j! is the s^j coefficient of Z * source(Z s).
     source = _shared_power_sums(valid, m_max)
@@ -312,7 +305,7 @@ def bound_cert(combo: TranslationCombo | ComboValidity, mu: MomentSeq) -> BoundC
     Both are checked on integers: with E[X^m] = nu_m / z^m and k = p / q,
     |E[X^m]| <= k^m m! is |nu_m| q^m <= (z p)^m m!.
     """
-    valid = _validated(combo)
+    valid = ensure_valid(combo)
     big_q, _, terms = valid.scaled
     m_max = len(mu) - 1
     a_const = max(

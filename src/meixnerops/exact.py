@@ -3,9 +3,11 @@
 Every quantity in this package is exact.  Scalars are `fractions.Fraction`
 values; a polynomial is a dense tuple of integer numerators over one
 positive denominator, lowest degree first with trailing zeros trimmed, and
-its Fraction coefficients are built only on request.  No floating-point
-number enters the core algebra; floats appear only in optional decimal
-renderings.
+its Fraction coefficients are built only on request.  ``ZERO``, ``ONE``
+and ``X`` are the polynomials 0, 1 and X.  Every integer ratio in a report
+is written by ``format_ratio``, which reduces it with one gcd.  No
+floating-point number enters the core algebra; floats appear only in
+optional decimal renderings.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ def format_rat(value: RatLike) -> str:
 
 
 def format_ratio(num: int, den: int) -> str:
-    """``"num/den"``, or ``"num"`` when den is 1, for a ratio in lowest terms with den > 0."""
+    """num/den for den > 0, reduced by one gcd: ``"p/q"``, or ``"p"`` when q is 1."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # more digits than sys.get_int_max_str_digits() lets str() write
@@ -103,14 +107,6 @@ class Poly:
         vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
         den = lcm(*(v.denominator for v in vals))
         return Poly([v.numerator * (den // v.denominator) for v in vals], den)
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly((1,))
 
     @staticmethod
     def monomial(degree: int, coeff: RatLike = 1) -> "Poly":
@@ -223,8 +219,7 @@ class Poly:
         return Fraction(acc * q, self.den * qpow)
 
     def to_json(self) -> list[str]:
-        den = self.den
-        return [format_ratio(v // (g := gcd(v, den)), den // g) for v in self.nums]
+        return [format_ratio(v, self.den) for v in self.nums]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -248,5 +243,5 @@ class Poly:
 
 
 ZERO = Poly()
-ONE = Poly.one()
+ONE = Poly((1,))
 X = Poly((0, 1))

@@ -39,7 +39,7 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .exact import Poly, format_rat, parse_rat, rational_sqrt
+from .exact import X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
 from .operators import GradedOp, VerifyReport, identity_op, number_op, sequence_report
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
@@ -153,21 +153,20 @@ def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
     applied to the three polynomials.
     """
     d = p.derived()
-    x = Poly.of(0, 1)
     xm = Poly.of(-p.alpha0, 1)
     lin = Poly.of(d.tau, p.alpha)
     if op == "N":
-        return 0, Poly.zero(), xm, -lin
+        return 0, ZERO, xm, -lin
     u = (Poly.of(p.alpha0 / 2), (p.alpha / 2) * xm + p.t, (-d.delta / 2) * xm)
     if op in ("U", "V"):
-        return (0, *u) if op == "U" else (1, x - u[0], -u[1], -u[2])
+        return (0, *u) if op == "U" else (1, X - u[0], -u[1], -u[2])
     a0 = (Poly.of(p.alpha0), p.alpha * xm, -p.alpha * lin)
     if op == "a0":
         return (0, *a0)
     aminus = tuple(a - Fraction(1, 2) * b for a, b in zip(u, a0))
     if op == "a-":
         return (-1, *aminus)
-    return 1, x - aminus[0] - a0[0], -aminus[1] - a0[1], -aminus[2] - a0[2]
+    return 1, X - aminus[0] - a0[0], -aminus[1] - a0[1], -aminus[2] - a0[2]
 
 
 def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
@@ -361,9 +360,9 @@ def _limit_forms(p: MeixnerParams) -> dict[str, PMDecomp]:
     xm = Poly.of(-p.alpha0, 1)
     return {
         "U": PMDecomp(0, (Poly.of(p.alpha0 / 2), half_lin)),
-        "N": PMDecomp(0, (Poly.zero(), xm, -half_lin)),
+        "N": PMDecomp(0, (ZERO, xm, -half_lin)),
         "a0": PMDecomp(0, (Poly.of(p.alpha0), p.alpha * xm, -p.alpha * half_lin)),
-        "a-": PMDecomp(-1, (Poly.zero(), Poly.of(p.t), (p.alpha / 2) * half_lin)),
+        "a-": PMDecomp(-1, (ZERO, Poly.of(p.t), (p.alpha / 2) * half_lin)),
     }
 
 
@@ -377,7 +376,7 @@ def _check_against_series(
     X^0 .. X^max_degree would, with the same difference.
     """
     series = series_decomposition(p, name, max_degree).coeffs
-    pairs = zip(range(max_degree + 1), zip_longest(coeffs, series, fillvalue=Poly.zero()))
+    pairs = zip(range(max_degree + 1), zip_longest(coeffs, series, fillvalue=ZERO))
     triples = ((n, factorial(n) * a, factorial(n) * b) for n, (a, b) in pairs)
     return sequence_report(f"{name} translation form", max_degree, triples)
 
@@ -434,10 +433,7 @@ class TranslationCombo:
         return ",".join(f"{format_rat(c)}:{format_rat(s)}" for c, s in self.terms)
 
     def apply(self, f: Poly) -> Poly:
-        out = Poly.zero()
+        out = ZERO
         for c, s in self.terms:
             out = out + c * f.shift(s)
         return out
-
-    def to_json_dict(self) -> list[dict]:
-        return [{"coeff": format_rat(c), "shift": format_rat(s)} for c, s in self.terms]

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Poly, RatLike
+from .exact import ZERO, Poly, RatLike
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
 from .pmd import MonomialMatrix
 
@@ -309,7 +309,7 @@ def operator_report(name: str, lhs: GradedOp, rhs: GradedOp, sj: SzegoJacobi) ->
         return VerifyReport(name, True, top)
     index, residual = miss
     basis = monic_polys(sj, lhs.trunc)
-    poly = Poly.zero()
+    poly = ZERO
     for m, coef in enumerate(residual):
         poly = poly + coef * basis[m]
     return VerifyReport(name, False, top, index, poly)
@@ -352,13 +352,8 @@ def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
 
 def change_of_basis(sj: SzegoJacobi, trunc: int) -> Matrix:
     """Matrix C with column n holding the monomial coefficients of f_n."""
-    coeffs, _ = rescaled_basis(sj, trunc)
-    size = trunc + 1
-    # f_n(X) = D^-n g_n(D X), so its X^i coefficient is G[i][n] / D^(n - i).
-    return tuple(
-        tuple(Fraction(coeffs[n][i], sj.scale ** (n - i)) if i <= n else _ZERO for n in range(size))
-        for i in range(size)
-    )
+    polys = monic_polys(sj, trunc)
+    return tuple(tuple(f.coeff(i) for f in polys) for i in range(trunc + 1))
 
 
 def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> MonomialMatrix:
@@ -386,11 +381,8 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
     # Column m reads coords[m] and coeffs[r] for r <= m + h only.
     coeffs, coords = rescaled_basis(sj, min(op.trunc, top + h))
     scale = sj.scale
-    common = lcm(*(v.denominator for diag in op.diags for v in diag))
-    mid = [
-        [v.numerator * (common // v.denominator) * scale ** (h - k) for v in diag]
-        for k, diag in zip(range(lo, hi + 1), op.diags)
-    ]
+    common, rows = _int_diags(op)
+    mid = [[v * scale ** (h - k) for v in row] for k, row in zip(range(lo, hi + 1), rows)]
     cols = []
     for m in range(top + 1):
         y = coords[m]

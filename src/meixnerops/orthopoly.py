@@ -97,18 +97,13 @@ def _check_degree(sj: SzegoJacobi, n_max: int) -> None:
 
 
 def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
-    """The monic polynomials f_0 .. f_{n_max} from the recurrence."""
-    _check_degree(sj, n_max)
-    polys = [Poly.one()]
-    prev = Poly.zero()
-    x = Poly.of(0, 1)
-    for n in range(n_max):
-        nxt = (x - sj.alpha(n)) * polys[n]
-        if n >= 1:
-            nxt = nxt - sj.omega(n) * prev
-        prev = polys[n]
-        polys.append(nxt)
-    return polys
+    """The monic polynomials f_0 .. f_{n_max}, read off ``rescaled_basis``.
+
+    f_n(X) = D^-n g_n(D X), so its X^i coefficient is G[n][i] / D^(n - i).
+    """
+    coeffs, _ = rescaled_basis(sj, n_max)
+    scales = powers(sj.scale, n_max)
+    return [Poly([c * d for c, d in zip(g, scales)], scales[n]) for n, g in enumerate(coeffs)]
 
 
 def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -219,7 +214,7 @@ class MomentSeq:
 
     def to_json(self) -> list[str]:
         scales = powers(self.scale, len(self) - 1)
-        return [format_ratio(a // (g := gcd(a, sm)), sm // g) for a, sm in zip(self.nums, scales)]
+        return [format_ratio(a, sm) for a, sm in zip(self.nums, scales)]
 
 
 def moments_from_sj(sj: SzegoJacobi, m_max: int) -> MomentSeq:

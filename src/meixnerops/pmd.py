@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .exact import Poly, powers
+from .exact import ONE, X, ZERO, Poly, powers
 
 
 class NotFaithful(ValueError):
@@ -57,7 +57,7 @@ class PMDecomp:
                 )
 
     def coeff(self, n: int) -> Poly:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Poly.zero()
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
 
     @property
     def order(self) -> int:
@@ -65,7 +65,7 @@ class PMDecomp:
 
     def apply(self, f: Poly) -> Poly:
         """Evaluate sum_n A_n(X) f^(n) exactly."""
-        out = Poly.zero()
+        out = ZERO
         df = f
         for n, a in enumerate(self.coeffs):
             if n > 0:
@@ -208,13 +208,12 @@ def normal_order(word: XDWord) -> PMDecomp:
     Left-composing X keeps the expansion normally ordered; left-composing D
     uses D * A_n(X) = A_n(X) * D + A_n'(X).
     """
-    coeffs: list[Poly] = [Poly.one()]
-    x = Poly.of(0, 1)
+    coeffs: list[Poly] = [ONE]
     for letter in reversed(word.letters):
         if letter == "X":
-            coeffs = [x * a for a in coeffs]
+            coeffs = [X * a for a in coeffs]
         else:
-            bumped = [Poly.zero()] + coeffs
+            bumped = [ZERO] + coeffs
             for n in range(len(coeffs)):
                 bumped[n] = bumped[n] + coeffs[n].derivative()
             coeffs = bumped

@@ -6,14 +6,14 @@ sqrt(R) / s.denominator, so a + b*sqrt(s) is (A + B*sqrt(R)) / d for
 integers A, B and d.  Those integers are the whole value; the moment kernels
 of ``classify`` read them directly, and ``s`` is kept as given for rendering.
 A perfect-square radicand folds into the rational part at construction.  The
-only arithmetic is negation and scaling by a rational.  Decimal strings are
-offered for display only.
+only arithmetic is negation and scaling by a rational.  Reports write the
+two rational parts through ``exact.format_ratio``; the ``decimal`` string,
+for display only, is computed in decimal arithmetic and rounded once.
 """
 
 from __future__ import annotations
 
 import decimal
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +22,7 @@ from math import gcd, lcm
 from .exact import RatLike, format_rat, format_ratio, rational_sqrt
 
 DIGITS = 12  # significant digits of the decimal rendering
-# ``_wide_decimal`` works with 20 guard digits and no exponent limit.
+# ``decimal`` works with 20 guard digits and no exponent limit.
 WIDE = decimal.Context(prec=DIGITS + 20, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
@@ -107,30 +107,12 @@ class Quadratic:
 
     __rmul__ = __mul__
 
-    def __float__(self) -> float:
-        # Each integer quotient is the correctly rounded float of a or of b.
-        a, b = self.num / self.den, self.root * self.s.denominator / self.den
-        return a + b * math.sqrt(float(self.s))
-
     def decimal(self) -> str:
         """``DIGITS`` significant digits in ``%g`` style, also beyond float range.
 
-        The float sum serves only terms of one sign: terms of opposite sign
-        may cancel, and take the exact route of ``_wide_decimal``.
-        """
-        if self.num * self.root >= 0:
-            try:
-                value = float(self)
-            except OverflowError:
-                value = math.inf
-            if math.isfinite(value):
-                return f"{value:.{DIGITS}g}"
-        return self._wide_decimal()
-
-    def _wide_decimal(self) -> str:
-        """``decimal`` in decimal arithmetic, where a float overflows or cancels.
-
-        The result goes through a float only when it is a normal float.
+        The value is computed in decimal arithmetic with 20 guard digits and
+        rounded once, to ``DIGITS`` digits; that rounded value goes through a
+        float only for its ``%g`` spelling, and only when it is a normal float.
         """
         r = self.int_radicand
         with decimal.localcontext(WIDE) as ctx:  # a copy, so WIDE keeps its precision
@@ -143,18 +125,18 @@ class Quadratic:
                 value = (self.num + surd) / self.den
             ctx.prec = DIGITS
             rounded = value.normalize()
-        as_float = float(value)
+        as_float = float(rounded)
         if sys.float_info.min <= abs(as_float) <= sys.float_info.max:
             return f"{as_float:.{DIGITS}g}"
         return f"{rounded:.{DIGITS}g}"
 
     def to_json(self) -> object:
-        rational_part = _format_reduced(self.num, self.den)
+        rational_part = format_ratio(self.num, self.den)
         if self.is_rational:
             return rational_part
         return {
             "rational_part": rational_part,
-            "root_coefficient": _format_reduced(self.root * self.s.denominator, self.den),
+            "root_coefficient": format_ratio(self.root * self.s.denominator, self.den),
             "radicand": format_rat(self.s),
             "decimal": self.decimal(),
         }
@@ -170,8 +152,3 @@ class Quadratic:
         sign = "+" if self.b > 0 else "-"
         return f"{format_rat(self.a)} {sign} {scaled}"
 
-
-def _format_reduced(num: int, den: int) -> str:
-    """``format_rat`` of num/den, den > 0, with no ``Fraction`` built."""
-    common = gcd(num, den)
-    return format_ratio(num // common, den // common)

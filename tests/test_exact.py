@@ -1,10 +1,20 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meixnerops.exact import ONE, ZERO, Poly, X, format_rat, parse_rat, rational_sqrt
+from meixnerops.exact import (
+    ONE,
+    ZERO,
+    Poly,
+    X,
+    format_rat,
+    format_ratio,
+    parse_rat,
+    rational_sqrt,
+)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 polys = st.lists(rationals, max_size=6).map(lambda values: Poly.of(*values))
@@ -32,6 +42,29 @@ def test_format_rat_roundtrip():
         assert parse_rat(format_rat(v)) == v
 
 
+def test_format_ratio_reduces_the_pair():
+    assert format_ratio(6, 4) == "3/2"
+    assert format_ratio(3, 2) == "3/2"
+    assert format_ratio(-6, 4) == "-3/2"
+    assert format_ratio(-7, 3) == "-7/3"
+    assert format_ratio(12, 4) == "3"
+    assert format_ratio(-12, 4) == "-3"
+    assert format_ratio(0, 5) == "0"
+
+
+def test_format_ratio_past_the_digit_limit():
+    # Past the digits str() writes for an int, reduced or not.
+    zeros = (sys.get_int_max_str_digits() or 4300) + 9
+    big = 10 ** (zeros + 1)
+    top = "1" + "0" * zeros + "1"  # big + 1, prime to 3 and to big
+    assert format_ratio(big + 1, 3) == f"{top}/3"
+    assert format_ratio(7 * (big + 1), 21) == f"{top}/3"
+    assert format_ratio(-2 * (big + 1), 6) == f"-{top}/3"
+    assert format_ratio(5 * (big + 1), 5) == top
+    assert format_ratio(big + 1, big) == f"{top}/1{'0' * (zeros + 1)}"
+    assert format_ratio(6 * (big + 1), 6 * big) == f"{top}/1{'0' * (zeros + 1)}"
+
+
 def test_rational_sqrt():
     assert rational_sqrt(F(9, 4)) == F(3, 2)
     assert rational_sqrt(F(0)) == 0
@@ -42,8 +75,8 @@ def test_rational_sqrt():
 
 def test_poly_normalization_and_degree():
     assert Poly([1, 2, 0, 0]).coeffs == (F(1), F(2))
-    assert Poly.zero().degree == -1
-    assert Poly.zero().is_zero
+    assert ZERO.degree == -1
+    assert ZERO.is_zero
     assert Poly.of(0, 0, 5).degree == 2
     assert ONE.degree == 0 and X.degree == 1
 

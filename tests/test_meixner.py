@@ -443,7 +443,7 @@ def test_translation_form_every_delta(p):
 
 def _apply_rows(expr, f: Poly) -> Poly:
     """Reference action of the rendered terms: sum_i p_i(X) f(X + c_i) over Q."""
-    out = Poly.zero()
+    out = ZERO
     for coeffs, shift in expr.terms:
         out = out + Poly.of(*(c.as_rational() for c in coeffs)) * f.shift(shift.as_rational())
     return out

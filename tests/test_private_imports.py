@@ -24,7 +24,7 @@ KEPT = {
     "normal_order",
     "sample_combo",
     # Test conveniences: they build or read a value in the form a test writes.
-    "GradedOp.entries",  # the band as a dict, for asserting on entries
+    "GradedOp.entries",  # the dense rows, for asserting on entries
     "MonomialMatrix.entries",  # the same for the monomial-basis matrix
     "MonomialMatrix.from_fractions",  # a matrix from Fraction entries
     "SzegoJacobi.from_lists",  # a recurrence from alpha and omega lists

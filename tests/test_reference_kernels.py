@@ -3,7 +3,9 @@
 ``to_monomial_basis`` and ``extract_pmd`` run on integers in a rescaled
 variable.  The references below are the straightforward Fraction versions:
 C * M * C^-1 with C^-1 by back-substitution, and the peel that shifts each
-earlier coefficient with ``Poly.monomial``.  Outputs must be equal exactly,
+earlier coefficient with ``Poly.monomial``.  The f-basis that ``monic_polys``
+and ``change_of_basis`` read off ``rescaled_basis`` is checked against the
+three-term recurrence on Fraction scalars.  Outputs must be equal exactly,
 and ``extract_pmd`` must refuse the same matrices with the same message.
 ``decompose`` as a whole (parameters evaluated from integers, one operator
 built, only the columns read, the peel in Y = D*X, the closed forms in one
@@ -80,7 +82,7 @@ from meixnerops.classify import (
     classify,
     distribution_moments,
 )
-from meixnerops.exact import Poly, powers
+from meixnerops.exact import ONE, X, ZERO, Poly, powers
 from meixnerops.meixner import (
     OPS,
     MeixnerParams,
@@ -119,8 +121,21 @@ classify_module = importlib.import_module("meixnerops.classify")
 meixner_module = importlib.import_module("meixnerops.meixner")
 
 
+def reference_monic_polys(sj, n_max):
+    """f_0 .. f_n_max by f_{n+1} = (X - alpha_n) f_n - omega_n f_{n-1}, on Fraction scalars."""
+    polys = [ONE]
+    prev = ZERO
+    for n in range(n_max):
+        nxt = (X - sj.alpha(n)) * polys[n]
+        if n >= 1:
+            nxt = nxt - sj.omega(n) * prev
+        prev = polys[n]
+        polys.append(nxt)
+    return polys
+
+
 def reference_change_of_basis(sj, trunc):
-    polys = monic_polys(sj, trunc)
+    polys = reference_monic_polys(sj, trunc)
     return [[polys[n].coeff(i) for n in range(trunc + 1)] for i in range(trunc + 1)]
 
 
@@ -220,7 +235,23 @@ def test_to_monomial_basis_matches_dense_reference(data):
     trunc, sj = data.draw(recurrences())
     op = data.draw(graded_ops(trunc))
     assert to_monomial_basis(op, sj).entries == reference_to_monomial_basis(op, sj)
-    assert change_of_basis(sj, trunc) == tuple(map(tuple, reference_change_of_basis(sj, trunc)))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_f_basis_matches_fraction_recurrence(data):
+    n_max = data.draw(st.integers(0, 12))
+    alphas = data.draw(st.lists(rats, min_size=n_max + 1, max_size=n_max + 1))
+    omegas = data.draw(st.lists(rats, min_size=n_max, max_size=n_max))
+    bound = data.draw(st.none() | st.integers(1, n_max + 2))
+    sj = SzegoJacobi.from_lists(alphas, omegas, support_bound=bound)
+    if bound is not None and n_max >= bound:
+        for build in (monic_polys, change_of_basis):
+            with pytest.raises(TruncationBeyondSupport):
+                build(sj, n_max)
+        return
+    assert monic_polys(sj, n_max) == reference_monic_polys(sj, n_max)
+    assert change_of_basis(sj, n_max) == tuple(map(tuple, reference_change_of_basis(sj, n_max)))
 
 
 def test_to_monomial_basis_rejects_truncation_past_support():
@@ -389,9 +420,8 @@ def parent_series(p, op, order):
     d = p.derived()
     xm = Poly.of(-p.alpha0, 1)
     lin = Poly.of(d.tau, p.alpha)
-    x = Poly.of(0, 1)
     u = [Poly.of(p.alpha0 / 2)]
-    num = [Poly.zero()]
+    num = [ZERO]
     for n in range(1, order + 1):
         if n % 2:
             w = F(d.delta ** ((n - 1) // 2), factorial(n))
@@ -405,11 +435,11 @@ def parent_series(p, op, order):
     am = [a - F(1, 2) * b for a, b in zip(u, a0)]
     table = {
         "U": (0, u),
-        "V": (1, [x - u[0]] + [-c for c in u[1:]]),
+        "V": (1, [X - u[0]] + [-c for c in u[1:]]),
         "N": (0, num),
         "a0": (0, a0),
         "a-": (-1, am),
-        "a+": (1, [x - am[0] - a0[0]] + [-a - b for a, b in zip(am[1:], a0[1:])]),
+        "a+": (1, [X - am[0] - a0[0]] + [-a - b for a, b in zip(am[1:], a0[1:])]),
     }
     k, coeffs = table[op]
     return PMDecomp(k, tuple(coeffs))
@@ -495,7 +525,7 @@ def test_series_decomposition_matches_termwise_closed_forms(p, op, order):
 
 
 def parent_translation_apply(expr, f):
-    halves = [Poly.zero(), Poly.zero()]  # C f, S f
+    halves = [ZERO, ZERO]  # C f, S f
     weight = F(1)  # Delta^(j // 2) / j!
     j, deriv = 0, f
     while not deriv.is_zero:
@@ -531,7 +561,7 @@ def translation_params(draw):
 
 def _bumped(coeffs, index, bump):
     """``coeffs`` with ``bump`` added to A_index, as a series that admits any bump."""
-    coeffs = list(coeffs) + [Poly.zero()] * (index + 1 - len(coeffs))
+    coeffs = list(coeffs) + [ZERO] * (index + 1 - len(coeffs))
     coeffs[index] = coeffs[index] + bump
     return PMDecomp(2, tuple(coeffs))
 
@@ -603,12 +633,12 @@ def reference_moments_from_sj(sj, m_max):
 
 def reference_gram_schmidt(mu, n_max):
     """Orthogonalize 1, X, X^2, ... as polynomials; (alphas, omegas, support_bound)."""
-    polys = [Poly.one()]
+    polys = [ONE]
     norms = [F(1)]
     alphas, omegas = [], []
     for n in range(n_max):
         candidate = Poly.monomial(n + 1)
-        projection = Poly.zero()
+        projection = ZERO
         for k, f_k in enumerate(polys):
             projection = projection + (apply_functional(mu, candidate * f_k) / norms[k]) * f_k
         f_next = candidate - projection
@@ -618,7 +648,7 @@ def reference_gram_schmidt(mu, n_max):
                 f"squared norm of degree-{n + 1} polynomial is negative: {norm_next}"
             )
         polys.append(f_next)
-        alphas.append(apply_functional(mu, Poly.of(0, 1) * polys[n] * polys[n]) / norms[n])
+        alphas.append(apply_functional(mu, X * polys[n] * polys[n]) / norms[n])
         omegas.append(norm_next / norms[n])
         if norm_next == 0:
             return alphas, omegas, n + 1

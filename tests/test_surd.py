@@ -45,9 +45,18 @@ def test_decimal_beyond_float_range():
     ]
     for value, expected in cases:
         assert value.decimal() == expected
-    # Inside float range, and where little cancels, the rendering is the float's.
-    for value in (Quadratic(F(3, 7), 2, 5), Quadratic(F(10**300), -1, 2), Quadratic(0, F(1, 9), 3)):
-        assert value.decimal() == f"{float(value):.12g}"
+    # Inside float range the rounded value is spelled as its float would be.
+    assert Quadratic(F(3, 7), 2, 5).decimal() == "4.90070738357"
+    assert Quadratic(F(10**300), -1, 2).decimal() == "1e+300"
+    assert Quadratic(0, F(1, 9), 3).decimal() == "0.19245008973"
+
+
+def test_decimal_rounds_once():
+    # 467.58158490049999598...: the float sum of the two terms rounded up to ...901.
+    assert Quadratic(F(254915, 2744), F(71774, 1369), F(15884, 311)).decimal() == "467.5815849"
+    # -881.13941017250001827...: rounding the wide value to a float first gave ...172.
+    value = Quadratic(F(63424, 479), F(-199861, 3714), F(19511, 55))
+    assert value.decimal() == "-881.139410173"
 
 
 def test_decimal_of_nearly_cancelling_terms():
@@ -82,15 +91,14 @@ def reference_str(a, b, s):
 
 
 def reference_decimal(a, b, s):
-    """The float sum where a and b*sqrt(s) share a sign; else the value at 80
-    digits, which outlast any cancellation of the drawn sizes, as a float."""
-    if a * b >= 0:
-        value = float(a) + float(b) * math.sqrt(float(s))
-    else:
-        with localcontext(Context(prec=80)):
-            dec = [Decimal(x.numerator) / x.denominator for x in (a, b, s)]
-            value = float(dec[0] + dec[1] * dec[2].sqrt())
-    return f"{value:.12g}"
+    """The value at 80 digits, which outlast any cancellation of the drawn
+    sizes, rounded once to 12 digits and spelled as a float in %g style."""
+    with localcontext(Context(prec=80)) as ctx:
+        dec = [Decimal(x.numerator) / x.denominator for x in (a, b, s)]
+        value = dec[0] + dec[1] * dec[2].sqrt()
+        ctx.prec = 12
+        value = +value
+    return f"{float(value):.12g}"
 
 
 def reference_json(a, b, s):
