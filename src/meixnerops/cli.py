@@ -33,17 +33,20 @@ from .operators import to_monomial_basis  # noqa: F401
 from .suites import SUITE_RUNNERS, extraction_agreement
 
 # Caps on the size flags, checked before any work; on a 2-core x86-64 host
-# with Python 3.11:
-# decompose costs about order^4.5, almost all of it the integer basis change:
-# --op=U with alpha = 5/7, alpha0 = -3/11, beta = 2/13, t = 7/5 takes 0.37 s
-# at order 128, 2.7 s at 200 and about 8 s at 256.
+# with Python 3.11.  The decompose caps were set when its check changed the
+# operator's basis at about order^4.5 cost; they stay, since raising them
+# would change exit codes.
+# decompose now reads the expansion off iterated commutators with X, which
+# repeat within four steps, so the closed form and its rendering dominate:
+# --op=U with alpha = 5/7, alpha0 = -3/11, beta = 2/13, t = 7/5 takes
+# 0.007 s at order 128 and 0.008 s at 200 (2.3 s with the basis change).
 MAX_ORDER = 200
-# decompose also grows with the parameters, about as order^4.5 * bits^1.5 with
-# bits the total bit length of their numerators and denominators: --op=U with
-# alpha = 10^40 + 7, alpha0 = 0, beta = 0, t = 1 (138 bits) takes 6.9 s at
-# order 120, 25 s at 160 and 79 s at 200; a 101-digit alpha (337 bits) takes
-# 1.0 s at order 60 and 13 s at 100.  Capping order^3 * bits caps that cost
-# near the 6.9 s of the first run.
+# decompose also grows with the parameters, mostly in writing their large
+# coefficients: --op=U, N or a+ with seven random numerators and denominators
+# of equal size takes 0.02 s at order 200 (28 bits in all), 0.03 s at 100
+# (238 bits), 0.15 s at 50 (1918 bits), 1.2 s at 24 (17360 bits) and 4.9 s
+# at 12 (98000 bits, each number near the 4300 digits int() reads).  With the basis
+# change the same runs took 1.4 to 12.7 s.  The cap is on order^3 * bits.
 MAX_ORDER_CUBED_BITS = 240_000_000
 # --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 1008
 # points with an irrational sqrt(Delta) (alpha = 1007, alpha0 = 1/1007,
@@ -74,8 +77,9 @@ CHARACTERIZE_BITS_AT_MAX_MOMENT = 400
 # most of the rest; the same family takes 5.3 s at 100 and 2.7 s at 50.
 # Integer shifts take 2.2 s at 200 (865), 0.7 s at 50 and 0.3 s at 0 (13333).
 CERTIFICATE_BITS_BUDGET = 2_000_000
-# verify --degree 200, one trial: pmd about 9.6 s (0.57 s at 100), gramschmidt
-# 1.0 s, universal, doublecomm and limit under 0.1 s.
+# verify --degree 200, one trial: gramschmidt 1.2 s (0.11 s at 100); pmd,
+# universal, doublecomm and limit under 0.02 s (pmd took 7.7 s with the basis
+# change).
 MAX_DEGREE = 200
 MAX_TRIALS = 1000
 APLUS_NOTE = (

@@ -57,6 +57,18 @@ def powers(x, top: int) -> list:
     return out
 
 
+def taylor_shift(h: list[int], p: int) -> list[int]:
+    """Rewrite the integer coefficients of h(Z), lowest degree first, as those of h(Z + p).
+
+    Repeated synthetic division, in place; ``h`` is returned.
+    """
+    top = len(h) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            h[j] += p * h[j + 1]
+    return h
+
+
 def rational_sqrt(value: RatLike) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     value = Fraction(value)
@@ -193,19 +205,15 @@ class Poly:
         """Substitute X + c for X, exactly: returns f(X + c).
 
         With c = p/q and d = deg f, g(Y) = q^d f(Y/q) has integer
-        coefficients, and f(X + c) = h(qX) / q^d with h(Z) = g(Z + p), an
-        integer Taylor shift by repeated synthetic division.
+        coefficients, and f(X + c) = h(qX) / q^d with h(Z) = g(Z + p), the
+        integer ``taylor_shift``.
         """
         c = Fraction(c)
         top = len(self.nums) - 1
         if c == 0 or top < 1:
             return self
-        p = c.numerator
         qpow = powers(c.denominator, top)
-        h = [v * qpow[top - i] for i, v in enumerate(self.nums)]
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                h[j] += p * h[j + 1]
+        h = taylor_shift([v * qpow[top - i] for i, v in enumerate(self.nums)], c.numerator)
         return Poly([v * w for v, w in zip(h, qpow)], self.den * qpow[top])
 
     def __call__(self, x: RatLike) -> Fraction:

@@ -109,8 +109,9 @@ class MeixnerDerived:
     support_bound: int | None
 
 
-def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
-    """The recurrence over the least common denominator D of alpha_0, alpha_1, omega_1, omega_2.
+def _recurrence_integers(p: MeixnerParams) -> tuple[int, int, int, int, int]:
+    """(D, D alpha_0, D alpha, D^2 t, 2 D^2 beta) over the least common denominator D
+    of alpha_0, alpha_1, omega_1 and omega_2.
 
     In the binomial basis of n, D alpha_n = D alpha_0 + n (D alpha) and
     D^2 omega_n = n (D^2 t) + C(n, 2) (2 D^2 beta), as omega_1 = t and
@@ -120,7 +121,12 @@ def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
     firsts = (p.alpha0, p.alpha + p.alpha0, p.t, 2 * (p.beta + p.t))
     scale = lcm(*(v.denominator for v in firsts))
     a0, a1, w1, w2 = (v.numerator * scale**e // v.denominator for v, e in zip(firsts, (1, 1, 2, 2)))
-    step, bend = a1 - a0, w2 - 2 * w1
+    return scale, a0, a1 - a0, w1, w2 - 2 * w1
+
+
+def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
+    """The recurrence as integers over the scale D of ``_recurrence_integers``."""
+    scale, a0, step, w1, bend = _recurrence_integers(p)
 
     def shift(n: int) -> int:
         return a0 + n * step
@@ -129,6 +135,16 @@ def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
         return n * w1 + n * (n - 1) // 2 * bend
 
     return SzegoJacobi(shift, link, scale, p.derived().support_bound)
+
+
+def recurrence_polys(p: MeixnerParams) -> tuple[Poly, Poly]:
+    """alpha_n and omega_n as polynomials in n, from the integers of ``szego_jacobi``.
+
+    With b = 2 D^2 beta, D^2 omega_n = n (D^2 t) + C(n, 2) b is
+    ((2 D^2 t - b) n + b n^2) / 2.
+    """
+    scale, a0, step, w1, bend = _recurrence_integers(p)
+    return Poly([a0, step], scale), Poly([0, 2 * w1 - bend, bend], 2 * scale * scale)
 
 
 def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:

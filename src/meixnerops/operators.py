@@ -16,6 +16,12 @@ on integer rows: each operand's diagonals go over their common denominator
 once, and each output entry becomes one ``Fraction``.  A commutator runs
 both of its products into the same integer rows, in one pass.
 
+The same operators act on all polynomials, untruncated, when alpha_n and
+omega_n are polynomials in n: each diagonal is then one ``Poly`` d_k(n), and
+``series_by_commutators`` reads an operator's position-momentum expansion off
+its iterated commutators with X.  The truncated matrix on monomials
+(``to_monomial_basis``) is the reference for that route.
+
 The quantum decomposition of multiplication by X is
 
     a+ f_n = f_{n+1},   a0 f_n = alpha_n f_n,   a- f_n = omega_n f_{n-1},
@@ -29,12 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .exact import ZERO, Poly, RatLike
+from .exact import ONE, X, ZERO, Poly, RatLike, taylor_shift
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
-from .pmd import MonomialMatrix
+from .pmd import MonomialMatrix, PMDecomp
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Diagonal = tuple[Fraction, ...]
@@ -203,6 +209,18 @@ def number_op(trunc: int) -> GradedOp:
     return _diagonal_op(trunc, [Fraction(n) for n in range(trunc + 1)])
 
 
+def truncation_margin(support_bound: int | None, trunc: int, k: int) -> int:
+    """Top input degrees made unreliable by truncating a band that raises by ``k``.
+
+    A raising band loses the k top columns, whose images reach past f_N.  A
+    truncation that keeps a whole finite support loses none, since f_{n0} = 0
+    there, and nor does a band that never raises.
+    """
+    if k <= 0 or (support_bound is not None and trunc == support_bound - 1):
+        return 0
+    return k
+
+
 def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, GradedOp]:
     """The creation, preservation, and annihilation parts (a+, a0, a-)."""
     if trunc < 0:
@@ -213,7 +231,6 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
             f"truncation degree {trunc} reaches past the {bound}-dimensional space"
         )
     size = trunc + 1
-    full = bound is not None and trunc == bound - 1
     square = sj.scale * sj.scale
     diag = [Fraction(sj.shift(n), sj.scale) for n in range(size)]
     down = []
@@ -222,7 +239,7 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
         if w <= 0:
             raise ValueError(f"omega_{n} = {sj.omega(n)} is not positive inside the support")
         down.append(Fraction(w, square))
-    aplus = GradedOp(trunc, (1, 1), 0 if full else 1, ((Fraction(1),) * trunc,))
+    aplus = GradedOp(trunc, (1, 1), truncation_margin(bound, trunc, 1), ((Fraction(1),) * trunc,))
     azero = _diagonal_op(trunc, diag)
     aminus = GradedOp(trunc, (-1, -1), 0, (tuple(down),))
     return aplus, azero, aminus
@@ -403,3 +420,140 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
             col.pop()
         cols.append(tuple(col))
     return MonomialMatrix(tuple(cols), common * scale**h, scale, size)
+
+
+# Operators on all polynomials, by polynomial diagonals.  Every operator
+# built from a+, a0, a- and N of a recurrence whose alpha_n and omega_n are
+# polynomials in n has entries (n + k, n) that are polynomials d_k(n), so it
+# is held as ``{k: d_k}`` without truncation.  Composing by
+#
+#     (A o B)_k(n) = sum_{ka + kb = k} A_ka(n + kb) B_kb(n)
+#
+# is exact at every n >= 0: a path that leaves the basis below f_0 steps
+# down from f_0, and omega_0 = 0 kills it.
+
+PolyDiags = dict[int, Poly]
+
+
+def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyDiags:
+    """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n, by nonzero diagonals."""
+    half = alpha * Fraction(1, 2)
+    diags = {
+        "U": {-1: omega, 0: half},
+        "V": {0: half, 1: ONE},
+        "N": {0: X},
+        "a0": {0: alpha},
+        "a-": {-1: omega},
+        "a+": {1: ONE},
+        "X": {-1: omega, 0: alpha, 1: ONE},
+    }[name]
+    return {k: d for k, d in diags.items() if not d.is_zero}
+
+
+IntDiags = tuple[int, dict[int, list[int]]]
+
+
+def _int_poly_diags(op: PolyDiags) -> IntDiags:
+    """The diagonals of ``op`` as integer coefficient lists over their common denominator."""
+    den = lcm(*(d.den for d in op.values()))
+    return den, {k: [v * (den // d.den) for v in d.nums] for k, d in op.items()}
+
+
+def _commutator_rows(a: IntDiags, b: IntDiags) -> IntDiags:
+    """[a, b] = a o b - b o a, both products accumulated into one set of integer rows.
+
+    The rows come back over den_a * den_b reduced by their common gcd, with
+    trailing zeros trimmed and zero diagonals dropped.
+    """
+    out: dict[int, list[int]] = {}
+    for left, right, sign in ((a[1], b[1], 1), (b[1], a[1], -1)):
+        for kb, db in right.items():
+            for ka, da in left.items():
+                if kb:
+                    da = taylor_shift(list(da), kb)
+                acc = out.setdefault(ka + kb, [])
+                if len(acc) < len(da) + len(db) - 1:
+                    acc.extend([0] * (len(da) + len(db) - 1 - len(acc)))
+                for i, x in enumerate(da):
+                    if x:
+                        x *= sign
+                        for j, y in enumerate(db, i):
+                            acc[j] += x * y
+    rows = {}
+    for k in sorted(out):
+        row = out[k]
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            rows[k] = row
+    den = a[0] * b[0]
+    common = gcd(den, *(v for row in rows.values() for v in row))
+    if common > 1:
+        den //= common
+        rows = {k: [v // common for v in row] for k, row in rows.items()}
+    return den, rows
+
+
+def _cycle_constant(later: IntDiags, earlier: IntDiags) -> Fraction | None:
+    """c with ``later`` = c * ``earlier`` on every coefficient of every diagonal, or None."""
+    (den_l, rows_l), (den_e, rows_e) = later, earlier
+    if not rows_l:
+        return Fraction(0)
+    if rows_l.keys() != rows_e.keys():
+        return None
+    k0 = next(iter(rows_e))
+    u, v = rows_e[k0][-1], rows_l[k0][-1]
+    for k, row_e in rows_e.items():
+        row_l = rows_l[k]
+        if len(row_l) != len(row_e) or any(x * u != y * v for x, y in zip(row_l, row_e)):
+            return None
+    return Fraction(v * den_e, u * den_l)
+
+
+def series_by_commutators(
+    t: PolyDiags, x: PolyDiags, sj: SzegoJacobi, k: int, order: int
+) -> PMDecomp:
+    """A_0 .. A_order of T = sum_n A_n(X) D^n, from the diagonals of T and of X.
+
+    Since [D^n, X] = n D^(n-1), the iterates T_j = [T_(j-1), X] satisfy
+    T_j 1 = j! A_j, so A_j = (sum_(i >= 0) d_i(0) f_i) / j! with d_i the
+    diagonals of T_j and f_i from ``monic_polys``.  Once T_j = c T_(j-2)
+    holds exactly on every coefficient of every diagonal, T_(j+2i) = c^i T_j
+    for every i, and no further commutator is formed; without such a cycle
+    the iteration runs to ``order``.  ``k`` is the grade of T.
+    """
+    xs = _int_poly_diags(x)
+    iterates = [_int_poly_diags(t)]
+    cycle = Fraction(1)  # no power of it is taken unless a cycle is found
+    for j in range(1, order + 1):
+        iterates.append(_commutator_rows(iterates[-1], xs))
+        found = _cycle_constant(iterates[j], iterates[j - 2]) if j >= 2 else None
+        if found is not None:
+            cycle = found
+            break
+    last = len(iterates) - 1
+    # T_r 1 = sum_(i >= 0) d_i(0) f_i, as integers over den_r * common.
+    top = max((i for _, rows in iterates for i, row in rows.items() if i >= 0 and row[0]),
+              default=0)
+    basis = monic_polys(sj, top)
+    common = lcm(*(f.den for f in basis))
+    images = []
+    for den, rows in iterates:
+        nums = [0] * (top + 1)
+        for i, row in rows.items():
+            if i >= 0 and row[0]:
+                v = row[0] * (common // basis[i].den)
+                for e, w in enumerate(basis[i].nums):
+                    nums[e] += v * w
+        images.append((nums, den * common))
+    coeffs = []
+    fact = 1
+    for m in range(order + 1):
+        fact *= max(m, 1)
+        # Past the last iterate, T_m = c^power T_r with r = last - 2 or last - 1.
+        r = m if m <= last else last - 2 + (m - last) % 2
+        power = (m - r) // 2
+        nums, den = images[r]
+        num_c, den_c = cycle.numerator**power, cycle.denominator**power
+        coeffs.append(Poly([v * num_c for v in nums], den * den_c * fact))
+    return PMDecomp(k, tuple(coeffs))

@@ -16,62 +16,68 @@ from .meixner import (
     MeixnerParams,
     comm_ux_closed_form,
     one_meixner_limit_check,
+    recurrence_polys,
     series_decomposition,
     szego_jacobi,
 )
 from .operators import (
-    GradedOp,
     VerifyReport,
     commutator,
-    number_op,
     operator_report,
+    poly_diagonals,
     quantum_ops,
     semi_ops,
     sequence_report,
-    to_monomial_basis,
+    series_by_commutators,
+    truncation_margin,
     verify_universal,
 )
-from .orthopoly import SzegoJacobi, gram_schmidt_from_moments, moments_from_sj
-from .pmd import PMDecomp, extract_pmd
+from .orthopoly import gram_schmidt_from_moments, moments_from_sj
+from .pmd import PMDecomp
 from .sampling import sample_params, sample_params_delta0
 
 Suite = tuple[MeixnerParams, list[VerifyReport]]
 
 
-def build_op(name: str, sj: SzegoJacobi, trunc: int) -> GradedOp:
-    """The one truncated operator ``name``; ``quantum_ops`` checks omega_n > 0."""
-    aplus, azero, aminus = quantum_ops(sj, trunc)
-    if name == "N":
-        return number_op(trunc)
-    if name in ("U", "V"):
-        u, v = semi_ops(aplus, azero, aminus)
-        return u if name == "U" else v
-    return {"a0": azero, "a-": aminus, "a+": aplus}[name]
+def checked_order(support_bound: int | None, k: int, order: int) -> int:
+    """The order through which an operator of grade ``k`` is checked at ``order``.
+
+    It is the order the truncated matrix reads reliably: the truncation is
+    order + 3, or the whole finite support if that is smaller, less the
+    ``truncation_margin`` of a raising band and its k spare degrees at the
+    top.  A law has at least 2 support points, so the truncation is at least
+    1 and the checked order at least 0.
+    """
+    if support_bound is None:
+        trunc = order + 3
+    else:
+        trunc = min(order + 3, support_bound - 1)
+    return min(order, trunc - truncation_margin(support_bound, trunc, k) - max(k, 0))
 
 
 def extraction_agreement(
     p: MeixnerParams, op: str, order: int, closed: PMDecomp
 ) -> VerifyReport:
-    """Compare the closed-form coefficients ``closed`` against matrix extraction.
+    """Compare the closed-form coefficients ``closed`` against the operator's expansion.
 
-    Only the columns the peel reads are formed.  On a mismatch the report
+    The operator and X are held by their polynomial diagonals, read from the
+    integers of ``szego_jacobi``, and ``series_by_commutators`` reads the
+    expansion off their iterated commutators.  On a mismatch the report
     carries ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
 
     ``closed`` is the caller's ``series_decomposition(p, op, order)``; its
     coefficients do not depend on the order, so it serves every lower cap,
     and its grade k is the operator's.  The checked order (``max_degree``)
-    is capped by the truncation: finite-support systems only expose their
-    quotient space, and raising operators need one spare degree at the top.
-    A law has at least 2 support points, so the truncation is at least 1 and
-    the cap at least 0.
+    is ``checked_order``: finite-support systems only expose their quotient
+    space, and raising operators need one spare degree at the top.
     """
     sj = szego_jacobi(p)
-    bound = sj.support_bound
-    trunc = order + 3 if bound is None else min(order + 3, bound - 1)
-    graded = build_op(op, sj, trunc)
     k = closed.k
-    cap = min(order, graded.valid_degree - max(k, 0))
-    extracted = extract_pmd(to_monomial_basis(graded, sj, cap), k, cap)
+    cap = checked_order(sj.support_bound, k, order)
+    alpha, omega = recurrence_polys(p)
+    extracted = series_by_commutators(
+        poly_diagonals(op, alpha, omega), poly_diagonals("X", alpha, omega), sj, k, cap
+    )
     return sequence_report(
         f"extraction matches closed form for {op}",
         cap,

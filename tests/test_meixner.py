@@ -16,14 +16,22 @@ from meixnerops.meixner import (
     TranslationCombo,
     comm_ux_closed_form,
     one_meixner_limit_check,
+    recurrence_polys,
     series_decomposition,
     szego_jacobi,
     translation_exprs,
     translation_form,
 )
-from meixnerops.operators import VerifyReport, commutator, quantum_ops, semi_ops
+from meixnerops.operators import (
+    VerifyReport,
+    commutator,
+    number_op,
+    poly_diagonals,
+    quantum_ops,
+    semi_ops,
+)
 from meixnerops.pmd import PMDecomp
-from meixnerops.suites import build_op, extraction_agreement
+from meixnerops.suites import extraction_agreement
 from meixnerops.surd import Quadratic
 
 GAUSSIAN = MeixnerParams(0, 0, 0, 1)
@@ -174,11 +182,17 @@ def test_pmd_recursion_invariant():
 
 
 def test_closed_form_grade_is_the_matrix_band():
-    # The grade k of each closed form is the top diagonal of the operator's matrix.
+    # The grade k of each closed form is the top diagonal of the operator's
+    # matrix, and no polynomial diagonal of the operator lies above it.
     for p in ALL:
-        sj = szego_jacobi(p)
+        aplus, azero, aminus = quantum_ops(szego_jacobi(p), 2)
+        u, v = semi_ops(aplus, azero, aminus)
+        matrices = {"U": u, "V": v, "N": number_op(2), "a0": azero, "a-": aminus, "a+": aplus}
+        alpha, omega = recurrence_polys(p)
         for op in OPS:
-            assert series_decomposition(p, op, 0).k == build_op(op, sj, 2).band[1], (p, op)
+            k = series_decomposition(p, op, 0).k
+            assert k == matrices[op].band[1], (p, op)
+            assert all(d <= k for d in poly_diagonals(op, alpha, omega)), (p, op)
 
 
 def test_series_decomposition_dispatch():

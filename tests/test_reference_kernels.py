@@ -47,7 +47,10 @@ Taylor shift, evaluation and rendering are checked against lists of reduced
 Fraction coefficients, and equal values must have equal fields and hashes.
 """
 
+import contextlib
 import importlib
+import io
+import json
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction as F
@@ -87,6 +90,7 @@ from meixnerops.meixner import (
     OPS,
     MeixnerParams,
     TranslationCombo,
+    recurrence_polys,
     series_decomposition,
     szego_jacobi,
     translation_exprs,
@@ -95,9 +99,11 @@ from meixnerops.operators import (
     GradedOp,
     change_of_basis,
     number_op,
+    poly_diagonals,
     quantum_ops,
     semi_ops,
     sequence_report,
+    series_by_commutators,
     to_monomial_basis,
 )
 from meixnerops.orthopoly import (
@@ -113,12 +119,15 @@ from meixnerops.orthopoly import (
 )
 from meixnerops.pmd import MonomialMatrix, NotFaithful, PMDecomp, extract_pmd
 from meixnerops.sampling import sample_params
-from meixnerops.suites import build_op, extraction_agreement
+from meixnerops.suites import checked_order, extraction_agreement
 from meixnerops.surd import Quadratic
 
 # The package's ``classify`` attribute is the function; this is its module.
 classify_module = importlib.import_module("meixnerops.classify")
 meixner_module = importlib.import_module("meixnerops.meixner")
+operators_module = importlib.import_module("meixnerops.operators")
+suites_module = importlib.import_module("meixnerops.suites")
+cli = importlib.import_module("meixnerops.cli")
 
 
 def reference_monic_polys(sj, n_max):
@@ -313,7 +322,7 @@ def test_large_pmd_suite_case_matches_references():
     p = sample_params(Random(1), min_dim=52)
     sj = szego_jacobi(p)
     for op in ("U", "V"):
-        graded = build_op(op, sj, 51)
+        graded = parent_build_op(op, sj, 51)
         matrix = to_monomial_basis(graded, sj)
         assert matrix.entries == reference_to_monomial_basis(graded, sj), op
         k = graded.band[1]
@@ -473,7 +482,7 @@ def _both_paths(p, op, order):
     bound = p.derived().support_bound
     trunc = order + 3 if bound is None else min(order + 3, bound - 1)
     sj, parent_sj = szego_jacobi(p), parent_szego_jacobi(p)
-    graded, parent_graded = build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
+    graded, parent_graded = parent_build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
     assert graded == parent_graded
     k = parent_graded.band[1]
     cap = min(order, graded.valid_degree - max(k, 0))
@@ -502,11 +511,14 @@ def test_full_truncation_of_binomial_laws(points):
     # trunc = support - 1: the last diagonal entry alpha_trunc enters a0 and
     # U, though the basis change only needs alpha_0 .. alpha_(trunc - 1).
     # Order 0 on 2 points is the smallest truncation: trunc = 1, checked order 0.
+    # The commutator route, which needs no truncation, agrees at every cap.
     p = MeixnerParams(F(1, 3), F(-1, 2), F(-5, 3) / (points - 1), F(5, 3))
+    sj, (alpha, omega) = szego_jacobi(p), recurrence_polys(p)
     for op in OPS:
         for order in (0, 8):
             extracted, parent = _both_paths(p, op, order)
             assert extracted == parent, (op, order)
+            assert both_routes(sj, alpha, omega, op, order) == (extracted, extracted), (op, order)
             report = extraction_agreement(p, op, order, series_decomposition(p, op, order))
             expected = min(order, points - 1 - max(extracted.k, 0))
             assert report.passed and report.max_degree == expected >= 0, (op, order)
@@ -516,6 +528,293 @@ def test_full_truncation_of_binomial_laws(points):
 @given(meixner_params(), st.sampled_from(OPS), st.integers(0, 30))
 def test_series_decomposition_matches_termwise_closed_forms(p, op, order):
     assert series_decomposition(p, op, order) == parent_series(p, op, order)
+
+
+# ---------------------------------------------------------------- commutator route
+# ``extraction_agreement`` reads each operator's expansion off its iterated
+# commutators with X, on polynomial diagonals.  Its reference is the matrix
+# route it replaced: the truncated operator, its monomial-basis matrix and
+# the peel, at the cap read off that operator.
+
+GRADES = {"U": 0, "V": 1, "N": 0, "a0": 0, "a-": -1, "a+": 1}
+
+
+def matrix_cap(graded, k, order):
+    """The checked order the matrix route read off the truncated operator."""
+    return min(order, graded.valid_degree - max(k, 0))
+
+
+def matrix_extraction_agreement(p, op, order, closed):
+    """``extraction_agreement`` as it was: one truncated operator, its monomial matrix, the peel."""
+    sj = szego_jacobi(p)
+    bound = sj.support_bound
+    trunc = order + 3 if bound is None else min(order + 3, bound - 1)
+    graded = parent_build_op(op, sj, trunc)
+    cap = matrix_cap(graded, closed.k, order)
+    extracted = extract_pmd(to_monomial_basis(graded, sj, cap), closed.k, cap)
+    return sequence_report(
+        f"extraction matches closed form for {op}",
+        cap,
+        ((n, extracted.coeff(n), closed.coeff(n)) for n in range(cap + 1)),
+    )
+
+
+def both_routes(sj, alpha, omega, op, order):
+    """(commutator route, matrix route) of ``op`` at the truncation ``decompose`` uses.
+
+    ``alpha`` and ``omega`` are the recurrence of ``sj`` as polynomials in n.
+    """
+    k = GRADES[op]
+    bound = sj.support_bound
+    trunc = order + 3 if bound is None else min(order + 3, bound - 1)
+    graded = parent_build_op(op, sj, trunc)
+    cap = checked_order(bound, k, order)
+    assert cap == matrix_cap(graded, k, order) >= 0
+    matrix = extract_pmd(to_monomial_basis(graded, sj, cap), k, cap)
+    diags = poly_diagonals(op, alpha, omega)
+    commutators = series_by_commutators(diags, poly_diagonals("X", alpha, omega), sj, k, cap)
+    return commutators, matrix
+
+
+class CycleLog:
+    """Counts the commutators and records every cycle constant found."""
+
+    def __init__(self, monkeypatch):
+        self.commutators, self.constants = 0, []
+        rows, constant = operators_module._commutator_rows, operators_module._cycle_constant
+
+        def counted(*args):
+            self.commutators += 1
+            return rows(*args)
+
+        def logged(*args):
+            c = constant(*args)
+            if c is not None:
+                self.constants.append(c)
+            return c
+
+        monkeypatch.setattr(operators_module, "_commutator_rows", counted)
+        monkeypatch.setattr(operators_module, "_cycle_constant", logged)
+
+    def reset(self):
+        self.commutators, self.constants = 0, []
+
+
+CLASS_PARAMS = (
+    MeixnerParams(0, F(1, 3), 0, F(5, 4)),  # Gaussian
+    MeixnerParams(F(3, 2), F(-1, 2), 0, F(2, 3)),  # Poisson
+    MeixnerParams(F(5, 7), F(-3, 11), F(2, 13), F(7, 5)),  # Pascal, irrational sqrt(Delta)
+    MeixnerParams(2, 1, 1, 1),  # Gamma: Delta = 0
+    MeixnerParams(F(1, 2), 0, F(3, 4), F(1, 2)),  # hyperbolic secant
+    MeixnerParams(F(1, 3), F(-1, 2), F(-5, 54), F(5, 3)),  # Binomial on 19 points
+)
+
+
+def test_commutator_route_matches_matrix_route_on_every_class(monkeypatch):
+    # Every operator of every class at orders 0 .. 16.  Each Meixner operator
+    # repeats within four commutators, T_j = Delta T_(j-2), so no order needs more.
+    log = CycleLog(monkeypatch)
+    for p in CLASS_PARAMS:
+        sj = szego_jacobi(p)
+        alpha, omega = recurrence_polys(p)
+        delta = p.derived().delta
+        for op in OPS:
+            for order in range(17):
+                log.reset()
+                commutators, matrix = both_routes(sj, alpha, omega, op, order)
+                assert commutators == matrix, (p, op, order)
+                assert log.commutators <= min(order, 4), (p, op, order)
+                if order >= 4:
+                    assert log.constants in ([delta], [0]), (p, op, order)
+
+
+@settings(deadline=None, max_examples=150)
+@given(meixner_params(), st.sampled_from(OPS), st.integers(0, 16))
+def test_commutator_route_matches_matrix_route(p, op, order):
+    commutators, matrix = both_routes(szego_jacobi(p), *recurrence_polys(p), op, order)
+    assert commutators == matrix
+    closed = series_decomposition(p, op, order)
+    assert extraction_agreement(p, op, order, closed) == matrix_extraction_agreement(
+        p, op, order, closed
+    )
+
+
+def test_delta_zero_cycles_with_constant_zero(monkeypatch):
+    # At Delta = 0, T_j = 0 * T_(j-2): U and V stop after A_1, the rest after A_2.
+    log = CycleLog(monkeypatch)
+    for p in (MeixnerParams(2, 1, 1, 1), MeixnerParams(0, F(-2, 3), 0, F(1, 6))):
+        assert p.derived().delta == 0
+        sj = szego_jacobi(p)
+        alpha, omega = recurrence_polys(p)
+        for op in OPS:
+            log.reset()
+            commutators, matrix = both_routes(sj, alpha, omega, op, 16)
+            assert commutators == matrix, (p, op)
+            assert log.constants == [0], (p, op)
+            assert commutators.order <= 2, (p, op)
+
+
+def polynomial_recurrence(alpha, omega, top):
+    """The recurrence alpha_n = alpha(n), omega_n = omega(n) through degree ``top``."""
+    return SzegoJacobi.from_lists(
+        [alpha(n) for n in range(top + 1)], [omega(n) for n in range(1, top + 1)]
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(rats, min_size=1, max_size=3),
+    st.lists(st.fractions(0, 3, max_denominator=5), min_size=3, max_size=3),
+    st.sampled_from(OPS),
+    st.integers(0, 12),
+)
+def test_commutator_route_on_polynomial_recurrences(alphas, omegas, op, order):
+    # alpha_n of degree up to 2, omega_n = n (q0 + q1 n + q2 n^2) > 0 for n >= 1.
+    alpha = Poly.of(*alphas)
+    omega = Poly.of(0, F(1, 2) + omegas[0], omegas[1], omegas[2])
+    sj = polynomial_recurrence(alpha, omega, order + 3)
+    commutators, matrix = both_routes(sj, alpha, omega, op, order)
+    assert commutators == matrix
+
+
+@st.composite
+def banded_polynomial_operators(draw):
+    """Diagonals d_k(n) for lo <= k <= hi, with d_k(n) = 0 for 0 <= n < -k, and hi.
+
+    The zeros keep every entry below f_0 empty, as omega_0 = 0 does for X.
+    """
+    lo = draw(st.integers(-2, 1))
+    hi = draw(st.integers(max(lo, 0), 2))
+    diags = {}
+    for k in range(lo, hi + 1):
+        d = Poly.of(*draw(st.lists(rats, max_size=3)))
+        for root in range(-k):
+            d = d * Poly.of(-root, 1)
+        if not d.is_zero:
+            diags[k] = d
+    return diags, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    banded_polynomial_operators(),
+    st.lists(rats, min_size=1, max_size=3),
+    st.lists(st.fractions(0, 3, max_denominator=5), min_size=3, max_size=3),
+    st.integers(0, 8),
+)
+def test_commutator_route_on_banded_operators(case, alphas, omegas, order):
+    # Any operator with polynomial diagonals, against its truncated matrix.
+    diags, hi = case
+    alpha = Poly.of(*alphas)
+    omega = Poly.of(0, F(1, 2) + omegas[0], omegas[1], omegas[2])
+    commutators, matrix = both_banded_routes(diags, hi, alpha, omega, order)
+    assert commutators == matrix
+
+
+def both_banded_routes(diags, hi, alpha, omega, order):
+    """(commutator route, matrix route) of the operator with polynomial diagonals ``diags``.
+
+    A truncation 2 * hi above the order leaves every column the matrix route reads exact.
+    """
+    trunc = order + 2 * hi
+    sj = polynomial_recurrence(alpha, omega, trunc)
+    lo = min(diags, default=0)
+    band = tuple(
+        tuple(diags[k](n) if k in diags else F(0) for n in range(max(0, -k), trunc + 1 - max(k, 0)))
+        for k in range(lo, hi + 1)
+    )
+    graded = GradedOp(trunc, (lo, hi), hi, band)
+    matrix = extract_pmd(to_monomial_basis(graded, sj, order), hi, order)
+    x = poly_diagonals("X", alpha, omega)
+    return series_by_commutators(diags, x, sj, hi, order), matrix
+
+
+def test_a_cycle_holds_on_every_diagonal(monkeypatch):
+    # U + a+ N on the Gaussian recurrence: the lowest diagonal of T_2 is twice
+    # that of T_0, but the diagonals above it are not, so the cycle found is
+    # T_4 = 0 = 0 * T_2.
+    log = CycleLog(monkeypatch)
+    alpha, omega = ZERO, X
+    diags = {-1: omega, 1: X}
+    commutators, matrix = both_banded_routes(diags, 1, alpha, omega, 8)
+    assert commutators == matrix
+    assert (log.commutators, log.constants) == (4, [0])
+
+
+def test_non_meixner_recurrence_runs_to_the_cap(monkeypatch):
+    # omega_n = n^3/3 + n is cubic, so no iterate repeats: every order takes
+    # one commutator per coefficient.
+    log = CycleLog(monkeypatch)
+    alpha, omega = Poly.of(F(1, 2), 1), Poly.of(0, 1, 0, F(1, 3))
+    sj = polynomial_recurrence(alpha, omega, 19)
+    for op in OPS:
+        log.reset()
+        commutators, matrix = both_routes(sj, alpha, omega, op, 16)
+        assert commutators == matrix, op
+        assert (log.commutators, log.constants) == (16, []), op
+
+
+@pytest.mark.parametrize(
+    "index, bump",
+    [(5, Poly.of(F(1, 7))), (0, Poly.of(0, F(1, 3))), (2, Poly.of(F(-2, 5), 0, 1)), (24, ONE)],
+)
+def test_failing_reports_match_the_matrix_route(index, bump):
+    # A perturbed closed form fails at the same index with the same residual,
+    # or passes when the perturbation lies past the checked order.
+    for p in CLASS_PARAMS + (MeixnerParams(1, 0, F(-1, 2), 1),):  # and a coin on 3 points
+        for op in OPS:
+            closed = series_decomposition(p, op, 24)
+            coeffs = list(closed.coeffs) + [ZERO] * (index + 1 - len(closed.coeffs))
+            if bump.degree > index + closed.k:
+                continue  # no expansion of grade k has such a coefficient
+            coeffs[index] = coeffs[index] + bump
+            closed = PMDecomp(closed.k, tuple(coeffs))
+            report = extraction_agreement(p, op, 24, closed)
+            assert report == matrix_extraction_agreement(p, op, 24, closed), (p, op)
+            assert report.passed == (index > report.max_degree), (p, op)
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_cli_bytes_match_the_matrix_route(monkeypatch):
+    # decompose --json for every operator at orders 0, 1, 2, 24 and 96, and
+    # verify --suite=pmd --degree=24; then one failing decompose report.
+    commutator_route = suites_module.extraction_agreement
+    pascal = ["--alpha=5/7", "--alpha0=-3/11", "--beta=2/13", "--t=7/5"]
+    binomial = ["--alpha=1/3", "--alpha0=-1/2", "--beta=-5/54", "--t=5/3"]  # 19 points
+    argvs = [
+        ["decompose", *params, f"--op={op}", f"--order={order}", "--json"]
+        for params in (pascal, binomial)
+        for op in OPS
+        for order in (0, 1, 2, 24, 96)
+    ]
+    argvs += [
+        ["verify", "--suite=pmd", "--degree=24", "--trials=3", f"--seed={seed}", "--json"]
+        for seed in (1, 2)
+    ]
+    new = [_stdout(argv) for argv in argvs]
+    assert all(code == 0 for code, _ in new)
+    for module in (cli, suites_module):
+        monkeypatch.setattr(module, "extraction_agreement", matrix_extraction_agreement)
+    assert [_stdout(argv) for argv in argvs] == new
+
+    def perturbed(p, op, order):
+        closed = series_decomposition(p, op, order)
+        coeffs = list(closed.coeffs)
+        coeffs[5] = coeffs[5] + F(1, 7)
+        return PMDecomp(closed.k, tuple(coeffs))
+
+    monkeypatch.setattr(cli, "series_decomposition", perturbed)
+    failing = ["decompose", *pascal, "--op=U", "--order=24", "--json"]
+    matrix = _stdout(failing)
+    monkeypatch.setattr(cli, "extraction_agreement", commutator_route)
+    assert _stdout(failing) == matrix
+    assert matrix[0] == 1 and json.loads(matrix[1])["extraction_agreement"]["fail_index"] == 5
 
 
 # ---------------------------------------------------------------- translation forms
