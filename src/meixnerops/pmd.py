@@ -7,6 +7,9 @@ operator's matrix on the monomial basis by peeling the triangular system
 
     T x^m = sum_{n <= m} A_n(X) * m!/(m-n)! * x^{m-n}.
 
+The commands read the same expansion off iterated commutators with X
+(``operators.series_by_commutators``); the peel is its tested reference.
+
 ``normal_order`` rewrites a word in the letters X and D into this canonical
 form using D X = X D + I.
 """

@@ -7,9 +7,12 @@ earlier coefficient with ``Poly.monomial``.  The f-basis that ``monic_polys``
 and ``change_of_basis`` read off ``rescaled_basis`` is checked against the
 three-term recurrence on Fraction scalars.  Outputs must be equal exactly,
 and ``extract_pmd`` must refuse the same matrices with the same message.
-``decompose`` as a whole (parameters evaluated from integers, one operator
-built, only the columns read, the peel in Y = D*X, the closed forms in one
-pass) is compared with the Fraction path it replaced, kept below.
+The matrix route as a whole (parameters evaluated from integers, one
+operator built, only the columns read, the peel in Y = D*X, the closed forms
+in one pass) is compared with the Fraction path it replaced, kept below.
+``decompose`` now reads each expansion off iterated commutators with X on
+polynomial diagonals; that route is compared with the matrix route, reports
+and CLI bytes included.
 
 The moment layer has the same treatment: ``moments_from_sj`` against powers
 of the recurrence matrix in Fractions, the Chebyshev algorithm against
