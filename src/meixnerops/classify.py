@@ -276,7 +276,7 @@ def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
         vn, vd = cls.variance.numerator, cls.variance.denominator
         even = _products([((2 * i + 1) * vn * vd, 0) for i in range(m_max // 2)], 0)
         raw = [(0, 0) if j % 2 else even[j // 2] for j in range(m_max + 1)]
-        return _affine_moments(raw, vd, Quadratic.of(1), Quadratic.of(cls.mean), m_max)
+        return _affine_moments(raw, vd, Quadratic(1), Quadratic(cls.mean), m_max)
     if isinstance(cls, Poisson):
         ln, q = cls.rate.numerator, cls.rate.denominator
         raw = _from_factorial(_products([(ln, 0)] * m_max, 0), q, m_max)
@@ -294,7 +294,7 @@ def distribution_moments(cls: MeixnerClass, m_max: int) -> MomentSeq:
         return _affine_moments(raw, q, cls.scale, cls.shift, m_max)
     else:
         raise Unsupported("no exact moment oracle for the hyperbolic secant class")
-    return _affine_moments(raw, q, Quadratic.of(cls.scale), Quadratic.of(cls.shift), m_max)
+    return _affine_moments(raw, q, Quadratic(cls.scale), Quadratic(cls.shift), m_max)
 
 
 def crosscheck(p: MeixnerParams, cls: MeixnerClass, m_max: int) -> VerifyReport:

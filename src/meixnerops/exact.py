@@ -120,13 +120,6 @@ class Poly:
         den = lcm(*(v.denominator for v in vals))
         return Poly([v.numerator * (den // v.denominator) for v in vals], den)
 
-    @staticmethod
-    def monomial(degree: int, coeff: RatLike = 1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        c = Fraction(coeff)
-        return Poly([0] * degree + [c.numerator], c.denominator)
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -200,21 +193,6 @@ class Poly:
             return self
         nums = self.nums
         return Poly([perm(i, order) * nums[i] for i in range(order, len(nums))], self.den)
-
-    def shift(self, c: RatLike) -> "Poly":
-        """Substitute X + c for X, exactly: returns f(X + c).
-
-        With c = p/q and d = deg f, g(Y) = q^d f(Y/q) has integer
-        coefficients, and f(X + c) = h(qX) / q^d with h(Z) = g(Z + p), the
-        integer ``taylor_shift``.
-        """
-        c = Fraction(c)
-        top = len(self.nums) - 1
-        if c == 0 or top < 1:
-            return self
-        qpow = powers(c.denominator, top)
-        h = taylor_shift([v * qpow[top - i] for i, v in enumerate(self.nums)], c.numerator)
-        return Poly([v * w for v, w in zip(h, qpow)], self.den * qpow[top])
 
     def __call__(self, x: RatLike) -> Fraction:
         """f(x) for x = p/q, by Horner's rule on q^deg f(p/q) in integers."""

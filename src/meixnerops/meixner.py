@@ -125,7 +125,11 @@ def _recurrence_integers(p: MeixnerParams) -> tuple[int, int, int, int, int]:
 
 
 def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
-    """The recurrence as integers over the scale D of ``_recurrence_integers``."""
+    """The recurrence as integers over the scale D of ``_recurrence_integers``.
+
+    With b = 2 D^2 beta, omega_n vanishes at n = 1 + t/(-beta) = 1 - 2 D^2 t / b
+    when beta < 0, an exact division.
+    """
     scale, a0, step, w1, bend = _recurrence_integers(p)
 
     def shift(n: int) -> int:
@@ -134,17 +138,20 @@ def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
     def link(n: int) -> int:
         return n * w1 + n * (n - 1) // 2 * bend
 
-    return SzegoJacobi(shift, link, scale, p.derived().support_bound)
+    return SzegoJacobi(shift, link, scale, 1 - 2 * w1 // bend if bend < 0 else None)
 
 
-def recurrence_polys(p: MeixnerParams) -> tuple[Poly, Poly]:
-    """alpha_n and omega_n as polynomials in n, from the integers of ``szego_jacobi``.
+def recurrence_polys(sj: SzegoJacobi) -> tuple[Poly, Poly]:
+    """alpha_n and omega_n of a ``szego_jacobi`` recurrence as polynomials in n.
 
-    With b = 2 D^2 beta, D^2 omega_n = n (D^2 t) + C(n, 2) b is
+    D alpha_n is linear in n and D^2 omega_n = n (D^2 t) + C(n, 2) b, with
+    b = 2 D^2 beta, is quadratic, so both are read off shift(0), shift(1),
+    link(1) = D^2 t and link(2) = 2 D^2 t + b: D^2 omega_n is
     ((2 D^2 t - b) n + b n^2) / 2.
     """
-    scale, a0, step, w1, bend = _recurrence_integers(p)
-    return Poly([a0, step], scale), Poly([0, 2 * w1 - bend, bend], 2 * scale * scale)
+    a0, w1, scale = sj.shift(0), sj.link(1), sj.scale
+    bend = sj.link(2) - 2 * w1
+    return Poly([a0, sj.shift(1) - a0], scale), Poly([0, 2 * w1 - bend, bend], 2 * scale * scale)
 
 
 def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:
@@ -161,14 +168,13 @@ def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:
 OPS = ("U", "V", "N", "a0", "a-", "a+")
 
 
-def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
+def _closed_parts(p: MeixnerParams, d: MeixnerDerived, op: str) -> tuple[int, Poly, Poly, Poly]:
     """(k, A_0, P_odd, P_even) with A_n = Delta^((n-1)//2)/n! * P_(n mod 2) for n >= 1.
 
     U and N carry the closed forms; a0 = alpha N + alpha0 I, and the rest
     follow by the derived routes V = X - U, a- = U - a0/2, a+ = X - a- - a0,
-    applied to the three polynomials.
+    applied to the three polynomials.  ``d`` is ``p.derived()``.
     """
-    d = p.derived()
     xm = Poly.of(-p.alpha0, 1)
     lin = Poly.of(d.tau, p.alpha)
     if op == "N":
@@ -197,8 +203,9 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
     """
     if op not in OPS:
         raise ValueError(f"unknown operator {op!r}; choose from {sorted(OPS)}")
-    k, head, odd, even = _closed_parts(p, op)
-    return PMDecomp(k, _series(head, odd, even, p.derived().delta, order))
+    d = p.derived()
+    k, head, odd, even = _closed_parts(p, d, op)
+    return PMDecomp(k, _series(head, odd, even, d.delta, order))
 
 
 def _series(head: Poly, odd: Poly, even: Poly, delta: Fraction, order: int) -> tuple[Poly, ...]:
@@ -243,14 +250,14 @@ class TranslationExpr:
     def coefficients(self, sign: int) -> tuple[Quadratic, ...]:
         """Coefficients of X^0, X^1, ... on T_{sign*delta}, or on I for sign 0."""
         if sign == 0:
-            return tuple(Quadratic.of(c) for c in self.ident.coeffs)
+            return tuple(Quadratic(c) for c in self.ident.coeffs)
         rational = Fraction(1, 2) * self.even
         root = Fraction(sign, 2) / self.delta_squared * self.odd
         coeffs = [
             Quadratic(rational.coeff(i), root.coeff(i), self.delta_squared)
             for i in range(max(len(rational.coeffs), len(root.coeffs)))
         ]
-        while coeffs and coeffs[-1] == Quadratic.of(0):
+        while coeffs and coeffs[-1] == Quadratic(0):
             coeffs.pop()
         return tuple(coeffs)
 
@@ -447,9 +454,3 @@ class TranslationCombo:
 
     def format(self) -> str:
         return ",".join(f"{format_rat(c)}:{format_rat(s)}" for c, s in self.terms)
-
-    def apply(self, f: Poly) -> Poly:
-        out = ZERO
-        for c, s in self.terms:
-            out = out + c * f.shift(s)
-        return out

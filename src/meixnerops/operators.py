@@ -11,7 +11,7 @@ degrees, so an identity reported as holding is exact, never approximate.
 
 Only the band is stored, so construction checks shapes in O(width), add,
 neg and scale cost O(N * width), and compose costs O(N * w1 * w2).  The
-dense views ``entries`` and ``column(n)`` are built on demand.  Products run
+dense column ``column(n)`` is built on demand.  Products run
 on integer rows: each operand's diagonals go over their common denominator
 once, and each output entry becomes one ``Fraction``.  A commutator runs
 both of its products into the same integer rows, in one pass.
@@ -97,12 +97,6 @@ class GradedOp:
             if 0 <= n + k < size:
                 col[n + k] = diag[n + min(k, 0)]
         return tuple(col)
-
-    @property
-    def entries(self) -> Matrix:
-        """Dense view: ``entries[m][n]`` is the f_m-component of the image of f_n."""
-        cols = [self.column(n) for n in range(self.trunc + 1)]
-        return tuple(zip(*cols)) if cols else ()
 
     def _require_same_trunc(self, other: "GradedOp") -> None:
         if self.trunc != other.trunc:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .exact import Poly, RatLike, format_ratio, powers
+from .exact import Poly, format_ratio, powers
 
 
 class TruncationBeyondSupport(ValueError):
@@ -40,31 +40,14 @@ class SzegoJacobi:
     """Recurrence coefficients as integers over one scale D.
 
     ``shift(n)`` is D*alpha_n (n >= 0) and ``link(n)`` is D^2*omega_n, with
-    ``link(0) = 0``; ``alpha(n)`` and ``omega(n)`` build the ``Fraction``.
+    ``link(0) = 0``.  The kernels read only these integers; ``omega(n)``
+    builds the ``Fraction`` omega_n for an error message.
     """
 
     shift: Callable[[int], int]
     link: Callable[[int], int]
     scale: int
     support_bound: int | None = None
-
-    @staticmethod
-    def from_lists(
-        alphas: Sequence[RatLike],
-        omegas: Sequence[RatLike],
-        support_bound: int | None = None,
-    ) -> "SzegoJacobi":
-        """Finite lists over their least common denominator; omegas[i] holds omega_{i+1}."""
-        return _over_lcm(
-            [(v.numerator, v.denominator) for v in map(Fraction, alphas)],
-            [(v.numerator, v.denominator) for v in map(Fraction, omegas)],
-            support_bound,
-        )
-
-    def alpha(self, n: int) -> Fraction:
-        if n < 0:
-            raise IndexError(f"alpha_{n} is undefined")
-        return Fraction(self.shift(n), self.scale)
 
     def omega(self, n: int) -> Fraction:
         """omega_n, with omega_0 = 0."""
@@ -162,15 +145,6 @@ class MomentSeq:
             raise ValueError("moment sequence must start with E[X^0] = 1")
         if self.scale < 1:
             raise ValueError("the scale must be a positive integer")
-
-    @staticmethod
-    def from_values(values: Sequence[RatLike]) -> "MomentSeq":
-        """The sequence of the given exact values, over their least common denominator."""
-        vals = [Fraction(v) for v in values]
-        scale = lcm(*(v.denominator for v in vals))
-        scales = powers(scale, len(vals) - 1)
-        nums = tuple(v.numerator * (sm // v.denominator) for v, sm in zip(vals, scales))
-        return MomentSeq(nums, scale)
 
     def cross(self, other: "MomentSeq") -> Iterator[tuple[int, int, int]]:
         """``(m, u, v)`` for each common order m; u == v exactly when both E[X^m] agree.

@@ -17,18 +17,14 @@ form using D X = X D + I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable
 
 from .exact import ONE, X, ZERO, Poly, powers
 
 
 class NotFaithful(ValueError):
     """Matrix raises degree beyond the declared bound; no expansion exists."""
-
-
-_ZERO = Fraction(0)
 
 
 def _trim_ints(values: list[int]) -> list[int]:
@@ -62,23 +58,6 @@ class PMDecomp:
     def coeff(self, n: int) -> Poly:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def apply(self, f: Poly) -> Poly:
-        """Evaluate sum_n A_n(X) f^(n) exactly."""
-        out = ZERO
-        df = f
-        for n, a in enumerate(self.coeffs):
-            if n > 0:
-                df = df.derivative()
-                if df.is_zero:
-                    break
-            if not a.is_zero:
-                out = out + a * df
-        return out
-
     def to_json_dict(self) -> dict:
         return {"k": self.k, "coeffs": [a.to_json() for a in self.coeffs]}
 
@@ -105,8 +84,8 @@ class MonomialMatrix:
 
     ``cols[m][i] / den`` is the Y^i coefficient of the image of Y^m, trailing
     zeros trimmed, so on powers of X the entry (i, m) is
-    cols[m][i] * D^(i - m) / den, with D = ``scale``.  ``size`` counts the
-    rows of the dense view.
+    cols[m][i] * D^(i - m) / den, with D = ``scale``.  ``size`` is N + 1,
+    the number of rows of the truncated operator.
     """
 
     cols: tuple[tuple[int, ...], ...]
@@ -114,35 +93,12 @@ class MonomialMatrix:
     scale: int
     size: int
 
-    @staticmethod
-    def from_fractions(matrix: Sequence[Sequence[Fraction]]) -> "MonomialMatrix":
-        """``matrix[i][m]`` is the X^i coefficient of the image of X^m (so D = 1)."""
-        den = lcm(*(v.denominator for row in matrix for v in row))
-        cols = tuple(
-            tuple(_trim_ints([row[m].numerator * (den // row[m].denominator) for row in matrix]))
-            for m in range(len(matrix[0]) if matrix else 0)
-        )
-        return MonomialMatrix(cols, den, 1, len(matrix))
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense view: ``entries[i][m]`` is the X^i coefficient of the image of X^m."""
-        d = self.scale
-        return tuple(
-            tuple(
-                Fraction(col[i] * d**i, self.den * d**m) if i < len(col) else _ZERO
-                for m, col in enumerate(self.cols)
-            )
-            for i in range(self.size)
-        )
-
 
 def extract_pmd(matrix: MonomialMatrix, k: int, order: int) -> PMDecomp:
     """Recover A_0 .. A_order from a monomial-basis matrix.
 
     Only columns 0 .. order of ``matrix`` are read, so a truncated matrix may
-    be passed as long as those columns are reliable; a Fraction matrix enters
-    through ``MonomialMatrix.from_fractions``.
+    be passed as long as those columns are reliable.
 
     The peel runs on the integer columns in Y = D*X, where d/dX = D d/dY:
     with L the common denominator, B_m = L m! A~_m satisfies

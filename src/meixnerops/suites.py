@@ -74,7 +74,7 @@ def extraction_agreement(
     sj = szego_jacobi(p)
     k = closed.k
     cap = checked_order(sj.support_bound, k, order)
-    alpha, omega = recurrence_polys(p)
+    alpha, omega = recurrence_polys(sj)
     extracted = series_by_commutators(
         poly_diagonals(op, alpha, omega), poly_diagonals("X", alpha, omega), sj, k, cap
     )

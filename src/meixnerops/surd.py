@@ -67,10 +67,6 @@ class Quadratic:
         return out
 
     @staticmethod
-    def of(value: RatLike) -> "Quadratic":
-        return Quadratic(value)
-
-    @staticmethod
     def sqrt(radicand: RatLike) -> "Quadratic":
         return Quadratic(0, 1, radicand)
 

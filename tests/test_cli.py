@@ -197,9 +197,34 @@ def test_decompose_computes_the_closed_form_once(capsys, monkeypatch):
     assert calls == [4] * 12  # once per operator and trial
 
 
+def test_decompose_derives_the_parameter_constants_once(capsys, monkeypatch):
+    # Delta, tau and the support bound, and the recurrence integers, are each
+    # computed once per run, for the closed form and the extraction alike.
+    meixner = importlib.import_module("meixnerops.meixner")
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(MeixnerParams, "derived", counted("derived", MeixnerParams.derived))
+    monkeypatch.setattr(
+        meixner, "_recurrence_integers", counted("integers", meixner._recurrence_integers)
+    )
+    for params in (("5/7", "-3/11", "2/13", "7/5"), ("0", "0", "-1", "2")):
+        for op in ("U", "a+"):
+            calls.clear()
+            argv = [f"--{k}={v}" for k, v in zip(("alpha", "alpha0", "beta", "t"), params)]
+            code, _, _ = run_cli(capsys, "decompose", *argv, f"--op={op}", "--order=24", "--json")
+            assert code == 0
+            assert sorted(calls) == ["derived", "integers"], (params, op)
+
+
 def _perturbed(decomp, index, delta):
     """``decomp`` with ``delta`` added to its coefficient A_index."""
-    coeffs = [decomp.coeff(n) for n in range(max(decomp.order, index) + 1)]
+    coeffs = [decomp.coeff(n) for n in range(max(len(decomp.coeffs), index + 1))]
     coeffs[index] = coeffs[index] + delta
     return PMDecomp(decomp.k, tuple(coeffs))
 
