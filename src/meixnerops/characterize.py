@@ -13,12 +13,12 @@ independent Y_i ~ Poisson(c_i/d_i).  Three independent routes to the moments
 are provided (the recursion above, classical cumulants, and a formal Laplace
 transform), plus an exact factorial growth certificate |E[X^m]| <= k^m m!.
 
-A combination is validated once: the verdict of ``ensure_valid`` carries
-the integer form of the terms, and the routes and ``bound_cert`` take it in
-place of the combination (each validates a raw one itself).  The routes
-share only that form and, for the cumulant and Laplace routes, one pass of
-power sums; each runs its own recurrence, so a fault in one still shows as
-a disagreement between them.
+A combination is validated once: ``ensure_valid`` raises the first broken
+rule, and its verdict carries the integer form of the terms, which the
+routes and ``bound_cert`` take in place of the combination.  The routes
+share only that form; each runs its own recurrence (and the cumulant and
+Laplace routes their own power sums), so a fault in one still shows as a
+disagreement between them.
 """
 
 from __future__ import annotations
@@ -56,77 +56,51 @@ class ZeroCoefficient(InvalidCombo):
 
 @dataclass(frozen=True)
 class ComboValidity:
-    """Validation verdict with the implied Poisson components when valid.
+    """Verdict of a valid combination: its Poisson components and integer form.
 
     ``scaled`` is the integer form ``(Q, S, ((Q c_i, Z d_i), ...))`` of the
     terms with Z = Q S (see ``_scaled_terms``), which the rules are read on
-    and every route computes from.  ``power_sums`` holds the power sums of
-    the one ``_power_sums`` pass that the cumulant and Laplace routes share.
-    Neither takes part in equality.
+    and every route computes from; it takes no part in equality.
     """
 
-    ok: bool
-    violations: tuple[tuple[type[InvalidCombo], str], ...]  # (error class, message)
     poisson_terms: tuple[tuple[Fraction, Fraction], ...]  # (mean, scale) per shift
     scaled: tuple[int, int, tuple[tuple[int, int], ...]] = field(compare=False, repr=False)
-    power_sums: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
-            "ok": self.ok,
-            "violations": [message for _, message in self.violations],
             "poisson_terms": [
                 {"mean": format_rat(lam), "scale": format_rat(d)} for lam, d in self.poisson_terms
             ],
         }
 
 
-def validate_combo(combo: TranslationCombo) -> ComboValidity:
-    """Every violated rule with its error class, most important first.
+def ensure_valid(combo: TranslationCombo) -> ComboValidity:
+    """The verdict of a valid combination; the first broken rule raises its typed error.
 
-    The rules are read on the integer form: since Q, Z > 0, the c_i sum to
-    zero when the Q c_i do, c_i/d_i > 0 when (Q c_i)(Z d_i) > 0, and the
+    The rules run in order: the sum, the duplicate shifts, then each term
+    in turn.  They are read on the integer form: since Q, Z > 0, the c_i sum
+    to zero when the Q c_i do, c_i/d_i > 0 when (Q c_i)(Z d_i) > 0, and the
     d_i are distinct when the Z d_i are.
     """
     scaled = q, s, terms = _scaled_terms(combo)
-    violations: list[tuple[type[InvalidCombo], str]] = []
     total = sum(c for c, _ in terms)
     if total:
-        violations.append(
-            (SumNotZero, f"coefficients sum to {format_rat(Fraction(total, q))}, not 0")
-        )
+        raise SumNotZero(f"coefficients sum to {format_rat(Fraction(total, q))}, not 0")
     shifts = [e for _, e in terms]
     if len(set(shifts)) != len(shifts):
-        violations.append((DuplicateShift, "shifts must be pairwise distinct"))
+        raise DuplicateShift("shifts must be pairwise distinct")
     for (c, d), (qc, zd) in zip(combo.terms, terms):
-        if zd:
-            if qc * zd <= 0:
-                violations.append((
-                    NegativeMean,
-                    f"term {format_rat(c)}:{format_rat(d)} would give a nonpositive Poisson mean",
-                ))
-        elif not qc:
-            violations.append((ZeroCoefficient, "useless zero term at shift 0"))
-    if violations:
-        return ComboValidity(False, tuple(violations), (), scaled)
+        if zd and qc * zd <= 0:
+            raise NegativeMean(
+                f"term {format_rat(c)}:{format_rat(d)} would give a nonpositive Poisson mean"
+            )
+        if not (zd or qc):
+            raise ZeroCoefficient("useless zero term at shift 0")
     # c_i / d_i = S (Q c_i) / (Z d_i)
     means = tuple(
         (Fraction(s * qc, zd), d) for (_, d), (qc, zd) in zip(combo.terms, terms) if zd
     )
-    return ComboValidity(True, (), means, scaled)
-
-
-def ensure_valid(combo: TranslationCombo | ComboValidity) -> ComboValidity:
-    """Validate and raise the first violation as its typed error.
-
-    The verdict of a valid combination is what the moment routes and
-    ``bound_cert`` run on; a verdict passed in is checked, not rebuilt.
-    """
-    verdict = combo if isinstance(combo, ComboValidity) else validate_combo(combo)
-    if verdict.violations:
-        error, message = verdict.violations[0]
-        raise error(message)
-    return verdict
+    return ComboValidity(means, scaled)
 
 
 def _scaled_terms(combo: TranslationCombo) -> tuple[int, int, tuple[tuple[int, int], ...]]:
@@ -144,11 +118,11 @@ def _scaled_terms(combo: TranslationCombo) -> tuple[int, int, tuple[tuple[int, i
     )
 
 
-def _power_sums(combo: TranslationCombo | ComboValidity, top: int) -> tuple[int, list[int]]:
+def _power_sums(valid: ComboValidity, top: int) -> tuple[int, list[int]]:
     """Z and Z^(j+1) sum_i c_i d_i^j = S sum_i (Q c_i) (Z d_i)^j for j = 0 .. top."""
     if top < 0:
         raise ValueError("m_max must be nonnegative")
-    q, s, terms = combo.scaled if isinstance(combo, ComboValidity) else _scaled_terms(combo)
+    q, s, terms = valid.scaled
     sums = [0] * (top + 1)
     for c, e in terms:
         for j, power in enumerate(powers(e, top)):
@@ -156,14 +130,7 @@ def _power_sums(combo: TranslationCombo | ComboValidity, top: int) -> tuple[int,
     return q * s, sums
 
 
-def _shared_power_sums(valid: ComboValidity, top: int) -> list[int]:
-    """The power sums through ``top``, from one ``_power_sums`` pass per verdict."""
-    if not 0 <= top < len(valid.power_sums):
-        valid.power_sums[:] = _power_sums(valid, top)[1]
-    return valid.power_sums
-
-
-def moments_via_recursion(combo: TranslationCombo | ComboValidity, m_max: int) -> MomentSeq:
+def moments_via_recursion(valid: ComboValidity, m_max: int) -> MomentSeq:
     """E[X^m] = sum_i c_i E[(X + d_i)^(m-1)], on nu_m = Z^m E[X^m].
 
     Term i contributes S (Q c_i) T_i[m-1][0], where T_i[n][k] =
@@ -174,10 +141,10 @@ def moments_via_recursion(combo: TranslationCombo | ComboValidity, m_max: int) -
     so each step multiplies a big integer only by the small Z d_i.  A zero
     shift has T[m-1][0] = nu_(m-1) and folds into one coefficient; every
     other shift keeps the antidiagonal n + k = m - 1 of its triangle, which
-    ends in T[m-1][0].  ``combo`` is a verdict of ``ensure_valid`` or a raw
-    combination, validated here; only its integer form is read, no power sum.
+    ends in T[m-1][0].  Of the verdict only the integer form is read, no
+    power sum.
     """
-    q, s, terms = ensure_valid(combo).scaled
+    q, s, terms = valid.scaled
     still = s * sum(c for c, e in terms if not e)
     moving = [(s * c, e) for c, e in terms if e]
     diagonals = [[1] for _ in moving]  # T[0][0] = nu_0
@@ -194,25 +161,21 @@ def moments_via_recursion(combo: TranslationCombo | ComboValidity, m_max: int) -
     return MomentSeq(tuple(nu), q * s)
 
 
-def moments_via_cumulants(combo: TranslationCombo | ComboValidity, m_max: int) -> MomentSeq:
+def moments_via_cumulants(valid: ComboValidity, m_max: int) -> MomentSeq:
     """Standard cumulant-to-moment recursion m_n = sum C(n-1,j-1) kappa_j m_{n-j}.
 
     It runs on nu_m = Z^m E[X^m] and K_j = Z^j kappa_j, which obey the same
-    recursion.  ``combo`` is a verdict or a raw combination, as for
-    ``moments_via_recursion``.  Of the power sums it reads only K_2 .. K_m_max,
-    from the verdict's one pass, which it shares with ``laplace_series``.
+    recursion; K_2 .. K_m_max are the power sums through j = m_max - 1.
     """
-    valid = ensure_valid(combo)
-    q, s, _ = valid.scaled
-    sums = _shared_power_sums(valid, max(m_max, 0))
-    kappas = [0] + sums[1:m_max]  # kappas[j] = K_{j+1}, and K_1 = 0
+    z, sums = _power_sums(valid, max(m_max - 1, 0))
+    kappas = [0] + sums[1:]  # kappas[j] = K_{j+1}, and K_1 = 0
     nu = [1]
     for m in range(1, m_max + 1):
         nu.append(sum(comb(m - 1, j) * kappas[j] * nu[m - 1 - j] for j in range(m)))
-    return MomentSeq(tuple(nu), q * s)
+    return MomentSeq(tuple(nu), z)
 
 
-def laplace_series(combo: TranslationCombo | ComboValidity, m_max: int) -> MomentSeq:
+def laplace_series(valid: ComboValidity, m_max: int) -> MomentSeq:
     """Moments read off the formal series of prod_i exp((c_i/d_i)(e^{d_i s} - d_i s - 1)).
 
     The product's logarithm has coefficient sum_i c_i d_i^{j-1}/j! at s^j for
@@ -226,16 +189,11 @@ def laplace_series(combo: TranslationCombo | ComboValidity, m_max: int) -> Momen
     and m psi_m = sum_j j (K_j / j!) psi_{m-j} = sum_j K_j (psi_{m-j} / (j-1)!),
     where every division is exact.  Step m reads the quotients psi_k / j! on
     the antidiagonal k + j = m - 1, each one exact division by j from the
-    last; the series and the identity check at order m - 1 share them.
-    ``combo`` is a verdict or a raw combination, as for
-    ``moments_via_recursion``; the power sums come from the verdict's one
-    pass, which it shares with ``moments_via_cumulants``, and the identity
-    check is what catches a wrong one.
+    last; the series and the identity check at order m - 1 share them.  The
+    identity check is what catches a wrong power sum.
     """
-    valid = ensure_valid(combo)
-    q, s, _ = valid.scaled
     # source[j] / j! is the s^j coefficient of Z * source(Z s).
-    source = _shared_power_sums(valid, m_max)
+    z, source = _power_sums(valid, m_max)
     log_scaled = [0, 0] + source[1:m_max]  # K_j for j = 0 .. m_max; K_1 = 0
     psi = [factorial(m_max)]
     quotients: list[int] = []  # quotients[k] = psi_k / (m - 1 - k)! at step m
@@ -253,7 +211,7 @@ def laplace_series(combo: TranslationCombo | ComboValidity, m_max: int) -> Momen
     for m in range(m_max, -1, -1):
         nu[m] = psi[m] // falling
         falling *= m
-    return MomentSeq(tuple(nu), q * s)
+    return MomentSeq(tuple(nu), z)
 
 
 @dataclass(frozen=True)
@@ -290,22 +248,20 @@ def _max_power_over_factorial(r: Fraction) -> Fraction:
     return Fraction(u**p, v**p * factorial(p))
 
 
-def bound_cert(combo: TranslationCombo | ComboValidity, mu: MomentSeq) -> BoundCert:
+def bound_cert(valid: ComboValidity, mu: MomentSeq) -> BoundCert:
     """Exact factorial growth certificate for the recursion moments ``mu``.
 
-    ``mu`` is ``moments_via_recursion(combo, m_max)``.  A = max(1, max_i
+    ``mu`` is ``moments_via_recursion(valid, m_max)``.  A = max(1, max_i
     max_p |d_i|^p/p!) and k = max(A sum_i |c_i|, 1) give |E[X^m]| <= k^m m!
     for m <= m_max, and the even moments also satisfy
-    E[X^{2m}] <= (2k)^{2m} (2m)!.  ``combo`` is a verdict or a raw
-    combination, as for ``moments_via_recursion``.  A is taken over the
-    verdict's nonzero shifts (a zero shift gives 1), each term on integers
-    (see ``_max_power_over_factorial``), and sum_i |c_i| is read off the
+    E[X^{2m}] <= (2k)^{2m} (2m)!.  A is taken over the verdict's nonzero
+    shifts (a zero shift gives 1), each term on integers (see
+    ``_max_power_over_factorial``), and sum_i |c_i| is read off the
     integers Q c_i.
 
     Both are checked on integers: with E[X^m] = nu_m / z^m and k = p / q,
     |E[X^m]| <= k^m m! is |nu_m| q^m <= (z p)^m m!.
     """
-    valid = ensure_valid(combo)
     big_q, _, terms = valid.scaled
     m_max = len(mu) - 1
     a_const = max(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from math import isqrt
 from random import Random
@@ -267,12 +266,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials > MAX_TRIALS:
         print(f"invalid input: --trials must be at most {MAX_TRIALS}", file=sys.stderr)
         return 2
-    if args.seed is None:
-        try:
-            args.seed = int(os.environ.get("MEIXNER_SEED", "0") or "0")
-        except ValueError:
-            print("invalid input: MEIXNER_SEED must be an integer", file=sys.stderr)
-            return 2
     rng = Random(args.seed)
     runner = SUITE_RUNNERS[args.suite]
     detail = []
@@ -327,7 +320,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     if problem:
         print(f"invalid input: {problem}", file=sys.stderr)
         return 2
-    # The verdict carries the validated integer form, so no route validates again.
     recursion = moments_via_recursion(verdict, m)
     cumulant = moments_via_cumulants(verdict, m)
     laplace = laplace_series(verdict, m)
@@ -395,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=tuple(SUITE_RUNNERS), required=True)
     p_ver.add_argument("--degree", type=int, default=12, help=f"4 .. {MAX_DEGREE}")
     p_ver.add_argument("--trials", type=int, default=25, help=f"1 .. {MAX_TRIALS}")
-    p_ver.add_argument("--seed", type=int, default=None, help="defaults to $MEIXNER_SEED or 0")
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -14,6 +14,7 @@ import pytest
 from meixnerops.characterize import (
     beta0_combo,
     bound_cert,
+    ensure_valid,
     laplace_series,
     moments_via_cumulants,
     moments_via_recursion,
@@ -146,13 +147,14 @@ def test_criterion_4_gram_schmidt_round_trip():
 
 def test_criterion_5_characterization_oracles(combos):
     ok = True
-    for combo in combos:
-        mu = moments_via_recursion(combo, 12)
-        ok = ok and moments_via_cumulants(combo, 12).values == mu.values
-        ok = ok and laplace_series(combo, 12).values == mu.values
-    step_mu = moments_via_recursion(combos[0], 4)
+    verdicts = [ensure_valid(combo) for combo in combos]
+    for verdict in verdicts:
+        mu = moments_via_recursion(verdict, 12)
+        ok = ok and moments_via_cumulants(verdict, 12).values == mu.values
+        ok = ok and laplace_series(verdict, 12).values == mu.values
+    step_mu = moments_via_recursion(verdicts[0], 4)
     ok = ok and step_mu.values == (F(1), F(0), F(1), F(1), F(4))
-    sym_mu = moments_via_recursion(combos[2], 12)
+    sym_mu = moments_via_recursion(verdicts[2], 12)
     ok = ok and all(sym_mu[m] == 0 for m in range(1, 13, 2))
     _line(5, "three characterization oracles agree", ok)
     assert ok
@@ -164,15 +166,15 @@ def test_criterion_6_beta0_bridge():
         combo = beta0_combo(MeixnerParams(1, lam, 0, lam))
         ok = ok and set(combo.terms) == {(lam, F(1)), (-lam, F(0))}
         centered = moments_from_sj(szego_jacobi(MeixnerParams(1, 0, 0, lam)), 10)
-        ok = ok and moments_via_recursion(combo, 10).values == centered.values
+        ok = ok and moments_via_recursion(ensure_valid(combo), 10).values == centered.values
     _line(6, "beta = 0 translation bridge", ok)
     assert ok
 
 
 def test_criterion_7_growth_bounds(combos):
     ok = True
-    for combo in combos:
-        cert = bound_cert(combo, moments_via_recursion(combo, 20))
+    for verdict in map(ensure_valid, combos):
+        cert = bound_cert(verdict, moments_via_recursion(verdict, 20))
         ok = ok and cert.passed and cert.even_passed and cert.checked_up_to == 20
     _line(7, "factorial growth bound certificates", ok)
     assert ok

@@ -18,7 +18,6 @@ from meixnerops.characterize import (
     laplace_series,
     moments_via_cumulants,
     moments_via_recursion,
-    validate_combo,
 )
 from meixnerops.meixner import InvalidParams, MeixnerParams, TranslationCombo
 from meixnerops.orthopoly import moments_from_sj
@@ -29,68 +28,59 @@ import support
 STEP = TranslationCombo.parse("1:1,-1:0")
 WIDE = TranslationCombo.parse("2:1,-2:0")
 SYMMETRIC = TranslationCombo.parse("1:1,-1:-1")
+STEP_V, WIDE_V, SYMMETRIC_V = map(ensure_valid, (STEP, WIDE, SYMMETRIC))
 
 
 def test_validate_accepts_mixed_sign_shifts():
     combo = TranslationCombo(((F(1), F(1)), (F(-2), F(-2)), (F(1), F(0))))
-    verdict = validate_combo(combo)
-    assert verdict.ok
-    assert verdict.violations == ()
+    verdict = ensure_valid(combo)
     assert set(verdict.poisson_terms) == {(F(1), F(1)), (F(1), F(-2))}
+    assert verdict.to_json_dict() == {
+        "poisson_terms": [{"mean": "1", "scale": "1"}, {"mean": "1", "scale": "-2"}]
+    }
 
 
-def test_validate_collects_all_violations():
-    bad = TranslationCombo(((F(1), F(1)), (F(1), F(1)), (F(-1), F(2)), (F(0), F(0))))
-    verdict = validate_combo(bad)
-    assert not verdict.ok
-    assert len(verdict.violations) == 4  # sum, duplicate, nonpositive mean, zero term
-    assert verdict.poisson_terms == ()
-
-
-def test_ensure_valid_raises_first_collected_violation():
-    bad = TranslationCombo(((F(1), F(1)), (F(1), F(1)), (F(-1), F(2)), (F(0), F(0))))
-    verdict = validate_combo(bad)
-    assert [error for error, _ in verdict.violations] == [
-        SumNotZero,
-        DuplicateShift,
-        NegativeMean,
-        ZeroCoefficient,
-    ]
-    with pytest.raises(SumNotZero) as info:
-        ensure_valid(bad)
-    assert str(info.value) == verdict.violations[0][1]
-    assert verdict.to_json_dict()["violations"] == [message for _, message in verdict.violations]
-    assert ensure_valid(STEP) == validate_combo(STEP)
+def test_each_rule_is_reached_once_the_earlier_ones_hold():
+    # The first breaks all four rules; each next one mends the rule raised before.
+    for text, error, message in (
+        ("1:1,1:1,-1:2,0:0", SumNotZero, "coefficients sum to 1, not 0"),
+        ("1:1,1:1,-2:2,0:0", DuplicateShift, "shifts must be pairwise distinct"),
+        ("1:1,-1:2,0:0", NegativeMean, "term -1:2 would give a nonpositive Poisson mean"),
+        ("1:1,-1:-1,0:0", ZeroCoefficient, "useless zero term at shift 0"),
+    ):
+        with pytest.raises(error) as info:
+            ensure_valid(TranslationCombo.parse(text))
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_typed_errors_in_priority_order():
     with pytest.raises(SumNotZero):
-        moments_via_recursion(TranslationCombo.parse("1:1"), 4)
+        ensure_valid(TranslationCombo.parse("1:1"))
     with pytest.raises(DuplicateShift):
-        moments_via_recursion(TranslationCombo.parse("1:1,1:1,-2:0"), 4)
+        ensure_valid(TranslationCombo.parse("1:1,1:1,-2:0"))
     with pytest.raises(NegativeMean):
-        moments_via_recursion(TranslationCombo.parse("1:1,-1:2"), 4)
+        ensure_valid(TranslationCombo.parse("1:1,-1:2"))
     with pytest.raises(NegativeMean):
         # a zero coefficient on a nonzero shift gives mean 0, also rejected
-        moments_via_recursion(TranslationCombo.parse("0:1,1:2,-1:0"), 4)
+        ensure_valid(TranslationCombo.parse("0:1,1:2,-1:0"))
     with pytest.raises(ZeroCoefficient):
-        moments_via_recursion(TranslationCombo.parse("0:0"), 4)
+        ensure_valid(TranslationCombo.parse("0:0"))
 
 
 def test_step_combo_frozen_moments():
-    mu = moments_via_recursion(STEP, 6)
+    mu = moments_via_recursion(STEP_V, 6)
     assert mu.values[:5] == (F(1), F(0), F(1), F(1), F(4))
-    assert moments_via_cumulants(STEP, 6).values == mu.values
-    assert laplace_series(STEP, 6).values == mu.values
+    assert moments_via_cumulants(STEP_V, 6).values == mu.values
+    assert laplace_series(STEP_V, 6).values == mu.values
 
 
 def test_wide_combo_frozen_moments():
-    mu = moments_via_recursion(WIDE, 4)
+    mu = moments_via_recursion(WIDE_V, 4)
     assert mu[1] == 0 and mu[2] == 2 and mu[3] == 2 and mu[4] == 14
 
 
 def test_symmetric_combo_moments():
-    mu = moments_via_recursion(SYMMETRIC, 12)
+    mu = moments_via_recursion(SYMMETRIC_V, 12)
     assert all(mu[m] == 0 for m in range(1, 13, 2))
     assert tuple(mu[m] for m in range(0, 13, 2)) == (
         F(1),
@@ -101,8 +91,8 @@ def test_symmetric_combo_moments():
         F(99302),
         F(3554894),
     )
-    assert moments_via_cumulants(SYMMETRIC, 12).values == mu.values
-    assert laplace_series(SYMMETRIC, 12).values == mu.values
+    assert moments_via_cumulants(SYMMETRIC_V, 12).values == mu.values
+    assert laplace_series(SYMMETRIC_V, 12).values == mu.values
 
 
 def _cumulants(mu):
@@ -115,14 +105,14 @@ def _cumulants(mu):
 
 def test_cumulants_frozen():
     # kappa_m = sum_i c_i d_i^(m-1): centered Poisson(1), and a difference of two
-    assert _cumulants(moments_via_cumulants(STEP, 5)) == [0, 1, 1, 1, 1]
-    assert _cumulants(moments_via_cumulants(SYMMETRIC, 6)) == [0, 2, 0, 2, 0, 2]
+    assert _cumulants(moments_via_cumulants(STEP_V, 5)) == [0, 1, 1, 1, 1]
+    assert _cumulants(moments_via_cumulants(SYMMETRIC_V, 6)) == [0, 2, 0, 2, 0, 2]
 
 
 def test_moment_recursion_is_the_functional_identity():
     # E[X^m] = L[sum_i c_i (X + d_i)^(m-1)] where L has the computed moments
     for combo in (STEP, WIDE, SYMMETRIC):
-        mu = moments_via_recursion(combo, 10)
+        mu = moments_via_recursion(ensure_valid(combo), 10)
         for m in range(1, 10):
             img = support.apply_combo(combo, support.monomial(m - 1))
             assert mu[m] == sum(
@@ -131,11 +121,11 @@ def test_moment_recursion_is_the_functional_identity():
 
 
 def test_bound_cert_frozen_values():
-    cert = bound_cert(STEP, moments_via_recursion(STEP, 20))
+    cert = bound_cert(STEP_V, moments_via_recursion(STEP_V, 20))
     assert cert.a_const == 1 and cert.k == 2
     assert cert.passed and cert.even_passed
     assert cert.checked_up_to == 20
-    big_combo = TranslationCombo.parse("3:3,-3:0")
+    big_combo = ensure_valid(TranslationCombo.parse("3:3,-3:0"))
     big = bound_cert(big_combo, moments_via_recursion(big_combo, 20))
     assert big.a_const == F(9, 2) and big.k == 27
     assert big.passed and big.even_passed
@@ -143,14 +133,14 @@ def test_bound_cert_frozen_values():
 
 def test_bound_cert_checks_the_moments_it_is_given():
     # STEP has k = 2: E[X^2] = 20 breaks k^2 2! = 8 but not (2k)^2 2! = 32.
-    cert = bound_cert(STEP, support.moments((F(1), F(0), F(20))))
+    cert = bound_cert(STEP_V, support.moments((F(1), F(0), F(20))))
     assert cert.checked_up_to == 2
     assert not cert.passed and cert.even_passed
-    assert not bound_cert(STEP, support.moments((F(1), F(0), F(33)))).even_passed
+    assert not bound_cert(STEP_V, support.moments((F(1), F(0), F(33)))).even_passed
 
 
 def test_bound_cert_json_keys():
-    d = bound_cert(WIDE, moments_via_recursion(WIDE, 12)).to_json_dict()
+    d = bound_cert(WIDE_V, moments_via_recursion(WIDE_V, 12)).to_json_dict()
     assert set(d) == {"A", "k", "checked_up_to", "pass", "even_pass"}
     assert d["A"] == "1" and d["k"] == "4"
 
@@ -165,7 +155,7 @@ def test_beta0_combo_poisson_family():
 
         centered = MeixnerParams(1, 0, 0, lam)
         mu_rec = moments_from_sj(szego_jacobi(centered), 10)
-        mu_combo = moments_via_recursion(combo, 10)
+        mu_combo = moments_via_recursion(ensure_valid(combo), 10)
         assert tuple(mu_rec) == mu_combo.values
 
 
@@ -192,7 +182,7 @@ def test_beta0_combo_rejects_wrong_family():
 def test_random_combos_routes_agree():
     rng = random.Random(20260815)
     for _ in range(12):
-        combo = sample_combo(rng)
+        combo = ensure_valid(sample_combo(rng))
         mu = moments_via_recursion(combo, 12)
         assert moments_via_cumulants(combo, 12).values == mu.values
         assert laplace_series(combo, 12).values == mu.values
@@ -211,7 +201,7 @@ def test_routes_agree_property(pairs):
     terms = [(lam * d, d) for lam, d in pairs]
     balance = -sum(c for c, _ in terms)
     terms.append((balance, F(0)))
-    combo = TranslationCombo(tuple(terms))
+    combo = ensure_valid(TranslationCombo(tuple(terms)))
     mu = moments_via_recursion(combo, 8)
     assert moments_via_cumulants(combo, 8).values == mu.values
     assert laplace_series(combo, 8).values == mu.values
@@ -230,7 +220,7 @@ def test_laplace_identity_check_catches_a_corrupted_source(monkeypatch, m_max):
 
     monkeypatch.setattr(characterize_module, "_power_sums", corrupted)
     with pytest.raises(ArithmeticError) as exc:
-        laplace_series(STEP, m_max)
+        laplace_series(STEP_V, m_max)
     assert str(exc.value) == (
         "formal transform identity failed at order 0; series is inconsistent"
     )

@@ -385,24 +385,6 @@ def test_verify_rejects_bad_trials(capsys):
     assert code == 2
 
 
-def test_verify_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("MEIXNER_SEED", "17")
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "limit", "--degree", "6", "--trials", "2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["config"]["seed"] == 17
-
-
-def test_verify_rejects_bad_environment_seed(capsys, monkeypatch):
-    monkeypatch.setenv("MEIXNER_SEED", "not-a-number")
-    code, _, err = run_cli(
-        capsys, "verify", "--suite", "limit", "--degree", "6", "--trials", "1"
-    )
-    assert code == 2
-    assert "MEIXNER_SEED" in err
-
-
 def test_verify_json_deterministic(capsys):
     args = ("verify", "--suite", "doublecomm", "--degree", "6", "--trials", "2",
             "--seed", "9", "--json")
@@ -459,28 +441,28 @@ def test_characterize_renders_disagreeing_routes_separately(capsys, monkeypatch)
 
 def test_characterize_op_validates_once(capsys, monkeypatch):
     # The command validates the combination once and hands the verdict to the
-    # three routes and the certificate; cumulants and Laplace share one pass
-    # of power sums.
+    # three routes and the certificate, none of which validates; the cumulant
+    # and Laplace routes each run one pass of power sums.
     characterize_module = importlib.import_module("meixnerops.characterize")
-    calls = {"validate_combo": 0, "_power_sums": 0}
+    calls = {"ensure_valid": 0, "_power_sums": 0}
 
-    def counting(name):
+    def counting(name, *owners):
         original = getattr(characterize_module, name)
 
         def counted(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(characterize_module, name, counted)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
 
-    for name in calls:
-        counting(name)
+    counting("ensure_valid", characterize_module, cli)
+    counting("_power_sums", characterize_module)
     code, out, _ = run_cli(
         capsys, "characterize", "--combo=1/2:1/3,-1/2:0", "--max-moment=40", "--json"
     )
     assert code == 0 and json.loads(out)["routes_agree"] is True
-    assert calls["validate_combo"] == 1
-    assert calls["_power_sums"] <= 1
+    assert calls == {"ensure_valid": 1, "_power_sums": 2}
 
 
 def test_json_output_builds_no_text(capsys, monkeypatch):

@@ -21,6 +21,8 @@ same ``DegenerateMoments`` message), the leading Hankel minors of the
 moments against their closed form (the product of the squared norms
 omega_1 ... omega_i, i <= k), and the three integer ``characterize``
 routes and the growth certificate against their Fraction recurrences.
+``ensure_valid`` must raise the first of the violations that the rules,
+each one collected on the Fractions, find: same class, same message.
 
 The ``classify`` oracles run on the integers (A + B*sqrt(R))/d that
 ``Quadratic`` holds, through one Stirling transform of factorial moments and
@@ -36,8 +38,7 @@ The moment kernels that now step by Pascal's rule and small divisors (the
 the affine step of ``classify``, and the Chebyshev algorithm) are checked
 against the integer kernels they replaced, kept below: the same integers
 over the same scale, the same recurrence fields, the same errors.  So is
-the cumulant route, which now reads a power-sum pass it shares with the
-Laplace route.  The certificate's max_p r^p / p!, now one power and one
+the cumulant route.  The certificate's max_p r^p / p!, now one power and one
 factorial at p = floor(r), is checked against the loop over every p.
 
 The translation forms are checked as operator series, coefficient by
@@ -64,10 +65,15 @@ from math import comb, factorial, gcd, lcm, perm, prod
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meixnerops.characterize import (
+    DuplicateShift,
+    InvalidCombo,
+    NegativeMean,
+    SumNotZero,
+    ZeroCoefficient,
     _max_power_over_factorial,
     _power_sums,
     _scaled_terms,
@@ -90,7 +96,7 @@ from meixnerops.classify import (
     classify,
     distribution_moments,
 )
-from meixnerops.exact import ONE, X, ZERO, Poly, powers
+from meixnerops.exact import ONE, X, ZERO, Poly, format_rat, powers
 from meixnerops.meixner import (
     OPS,
     MeixnerParams,
@@ -1228,15 +1234,84 @@ def valid_combos(draw):
     return TranslationCombo(tuple(terms[i] for i in order))
 
 
+def reference_violations(combo):
+    """Every broken rule as (error class, message): the sum, the duplicate
+    shifts, then each term in order, all read on the Fractions."""
+    terms = combo.terms
+    violations = []
+    total = sum((c for c, _ in terms), F(0))
+    if total:
+        violations.append((SumNotZero, f"coefficients sum to {format_rat(total)}, not 0"))
+    shifts = [d for _, d in terms]
+    if len(set(shifts)) != len(shifts):
+        violations.append((DuplicateShift, "shifts must be pairwise distinct"))
+    for c, d in terms:
+        if d and c / d <= 0:
+            violations.append((
+                NegativeMean,
+                f"term {format_rat(c)}:{format_rat(d)} would give a nonpositive Poisson mean",
+            ))
+        if not d and not c:
+            violations.append((ZeroCoefficient, "useless zero term at shift 0"))
+    return violations
+
+
+small_rats = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def rule_breaking_combos(draw):
+    """Terms on a few small values, often with a zero coefficient, so that zero
+    terms, duplicate shifts, wrong signs and zero coefficients on nonzero
+    shifts turn up in any order; half are balanced by one more term, so that
+    the rules after the sum are reached."""
+    zero = st.just(F(0))
+    term = st.tuples(small_rats, small_rats) | st.tuples(zero, small_rats | zero)
+    terms = draw(st.lists(term, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        balance = (-sum(c for c, _ in terms), draw(small_rats))
+        terms.insert(draw(st.integers(0, len(terms))), balance)
+    return TranslationCombo(tuple(terms))
+
+
+@settings(deadline=None, max_examples=400)
+@given(rule_breaking_combos() | valid_combos())
+@example(TranslationCombo.parse("0:0,-1:1,1:-1"))
+@example(TranslationCombo.parse("-1:1,1:-1,0:0"))
+def test_ensure_valid_raises_the_first_reference_violation(combo):
+    violations = reference_violations(combo)
+    if not violations:
+        means = tuple((c / d, d) for c, d in combo.terms if d)
+        assert ensure_valid(combo).poisson_terms == means
+        return
+    with pytest.raises(InvalidCombo) as info:
+        ensure_valid(combo)
+    assert (type(info.value), str(info.value)) == violations[0]
+
+
+def test_ensure_valid_reads_the_terms_in_order():
+    # A zero term before a nonpositive mean raises first, and after it does not.
+    for text, error, message in (
+        ("0:0,-1:1,1:-1", ZeroCoefficient, "useless zero term at shift 0"),
+        ("-1:1,1:-1,0:0", NegativeMean, "term -1:1 would give a nonpositive Poisson mean"),
+    ):
+        combo = TranslationCombo.parse(text)
+        assert reference_violations(combo)[0] == (error, message)
+        with pytest.raises(error) as info:
+            ensure_valid(combo)
+        assert type(info.value) is error and str(info.value) == message
+
+
 @settings(deadline=None, max_examples=120)
 @given(valid_combos(), st.integers(0, 24))
 def test_characterize_routes_match_fraction_recurrences(combo, m_max):
     terms = combo.terms
-    recursion = moments_via_recursion(combo, m_max)
+    valid = ensure_valid(combo)
+    recursion = moments_via_recursion(valid, m_max)
     assert tuple(recursion) == reference_recursion(terms, m_max)
-    assert tuple(moments_via_cumulants(combo, m_max)) == reference_cumulant_moments(terms, m_max)
-    assert tuple(laplace_series(combo, m_max)) == reference_laplace(terms, m_max)
-    cert = bound_cert(combo, recursion)
+    assert tuple(moments_via_cumulants(valid, m_max)) == reference_cumulant_moments(terms, m_max)
+    assert tuple(laplace_series(valid, m_max)) == reference_laplace(terms, m_max)
+    cert = bound_cert(valid, recursion)
     assert (cert.a_const, cert.k, cert.checked_up_to, cert.passed, cert.even_passed) == (
         reference_bound_cert(terms, reference_recursion(terms, m_max))
     )
@@ -1247,7 +1322,7 @@ def test_characterize_routes_match_fraction_recurrences(combo, m_max):
 def test_bound_cert_matches_reference_on_any_moments(combo, tail):
     # Moments that are not the combination's, so either bound can fail.
     mu = support.moments((F(1), *tail))
-    cert = bound_cert(combo, mu)
+    cert = bound_cert(ensure_valid(combo), mu)
     assert (cert.a_const, cert.k, cert.checked_up_to, cert.passed, cert.even_passed) == (
         reference_bound_cert(combo.terms, tuple(mu))
     )
@@ -1691,7 +1766,7 @@ def parent_moments_via_recursion(combo, m_max):
 
 
 def parent_laplace_series(combo, m_max):
-    z, source = _power_sums(combo, m_max)
+    z, source = _power_sums(ensure_valid(combo), m_max)
     log_scaled = [0, 0] + source[1:m_max]
     facts = [factorial(j) for j in range(m_max + 1)]
     psi = [facts[m_max]]
@@ -1795,16 +1870,17 @@ def _seq_fields(fn, *args):
 @given(valid_combos(), st.integers(0, 60))
 def test_characterize_kernels_match_parent_kernels(combo, m_max):
     # 2 to 5 terms, with and without a zero shift.
-    assert _seq_fields(moments_via_recursion, combo, m_max) == _seq_fields(
+    valid = ensure_valid(combo)
+    assert _seq_fields(moments_via_recursion, valid, m_max) == _seq_fields(
         parent_moments_via_recursion, combo, m_max
     )
-    assert _seq_fields(laplace_series, combo, m_max) == _seq_fields(
+    assert _seq_fields(laplace_series, valid, m_max) == _seq_fields(
         parent_laplace_series, combo, m_max
     )
 
 
 def parent_moments_via_cumulants(combo, m_max):
-    z, sums = _power_sums(combo, max(m_max - 1, 0))
+    z, sums = _power_sums(ensure_valid(combo), max(m_max - 1, 0))
     kappas = [0] + sums[1:]
     nu = [1]
     for m in range(1, m_max + 1):
@@ -1815,11 +1891,11 @@ def parent_moments_via_cumulants(combo, m_max):
 @settings(deadline=None, max_examples=150)
 @given(valid_combos(), st.integers(0, 60))
 def test_cumulant_kernel_matches_parent_kernel(combo, m_max):
-    # The cumulant and Laplace routes now read one power-sum pass, kept on the
-    # verdict, and either may read a longer pass than it needs.
+    # A route leaves the verdict as it found it: a longer Laplace series run
+    # first changes neither route's result.
     expected = _seq_fields(parent_moments_via_cumulants, combo, m_max)
-    assert _seq_fields(moments_via_cumulants, combo, m_max) == expected
     verdict = ensure_valid(combo)
+    assert _seq_fields(moments_via_cumulants, verdict, m_max) == expected
     laplace_series(verdict, m_max + 3)
     assert _seq_fields(moments_via_cumulants, verdict, m_max) == expected
     assert _seq_fields(laplace_series, verdict, m_max) == _seq_fields(
