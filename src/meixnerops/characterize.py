@@ -120,8 +120,6 @@ def _scaled_terms(combo: TranslationCombo) -> tuple[int, int, tuple[tuple[int, i
 
 def _power_sums(valid: ComboValidity, top: int) -> tuple[int, list[int]]:
     """Z and Z^(j+1) sum_i c_i d_i^j = S sum_i (Q c_i) (Z d_i)^j for j = 0 .. top."""
-    if top < 0:
-        raise ValueError("m_max must be nonnegative")
     q, s, terms = valid.scaled
     sums = [0] * (top + 1)
     for c, e in terms:
@@ -144,6 +142,8 @@ def moments_via_recursion(valid: ComboValidity, m_max: int) -> MomentSeq:
     ends in T[m-1][0].  Of the verdict only the integer form is read, no
     power sum.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     q, s, terms = valid.scaled
     still = s * sum(c for c, e in terms if not e)
     moving = [(s * c, e) for c, e in terms if e]
@@ -167,6 +167,8 @@ def moments_via_cumulants(valid: ComboValidity, m_max: int) -> MomentSeq:
     It runs on nu_m = Z^m E[X^m] and K_j = Z^j kappa_j, which obey the same
     recursion; K_2 .. K_m_max are the power sums through j = m_max - 1.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     z, sums = _power_sums(valid, max(m_max - 1, 0))
     kappas = [0] + sums[1:]  # kappas[j] = K_{j+1}, and K_1 = 0
     nu = [1]
@@ -192,6 +194,8 @@ def laplace_series(valid: ComboValidity, m_max: int) -> MomentSeq:
     last; the series and the identity check at order m - 1 share them.  The
     identity check is what catches a wrong power sum.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     # source[j] / j! is the s^j coefficient of Z * source(Z s).
     z, source = _power_sums(valid, m_max)
     log_scaled = [0, 0] + source[1:m_max]  # K_j for j = 0 .. m_max; K_1 = 0

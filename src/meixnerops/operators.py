@@ -203,18 +203,6 @@ def number_op(trunc: int) -> GradedOp:
     return _diagonal_op(trunc, [Fraction(n) for n in range(trunc + 1)])
 
 
-def truncation_margin(support_bound: int | None, trunc: int, k: int) -> int:
-    """Top input degrees made unreliable by truncating a band that raises by ``k``.
-
-    A raising band loses the k top columns, whose images reach past f_N.  A
-    truncation that keeps a whole finite support loses none, since f_{n0} = 0
-    there, and nor does a band that never raises.
-    """
-    if k <= 0 or (support_bound is not None and trunc == support_bound - 1):
-        return 0
-    return k
-
-
 def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, GradedOp]:
     """The creation, preservation, and annihilation parts (a+, a0, a-)."""
     if trunc < 0:
@@ -233,7 +221,10 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
         if w <= 0:
             raise ValueError(f"omega_{n} = {sj.omega(n)} is not positive inside the support")
         down.append(Fraction(w, square))
-    aplus = GradedOp(trunc, (1, 1), truncation_margin(bound, trunc, 1), ((Fraction(1),) * trunc,))
+    # a+ loses its top column, whose image reaches past f_trunc, unless the
+    # truncation keeps the whole finite support: there f_{n0} = 0.
+    margin = 0 if bound is not None and trunc == bound - 1 else 1
+    aplus = GradedOp(trunc, (1, 1), margin, ((Fraction(1),) * trunc,))
     azero = _diagonal_op(trunc, diag)
     aminus = GradedOp(trunc, (-1, -1), 0, (tuple(down),))
     return aplus, azero, aminus

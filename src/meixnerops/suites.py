@@ -29,7 +29,6 @@ from .operators import (
     semi_ops,
     sequence_report,
     series_by_commutators,
-    truncation_margin,
     verify_universal,
 )
 from .orthopoly import gram_schmidt_from_moments, moments_from_sj
@@ -40,19 +39,16 @@ Suite = tuple[MeixnerParams, list[VerifyReport]]
 
 
 def checked_order(support_bound: int | None, k: int, order: int) -> int:
-    """The order through which an operator of grade ``k`` is checked at ``order``.
+    """The order through which an operator of grade ``k <= 1`` is checked at ``order``.
 
-    It is the order the truncated matrix reads reliably: the truncation is
-    order + 3, or the whole finite support if that is smaller, less the
-    ``truncation_margin`` of a raising band and its k spare degrees at the
-    top.  A law has at least 2 support points, so the truncation is at least
-    1 and the checked order at least 0.
+    An infinite support is checked through ``order``.  A finite one exposes
+    only degrees below ``support_bound``, and a raising operator needs k
+    spare degrees at the top.  A law has at least 2 support points, so the
+    checked order is at least 0.
     """
     if support_bound is None:
-        trunc = order + 3
-    else:
-        trunc = min(order + 3, support_bound - 1)
-    return min(order, trunc - truncation_margin(support_bound, trunc, k) - max(k, 0))
+        return order
+    return min(order, support_bound - 1 - max(k, 0))
 
 
 def extraction_agreement(

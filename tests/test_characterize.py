@@ -224,3 +224,9 @@ def test_laplace_identity_check_catches_a_corrupted_source(monkeypatch, m_max):
     assert str(exc.value) == (
         "formal transform identity failed at order 0; series is inconsistent"
     )
+
+
+@pytest.mark.parametrize("route", [moments_via_recursion, moments_via_cumulants, laplace_series])
+def test_every_route_refuses_a_negative_m_max(route):
+    with pytest.raises(ValueError, match="^m_max must be nonnegative$"):
+        route(STEP_V, -1)

@@ -259,3 +259,37 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert sorted(meixnerops.__all__) == sorted(set(imported))
     assert len(set(meixnerops.__all__)) == len(meixnerops.__all__)
+
+
+def package_reads(*directories: Path) -> set[str]:
+    """Names read off the package itself: ``meixnerops.<name>`` or ``from meixnerops import <name>``."""
+    found = set()
+    for path in (p for directory in directories for p in directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "meixnerops":
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "meixnerops" and not node.level:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_package_export_is_read_off_the_package():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported - package_reads(ROOT / "perfbench", ROOT / "scripts") == set()
+
+
+def test_package_reads_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import meixnerops\n"
+        "import meixnerops.cli as cli\n"
+        "from meixnerops import Poly\n"
+        "from meixnerops.exact import parse_rat\n"
+        "x = meixnerops.GradedOp, cli.main, other.Quadratic\n"
+    )
+    assert package_reads(tmp_path) == {"GradedOp", "Poly"}

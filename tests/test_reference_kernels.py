@@ -135,7 +135,6 @@ from meixnerops.surd import Quadratic
 
 import support
 
-# The package's ``classify`` attribute is the function; this is its module.
 classify_module = importlib.import_module("meixnerops.classify")
 meixner_module = importlib.import_module("meixnerops.meixner")
 operators_module = importlib.import_module("meixnerops.operators")
@@ -558,6 +557,26 @@ GRADES = {"U": 0, "V": 1, "N": 0, "a0": 0, "a-": -1, "a+": 1}
 def matrix_cap(graded, k, order):
     """The checked order the matrix route read off the truncated operator."""
     return min(order, graded.valid_degree - max(k, 0))
+
+
+def truncated_checked_order(bound, k, order):
+    """``checked_order`` as it was: the reliable order of the matrix route's truncation.
+
+    The truncation is order + 3, or the whole finite support if that is
+    smaller.  A raising band loses its k top columns unless the truncation
+    keeps the whole finite support, and it needs k spare degrees at the top.
+    """
+    trunc = order + 3 if bound is None else min(order + 3, bound - 1)
+    margin = 0 if k <= 0 or (bound is not None and trunc == bound - 1) else k
+    return min(order, trunc - margin - max(k, 0))
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_checked_order_is_the_truncated_rule(k):
+    for bound in (None, *range(2, 60)):
+        for order in range(60):
+            assert checked_order(bound, k, order) == truncated_checked_order(bound, k, order), (
+                bound, order)
 
 
 def matrix_extraction_agreement(p, op, order, closed):
