@@ -76,9 +76,10 @@ CHARACTERIZE_BITS_AT_MAX_MOMENT = 400
 # most of the rest; the same family takes 5.3 s at 100 and 2.7 s at 50.
 # Integer shifts take 2.2 s at 200 (865), 0.7 s at 50 and 0.3 s at 0 (13333).
 CERTIFICATE_BITS_BUDGET = 2_000_000
-# verify --degree 200, one trial: gramschmidt 1.2 s (0.11 s at 100); pmd,
-# universal, doublecomm and limit under 0.02 s (pmd took 7.7 s with the basis
-# change).
+# verify --degree 200, one trial, slowest of seeds 0-4: gramschmidt 1.0 s
+# (0.12 s at 100), pmd 0.04 s, universal 0.011 s, doublecomm and limit under
+# 0.002 s (pmd took 7.7 s with the basis change, doublecomm 0.017 s on
+# truncated operators).
 MAX_DEGREE = 200
 MAX_TRIALS = 1000
 APLUS_NOTE = (
@@ -106,10 +107,10 @@ def _params_from_args(args: argparse.Namespace) -> MeixnerParams:
 
 
 def _cap_reason(bound: int, k: int, order: int) -> str:
-    """Why matrix extraction stops below ``order`` (text output only).
+    """Why the check stops below ``order`` (text output only), as ``checked_order`` decides.
 
-    With infinite support the truncation order + 3 leaves room for every
-    operator, so only a finite support caps the check.
+    Only a finite support caps it; the text keeps the words of the retired
+    matrix route, whose last degree was ``bound - 1``.
     """
     reason = (
         f"checked below order {order}: the support has {bound} points, "

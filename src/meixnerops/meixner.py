@@ -39,8 +39,8 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .exact import X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
-from .operators import GradedOp, VerifyReport, identity_op, number_op, sequence_report
+from .exact import ONE, X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
+from .operators import PolyDiags, VerifyReport, linear_combination, sequence_report
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
 from .surd import Quadratic
@@ -154,14 +154,10 @@ def recurrence_polys(sj: SzegoJacobi) -> tuple[Poly, Poly]:
     return Poly([a0, sj.shift(1) - a0], scale), Poly([0, 2 * w1 - bend, bend], 2 * scale * scale)
 
 
-def comm_ux_closed_form(p: MeixnerParams, x: GradedOp) -> GradedOp:
-    """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, truncated like the position operator ``x``."""
+def comm_ux_closed_form(p: MeixnerParams, x: PolyDiags) -> PolyDiags:
+    """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, from the polynomial diagonals ``x`` of X."""
     d = p.derived()
-    return (
-        x.scale(p.alpha / 2)
-        - number_op(x.trunc).scale(d.delta / 2)
-        + identity_op(x.trunc).scale(d.tau / 2)
-    )
+    return linear_combination((p.alpha / 2, x), (-d.delta / 2, {0: X}), (d.tau / 2, {0: ONE}))
 
 
 # The six operators, in the order every report lists them.

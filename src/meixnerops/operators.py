@@ -194,10 +194,6 @@ def zero_op(trunc: int) -> GradedOp:
     return _diagonal_op(trunc, [_ZERO] * (trunc + 1))
 
 
-def identity_op(trunc: int) -> GradedOp:
-    return _diagonal_op(trunc, [Fraction(1)] * (trunc + 1))
-
-
 def number_op(trunc: int) -> GradedOp:
     """Diagonal grade counter: N f_n = n f_n."""
     return _diagonal_op(trunc, [Fraction(n) for n in range(trunc + 1)])
@@ -433,6 +429,51 @@ def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyDiags:
         "X": {-1: omega, 0: alpha, 1: ONE},
     }[name]
     return {k: d for k, d in diags.items() if not d.is_zero}
+
+
+def linear_combination(*terms: tuple[RatLike, PolyDiags]) -> PolyDiags:
+    """sum_i c_i T_i for the ``(c_i, T_i)`` of ``terms``; zero diagonals are dropped."""
+    out: PolyDiags = {}
+    for c, op in terms:
+        for k, d in op.items():
+            out[k] = out.get(k, ZERO) + d * c
+    return {k: d for k, d in out.items() if not d.is_zero}
+
+
+def diagonal_commutator(a: PolyDiags, b: PolyDiags) -> PolyDiags:
+    """[a, b] = a o b - b o a, on the integer rows of ``_commutator_rows``."""
+    den, rows = _commutator_rows(_int_poly_diags(a), _int_poly_diags(b))
+    return {k: Poly(row, den) for k, row in rows.items()}
+
+
+def diagonal_report(
+    name: str, lhs: PolyDiags, rhs: PolyDiags, sj: SzegoJacobi, trunc: int, top: int
+) -> VerifyReport:
+    """Compare two operators on the entries a truncation at ``trunc`` reliably holds.
+
+    Entry (n + k, n) is compared for the columns n = 0 .. ``top`` and the
+    rows 0 .. ``trunc``, as ``operator_report`` compares the truncated
+    operators whose reliable degrees end at ``top``.  A nonzero residual
+    diagonal r_k has at most deg r_k roots, so its first nonzero entry is
+    found within deg r_k + 1 evaluations.  On a mismatch the residual column
+    at the first failing n is expanded in X as ``operator_report`` does.
+    """
+    residuals = {k: lhs.get(k, ZERO) - rhs.get(k, ZERO) for k in lhs.keys() | rhs.keys()}
+    found = top + 1
+    for k, r in residuals.items():
+        if not r.is_zero:
+            for n in range(max(0, -k), min(found, trunc + 1 - k)):
+                if r(n):
+                    found = n
+                    break
+    if found > top:
+        return VerifyReport(name, True, top)
+    basis = monic_polys(sj, trunc)
+    poly = ZERO
+    for k, r in residuals.items():
+        if 0 <= found + k <= trunc:
+            poly = poly + r(found) * basis[found + k]
+    return VerifyReport(name, False, top, found, poly)
 
 
 IntDiags = tuple[int, dict[int, list[int]]]

@@ -22,11 +22,10 @@ from .meixner import (
 )
 from .operators import (
     VerifyReport,
-    commutator,
-    operator_report,
+    diagonal_commutator,
+    diagonal_report,
+    linear_combination,
     poly_diagonals,
-    quantum_ops,
-    semi_ops,
     sequence_report,
     series_by_commutators,
     verify_universal,
@@ -87,20 +86,29 @@ def suite_universal(rng: Random, degree: int) -> Suite:
 
 
 def suite_doublecomm(rng: Random, degree: int) -> Suite:
+    """The two Meixner commutator closed forms, as identities between polynomial diagonals.
+
+    They are compared where a truncation at ``degree`` reads them reliably:
+    a+ loses its top column unless the truncation keeps the whole finite
+    support, and each commutator with X loses one more.
+    """
     p = sample_params(rng, min_dim=degree + 1)
     sj = szego_jacobi(p)
-    aplus, azero, aminus = quantum_ops(sj, degree)
-    u, _ = semi_ops(aplus, azero, aminus)
-    x = aminus + azero + aplus
-    step1 = commutator(u, x)
+    alpha, omega = recurrence_polys(sj)
+    u, x = poly_diagonals("U", alpha, omega), poly_diagonals("X", alpha, omega)
+    margin = 0 if sj.support_bound == degree + 1 else 1
+    step1 = diagonal_commutator(u, x)
+    delta = p.derived().delta
     return p, [
-        operator_report("[U,X] = (alpha/2)X - (delta/2)N + (tau/2)I", step1,
-                        comm_ux_closed_form(p, x), sj),
-        operator_report(
+        diagonal_report("[U,X] = (alpha/2)X - (delta/2)N + (tau/2)I", step1,
+                        comm_ux_closed_form(p, x), sj, degree, degree - margin),
+        diagonal_report(
             "[[U,X],X] = -(delta/2)(X - 2U)",
-            commutator(step1, x),
-            (x - u.scale(2)).scale(-p.derived().delta / 2),
+            diagonal_commutator(step1, x),
+            linear_combination((-delta / 2, x), (delta, u)),
             sj,
+            degree,
+            degree - 2 * margin,
         ),
     ]
 

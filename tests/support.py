@@ -5,12 +5,15 @@ scale.  These helpers build those values from ``Fraction`` lists and read
 them back densely, through the kernels they stand in for:
 ``recurrence`` goes through ``orthopoly._over_lcm``, ``shifted`` through
 ``exact.taylor_shift`` and ``dense`` through ``GradedOp.column``.
+``identity_op`` and ``comm_ux_closed_form`` build truncated ``GradedOp``
+values for the finite engine that ``verify_universal`` still runs on.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from meixnerops.exact import ZERO, Poly, powers, taylor_shift
+from meixnerops.operators import GradedOp, number_op
 from meixnerops.orthopoly import MomentSeq, _over_lcm
 from meixnerops.pmd import MonomialMatrix, _trim_ints
 
@@ -63,6 +66,21 @@ def shifted(f, c):
 def dense(op):
     """``dense(op)[m][n]`` is the f_m-component of the image of f_n."""
     return tuple(zip(*(op.column(n) for n in range(op.trunc + 1))))
+
+
+def identity_op(trunc):
+    """The identity on span{f_0 .. f_trunc}."""
+    return GradedOp(trunc, (0, 0), 0, ((Fraction(1),) * (trunc + 1),))
+
+
+def comm_ux_closed_form(p, x):
+    """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, truncated like the position operator ``x``."""
+    d = p.derived()
+    return (
+        x.scale(p.alpha / 2)
+        - number_op(x.trunc).scale(d.delta / 2)
+        + identity_op(x.trunc).scale(d.tau / 2)
+    )
 
 
 def matrix_from_rows(rows):

@@ -394,6 +394,28 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
+def test_doublecomm_builds_no_truncated_operator(capsys, monkeypatch):
+    # The doublecomm identities are checked on polynomial diagonals only.
+    args = ("verify", "--suite=doublecomm", "--degree=24", "--trials=3", "--seed=5", "--json")
+    expected = run_cli(capsys, *args)
+    operators = importlib.import_module("meixnerops.operators")
+
+    def finite(*args, **kwargs):
+        raise AssertionError("the finite engine ran for doublecomm")
+
+    for name in ("quantum_ops", "semi_ops"):
+        monkeypatch.setattr(operators, name, finite)
+    for name, member in list(vars(operators.GradedOp).items()):
+        if isinstance(member, property):
+            monkeypatch.setattr(operators.GradedOp, name, property(finite))
+        elif callable(member):
+            monkeypatch.setattr(operators.GradedOp, name, finite)
+    with pytest.raises(AssertionError, match="finite engine"):
+        main(["verify", "--suite=universal", "--degree=4", "--trials=1"])
+    assert run_cli(capsys, *args) == expected
+    assert expected[0] == 0
+
+
 @pytest.mark.parametrize("suite", ["universal", "pmd", "gramschmidt", "limit", "doublecomm"])
 def test_all_suites_pass_briefly(capsys, suite):
     code, out, _ = run_cli(

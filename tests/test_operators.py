@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meixnerops.exact import Poly
-from meixnerops.meixner import MeixnerParams, comm_ux_closed_form, szego_jacobi
+from meixnerops.meixner import MeixnerParams, szego_jacobi
 from meixnerops.operators import (
     GradedOp,
     commutator,
     first_mismatch,
-    identity_op,
     number_op,
     operator_report,
     quantum_ops,
@@ -74,7 +73,7 @@ def test_graded_op_band_validation():
 
 def test_zero_and_identity():
     z = zero_op(3)
-    i = identity_op(3)
+    i = support.identity_op(3)
     n = number_op(3)
     assert z.band == (0, 0) and all(all(e == 0 for e in row) for row in support.dense(z))
     assert i.column(2)[2] == 1
@@ -103,7 +102,7 @@ def test_commutator_number_raising():
 
 def test_first_mismatch_reports_column_and_residual():
     n = number_op(4)
-    i = identity_op(4)
+    i = support.identity_op(4)
     miss = first_mismatch(n, i)
     assert miss is not None
     index, residual = miss
@@ -297,7 +296,7 @@ def test_report_expands_the_first_failing_column():
     x = aminus + azero + aplus
     rows = [[F(0)] * (trunc + 1) for _ in range(trunc + 1)]
     rows[2][3], rows[3][3], rows[4][3], rows[5][5] = F(1, 2), F(-2), F(3, 7), F(9)
-    rhs = comm_ux_closed_form(p, x) + _to_graded(trunc, (-1, 1), 0, rows)
+    rhs = support.comm_ux_closed_form(p, x) + _to_graded(trunc, (-1, 1), 0, rows)
     report = operator_report("perturbed", commutator(u, x), rhs, sj)
     assert not report.passed
     assert report.max_degree == 7
@@ -307,7 +306,8 @@ def test_report_expands_the_first_failing_column():
     )
     f = monic_polys(sj, trunc)
     assert report.residual == -(F(1, 2) * f[2] - 2 * f[3] + F(3, 7) * f[4])
-    assert operator_report("unperturbed", commutator(u, x), comm_ux_closed_form(p, x), sj).passed
+    closed = support.comm_ux_closed_form(p, x)
+    assert operator_report("unperturbed", commutator(u, x), closed, sj).passed
 
 
 

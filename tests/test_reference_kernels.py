@@ -57,11 +57,13 @@ import contextlib
 import importlib
 import io
 import json
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction as F
-from functools import partial
+from functools import partial, reduce
 from math import comb, factorial, gcd, lcm, perm, prod
+from operator import add, mul
 from random import Random
 
 import pytest
@@ -109,7 +111,10 @@ from meixnerops.meixner import (
 from meixnerops.operators import (
     GradedOp,
     change_of_basis,
+    commutator,
+    linear_combination,
     number_op,
+    operator_report,
     poly_diagonals,
     quantum_ops,
     semi_ops,
@@ -851,6 +856,165 @@ def test_cli_bytes_match_the_matrix_route(monkeypatch):
     monkeypatch.setattr(cli, "extraction_agreement", commutator_route)
     assert _stdout(failing) == matrix
     assert matrix[0] == 1 and json.loads(matrix[1])["extraction_agreement"]["fail_index"] == 5
+
+
+# ---------------------------------------------------------------- doublecomm
+# ``suite_doublecomm`` checks [U,X] and [[U,X],X] as identities between
+# polynomial diagonals.  Its reference is the suite it replaced, which built
+# both commutators and both closed forms as truncated Fraction operators.
+
+
+def parent_suite_doublecomm(rng, degree):
+    p = sample_params(rng, min_dim=degree + 1)
+    sj = szego_jacobi(p)
+    aplus, azero, aminus = quantum_ops(sj, degree)
+    u, _ = semi_ops(aplus, azero, aminus)
+    x = aminus + azero + aplus
+    step1 = commutator(u, x)
+    return p, [
+        operator_report("[U,X] = (alpha/2)X - (delta/2)N + (tau/2)I", step1,
+                        support.comm_ux_closed_form(p, x), sj),
+        operator_report(
+            "[[U,X],X] = -(delta/2)(X - 2U)",
+            commutator(step1, x),
+            (x - u.scale(2)).scale(-p.derived().delta / 2),
+            sj,
+        ),
+    ]
+
+
+def truncated(diags, trunc):
+    """The ``GradedOp`` holding the entries (n + k, n) of ``{k: d_k}`` inside 0 .. trunc."""
+    return reduce(add, (
+        GradedOp(trunc, (k, k), 0, (tuple(d(i - min(k, 0)) for i in range(trunc + 1 - abs(k))),))
+        for k, d in diags.items()
+    ))
+
+
+def both_doublecomm(p, degree, bump=None):
+    """(suite, parent suite) on the law ``p``, both with ``bump`` added to the [U,X] closed form."""
+    module = sys.modules[__name__]
+    closed, parent_closed = suites_module.comm_ux_closed_form, support.comm_ux_closed_form
+    with pytest.MonkeyPatch.context() as mp:
+        for holder in (suites_module, module):
+            mp.setattr(holder, "sample_params", lambda rng, min_dim: p)
+        if bump:
+            mp.setattr(suites_module, "comm_ux_closed_form",
+                       lambda p, x: linear_combination((1, closed(p, x)), (1, bump)))
+            mp.setattr(support, "comm_ux_closed_form",
+                       lambda p, x: parent_closed(p, x) + truncated(bump, x.trunc))
+        return suites_module.suite_doublecomm(None, degree), parent_suite_doublecomm(None, degree)
+
+
+@settings(deadline=None, max_examples=150)
+@given(meixner_params(), st.integers(4, 24))
+def test_doublecomm_matches_finite_suite(p, degree):
+    bound = p.derived().support_bound
+    if bound is not None:
+        degree = min(degree, bound - 1)  # a Binomial law on fewer points: its full space
+    new, parent = both_doublecomm(p, degree)
+    assert new == parent
+    assert all(report.passed for report in new[1])
+
+
+def test_doublecomm_matches_finite_suite_on_seeds():
+    # The suite's own draws, so both read the generator the same way.
+    for seed in range(20):
+        for degree in (1, 4, 5, 12, 24):
+            new = suites_module.suite_doublecomm(Random(seed), degree)
+            assert new == parent_suite_doublecomm(Random(seed), degree), (seed, degree)
+
+
+@pytest.mark.parametrize("points", range(2, 31))
+def test_doublecomm_on_the_full_space_of_binomial_laws(points):
+    # trunc = bound - 1: a+ keeps its top column, so both identities are
+    # checked on every column of the truncation.
+    p = MeixnerParams(F(1, 3), F(-1, 2), F(-5, 3) / (points - 1), F(5, 3))
+    new, parent = both_doublecomm(p, points - 1)
+    assert new == parent
+    assert [report.max_degree for report in new[1]] == [points - 1, points - 1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(_fracs(0, 3), _fracs(-2, 2), _fracs(F(1, 6), 3), st.integers(4, 24))
+def test_doublecomm_at_delta_zero(alpha, alpha0, t, degree):
+    # [[U,X],X] = -(0/2)(X - 2U) is the zero operator.
+    p = MeixnerParams(alpha, alpha0, alpha**2 / 4, t)
+    new, parent = both_doublecomm(p, degree)
+    assert new == parent
+    assert new[1][1].passed
+
+
+def vanishing_below(m, c):
+    """c (X - 0)(X - 1) ... (X - (m - 1)), zero at n = 0 .. m - 1."""
+    return reduce(mul, (X - j for j in range(m)), Poly.of(c))
+
+
+# A coin on 9 points, checked on its full space, and the six classes.
+BUMPED_LAWS = CLASS_PARAMS + (MeixnerParams(1, 0, F(-1, 8), 1),)
+
+
+@pytest.mark.parametrize(
+    "bump",
+    [
+        {0: Poly.of(F(1, 7))},
+        {-1: vanishing_below(3, F(-2, 5))},
+        {1: vanishing_below(2, 3)},
+        {-2: vanishing_below(4, F(1, 3)), 0: vanishing_below(2, 1), 2: vanishing_below(2, -1)},
+        {-1: vanishing_below(5, 1), 0: vanishing_below(5, F(3, 7)), 1: vanishing_below(5, 2)},
+    ],
+)
+def test_doublecomm_fails_like_the_finite_suite(bump):
+    for p in BUMPED_LAWS:
+        new, parent = both_doublecomm(p, 8, bump)
+        assert new == parent, p
+        step1 = new[1][0]
+        assert not step1.passed and step1.residual is not None, p
+        assert new[1][1].passed, p
+
+
+def test_doublecomm_reads_only_the_reliable_entries():
+    # Column top + 1 is not reliable; a bump at column top in a row past the
+    # truncation is not held by it.  Neither is compared.
+    for p in BUMPED_LAWS:
+        top = both_doublecomm(p, 8)[0][1][0].max_degree
+        for bump in (
+            {0: vanishing_below(top + 1, 5)},
+            {-1: vanishing_below(top + 1, F(-1, 3))},
+            {8 - top + 1: vanishing_below(top, 1)},
+        ):
+            new, parent = both_doublecomm(p, 8, bump)
+            assert new == parent, (p, bump)
+            assert all(report.passed for report in new[1]), (p, bump)
+        # A failure in column top leaves the row past the truncation out of its residual.
+        bump = {0: vanishing_below(top, 1), 8 - top + 1: vanishing_below(top, 1)}
+        new, parent = both_doublecomm(p, 8, bump)
+        assert new == parent, p
+        assert new[1][0].fail_index == top, p
+
+
+def test_doublecomm_top_is_the_finite_reliable_degree():
+    for degree in range(4, 61):
+        for bound in (None, degree + 1, degree + 2, degree + 3):
+            t = F(5, 3)
+            beta = 0 if bound is None else -t / (bound - 1)
+            p = MeixnerParams(F(1, 3), F(-1, 2), beta, t)
+            assert p.derived().support_bound == bound
+            sj = szego_jacobi(p)
+            aplus, azero, aminus = quantum_ops(sj, degree)
+            u, _ = semi_ops(aplus, azero, aminus)
+            x = aminus + azero + aplus
+            step1, step2 = commutator(u, x), commutator(commutator(u, x), x)
+            closed1 = support.comm_ux_closed_form(p, x)
+            closed2 = (x - u.scale(2)).scale(-p.derived().delta / 2)
+            expected = [
+                min(step1.valid_degree, closed1.valid_degree),
+                min(step2.valid_degree, closed2.valid_degree),
+            ]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(suites_module, "sample_params", lambda rng, min_dim: p)
+                _, reports = suites_module.suite_doublecomm(None, degree)
+            assert [report.max_degree for report in reports] == expected, (degree, bound)
 
 
 # ---------------------------------------------------------------- translation forms
