@@ -77,9 +77,9 @@ CHARACTERIZE_BITS_AT_MAX_MOMENT = 400
 # Integer shifts take 2.2 s at 200 (865), 0.7 s at 50 and 0.3 s at 0 (13333).
 CERTIFICATE_BITS_BUDGET = 2_000_000
 # verify --degree 200, one trial, slowest of seeds 0-4: gramschmidt 1.0 s
-# (0.12 s at 100), pmd 0.04 s, universal 0.011 s, doublecomm and limit under
-# 0.002 s (pmd took 7.7 s with the basis change, doublecomm 0.017 s on
-# truncated operators).
+# (0.12 s at 100), pmd 0.04 s, universal, doublecomm and limit under 0.002 s
+# (pmd took 7.7 s with the basis change; universal 0.012 s and doublecomm
+# 0.017 s on truncated operators).
 MAX_DEGREE = 200
 MAX_TRIALS = 1000
 APLUS_NOTE = (

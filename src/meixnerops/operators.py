@@ -1,4 +1,4 @@
-"""Truncated operators on the monic orthogonal-polynomial basis.
+"""Operators on the monic orthogonal-polynomial basis, truncated and untruncated.
 
 A ``GradedOp`` stores an operator on span{f_0 .. f_N} by its diagonals.
 ``band = (lo, hi)`` bounds the grade shifts the operator performs, and
@@ -13,14 +13,16 @@ Only the band is stored, so construction checks shapes in O(width), add,
 neg and scale cost O(N * width), and compose costs O(N * w1 * w2).  The
 dense column ``column(n)`` is built on demand.  Products run
 on integer rows: each operand's diagonals go over their common denominator
-once, and each output entry becomes one ``Fraction``.  A commutator runs
-both of its products into the same integer rows, in one pass.
+once, and each output entry becomes one ``Fraction``.
 
-The same operators act on all polynomials, untruncated, when alpha_n and
-omega_n are polynomials in n: each diagonal is then one ``Poly`` d_k(n), and
-``series_by_commutators`` reads an operator's position-momentum expansion off
-its iterated commutators with X.  The truncated matrix on monomials
-(``to_monomial_basis``) is the reference for that route.
+No command builds a ``GradedOp``.  The commands hold every operator on all
+polynomials, untruncated: alpha_n and omega_n are polynomials in n, so each
+diagonal is one ``Poly`` d_k(n).  ``verify_universal`` and the ``doublecomm``
+suite compare commutators on those diagonals, and ``series_by_commutators``
+reads an operator's position-momentum expansion off its iterated commutators
+with X.  The truncated engine, and the matrix on monomials it gives
+(``to_monomial_basis``), are the reference those routes are tested against;
+they stay in the package because the benchmark's layer trace names them.
 
 The quantum decomposition of multiplication by X is
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exact import ONE, X, ZERO, Poly, RatLike, taylor_shift
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
@@ -129,8 +131,43 @@ class GradedOp:
         return GradedOp(self.trunc, self.band, self.margin, diags)
 
     def compose(self, other: "GradedOp") -> "GradedOp":
-        """Operator product self o other (apply ``other`` first)."""
-        return _product(self, other, minus_swapped=False)
+        """Operator product self o other (apply ``other`` first).
+
+        The product has the band (lo_a + lo_b, hi_a + hi_b) and accumulates
+        into integer rows over den_a * den_b.
+        """
+        self._require_same_trunc(other)
+        size = self.trunc + 1
+        (alo, ahi), (blo, bhi) = self.band, other.band
+        lo, hi = alo + blo, ahi + bhi
+        den_a, rows_a = _int_diags(self)
+        den_b, rows_b = _int_diags(other)
+        acc = [[0] * _diag_len(self.trunc, k) for k in range(lo, hi + 1)]
+        # Diagonal kb of other takes f_n to f_{n+kb}, then diagonal ka of self
+        # takes that to f_{n+k} with k = ka + kb; n runs over the columns where
+        # all three indices stay inside 0 .. N.
+        for kb, db in zip(range(blo, bhi + 1), rows_b):
+            for ka, da in zip(range(alo, ahi + 1), rows_a):
+                k = ka + kb
+                target = acc[k - lo]
+                off_b = min(kb, 0)
+                off_a = kb + min(ka, 0)
+                off_t = min(k, 0)
+                for n in range(max(0, -kb, -k), min(size, size - kb, size - k)):
+                    y = db[n + off_b]
+                    if not y:
+                        continue
+                    x = da[n + off_a]
+                    if x:
+                        target[n + off_t] += x * y
+        # A column n of the product is reliable when other's column n is
+        # reliable and every level it feeds lies in self's reliable range.
+        margin = other.margin
+        if self.margin > 0:
+            margin = max(margin, self.margin + bhi)
+        den = den_a * den_b
+        diags = tuple(tuple(Fraction(v, den) if v else _ZERO for v in row) for row in acc)
+        return GradedOp(self.trunc, (lo, hi), margin, diags)
 
 
 def _int_diags(op: GradedOp) -> tuple[int, list[list[int]]]:
@@ -139,64 +176,13 @@ def _int_diags(op: GradedOp) -> tuple[int, list[list[int]]]:
     return den, [[v.numerator * (den // v.denominator) for v in diag] for diag in op.diags]
 
 
-def _product(a: GradedOp, b: GradedOp, minus_swapped: bool) -> GradedOp:
-    """a o b, less b o a when ``minus_swapped`` (the commutator [a, b]).
+def raising_margin(sj: SzegoJacobi, trunc: int) -> int:
+    """The top columns a+ loses under a truncation at ``trunc``.
 
-    Both products have the band (lo_a + lo_b, hi_a + hi_b) and accumulate
-    into one set of integer rows over den_a * den_b; the margin is the
-    larger of their margins.
+    The image of f_trunc reaches past the truncation, unless it keeps the
+    whole finite support: there f_{n0} = 0.
     """
-    a._require_same_trunc(b)
-    size = a.trunc + 1
-    lo, hi = a.band[0] + b.band[0], a.band[1] + b.band[1]
-    den_a, rows_a = _int_diags(a)
-    den_b, rows_b = _int_diags(b)
-    acc = [[0] * _diag_len(a.trunc, k) for k in range(lo, hi + 1)]
-    passes = [(a, rows_a, b, rows_b)]
-    if minus_swapped:
-        passes.append((b, [[-v for v in row] for row in rows_b], a, rows_a))
-    margin = 0
-    for left, rows_l, right, rows_r in passes:
-        # Diagonal kr of right takes f_n to f_{n+kr}, then diagonal kl of left
-        # takes that to f_{n+k} with k = kl + kr; n runs over the columns where
-        # all three indices stay inside 0 .. N.
-        for kr, dr in zip(range(right.band[0], right.band[1] + 1), rows_r):
-            for kl, dl in zip(range(left.band[0], left.band[1] + 1), rows_l):
-                k = kl + kr
-                target = acc[k - lo]
-                first = max(0, -kr, -k)
-                stop = min(size, size - kr, size - k)
-                off_r = min(kr, 0)
-                off_l = kr + min(kl, 0)
-                off_t = min(k, 0)
-                for n in range(first, stop):
-                    y = dr[n + off_r]
-                    if not y:
-                        continue
-                    x = dl[n + off_l]
-                    if x:
-                        target[n + off_t] += x * y
-        # A column n of the product is reliable when right's column n is
-        # reliable and every level it feeds lies in left's reliable range.
-        margin = max(margin, right.margin)
-        if left.margin > 0:
-            margin = max(margin, left.margin + right.band[1])
-    den = den_a * den_b
-    diags = tuple(tuple(Fraction(v, den) if v else _ZERO for v in row) for row in acc)
-    return GradedOp(a.trunc, (lo, hi), margin, diags)
-
-
-def _diagonal_op(trunc: int, values: Sequence[Fraction]) -> GradedOp:
-    return GradedOp(trunc, (0, 0), 0, (tuple(values),))
-
-
-def zero_op(trunc: int) -> GradedOp:
-    return _diagonal_op(trunc, [_ZERO] * (trunc + 1))
-
-
-def number_op(trunc: int) -> GradedOp:
-    """Diagonal grade counter: N f_n = n f_n."""
-    return _diagonal_op(trunc, [Fraction(n) for n in range(trunc + 1)])
+    return 0 if sj.support_bound == trunc + 1 else 1
 
 
 def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, GradedOp]:
@@ -217,11 +203,8 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
         if w <= 0:
             raise ValueError(f"omega_{n} = {sj.omega(n)} is not positive inside the support")
         down.append(Fraction(w, square))
-    # a+ loses its top column, whose image reaches past f_trunc, unless the
-    # truncation keeps the whole finite support: there f_{n0} = 0.
-    margin = 0 if bound is not None and trunc == bound - 1 else 1
-    aplus = GradedOp(trunc, (1, 1), margin, ((Fraction(1),) * trunc,))
-    azero = _diagonal_op(trunc, diag)
+    aplus = GradedOp(trunc, (1, 1), raising_margin(sj, trunc), ((Fraction(1),) * trunc,))
+    azero = GradedOp(trunc, (0, 0), 0, (tuple(diag),))
     aminus = GradedOp(trunc, (-1, -1), 0, (tuple(down),))
     return aplus, azero, aminus
 
@@ -230,11 +213,6 @@ def semi_ops(aplus: GradedOp, azero: GradedOp, aminus: GradedOp) -> tuple[Graded
     """The halves U = a- + a0/2 and V = a+ + a0/2 of multiplication by X."""
     half = azero.scale(Fraction(1, 2))
     return aminus + half, aplus + half
-
-
-def commutator(a: GradedOp, b: GradedOp) -> GradedOp:
-    """[a, b] = a o b - b o a, both products in one integer pass."""
-    return _product(a, b, minus_swapped=True)
 
 
 def first_mismatch(a: GradedOp, b: GradedOp) -> tuple[int, tuple[Fraction, ...]] | None:
@@ -294,58 +272,6 @@ def sequence_report(
             residual = lhs - rhs if isinstance(lhs, Poly) else None
             return VerifyReport(name, False, max_degree, index, residual)
     return VerifyReport(name, True, max_degree)
-
-
-def operator_report(name: str, lhs: GradedOp, rhs: GradedOp, sj: SzegoJacobi) -> VerifyReport:
-    """Compare two operators; on failure, expand the residual column in X.
-
-    The f-basis of ``sj`` is built only when the check fails.
-    """
-    top = min(lhs.valid_degree, rhs.valid_degree)
-    miss = first_mismatch(lhs, rhs)
-    if miss is None:
-        return VerifyReport(name, True, top)
-    index, residual = miss
-    basis = monic_polys(sj, lhs.trunc)
-    poly = ZERO
-    for m, coef in enumerate(residual):
-        poly = poly + coef * basis[m]
-    return VerifyReport(name, False, top, index, poly)
-
-
-def verify_universal(sj: SzegoJacobi, trunc: int) -> list[VerifyReport]:
-    """Check the six commutation identities that hold for every system.
-
-    [N, a+] = a+, [N, a0] = 0, [a-, N] = a-, [N, V] = a+, [U, N] = a-,
-    and [N, X] = V - U = a+ - a-.  Each check is exact on every reliable
-    degree of the truncation.
-    """
-    aplus, azero, aminus = quantum_ops(sj, trunc)
-    u, v = semi_ops(aplus, azero, aminus)
-    x = aminus + azero + aplus
-    num = number_op(trunc)
-    reports = [
-        operator_report("[N,a+] = a+", commutator(num, aplus), aplus, sj),
-        operator_report("[N,a0] = 0", commutator(num, azero), zero_op(trunc), sj),
-        operator_report("[a-,N] = a-", commutator(aminus, num), aminus, sj),
-        operator_report("[N,V] = a+", commutator(num, v), aplus, sj),
-        operator_report("[U,N] = a-", commutator(u, num), aminus, sj),
-    ]
-    v_minus_u = v - u
-    left = operator_report("[N,X] = V - U", commutator(num, x), v_minus_u, sj)
-    right = operator_report("V - U = a+ - a-", v_minus_u, aplus - aminus, sj)
-    if left.passed and right.passed:
-        reports.append(
-            VerifyReport("[N,X] = V - U = a+ - a-", True, min(left.max_degree, right.max_degree))
-        )
-    else:
-        bad = left if not left.passed else right
-        reports.append(
-            VerifyReport(
-                "[N,X] = V - U = a+ - a-", False, bad.max_degree, bad.fail_index, bad.residual
-            )
-        )
-    return reports
 
 
 def change_of_basis(sj: SzegoJacobi, trunc: int) -> Matrix:
@@ -452,11 +378,12 @@ def diagonal_report(
     """Compare two operators on the entries a truncation at ``trunc`` reliably holds.
 
     Entry (n + k, n) is compared for the columns n = 0 .. ``top`` and the
-    rows 0 .. ``trunc``, as ``operator_report`` compares the truncated
+    rows 0 .. ``trunc``, as ``first_mismatch`` compares the truncated
     operators whose reliable degrees end at ``top``.  A nonzero residual
     diagonal r_k has at most deg r_k roots, so its first nonzero entry is
     found within deg r_k + 1 evaluations.  On a mismatch the residual column
-    at the first failing n is expanded in X as ``operator_report`` does.
+    at the first failing n, inside rows 0 .. ``trunc``, is expanded in X
+    through the f-basis of ``sj``, which is built only then.
     """
     residuals = {k: lhs.get(k, ZERO) - rhs.get(k, ZERO) for k in lhs.keys() | rhs.keys()}
     found = top + 1
@@ -474,6 +401,41 @@ def diagonal_report(
         if 0 <= found + k <= trunc:
             poly = poly + r(found) * basis[found + k]
     return VerifyReport(name, False, top, found, poly)
+
+
+def verify_universal(sj: SzegoJacobi, trunc: int, alpha: Poly, omega: Poly) -> list[VerifyReport]:
+    """Check the six commutation identities that hold for every system.
+
+    [N, a+] = a+, [N, a0] = 0, [a-, N] = a-, [N, V] = a+, [U, N] = a-,
+    and [N, X] = V - U = a+ - a-, on the polynomial diagonals of the
+    recurrence alpha_n, omega_n of ``sj``.  Each is compared where a
+    truncation at ``trunc`` reads it reliably: through column ``trunc``, less
+    ``raising_margin`` wherever a+ enters.
+    """
+    num, aplus, azero, aminus, u, v, x = (
+        poly_diagonals(name, alpha, omega) for name in ("N", "a+", "a0", "a-", "U", "V", "X")
+    )
+    top = trunc - raising_margin(sj, trunc)
+
+    def report(name: str, lhs: PolyDiags, rhs: PolyDiags, last: int) -> VerifyReport:
+        return diagonal_report(name, lhs, rhs, sj, trunc, last)
+
+    reports = [
+        report("[N,a+] = a+", diagonal_commutator(num, aplus), aplus, top),
+        report("[N,a0] = 0", diagonal_commutator(num, azero), {}, trunc),
+        report("[a-,N] = a-", diagonal_commutator(aminus, num), aminus, trunc),
+        report("[N,V] = a+", diagonal_commutator(num, v), aplus, top),
+        report("[U,N] = a-", diagonal_commutator(u, num), aminus, trunc),
+    ]
+    v_minus_u = linear_combination((1, v), (-1, u))
+    left = report("[N,X] = V - U", diagonal_commutator(num, x), v_minus_u, top)
+    right = report("V - U = a+ - a-", v_minus_u, linear_combination((1, aplus), (-1, aminus)), top)
+    # The first failing part speaks for the combined identity; both are checked through top.
+    bad = left if not left.passed else right
+    reports.append(
+        VerifyReport("[N,X] = V - U = a+ - a-", bad.passed, top, bad.fail_index, bad.residual)
+    )
+    return reports
 
 
 IntDiags = tuple[int, dict[int, list[int]]]

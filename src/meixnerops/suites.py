@@ -26,6 +26,7 @@ from .operators import (
     diagonal_report,
     linear_combination,
     poly_diagonals,
+    raising_margin,
     sequence_report,
     series_by_commutators,
     verify_universal,
@@ -82,21 +83,22 @@ def extraction_agreement(
 
 def suite_universal(rng: Random, degree: int) -> Suite:
     p = sample_params(rng, min_dim=degree + 1)
-    return p, verify_universal(szego_jacobi(p), degree)
+    sj = szego_jacobi(p)
+    return p, verify_universal(sj, degree, *recurrence_polys(sj))
 
 
 def suite_doublecomm(rng: Random, degree: int) -> Suite:
     """The two Meixner commutator closed forms, as identities between polynomial diagonals.
 
     They are compared where a truncation at ``degree`` reads them reliably:
-    a+ loses its top column unless the truncation keeps the whole finite
-    support, and each commutator with X loses one more.
+    a+ loses ``raising_margin`` top columns, and each commutator with X
+    loses as many more.
     """
     p = sample_params(rng, min_dim=degree + 1)
     sj = szego_jacobi(p)
     alpha, omega = recurrence_polys(sj)
     u, x = poly_diagonals("U", alpha, omega), poly_diagonals("X", alpha, omega)
-    margin = 0 if sj.support_bound == degree + 1 else 1
+    margin = raising_margin(sj, degree)
     step1 = diagonal_commutator(u, x)
     delta = p.derived().delta
     return p, [

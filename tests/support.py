@@ -5,16 +5,21 @@ scale.  These helpers build those values from ``Fraction`` lists and read
 them back densely, through the kernels they stand in for:
 ``recurrence`` goes through ``orthopoly._over_lcm``, ``shifted`` through
 ``exact.taylor_shift`` and ``dense`` through ``GradedOp.column``.
-``identity_op`` and ``comm_ux_closed_form`` build truncated ``GradedOp``
-values for the finite engine that ``verify_universal`` still runs on.
+
+The finite engine's operators and checks that no command uses any more live
+here as references: ``zero_op``, ``number_op``, ``identity_op``,
+``commutator``, ``comm_ux_closed_form`` and ``operator_report`` build and
+compare truncated ``GradedOp`` values, which the polynomial-diagonal suites
+are tested against.  ``interpolate`` turns any finite recurrence into the
+polynomials alpha_n and omega_n those suites take.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from meixnerops.exact import ZERO, Poly, powers, taylor_shift
-from meixnerops.operators import GradedOp, number_op
-from meixnerops.orthopoly import MomentSeq, _over_lcm
+from meixnerops.exact import ONE, ZERO, X, Poly, powers, taylor_shift
+from meixnerops.operators import GradedOp, VerifyReport, first_mismatch
+from meixnerops.orthopoly import MomentSeq, _over_lcm, monic_polys
 from meixnerops.pmd import MonomialMatrix, _trim_ints
 
 
@@ -68,9 +73,56 @@ def dense(op):
     return tuple(zip(*(op.column(n) for n in range(op.trunc + 1))))
 
 
+def _diagonal_op(values):
+    return GradedOp(len(values) - 1, (0, 0), 0, (tuple(map(Fraction, values)),))
+
+
+def zero_op(trunc):
+    """The zero operator on span{f_0 .. f_trunc}."""
+    return _diagonal_op([0] * (trunc + 1))
+
+
 def identity_op(trunc):
     """The identity on span{f_0 .. f_trunc}."""
-    return GradedOp(trunc, (0, 0), 0, ((Fraction(1),) * (trunc + 1),))
+    return _diagonal_op([1] * (trunc + 1))
+
+
+def number_op(trunc):
+    """The grade counter N f_n = n f_n on span{f_0 .. f_trunc}."""
+    return _diagonal_op(range(trunc + 1))
+
+
+def commutator(a, b):
+    """[a, b] = a o b - b o a of two truncated operators."""
+    return a.compose(b) - b.compose(a)
+
+
+def operator_report(name, lhs, rhs, sj):
+    """Compare two ``GradedOp``s on their reliable degrees; on failure, expand the
+    residual column in X through the f-basis of ``sj``."""
+    top = min(lhs.valid_degree, rhs.valid_degree)
+    miss = first_mismatch(lhs, rhs)
+    if miss is None:
+        return VerifyReport(name, True, top)
+    index, residual = miss
+    basis = monic_polys(sj, lhs.trunc)
+    poly = ZERO
+    for m, coef in enumerate(residual):
+        poly = poly + coef * basis[m]
+    return VerifyReport(name, False, top, index, poly)
+
+
+def interpolate(values):
+    """The polynomial of least degree that takes ``values[n]`` at n = 0, 1, ...
+
+    Newton's forward form: sum_j (Delta^j v)_0 * binomial(X, j).
+    """
+    diffs, out, binom = [Fraction(v) for v in values], ZERO, ONE
+    for j in range(len(diffs)):
+        out = out + binom * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        binom = binom * (X - j) * Fraction(1, j + 1)
+    return out
 
 
 def comm_ux_closed_form(p, x):

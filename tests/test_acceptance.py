@@ -24,16 +24,18 @@ from meixnerops.exact import Poly, X, rational_sqrt
 from meixnerops.meixner import (
     MeixnerParams,
     TranslationCombo,
+    recurrence_polys,
     series_decomposition,
     szego_jacobi,
 )
-from meixnerops.operators import commutator, quantum_ops, semi_ops, verify_universal
+from meixnerops.operators import quantum_ops, semi_ops, verify_universal
 from meixnerops.orthopoly import gram_schmidt_from_moments, moments_from_sj
 from meixnerops.pmd import XDWord, normal_order
 from meixnerops.sampling import sample_combo, sample_params, sample_params_delta0
 from meixnerops.suites import extraction_agreement
 
 import support
+from support import commutator
 
 TRUNC = 12
 
@@ -73,7 +75,8 @@ def test_criterion_1_universal_commutators(param_sets):
     start = time.perf_counter()
     ok = True
     for p in param_sets:
-        reports = verify_universal(szego_jacobi(p), TRUNC)
+        sj = szego_jacobi(p)
+        reports = verify_universal(sj, TRUNC, *recurrence_polys(sj))
         ok = ok and len(reports) == 6
         for rep in reports:
             ok = ok and rep.passed and rep.max_degree >= 10

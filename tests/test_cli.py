@@ -394,14 +394,17 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
-def test_doublecomm_builds_no_truncated_operator(capsys, monkeypatch):
-    # The doublecomm identities are checked on polynomial diagonals only.
-    args = ("verify", "--suite=doublecomm", "--degree=24", "--trials=3", "--seed=5", "--json")
-    expected = run_cli(capsys, *args)
+def test_verify_suites_build_no_truncated_operator(capsys, monkeypatch):
+    # The universal and doublecomm identities are checked on polynomial diagonals only.
+    runs = [
+        ("verify", f"--suite={suite}", "--degree=24", "--trials=3", "--seed=5", "--json")
+        for suite in ("universal", "doublecomm")
+    ]
+    expected = [run_cli(capsys, *args) for args in runs]
     operators = importlib.import_module("meixnerops.operators")
 
     def finite(*args, **kwargs):
-        raise AssertionError("the finite engine ran for doublecomm")
+        raise AssertionError("the finite engine ran")
 
     for name in ("quantum_ops", "semi_ops"):
         monkeypatch.setattr(operators, name, finite)
@@ -411,9 +414,11 @@ def test_doublecomm_builds_no_truncated_operator(capsys, monkeypatch):
         elif callable(member):
             monkeypatch.setattr(operators.GradedOp, name, finite)
     with pytest.raises(AssertionError, match="finite engine"):
-        main(["verify", "--suite=universal", "--degree=4", "--trials=1"])
-    assert run_cli(capsys, *args) == expected
-    assert expected[0] == 0
+        operators.quantum_ops(None, 4)
+    with pytest.raises(AssertionError, match="finite engine"):
+        operators.GradedOp(4, (0, 0), 0, ((0,) * 5,))
+    assert [run_cli(capsys, *args) for args in runs] == expected
+    assert [code for code, _, _ in expected] == [0, 0]
 
 
 @pytest.mark.parametrize("suite", ["universal", "pmd", "gramschmidt", "limit", "doublecomm"])

@@ -23,8 +23,6 @@ from meixnerops.meixner import (
 )
 from meixnerops.operators import (
     VerifyReport,
-    commutator,
-    number_op,
     poly_diagonals,
     quantum_ops,
     semi_ops,
@@ -34,6 +32,7 @@ from meixnerops.suites import extraction_agreement
 from meixnerops.surd import Quadratic
 
 import support
+from support import commutator, number_op
 
 GAUSSIAN = MeixnerParams(0, 0, 0, 1)
 POISSON = MeixnerParams(1, 1, 0, 1)
@@ -395,7 +394,7 @@ rat_t = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
 @settings(deadline=None, max_examples=30)
 @given(rat_alpha, rat_alpha0, rat_beta, rat_t)
 def test_extraction_matches_closed_forms_random(alpha, alpha0, beta, t):
-    from meixnerops.operators import number_op, to_monomial_basis
+    from meixnerops.operators import to_monomial_basis
     from meixnerops.pmd import extract_pmd
 
     p = MeixnerParams(alpha, alpha0, beta, t)

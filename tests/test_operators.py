@@ -4,27 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meixnerops.exact import Poly
+from meixnerops.exact import ZERO, Poly, X
 from meixnerops.meixner import MeixnerParams, szego_jacobi
 from meixnerops.operators import (
     GradedOp,
-    commutator,
     first_mismatch,
-    number_op,
-    operator_report,
     quantum_ops,
     semi_ops,
     to_monomial_basis,
     verify_universal,
-    zero_op,
 )
 from meixnerops.orthopoly import SzegoJacobi, monic_polys
 
 import support
+from support import commutator, number_op, operator_report, zero_op
 
 POISSON1 = SzegoJacobi(lambda n: n + 1, lambda n: n, 1)
 GAUSS = SzegoJacobi(lambda n: 0, lambda n: n, 1)
 COIN = SzegoJacobi(lambda n: 0, lambda n: -(n**2) + 3 * n, 1, support_bound=3)
+# alpha_n and omega_n of POISSON1 and COIN as polynomials in n.
+POISSON1_POLYS = (X + 1, X)
+COIN_POLYS = (ZERO, 3 * X - X * X)
 
 
 def test_quantum_ops_structure():
@@ -111,14 +111,14 @@ def test_first_mismatch_reports_column_and_residual():
 
 
 def test_universal_identities_poisson():
-    for report in verify_universal(POISSON1, 10):
+    for report in verify_universal(POISSON1, 10, *POISSON1_POLYS):
         assert report.passed, report.name
         assert report.max_degree >= 8
 
 
 def test_universal_identities_full_finite_space():
     # with the whole 3-dimensional space retained there is no margin at all
-    for report in verify_universal(COIN, 2):
+    for report in verify_universal(COIN, 2, *COIN_POLYS):
         assert report.passed, report.name
         assert report.max_degree == 2
 
@@ -162,9 +162,14 @@ pos_rats = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
 @settings(deadline=None, max_examples=25)
 @given(st.lists(small_rats, min_size=8, max_size=8), st.lists(pos_rats, min_size=8, max_size=8))
 def test_universal_identities_hold_for_random_recurrences(alphas, omegas):
+    # Any finite recurrence is polynomial in n on the indices a truncation reads.
     sj = support.recurrence(alphas, omegas)
-    for report in verify_universal(sj, 7):
+    alpha, omega = support.interpolate(alphas), support.interpolate([0, *omegas])
+    assert [alpha(n) for n in range(8)] == alphas
+    assert [omega(n) for n in range(1, 9)] == omegas
+    for report in verify_universal(sj, 7, alpha, omega):
         assert report.passed, report.name
+        assert report.max_degree >= 6
 
 
 # Dense reference for the banded kernels: rows[m][n] is the f_m-component of
@@ -316,5 +321,5 @@ def test_report_builds_no_basis_when_the_check_passes(monkeypatch):
         raise AssertionError("monic_polys called for a passing check")
 
     monkeypatch.setattr("meixnerops.operators.monic_polys", no_basis)
-    for report in verify_universal(POISSON1, 10):
+    for report in verify_universal(POISSON1, 10, *POISSON1_POLYS):
         assert report.passed, report.name

@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "meixnerops"
 KEPT = {"beta0_combo", "class_predicates", "normal_order", "sample_combo"}
 SHARED = {
+    "GradedOp.scale": "a perfbench tracer target; the finite reference engine",
     "TranslationExpr.terms": "read by beta0_combo and by TranslationExpr.to_json_dict",
     "TranslationExpr.to_json_dict": "read by TranslationFormReport.to_json_dict",
     "TranslationFormReport.to_json_dict": "the JSON of translation_form, pinned by test_golden",

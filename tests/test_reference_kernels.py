@@ -111,16 +111,15 @@ from meixnerops.meixner import (
 from meixnerops.operators import (
     GradedOp,
     change_of_basis,
-    commutator,
     linear_combination,
-    number_op,
-    operator_report,
     poly_diagonals,
     quantum_ops,
     semi_ops,
     sequence_report,
+    VerifyReport,
     series_by_commutators,
     to_monomial_basis,
+    verify_universal,
 )
 from meixnerops.orthopoly import (
     DegenerateMoments,
@@ -139,6 +138,7 @@ from meixnerops.suites import checked_order, extraction_agreement
 from meixnerops.surd import Quadratic
 
 import support
+from support import commutator, number_op, operator_report, zero_op
 
 classify_module = importlib.import_module("meixnerops.classify")
 meixner_module = importlib.import_module("meixnerops.meixner")
@@ -1015,6 +1015,177 @@ def test_doublecomm_top_is_the_finite_reliable_degree():
                 mp.setattr(suites_module, "sample_params", lambda rng, min_dim: p)
                 _, reports = suites_module.suite_doublecomm(None, degree)
             assert [report.max_degree for report in reports] == expected, (degree, bound)
+
+
+# ---------------------------------------------------------------- universal
+# ``verify_universal`` checks the six universal identities on polynomial
+# diagonals.  Its reference is the checker it replaced, which built a+, a0,
+# a-, U, V, X and N as truncated Fraction operators.  Both look up their
+# report functions by name, so a test can perturb one right-hand side in both.
+
+
+def parent_verify_universal(sj, trunc):
+    aplus, azero, aminus = quantum_ops(sj, trunc)
+    u, v = semi_ops(aplus, azero, aminus)
+    x = aminus + azero + aplus
+    num = number_op(trunc)
+    reports = [
+        operator_report("[N,a+] = a+", commutator(num, aplus), aplus, sj),
+        operator_report("[N,a0] = 0", commutator(num, azero), zero_op(trunc), sj),
+        operator_report("[a-,N] = a-", commutator(aminus, num), aminus, sj),
+        operator_report("[N,V] = a+", commutator(num, v), aplus, sj),
+        operator_report("[U,N] = a-", commutator(u, num), aminus, sj),
+    ]
+    v_minus_u = v - u
+    left = operator_report("[N,X] = V - U", commutator(num, x), v_minus_u, sj)
+    right = operator_report("V - U = a+ - a-", v_minus_u, aplus - aminus, sj)
+    if left.passed and right.passed:
+        reports.append(
+            VerifyReport("[N,X] = V - U = a+ - a-", True, min(left.max_degree, right.max_degree))
+        )
+    else:
+        bad = left if not left.passed else right
+        reports.append(
+            VerifyReport(
+                "[N,X] = V - U = a+ - a-", False, bad.max_degree, bad.fail_index, bad.residual
+            )
+        )
+    return reports
+
+
+UNIVERSAL_PARTS = (
+    "[N,a+] = a+",
+    "[N,a0] = 0",
+    "[a-,N] = a-",
+    "[N,V] = a+",
+    "[U,N] = a-",
+    "[N,X] = V - U",
+    "V - U = a+ - a-",
+)
+
+
+def both_universal(p, trunc, identity=None, bump=None):
+    """(checker, reference) on the law ``p``, both with ``bump`` added to the
+    right-hand side of the check named ``identity``."""
+    sj = szego_jacobi(p)
+    new_report, parent_report = operators_module.diagonal_report, operator_report
+
+    def bumped_new(name, lhs, rhs, *args):
+        if name == identity:
+            rhs = linear_combination((1, rhs), (1, bump))
+        return new_report(name, lhs, rhs, *args)
+
+    def bumped_parent(name, lhs, rhs, sj):
+        if name == identity:
+            rhs = rhs + truncated(bump, trunc)
+        return parent_report(name, lhs, rhs, sj)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators_module, "diagonal_report", bumped_new)
+        mp.setattr(sys.modules[__name__], "operator_report", bumped_parent)
+        new = verify_universal(sj, trunc, *recurrence_polys(sj))
+        return new, parent_verify_universal(sj, trunc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(meixner_params(), st.integers(4, 24))
+def test_universal_matches_finite_checker(p, degree):
+    bound = p.derived().support_bound
+    if bound is not None:
+        degree = min(degree, bound - 1)  # a Binomial law on fewer points: its full space
+    new, parent = both_universal(p, degree)
+    assert new == parent
+    assert len(new) == 6 and all(report.passed for report in new)
+
+
+@pytest.mark.parametrize("points", range(2, 31))
+def test_universal_on_the_full_space_of_binomial_laws(points):
+    # trunc = bound - 1: a+ keeps its top column, so every identity is
+    # checked on every column of the truncation.
+    p = MeixnerParams(F(1, 3), F(-1, 2), F(-5, 3) / (points - 1), F(5, 3))
+    new, parent = both_universal(p, points - 1)
+    assert new == parent
+    assert [report.max_degree for report in new] == [points - 1] * 6
+
+
+@settings(deadline=None, max_examples=100)
+@given(_fracs(0, 3), _fracs(-2, 2), _fracs(F(1, 6), 3), st.integers(4, 24))
+def test_universal_at_delta_zero(alpha, alpha0, t, degree):
+    new, parent = both_universal(MeixnerParams(alpha, alpha0, alpha**2 / 4, t), degree)
+    assert new == parent
+    assert all(report.passed for report in new)
+
+
+def test_universal_top_is_the_finite_reliable_degree():
+    for degree in (4, 5, 12, 24, 48):
+        for bound in (None, degree + 1, degree + 2, degree + 3):
+            t = F(5, 3)
+            beta = 0 if bound is None else -t / (bound - 1)
+            p = MeixnerParams(F(1, 3), F(-1, 2), beta, t)
+            assert p.derived().support_bound == bound
+            new, parent = both_universal(p, degree)
+            assert new == parent, (degree, bound)
+            top = degree if bound == degree + 1 else degree - 1
+            tops = [top, degree, degree, top, degree, top]
+            assert [report.max_degree for report in new] == tops, (degree, bound)
+
+
+@pytest.mark.parametrize("identity", UNIVERSAL_PARTS)
+@pytest.mark.parametrize(
+    "bump, column",
+    [
+        ({0: Poly.of(F(1, 7))}, 0),
+        ({-1: vanishing_below(3, F(-2, 5))}, 3),
+        ({1: vanishing_below(2, 3)}, 2),
+        ({-2: vanishing_below(4, F(1, 3)), 0: vanishing_below(2, 1),
+          2: vanishing_below(2, -1)}, 2),
+    ],
+)
+def test_universal_fails_like_the_finite_checker(identity, bump, column):
+    # A bump in a reliable column: same fail_index, max_degree and residual.
+    for p in BUMPED_LAWS:
+        new, parent = both_universal(p, 8, identity, bump)
+        assert new == parent, p
+        failed = [(report.name, report.fail_index) for report in new if not report.passed]
+        if identity in UNIVERSAL_PARTS[:5]:
+            assert failed == [(identity, column)], p
+        else:
+            assert failed == [("[N,X] = V - U = a+ - a-", column)], p
+        assert all(report.residual is not None for report in new if not report.passed), p
+
+
+def test_universal_reads_only_the_reliable_entries():
+    # Column top + 1 is not reliable; a bump at column top in a row past the
+    # truncation is not held by it.  Neither is compared.
+    for p in BUMPED_LAWS:
+        for identity in UNIVERSAL_PARTS:
+            tops = {report.name: report.max_degree for report in both_universal(p, 8)[0]}
+            top = tops.get(identity, tops["[N,X] = V - U = a+ - a-"])
+            for bump in (
+                {0: vanishing_below(top + 1, 5)},
+                {-1: vanishing_below(top + 1, F(-1, 3))},
+                {8 - top + 1: vanishing_below(top, 1)},
+            ):
+                new, parent = both_universal(p, 8, identity, bump)
+                assert new == parent, (p, identity, bump)
+                assert all(report.passed for report in new), (p, identity, bump)
+            # A failure in column top leaves the row past the truncation out of its residual.
+            bump = {0: vanishing_below(top, 1), 8 - top + 1: vanishing_below(top, 1)}
+            new, parent = both_universal(p, 8, identity, bump)
+            assert new == parent, (p, identity)
+            assert [report.fail_index for report in new if not report.passed] == [top], p
+
+
+def test_universal_combined_report_takes_the_failing_part():
+    # [N,X] = V - U = a+ - a- reports its left part when that fails, else its right.
+    for p in BUMPED_LAWS:
+        left_bump, right_bump = {0: vanishing_below(2, 1)}, {-1: vanishing_below(4, 1)}
+        left, parent = both_universal(p, 8, "[N,X] = V - U", left_bump)
+        assert left == parent and (left[5].fail_index, left[5].passed) == (2, False), p
+        right, parent = both_universal(p, 8, "V - U = a+ - a-", right_bump)
+        assert right == parent and (right[5].fail_index, right[5].passed) == (4, False), p
+        assert left[5].residual != right[5].residual, p
+        assert left[:5] == right[:5] == both_universal(p, 8)[0][:5], p
 
 
 # ---------------------------------------------------------------- translation forms
