@@ -1064,20 +1064,21 @@ UNIVERSAL_PARTS = (
 )
 
 
-def both_universal(p, trunc, identity=None, bump=None):
-    """(checker, reference) on the law ``p``, both with ``bump`` added to the
-    right-hand side of the check named ``identity``."""
+def both_universal(p, trunc, bumps=None):
+    """(checker, reference) on the law ``p``, both with ``bumps[name]`` added to
+    the right-hand side of the check called ``name``."""
+    bumps = bumps or {}
     sj = szego_jacobi(p)
     new_report, parent_report = operators_module.diagonal_report, operator_report
 
     def bumped_new(name, lhs, rhs, *args):
-        if name == identity:
-            rhs = linear_combination((1, rhs), (1, bump))
+        if name in bumps:
+            rhs = linear_combination((1, rhs), (1, bumps[name]))
         return new_report(name, lhs, rhs, *args)
 
     def bumped_parent(name, lhs, rhs, sj):
-        if name == identity:
-            rhs = rhs + truncated(bump, trunc)
+        if name in bumps:
+            rhs = rhs + truncated(bumps[name], trunc)
         return parent_report(name, lhs, rhs, sj)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1144,7 +1145,7 @@ def test_universal_top_is_the_finite_reliable_degree():
 def test_universal_fails_like_the_finite_checker(identity, bump, column):
     # A bump in a reliable column: same fail_index, max_degree and residual.
     for p in BUMPED_LAWS:
-        new, parent = both_universal(p, 8, identity, bump)
+        new, parent = both_universal(p, 8, {identity: bump})
         assert new == parent, p
         failed = [(report.name, report.fail_index) for report in new if not report.passed]
         if identity in UNIVERSAL_PARTS[:5]:
@@ -1166,26 +1167,33 @@ def test_universal_reads_only_the_reliable_entries():
                 {-1: vanishing_below(top + 1, F(-1, 3))},
                 {8 - top + 1: vanishing_below(top, 1)},
             ):
-                new, parent = both_universal(p, 8, identity, bump)
+                new, parent = both_universal(p, 8, {identity: bump})
                 assert new == parent, (p, identity, bump)
                 assert all(report.passed for report in new), (p, identity, bump)
             # A failure in column top leaves the row past the truncation out of its residual.
             bump = {0: vanishing_below(top, 1), 8 - top + 1: vanishing_below(top, 1)}
-            new, parent = both_universal(p, 8, identity, bump)
+            new, parent = both_universal(p, 8, {identity: bump})
             assert new == parent, (p, identity)
             assert [report.fail_index for report in new if not report.passed] == [top], p
 
 
 def test_universal_combined_report_takes_the_failing_part():
-    # [N,X] = V - U = a+ - a- reports its left part when that fails, else its right.
+    # [N,X] = V - U = a+ - a- reports its left part when that fails, else its
+    # right part, whichever fails at the lower column.
+    early, late = {0: vanishing_below(2, 1)}, {-1: vanishing_below(4, 1)}
     for p in BUMPED_LAWS:
-        left_bump, right_bump = {0: vanishing_below(2, 1)}, {-1: vanishing_below(4, 1)}
-        left, parent = both_universal(p, 8, "[N,X] = V - U", left_bump)
-        assert left == parent and (left[5].fail_index, left[5].passed) == (2, False), p
-        right, parent = both_universal(p, 8, "V - U = a+ - a-", right_bump)
-        assert right == parent and (right[5].fail_index, right[5].passed) == (4, False), p
-        assert left[5].residual != right[5].residual, p
-        assert left[:5] == right[:5] == both_universal(p, 8)[0][:5], p
+        unbumped = both_universal(p, 8)[0]
+        for left_bump, right_bump in ((early, late), (late, early)):
+            left, parent = both_universal(p, 8, {"[N,X] = V - U": left_bump})
+            assert left == parent and not left[5].passed, p
+            right, parent = both_universal(p, 8, {"V - U = a+ - a-": right_bump})
+            assert right == parent and not right[5].passed, p
+            both, parent = both_universal(
+                p, 8, {"[N,X] = V - U": left_bump, "V - U = a+ - a-": right_bump}
+            )
+            assert both == parent and both[5] == left[5] != right[5], p
+            assert left[:5] == right[:5] == both[:5] == unbumped[:5], p
+        assert [left[5].fail_index, right[5].fail_index] == [4, 2], p
 
 
 # ---------------------------------------------------------------- translation forms
