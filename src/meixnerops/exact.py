@@ -89,7 +89,7 @@ class Poly:
     canonical, with trailing zeros trimmed and gcd(den, *nums) == 1 (the zero
     polynomial is ``((), 1)``), so field equality and hash are exact.
     Arithmetic runs on the integers with one gcd per result; a ``Fraction``
-    is built only by ``coeffs``, ``coeff(i)``, evaluation and rendering.
+    is built only by ``coeffs``, ``coeff(i)`` and rendering.
     """
 
     nums: tuple[int, ...]
@@ -164,9 +164,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: object) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other: object) -> "Poly":
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
@@ -193,16 +190,6 @@ class Poly:
             return self
         nums = self.nums
         return Poly([perm(i, order) * nums[i] for i in range(order, len(nums))], self.den)
-
-    def __call__(self, x: RatLike) -> Fraction:
-        """f(x) for x = p/q, by Horner's rule on q^deg f(p/q) in integers."""
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        acc, qpow = 0, 1
-        for v in reversed(self.nums):
-            acc = acc * p + v * qpow
-            qpow *= q
-        return Fraction(acc * q, self.den * qpow)
 
     def to_json(self) -> list[str]:
         return [format_ratio(v, self.den) for v in self.nums]

@@ -39,8 +39,8 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .exact import ONE, X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
-from .operators import PolyDiags, VerifyReport, linear_combination, sequence_report
+from .exact import X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
+from .operators import PolyOp, VerifyReport, linear_combination, sequence_report
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
 from .surd import Quadratic
@@ -154,10 +154,12 @@ def recurrence_polys(sj: SzegoJacobi) -> tuple[Poly, Poly]:
     return Poly([a0, sj.shift(1) - a0], scale), Poly([0, 2 * w1 - bend, bend], 2 * scale * scale)
 
 
-def comm_ux_closed_form(p: MeixnerParams, x: PolyDiags) -> PolyDiags:
+def comm_ux_closed_form(p: MeixnerParams, x: PolyOp) -> PolyOp:
     """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, from the polynomial diagonals ``x`` of X."""
     d = p.derived()
-    return linear_combination((p.alpha / 2, x), (-d.delta / 2, {0: X}), (d.tau / 2, {0: ONE}))
+    return linear_combination(
+        (p.alpha / 2, x), (-d.delta / 2, (1, {0: [0, 1]})), (d.tau / 2, (1, {0: [1]}))
+    )
 
 
 # The six operators, in the order every report lists them.

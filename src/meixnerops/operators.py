@@ -9,18 +9,22 @@ many top input degrees are unreliable because the truncation discarded
 components beyond f_N.  Every comparison is restricted to the reliable
 degrees, so an identity reported as holding is exact, never approximate.
 
-Only the band is stored, so construction checks shapes in O(width), add,
-neg and scale cost O(N * width), and compose costs O(N * w1 * w2).  The
+Only the band is stored, so construction checks shapes in O(width), add
+and scale cost O(N * width), and compose costs O(N * w1 * w2).  The
 dense column ``column(n)`` is built on demand.  Products run
 on integer rows: each operand's diagonals go over their common denominator
 once, and each output entry becomes one ``Fraction``.
 
 No command builds a ``GradedOp``.  The commands hold every operator on all
 polynomials, untruncated: alpha_n and omega_n are polynomials in n, so each
-diagonal is one ``Poly`` d_k(n).  ``verify_universal`` and the ``doublecomm``
-suite compare commutators on those diagonals, and ``series_by_commutators``
-reads an operator's position-momentum expansion off its iterated commutators
-with X.  The truncated engine, and the matrix on monomials it gives
+diagonal is a polynomial d_k(n), and the operator is ``(den, {k: nums_k})``,
+its diagonals as integer coefficient rows over one denominator.  That is the
+one form of such an operator: ``poly_diagonals`` builds it, and
+``linear_combination`` and ``diagonal_commutator`` return it.
+``verify_universal`` and the ``doublecomm`` suite compare commutators with
+``diagonal_report``, and ``series_by_commutators`` reads an operator's
+position-momentum expansion off its iterated commutators with X.  The
+truncated engine, and the matrix on monomials it gives
 (``to_monomial_basis``), are the reference those routes are tested against;
 they stay in the package because the benchmark's layer trace names them.
 
@@ -117,13 +121,6 @@ class GradedOp:
             else:
                 diags.append(self._diagonal(k) if in_a else other._diagonal(k))
         return GradedOp(self.trunc, band, max(self.margin, other.margin), tuple(diags))
-
-    def __neg__(self) -> "GradedOp":
-        diags = tuple(tuple(-v for v in diag) for diag in self.diags)
-        return GradedOp(self.trunc, self.band, self.margin, diags)
-
-    def __sub__(self, other: "GradedOp") -> "GradedOp":
-        return self + (-other)
 
     def scale(self, c: RatLike) -> "GradedOp":
         c = Fraction(c)
@@ -332,18 +329,36 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
 # Operators on all polynomials, by polynomial diagonals.  Every operator
 # built from a+, a0, a- and N of a recurrence whose alpha_n and omega_n are
 # polynomials in n has entries (n + k, n) that are polynomials d_k(n), so it
-# is held as ``{k: d_k}`` without truncation.  Composing by
+# is held without truncation, as ``(den, {k: nums_k})``: den * d_k(n) has the
+# integer coefficients nums_k, lowest degree first.  The form is canonical:
+# den > 0, every row is trimmed of trailing zeros, zero diagonals are
+# dropped and gcd(den, *all entries) = 1.  Composing by
 #
 #     (A o B)_k(n) = sum_{ka + kb = k} A_ka(n + kb) B_kb(n)
 #
 # is exact at every n >= 0: a path that leaves the basis below f_0 steps
 # down from f_0, and omega_0 = 0 kills it.
 
-PolyDiags = dict[int, Poly]
+PolyOp = tuple[int, dict[int, list[int]]]
 
 
-def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyDiags:
-    """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n, by nonzero diagonals."""
+def _canonical(den: int, rows: dict[int, list[int]]) -> PolyOp:
+    """``(den, rows)`` in canonical form; the rows are trimmed in place."""
+    out = {}
+    for k, row in rows.items():
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            out[k] = row
+    common = gcd(den, *(v for row in out.values() for v in row))
+    if common > 1:
+        den //= common
+        out = {k: [v // common for v in row] for k, row in out.items()}
+    return den, out
+
+
+def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyOp:
+    """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n."""
     half = alpha * Fraction(1, 2)
     diags = {
         "U": {-1: omega, 0: half},
@@ -354,26 +369,54 @@ def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyDiags:
         "a+": {1: ONE},
         "X": {-1: omega, 0: alpha, 1: ONE},
     }[name]
-    return {k: d for k, d in diags.items() if not d.is_zero}
+    den = lcm(*(d.den for d in diags.values()))
+    return _canonical(den, {k: [v * (den // d.den) for v in d.nums] for k, d in diags.items()})
 
 
-def linear_combination(*terms: tuple[RatLike, PolyDiags]) -> PolyDiags:
-    """sum_i c_i T_i for the ``(c_i, T_i)`` of ``terms``; zero diagonals are dropped."""
-    out: PolyDiags = {}
-    for c, op in terms:
-        for k, d in op.items():
-            out[k] = out.get(k, ZERO) + d * c
-    return {k: d for k, d in out.items() if not d.is_zero}
+def linear_combination(*terms: tuple[RatLike, PolyOp]) -> PolyOp:
+    """sum_i c_i T_i for the ``(c_i, T_i)`` of ``terms``, summed over one common denominator."""
+    den = lcm(*(c.denominator * op[0] for c, op in terms))
+    out: dict[int, list[int]] = {}
+    for c, (op_den, rows) in terms:
+        m = c.numerator * (den // (c.denominator * op_den))
+        for k, row in rows.items():
+            acc = out.setdefault(k, [])
+            if len(acc) < len(row):
+                acc.extend([0] * (len(row) - len(acc)))
+            for i, v in enumerate(row):
+                acc[i] += m * v
+    return _canonical(den, out)
 
 
-def diagonal_commutator(a: PolyDiags, b: PolyDiags) -> PolyDiags:
-    """[a, b] = a o b - b o a, on the integer rows of ``_commutator_rows``."""
-    den, rows = _commutator_rows(_int_poly_diags(a), _int_poly_diags(b))
-    return {k: Poly(row, den) for k, row in rows.items()}
+def diagonal_commutator(a: PolyOp, b: PolyOp) -> PolyOp:
+    """[a, b] = a o b - b o a, both products accumulated into one set of integer rows."""
+    out: dict[int, list[int]] = {}
+    for left, right, sign in ((a[1], b[1], 1), (b[1], a[1], -1)):
+        for kb, db in right.items():
+            for ka, da in left.items():
+                if kb:
+                    da = taylor_shift(list(da), kb)
+                acc = out.setdefault(ka + kb, [])
+                if len(acc) < len(da) + len(db) - 1:
+                    acc.extend([0] * (len(da) + len(db) - 1 - len(acc)))
+                for i, x in enumerate(da):
+                    if x:
+                        x *= sign
+                        for j, y in enumerate(db, i):
+                            acc[j] += x * y
+    return _canonical(a[0] * b[0], out)
+
+
+def _at(row: list[int], n: int) -> int:
+    """The integer polynomial with coefficients ``row`` at n, by Horner's rule."""
+    acc = 0
+    for v in reversed(row):
+        acc = acc * n + v
+    return acc
 
 
 def diagonal_report(
-    name: str, lhs: PolyDiags, rhs: PolyDiags, sj: SzegoJacobi, trunc: int, top: int
+    name: str, lhs: PolyOp, rhs: PolyOp, sj: SzegoJacobi, trunc: int, top: int
 ) -> VerifyReport:
     """Compare two operators on the entries a truncation at ``trunc`` reliably holds.
 
@@ -385,21 +428,20 @@ def diagonal_report(
     at the first failing n, inside rows 0 .. ``trunc``, is expanded in X
     through the f-basis of ``sj``, which is built only then.
     """
-    residuals = {k: lhs.get(k, ZERO) - rhs.get(k, ZERO) for k in lhs.keys() | rhs.keys()}
+    den, residuals = linear_combination((1, lhs), (-1, rhs))
     found = top + 1
     for k, r in residuals.items():
-        if not r.is_zero:
-            for n in range(max(0, -k), min(found, trunc + 1 - k)):
-                if r(n):
-                    found = n
-                    break
+        for n in range(max(0, -k), min(found, trunc + 1 - k)):
+            if _at(r, n):
+                found = n
+                break
     if found > top:
         return VerifyReport(name, True, top)
     basis = monic_polys(sj, trunc)
     poly = ZERO
     for k, r in residuals.items():
         if 0 <= found + k <= trunc:
-            poly = poly + r(found) * basis[found + k]
+            poly = poly + Fraction(_at(r, found), den) * basis[found + k]
     return VerifyReport(name, False, top, found, poly)
 
 
@@ -417,12 +459,12 @@ def verify_universal(sj: SzegoJacobi, trunc: int, alpha: Poly, omega: Poly) -> l
     )
     top = trunc - raising_margin(sj, trunc)
 
-    def report(name: str, lhs: PolyDiags, rhs: PolyDiags, last: int) -> VerifyReport:
+    def report(name: str, lhs: PolyOp, rhs: PolyOp, last: int) -> VerifyReport:
         return diagonal_report(name, lhs, rhs, sj, trunc, last)
 
     reports = [
         report("[N,a+] = a+", diagonal_commutator(num, aplus), aplus, top),
-        report("[N,a0] = 0", diagonal_commutator(num, azero), {}, trunc),
+        report("[N,a0] = 0", diagonal_commutator(num, azero), (1, {}), trunc),
         report("[a-,N] = a-", diagonal_commutator(aminus, num), aminus, trunc),
         report("[N,V] = a+", diagonal_commutator(num, v), aplus, top),
         report("[U,N] = a-", diagonal_commutator(u, num), aminus, trunc),
@@ -438,51 +480,7 @@ def verify_universal(sj: SzegoJacobi, trunc: int, alpha: Poly, omega: Poly) -> l
     return reports
 
 
-IntDiags = tuple[int, dict[int, list[int]]]
-
-
-def _int_poly_diags(op: PolyDiags) -> IntDiags:
-    """The diagonals of ``op`` as integer coefficient lists over their common denominator."""
-    den = lcm(*(d.den for d in op.values()))
-    return den, {k: [v * (den // d.den) for v in d.nums] for k, d in op.items()}
-
-
-def _commutator_rows(a: IntDiags, b: IntDiags) -> IntDiags:
-    """[a, b] = a o b - b o a, both products accumulated into one set of integer rows.
-
-    The rows come back over den_a * den_b reduced by their common gcd, with
-    trailing zeros trimmed and zero diagonals dropped.
-    """
-    out: dict[int, list[int]] = {}
-    for left, right, sign in ((a[1], b[1], 1), (b[1], a[1], -1)):
-        for kb, db in right.items():
-            for ka, da in left.items():
-                if kb:
-                    da = taylor_shift(list(da), kb)
-                acc = out.setdefault(ka + kb, [])
-                if len(acc) < len(da) + len(db) - 1:
-                    acc.extend([0] * (len(da) + len(db) - 1 - len(acc)))
-                for i, x in enumerate(da):
-                    if x:
-                        x *= sign
-                        for j, y in enumerate(db, i):
-                            acc[j] += x * y
-    rows = {}
-    for k in sorted(out):
-        row = out[k]
-        while row and not row[-1]:
-            row.pop()
-        if row:
-            rows[k] = row
-    den = a[0] * b[0]
-    common = gcd(den, *(v for row in rows.values() for v in row))
-    if common > 1:
-        den //= common
-        rows = {k: [v // common for v in row] for k, row in rows.items()}
-    return den, rows
-
-
-def _cycle_constant(later: IntDiags, earlier: IntDiags) -> Fraction | None:
+def _cycle_constant(later: PolyOp, earlier: PolyOp) -> Fraction | None:
     """c with ``later`` = c * ``earlier`` on every coefficient of every diagonal, or None."""
     (den_l, rows_l), (den_e, rows_e) = later, earlier
     if not rows_l:
@@ -499,7 +497,7 @@ def _cycle_constant(later: IntDiags, earlier: IntDiags) -> Fraction | None:
 
 
 def series_by_commutators(
-    t: PolyDiags, x: PolyDiags, sj: SzegoJacobi, k: int, order: int
+    t: PolyOp, x: PolyOp, sj: SzegoJacobi, k: int, order: int
 ) -> PMDecomp:
     """A_0 .. A_order of T = sum_n A_n(X) D^n, from the diagonals of T and of X.
 
@@ -510,11 +508,10 @@ def series_by_commutators(
     for every i, and no further commutator is formed; without such a cycle
     the iteration runs to ``order``.  ``k`` is the grade of T.
     """
-    xs = _int_poly_diags(x)
-    iterates = [_int_poly_diags(t)]
+    iterates = [t]
     cycle = Fraction(1)  # no power of it is taken unless a cycle is found
     for j in range(1, order + 1):
-        iterates.append(_commutator_rows(iterates[-1], xs))
+        iterates.append(diagonal_commutator(iterates[-1], x))
         found = _cycle_constant(iterates[j], iterates[j - 2]) if j >= 2 else None
         if found is not None:
             cycle = found

@@ -8,10 +8,15 @@ them back densely, through the kernels they stand in for:
 
 The finite engine's operators and checks that no command uses any more live
 here as references: ``zero_op``, ``number_op``, ``identity_op``,
-``commutator``, ``comm_ux_closed_form`` and ``operator_report`` build and
-compare truncated ``GradedOp`` values, which the polynomial-diagonal suites
-are tested against.  ``interpolate`` turns any finite recurrence into the
-polynomials alpha_n and omega_n those suites take.
+``difference``, ``commutator``, ``comm_ux_closed_form`` and
+``operator_report`` build and compare truncated ``GradedOp`` values, which
+the polynomial-diagonal suites are tested against.  ``interpolate`` turns
+any finite recurrence into the polynomials alpha_n and omega_n those suites
+take, and ``evaluate`` reads a polynomial at a point.
+
+The library holds an operator on polynomial diagonals as integer rows over
+one denominator, ``(den, {k: nums_k})``.  A test writes it as ``{k: d_k}``
+of ``Poly`` diagonals; ``int_form`` and ``poly_form`` convert between the two.
 """
 
 from fractions import Fraction
@@ -68,6 +73,30 @@ def shifted(f, c):
     return Poly([v * w for v, w in zip(h, qpow)], f.den * qpow[top])
 
 
+def evaluate(f, x):
+    """f(x) for x = p/q, by Horner's rule on q^deg f(p/q) in integers."""
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    acc, qpow = 0, 1
+    for v in reversed(f.nums):
+        acc = acc * p + v * qpow
+        qpow *= q
+    return Fraction(acc * q, f.den * qpow)
+
+
+def int_form(diags):
+    """The ``(den, {k: nums_k})`` of the operator with ``Poly`` diagonals ``{k: d_k}``."""
+    nonzero = {k: d for k, d in diags.items() if not d.is_zero}
+    den = lcm(*(d.den for d in nonzero.values()))
+    return den, {k: [v * (den // d.den) for v in d.nums] for k, d in nonzero.items()}
+
+
+def poly_form(op):
+    """The ``Poly`` diagonals ``{k: d_k}`` of an operator held as ``(den, {k: nums_k})``."""
+    den, rows = op
+    return {k: Poly(row, den) for k, row in rows.items()}
+
+
 def dense(op):
     """``dense(op)[m][n]`` is the f_m-component of the image of f_n."""
     return tuple(zip(*(op.column(n) for n in range(op.trunc + 1))))
@@ -92,9 +121,14 @@ def number_op(trunc):
     return _diagonal_op(range(trunc + 1))
 
 
+def difference(a, b):
+    """a - b of two truncated operators."""
+    return a + b.scale(-1)
+
+
 def commutator(a, b):
     """[a, b] = a o b - b o a of two truncated operators."""
-    return a.compose(b) - b.compose(a)
+    return difference(a.compose(b), b.compose(a))
 
 
 def operator_report(name, lhs, rhs, sj):
@@ -130,7 +164,7 @@ def comm_ux_closed_form(p, x):
     d = p.derived()
     return (
         x.scale(p.alpha / 2)
-        - number_op(x.trunc).scale(d.delta / 2)
+        + number_op(x.trunc).scale(-d.delta / 2)
         + identity_op(x.trunc).scale(d.tau / 2)
     )
 

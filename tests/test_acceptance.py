@@ -99,7 +99,7 @@ def test_criterion_2_step1_commutator(param_sets):
         for n in range(11):
             ok = ok and step1.column(n) == closed1.column(n)
         step2 = commutator(step1, x)
-        closed2 = (x - u.scale(2)).scale(-d.delta / 2)
+        closed2 = support.difference(x, u.scale(2)).scale(-d.delta / 2)
         for n in range(10):
             ok = ok and step2.column(n) == closed2.column(n)
         if not ok:

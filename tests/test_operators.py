@@ -78,7 +78,7 @@ def test_zero_and_identity():
     assert z.band == (0, 0) and all(all(e == 0 for e in row) for row in support.dense(z))
     assert i.column(2)[2] == 1
     assert n.column(2)[2] == 2
-    assert support.dense(n - n) == support.dense(z)
+    assert support.dense(support.difference(n, n)) == support.dense(z)
 
 
 def test_compose_shifts_band_and_margin():
@@ -165,8 +165,8 @@ def test_universal_identities_hold_for_random_recurrences(alphas, omegas):
     # Any finite recurrence is polynomial in n on the indices a truncation reads.
     sj = support.recurrence(alphas, omegas)
     alpha, omega = support.interpolate(alphas), support.interpolate([0, *omegas])
-    assert [alpha(n) for n in range(8)] == alphas
-    assert [omega(n) for n in range(1, 9)] == omegas
+    assert [support.evaluate(alpha, n) for n in range(8)] == alphas
+    assert [support.evaluate(omega, n) for n in range(1, 9)] == omegas
     for report in verify_universal(sj, 7, alpha, omega):
         assert report.passed, report.name
         assert report.max_degree >= 6
@@ -241,8 +241,8 @@ def test_banded_kernels_match_dense_reference(data):
     assert support.dense(total) == _freeze(
         [[rows_a[m][n] + rows_b[m][n] for n in range(size)] for m in range(size)]
     )
-    assert support.dense(-a) == _freeze([[-v for v in row] for row in rows_a])
-    assert support.dense(a - b) == _freeze(
+    assert support.dense(a.scale(-1)) == _freeze([[-v for v in row] for row in rows_a])
+    assert support.dense(support.difference(a, b)) == _freeze(
         [[rows_a[m][n] - rows_b[m][n] for n in range(size)] for m in range(size)]
     )
     assert support.dense(a.scale(c)) == _freeze([[c * v for v in row] for row in rows_a])

@@ -12,7 +12,11 @@ operator built, only the columns read, the peel in Y = D*X, the closed forms
 in one pass) is compared with the Fraction path it replaced, kept below.
 ``decompose`` now reads each expansion off iterated commutators with X on
 polynomial diagonals; that route is compared with the matrix route, reports
-and CLI bytes included.
+and CLI bytes included.  The operators on polynomial diagonals are held as
+integer rows over one denominator; ``poly_diagonals``,
+``linear_combination``, ``diagonal_commutator`` and ``diagonal_report`` are
+checked against the kernels on ``Poly`` diagonals they replaced, on random
+banded operators, and every result must be in canonical form.
 
 The moment layer has the same treatment: ``moments_from_sj`` against powers
 of the recurrence matrix in Fractions, the Chebyshev algorithm against
@@ -111,6 +115,8 @@ from meixnerops.meixner import (
 from meixnerops.operators import (
     GradedOp,
     change_of_basis,
+    diagonal_commutator,
+    diagonal_report,
     linear_combination,
     poly_diagonals,
     quantum_ops,
@@ -621,7 +627,7 @@ class CycleLog:
 
     def __init__(self, monkeypatch):
         self.commutators, self.constants = 0, []
-        rows, constant = operators_module._commutator_rows, operators_module._cycle_constant
+        rows, constant = operators_module.diagonal_commutator, operators_module._cycle_constant
 
         def counted(*args):
             self.commutators += 1
@@ -633,7 +639,7 @@ class CycleLog:
                 self.constants.append(c)
             return c
 
-        monkeypatch.setattr(operators_module, "_commutator_rows", counted)
+        monkeypatch.setattr(operators_module, "diagonal_commutator", counted)
         monkeypatch.setattr(operators_module, "_cycle_constant", logged)
 
     def reset(self):
@@ -698,7 +704,8 @@ def test_delta_zero_cycles_with_constant_zero(monkeypatch):
 def polynomial_recurrence(alpha, omega, top):
     """The recurrence alpha_n = alpha(n), omega_n = omega(n) through degree ``top``."""
     return support.recurrence(
-        [alpha(n) for n in range(top + 1)], [omega(n) for n in range(1, top + 1)]
+        [support.evaluate(alpha, n) for n in range(top + 1)],
+        [support.evaluate(omega, n) for n in range(1, top + 1)],
     )
 
 
@@ -761,13 +768,14 @@ def both_banded_routes(diags, hi, alpha, omega, order):
     sj = polynomial_recurrence(alpha, omega, trunc)
     lo = min(diags, default=0)
     band = tuple(
-        tuple(diags[k](n) if k in diags else F(0) for n in range(max(0, -k), trunc + 1 - max(k, 0)))
+        tuple(support.evaluate(diags.get(k, ZERO), n)
+              for n in range(max(0, -k), trunc + 1 - max(k, 0)))
         for k in range(lo, hi + 1)
     )
     graded = GradedOp(trunc, (lo, hi), hi, band)
     matrix = extract_pmd(to_monomial_basis(graded, sj, order), hi, order)
     x = poly_diagonals("X", alpha, omega)
-    return series_by_commutators(diags, x, sj, hi, order), matrix
+    return series_by_commutators(support.int_form(diags), x, sj, hi, order), matrix
 
 
 def test_a_cycle_holds_on_every_diagonal(monkeypatch):
@@ -877,7 +885,7 @@ def parent_suite_doublecomm(rng, degree):
         operator_report(
             "[[U,X],X] = -(delta/2)(X - 2U)",
             commutator(step1, x),
-            (x - u.scale(2)).scale(-p.derived().delta / 2),
+            support.difference(x, u.scale(2)).scale(-p.derived().delta / 2),
             sj,
         ),
     ]
@@ -886,7 +894,7 @@ def parent_suite_doublecomm(rng, degree):
 def truncated(diags, trunc):
     """The ``GradedOp`` holding the entries (n + k, n) of ``{k: d_k}`` inside 0 .. trunc."""
     return reduce(add, (
-        GradedOp(trunc, (k, k), 0, (tuple(d(i - min(k, 0)) for i in range(trunc + 1 - abs(k))),))
+        GradedOp(trunc, (k, k), 0, (tuple(support.evaluate(d, i - min(k, 0)) for i in range(trunc + 1 - abs(k))),))
         for k, d in diags.items()
     ))
 
@@ -900,7 +908,7 @@ def both_doublecomm(p, degree, bump=None):
             mp.setattr(holder, "sample_params", lambda rng, min_dim: p)
         if bump:
             mp.setattr(suites_module, "comm_ux_closed_form",
-                       lambda p, x: linear_combination((1, closed(p, x)), (1, bump)))
+                       lambda p, x: linear_combination((1, closed(p, x)), (1, support.int_form(bump))))
             mp.setattr(support, "comm_ux_closed_form",
                        lambda p, x: parent_closed(p, x) + truncated(bump, x.trunc))
         return suites_module.suite_doublecomm(None, degree), parent_suite_doublecomm(None, degree)
@@ -1006,7 +1014,7 @@ def test_doublecomm_top_is_the_finite_reliable_degree():
             x = aminus + azero + aplus
             step1, step2 = commutator(u, x), commutator(commutator(u, x), x)
             closed1 = support.comm_ux_closed_form(p, x)
-            closed2 = (x - u.scale(2)).scale(-p.derived().delta / 2)
+            closed2 = support.difference(x, u.scale(2)).scale(-p.derived().delta / 2)
             expected = [
                 min(step1.valid_degree, closed1.valid_degree),
                 min(step2.valid_degree, closed2.valid_degree),
@@ -1036,9 +1044,9 @@ def parent_verify_universal(sj, trunc):
         operator_report("[N,V] = a+", commutator(num, v), aplus, sj),
         operator_report("[U,N] = a-", commutator(u, num), aminus, sj),
     ]
-    v_minus_u = v - u
+    v_minus_u = support.difference(v, u)
     left = operator_report("[N,X] = V - U", commutator(num, x), v_minus_u, sj)
-    right = operator_report("V - U = a+ - a-", v_minus_u, aplus - aminus, sj)
+    right = operator_report("V - U = a+ - a-", v_minus_u, support.difference(aplus, aminus), sj)
     if left.passed and right.passed:
         reports.append(
             VerifyReport("[N,X] = V - U = a+ - a-", True, min(left.max_degree, right.max_degree))
@@ -1073,7 +1081,7 @@ def both_universal(p, trunc, bumps=None):
 
     def bumped_new(name, lhs, rhs, *args):
         if name in bumps:
-            rhs = linear_combination((1, rhs), (1, bumps[name]))
+            rhs = linear_combination((1, rhs), (1, support.int_form(bumps[name])))
         return new_report(name, lhs, rhs, *args)
 
     def bumped_parent(name, lhs, rhs, sj):
@@ -1194,6 +1202,126 @@ def test_universal_combined_report_takes_the_failing_part():
             assert both == parent and both[5] == left[5] != right[5], p
             assert left[:5] == right[:5] == both[:5] == unbumped[:5], p
         assert [left[5].fail_index, right[5].fail_index] == [4, 2], p
+
+
+# ------------------------------------------------------ polynomial diagonals
+# The engine holds an operator on polynomial diagonals in one form: integer
+# rows over one denominator, ``(den, {k: nums_k})``.  Its references are the
+# kernels on ``{k: Poly}`` diagonals that form replaced, in ``Poly``
+# arithmetic: the composition (A o B)_k(n) = sum A_ka(n + kb) B_kb(n) shifts
+# by ``support.shifted``, and the report evaluates by ``support.evaluate``.
+
+
+def parent_poly_diagonals(name, alpha, omega):
+    half = alpha * F(1, 2)
+    diags = {
+        "U": {-1: omega, 0: half},
+        "V": {0: half, 1: ONE},
+        "N": {0: X},
+        "a0": {0: alpha},
+        "a-": {-1: omega},
+        "a+": {1: ONE},
+        "X": {-1: omega, 0: alpha, 1: ONE},
+    }[name]
+    return {k: d for k, d in diags.items() if not d.is_zero}
+
+
+def parent_linear_combination(*terms):
+    out = {}
+    for c, op in terms:
+        for k, d in op.items():
+            out[k] = out.get(k, ZERO) + d * c
+    return {k: d for k, d in out.items() if not d.is_zero}
+
+
+def parent_diagonal_commutator(a, b):
+    out = {}
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        for kb, db in right.items():
+            for ka, da in left.items():
+                out[ka + kb] = out.get(ka + kb, ZERO) + support.shifted(da, kb) * db * sign
+    return {k: d for k, d in out.items() if not d.is_zero}
+
+
+def parent_diagonal_report(name, lhs, rhs, sj, trunc, top):
+    residuals = {k: lhs.get(k, ZERO) - rhs.get(k, ZERO) for k in lhs.keys() | rhs.keys()}
+    found = top + 1
+    for k, r in residuals.items():
+        if not r.is_zero:
+            for n in range(max(0, -k), min(found, trunc + 1 - k)):
+                if support.evaluate(r, n):
+                    found = n
+                    break
+    if found > top:
+        return VerifyReport(name, True, top)
+    basis = monic_polys(sj, trunc)
+    poly = ZERO
+    for k, r in residuals.items():
+        if 0 <= found + k <= trunc:
+            poly = poly + support.evaluate(r, found) * basis[found + k]
+    return VerifyReport(name, False, top, found, poly)
+
+
+def assert_canonical(op):
+    """den > 0, rows trimmed and nonempty, gcd(den, *entries) = 1."""
+    den, rows = op
+    assert den > 0
+    assert all(row and row[-1] for row in rows.values())
+    assert gcd(den, *(v for row in rows.values() for v in row)) == 1
+
+
+@st.composite
+def poly_ops(draw):
+    """``{k: d_k}`` on grades -2 .. 2, zero diagonals included."""
+    grades = draw(st.lists(st.integers(-2, 2), unique=True, max_size=4))
+    return {k: Poly.of(*draw(st.lists(rats | st.just(F(0)), max_size=4))) for k in grades}
+
+
+# alpha_n up to quadratic and omega_n = n (q0 + q1 n + q2 n^2), up to cubic,
+# positive for n >= 1 when the q are nonnegative: most are no Meixner law.
+alpha_polys = st.lists(rats, min_size=1, max_size=3).map(lambda v: Poly.of(*v))
+omega_polys = st.lists(st.fractions(0, 3, max_denominator=5), min_size=3, max_size=3).map(
+    lambda q: Poly.of(0, F(1, 2) + q[0], q[1], q[2])
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_ops(), poly_ops(), rats, rats, alpha_polys, omega_polys, st.sampled_from(OPS + ("X",)))
+def test_integer_form_matches_poly_kernels(a, b, c, d, alpha, omega, name):
+    ia, ib = support.int_form(a), support.int_form(b)
+    x = poly_diagonals("X", alpha, omega)
+    parent_x = parent_poly_diagonals("X", alpha, omega)
+    cases = {
+        "round trip": (ia, parent_linear_combination((1, a))),
+        "poly_diagonals": (
+            poly_diagonals(name, alpha, omega), parent_poly_diagonals(name, alpha, omega)
+        ),
+        "commutator": (diagonal_commutator(ia, ib), parent_diagonal_commutator(a, b)),
+        "commutator with X": (diagonal_commutator(ia, x), parent_diagonal_commutator(a, parent_x)),
+        "commutator with itself": (diagonal_commutator(ia, ia), parent_diagonal_commutator(a, a)),
+        "combination": (
+            linear_combination((c, ia), (d, ib), (1, x)),
+            parent_linear_combination((c, a), (d, b), (1, parent_x)),
+        ),
+        "cancellation": (linear_combination((1, ia), (-1, ia)), {}),
+        "zero coefficient": (linear_combination((0, ia)), {}),
+    }
+    for label, (new, reference) in cases.items():
+        assert_canonical(new)
+        assert support.poly_form(new) == reference, label
+    assert diagonal_commutator(ia, ia) == (1, {})
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_ops(), poly_ops(), alpha_polys, omega_polys, st.integers(0, 8), st.data())
+def test_integer_report_matches_poly_report(a, bump, alpha, omega, trunc, data):
+    # rhs = a + bump: the report fails where bump first has a nonzero entry
+    # inside the columns 0 .. top and the rows 0 .. trunc, or passes.
+    top = data.draw(st.integers(0, trunc))
+    sj = polynomial_recurrence(alpha, omega, trunc)
+    rhs = parent_linear_combination((1, a), (1, bump))
+    new = diagonal_report("r", support.int_form(a), support.int_form(rhs), sj, trunc, top)
+    assert new == parent_diagonal_report("r", a, rhs, sj, trunc, top)
 
 
 # ---------------------------------------------------------------- translation forms
@@ -2063,15 +2191,15 @@ def test_integer_poly_matches_fraction_lists(a, b, c, k, order):
     assert (-pa).coeffs == tuple(-v for v in ra)
     assert (pa + c).coeffs == (c + pa).coeffs == reference_poly_add(ra, (c,))
     assert (pa - c).coeffs == reference_poly_add(ra, (-c,))
-    assert (c - pa).coeffs == reference_poly_add((c,), tuple(-v for v in ra))
+    assert (-pa + c).coeffs == reference_poly_add((c,), tuple(-v for v in ra))
     assert (pa * pb).coeffs == reference_poly_mul(ra, rb)
     assert (pa * c).coeffs == (c * pa).coeffs == reference_poly_mul(ra, (c,))
     assert (k * pa).coeffs == reference_poly_mul(ra, (F(k),))
     assert pa.derivative(order).coeffs == reference_poly_derivative(ra, order)
     assert support.shifted(pa, c).coeffs == reference_poly_shift(ra, c)
     assert support.shifted(pa, k).coeffs == reference_poly_shift(ra, F(k))
-    assert pa(c) == reference_poly_call(ra, c)
-    assert pa(k) == reference_poly_call(ra, F(k))
+    assert support.evaluate(pa, c) == reference_poly_call(ra, c)
+    assert support.evaluate(pa, k) == reference_poly_call(ra, F(k))
     assert pa.to_json() == [str(v) for v in ra]
     assert str(pa) == reference_poly_str(ra)
 
