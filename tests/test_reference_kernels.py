@@ -50,11 +50,11 @@ coefficient.  Their reference is the check they replaced, which applied the
 form (by summing its weighted derivatives) and the closed form to every
 X^m: the same ``VerifyReport``, failing index and residual included.
 
-``Poly`` holds integer numerators over one denominator.  Its arithmetic,
-evaluation and rendering, and the substitution X -> X + c through
-``exact.taylor_shift`` (``support.shifted``), are checked against lists of
-reduced Fraction coefficients, and equal values must have equal fields and
-hashes.
+``Poly`` holds integer numerators over one denominator.  Its arithmetic
+and rendering, evaluation by ``support.evaluate``, and the substitution
+X -> X + c through ``exact.taylor_shift`` (``support.shifted``), are checked
+against lists of reduced Fraction coefficients, and equal values must have
+equal fields and hashes.
 """
 
 import contextlib
