@@ -32,11 +32,10 @@ def main() -> None:
     args = parser.parse_args()
 
     for label, p in REPRESENTATIVES:
-        d = p.derived()
         print(f"=== {label}: alpha={p.alpha} alpha0={p.alpha0} beta={p.beta} t={p.t}")
-        print(f"    delta = {d.delta}, tau = {d.tau}", end="")
-        if d.support_bound is not None:
-            print(f", finite support on {d.support_bound} points")
+        print(f"    delta = {p.delta}, tau = {p.tau}", end="")
+        if p.support_bound is not None:
+            print(f", finite support on {p.support_bound} points")
         else:
             print()
         print(f"    law: {classify(p).to_json_dict()}")

@@ -130,32 +130,30 @@ MeixnerClass = Union[Gaussian, Poisson, Pascal, Gamma, HyperbolicSecant, Binomia
 
 def class_predicates(p: MeixnerParams) -> dict[str, bool]:
     """Six mutually exclusive membership tests; exactly one should hold."""
-    d = p.derived()
     return {
         "Gaussian": p.beta == 0 and p.alpha == 0,
         "Poisson": p.beta == 0 and p.alpha > 0,
-        "Pascal": p.beta > 0 and d.delta > 0,
-        "Gamma": p.beta > 0 and d.delta == 0,
-        "HyperbolicSecant": p.beta > 0 and d.delta < 0,
+        "Pascal": p.beta > 0 and p.delta > 0,
+        "Gamma": p.beta > 0 and p.delta == 0,
+        "HyperbolicSecant": p.beta > 0 and p.delta < 0,
         "Binomial": p.beta < 0,
     }
 
 
 def classify(p: MeixnerParams) -> MeixnerClass:
-    d = p.derived()
     if p.beta < 0:
-        n = int(p.t / -p.beta)
+        n = p.support_bound - 1
         c = -(p.alpha**2) / p.beta
         base = p.alpha0 + Fraction(n) * p.alpha / 2
         plus = BinomialBranch(
-            p=Quadratic(Fraction(1, 2), -p.alpha / (2 * d.delta), d.delta),
-            scale=Quadratic.sqrt(d.delta),
-            shift=Quadratic(base, Fraction(-n, 2), d.delta),
+            p=Quadratic(Fraction(1, 2), -p.alpha / (2 * p.delta), p.delta),
+            scale=Quadratic.sqrt(p.delta),
+            shift=Quadratic(base, Fraction(-n, 2), p.delta),
         )
         minus = BinomialBranch(
-            p=Quadratic(Fraction(1, 2), p.alpha / (2 * d.delta), d.delta),
-            scale=-Quadratic.sqrt(d.delta),
-            shift=Quadratic(base, Fraction(n, 2), d.delta),
+            p=Quadratic(Fraction(1, 2), p.alpha / (2 * p.delta), p.delta),
+            scale=-Quadratic.sqrt(p.delta),
+            shift=Quadratic(base, Fraction(n, 2), p.delta),
         )
         return Binomial(n=n, success_radicand=c / (4 + c), branches=(plus, minus))
     if p.beta == 0:
@@ -163,14 +161,14 @@ def classify(p: MeixnerParams) -> MeixnerClass:
             return Gaussian(mean=p.alpha0, variance=p.t)
         rate = p.t / p.alpha**2
         return Poisson(rate=rate, scale=p.alpha, shift=p.alpha0 - p.alpha * rate)
-    if d.delta > 0:
+    if p.delta > 0:
         return Pascal(
             r=p.t / p.beta,
-            p=Quadratic(-d.delta / (2 * p.beta), p.alpha / (2 * p.beta), d.delta),
-            scale=Quadratic.sqrt(d.delta),
-            shift=Quadratic(p.alpha0 - p.t * p.alpha / (2 * p.beta), p.t / (2 * p.beta), d.delta),
+            p=Quadratic(-p.delta / (2 * p.beta), p.alpha / (2 * p.beta), p.delta),
+            scale=Quadratic.sqrt(p.delta),
+            shift=Quadratic(p.alpha0 - p.t * p.alpha / (2 * p.beta), p.t / (2 * p.beta), p.delta),
         )
-    if d.delta == 0:
+    if p.delta == 0:
         return Gamma(shape=p.t / p.beta, scale=p.alpha / 2, shift=p.alpha0 - 2 * p.t / p.alpha)
     minus_delta = 4 * p.beta - p.alpha**2
     k_rad = p.beta * minus_delta

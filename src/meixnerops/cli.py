@@ -163,7 +163,7 @@ def _bits(values) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
         p = _params_from_args(args)
-    except (InvalidParams, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
@@ -174,7 +174,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"invalid input: {problem}", file=sys.stderr)
         return 2
     cls = classify(p)
-    derived = p.derived()
     try:
         check = crosscheck(p, cls, args.max_moment)
         check_json: dict | str = check.to_json_dict()
@@ -187,9 +186,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "config": _config("classify", params=p.to_json_dict(), max_moment=args.max_moment),
         "classification": classification,
         "derived": {
-            "delta": format_rat(derived.delta),
-            "tau": format_rat(derived.tau),
-            "support_bound": derived.support_bound,
+            "delta": format_rat(p.delta),
+            "tau": format_rat(p.tau),
+            "support_bound": p.support_bound,
         },
         "crosscheck": check_json,
     }
@@ -198,8 +197,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return [
             f"class: {classification['class']}",
             f"parameters: {classification}",
-            f"delta = {format_rat(derived.delta)}, tau = {format_rat(derived.tau)}"
-            + (f", support points = {derived.support_bound}" if derived.support_bound else ""),
+            f"delta = {format_rat(p.delta)}, tau = {format_rat(p.tau)}"
+            + (f", support points = {p.support_bound}" if p.support_bound else ""),
             f"moment crosscheck: {'pass' if check_ok else 'FAIL'}"
             if not isinstance(check_json, str)
             else f"moment crosscheck: {check_json}",
@@ -222,7 +221,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 f"at --order={args.order} the parameters may have at most "
                 f"{MAX_ORDER_CUBED_BITS // args.order**3} bits in all, got {bits}"
             )
-    except (InvalidParams, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     decomp = series_decomposition(p, args.op, args.order)
@@ -245,7 +244,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         verdict = "agrees" if check.passed else "DISAGREES"
         lines.append(f"matrix extraction {verdict} through order {check.max_degree}")
         if check.max_degree < args.order:
-            lines.append(_cap_reason(p.derived().support_bound, decomp.k, args.order))
+            lines.append(_cap_reason(p.support_bound, decomp.k, args.order))
         if args.op == "a+":
             lines.append(f"note: {APLUS_NOTE}")
         return lines

@@ -8,7 +8,8 @@ Parameters (alpha, alpha0, beta, t) define the recurrence coefficients
 valid when t > 0, alpha >= 0, and either beta >= 0 or t/(-beta) is a positive
 integer (the finite-support case, with omega vanishing at 1 + t/(-beta)).
 Two derived constants recur throughout: Delta = alpha^2 - 4*beta and
-tau = 2*t - alpha*alpha0.
+tau = 2*t - alpha*alpha0; ``MeixnerParams`` holds them beside the
+parameters.
 
 For this family the semigroup half U = a- + a0/2 satisfies
 
@@ -33,7 +34,7 @@ rather than from an independent closed form; see ``_closed_parts``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, lcm
@@ -56,12 +57,21 @@ class NotASquare(ValueError):
 
 @dataclass(frozen=True)
 class MeixnerParams:
-    """Admissible (alpha, alpha0, beta, t) quadruple."""
+    """Admissible (alpha, alpha0, beta, t) quadruple and the constants it derives.
+
+    ``delta`` is Delta = alpha^2 - 4*beta, ``tau`` is 2*t - alpha*alpha0, and
+    ``support_bound`` is 1 + t/(-beta), the first n with omega_n = 0, when
+    beta < 0 (None otherwise).  They are set once from the four parameters,
+    cannot be passed in, and take no part in equality, hashing or repr.
+    """
 
     alpha: Fraction
     alpha0: Fraction
     beta: Fraction
     t: Fraction
+    delta: Fraction = field(init=False, compare=False, repr=False)
+    tau: Fraction = field(init=False, compare=False, repr=False)
+    support_bound: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha", "alpha0", "beta", "t"):
@@ -70,26 +80,21 @@ class MeixnerParams:
             raise InvalidParams(f"t must be positive, got {self.t}")
         if self.alpha < 0:
             raise InvalidParams(f"alpha must be nonnegative, got {self.alpha}")
+        support = None
         if self.beta < 0:
             ratio = self.t / (-self.beta)
             if ratio.denominator != 1:
                 raise InvalidParams(
                     f"beta < 0 requires t/(-beta) to be a positive integer, got {ratio}"
                 )
+            support = 1 + ratio.numerator
+        object.__setattr__(self, "delta", self.alpha**2 - 4 * self.beta)
+        object.__setattr__(self, "tau", 2 * self.t - self.alpha * self.alpha0)
+        object.__setattr__(self, "support_bound", support)
 
     @staticmethod
     def from_strings(alpha: str, alpha0: str, beta: str, t: str) -> "MeixnerParams":
         return MeixnerParams(parse_rat(alpha), parse_rat(alpha0), parse_rat(beta), parse_rat(t))
-
-    def derived(self) -> "MeixnerDerived":
-        support = None
-        if self.beta < 0:
-            support = 1 + int(self.t / (-self.beta))
-        return MeixnerDerived(
-            delta=self.alpha**2 - 4 * self.beta,
-            tau=2 * self.t - self.alpha * self.alpha0,
-            support_bound=support,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,37 +105,20 @@ class MeixnerParams:
         }
 
 
-@dataclass(frozen=True)
-class MeixnerDerived:
-    """Constants derived from the parameters; recomputed, never stored."""
-
-    delta: Fraction
-    tau: Fraction
-    support_bound: int | None
-
-
-def _recurrence_integers(p: MeixnerParams) -> tuple[int, int, int, int, int]:
-    """(D, D alpha_0, D alpha, D^2 t, 2 D^2 beta) over the least common denominator D
-    of alpha_0, alpha_1, omega_1 and omega_2.
+def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
+    """The recurrence as integers over the least common denominator D of
+    alpha_0, alpha_1, omega_1 and omega_2.
 
     In the binomial basis of n, D alpha_n = D alpha_0 + n (D alpha) and
     D^2 omega_n = n (D^2 t) + C(n, 2) (2 D^2 beta), as omega_1 = t and
     omega_2 = 2 (beta + t); each bracket is an integer, though D^2 beta need
-    not be (alpha0 = 1/3, beta = 1/2, t = 1 give D = 3).
+    not be (alpha0 = 1/3, beta = 1/2, t = 1 give D = 3).  omega_n first
+    vanishes at ``p.support_bound``.
     """
     firsts = (p.alpha0, p.alpha + p.alpha0, p.t, 2 * (p.beta + p.t))
     scale = lcm(*(v.denominator for v in firsts))
     a0, a1, w1, w2 = (v.numerator * scale**e // v.denominator for v, e in zip(firsts, (1, 1, 2, 2)))
-    return scale, a0, a1 - a0, w1, w2 - 2 * w1
-
-
-def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
-    """The recurrence as integers over the scale D of ``_recurrence_integers``.
-
-    With b = 2 D^2 beta, omega_n vanishes at n = 1 + t/(-beta) = 1 - 2 D^2 t / b
-    when beta < 0, an exact division.
-    """
-    scale, a0, step, w1, bend = _recurrence_integers(p)
+    step, bend = a1 - a0, w2 - 2 * w1
 
     def shift(n: int) -> int:
         return a0 + n * step
@@ -138,27 +126,18 @@ def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
     def link(n: int) -> int:
         return n * w1 + n * (n - 1) // 2 * bend
 
-    return SzegoJacobi(shift, link, scale, 1 - 2 * w1 // bend if bend < 0 else None)
+    return SzegoJacobi(shift, link, scale, p.support_bound)
 
 
-def recurrence_polys(sj: SzegoJacobi) -> tuple[Poly, Poly]:
-    """alpha_n and omega_n of a ``szego_jacobi`` recurrence as polynomials in n.
-
-    D alpha_n is linear in n and D^2 omega_n = n (D^2 t) + C(n, 2) b, with
-    b = 2 D^2 beta, is quadratic, so both are read off shift(0), shift(1),
-    link(1) = D^2 t and link(2) = 2 D^2 t + b: D^2 omega_n is
-    ((2 D^2 t - b) n + b n^2) / 2.
-    """
-    a0, w1, scale = sj.shift(0), sj.link(1), sj.scale
-    bend = sj.link(2) - 2 * w1
-    return Poly([a0, sj.shift(1) - a0], scale), Poly([0, 2 * w1 - bend, bend], 2 * scale * scale)
+def recurrence_polys(p: MeixnerParams) -> tuple[Poly, Poly]:
+    """alpha_n = alpha*n + alpha0 and omega_n = beta*n^2 + (t - beta)*n as polynomials in n."""
+    return Poly.of(p.alpha0, p.alpha), Poly.of(0, p.t - p.beta, p.beta)
 
 
 def comm_ux_closed_form(p: MeixnerParams, x: PolyOp) -> PolyOp:
     """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, from the polynomial diagonals ``x`` of X."""
-    d = p.derived()
     return linear_combination(
-        (p.alpha / 2, x), (-d.delta / 2, (1, {0: [0, 1]})), (d.tau / 2, (1, {0: [1]}))
+        (p.alpha / 2, x), (-p.delta / 2, (1, {0: [0, 1]})), (p.tau / 2, (1, {0: [1]}))
     )
 
 
@@ -166,18 +145,18 @@ def comm_ux_closed_form(p: MeixnerParams, x: PolyOp) -> PolyOp:
 OPS = ("U", "V", "N", "a0", "a-", "a+")
 
 
-def _closed_parts(p: MeixnerParams, d: MeixnerDerived, op: str) -> tuple[int, Poly, Poly, Poly]:
+def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
     """(k, A_0, P_odd, P_even) with A_n = Delta^((n-1)//2)/n! * P_(n mod 2) for n >= 1.
 
     U and N carry the closed forms; a0 = alpha N + alpha0 I, and the rest
     follow by the derived routes V = X - U, a- = U - a0/2, a+ = X - a- - a0,
-    applied to the three polynomials.  ``d`` is ``p.derived()``.
+    applied to the three polynomials.
     """
     xm = Poly.of(-p.alpha0, 1)
-    lin = Poly.of(d.tau, p.alpha)
+    lin = Poly.of(p.tau, p.alpha)
     if op == "N":
         return 0, ZERO, xm, -lin
-    u = (Poly.of(p.alpha0 / 2), (p.alpha / 2) * xm + p.t, (-d.delta / 2) * xm)
+    u = (Poly.of(p.alpha0 / 2), (p.alpha / 2) * xm + p.t, (-p.delta / 2) * xm)
     if op in ("U", "V"):
         return (0, *u) if op == "U" else (1, X - u[0], -u[1], -u[2])
     a0 = (Poly.of(p.alpha0), p.alpha * xm, -p.alpha * lin)
@@ -197,13 +176,13 @@ def series_decomposition(p: MeixnerParams, op: str, order: int) -> PMDecomp:
     N: A_0 = 0, odd terms Delta^n/(2n+1)! (X - alpha0), even terms (n >= 1)
     -Delta^(n-1)/(2n)! (alpha X + tau).  a+ comes from the complement
     identity a+ = X - a- - a0 rather than an independent closed form, and is
-    checked against the operator matrix elsewhere.
+    checked against the expansion that ``suites.extraction_agreement`` reads
+    off the iterated commutators of the operator's diagonals with X.
     """
     if op not in OPS:
         raise ValueError(f"unknown operator {op!r}; choose from {sorted(OPS)}")
-    d = p.derived()
-    k, head, odd, even = _closed_parts(p, d, op)
-    return PMDecomp(k, _series(head, odd, even, d.delta, order))
+    k, head, odd, even = _closed_parts(p, op)
+    return PMDecomp(k, _series(head, odd, even, p.delta, order))
 
 
 def _series(head: Poly, odd: Poly, even: Poly, delta: Fraction, order: int) -> tuple[Poly, ...]:
@@ -295,21 +274,20 @@ class TranslationExpr:
 
 def translation_exprs(p: MeixnerParams) -> dict[str, TranslationExpr]:
     """Translation forms of U, N, a- and a0 for Delta > 0."""
-    d = p.derived()
-    if d.delta <= 0:
-        raise ValueError(f"translation forms need Delta > 0, got {d.delta}")
+    if p.delta <= 0:
+        raise ValueError(f"translation forms need Delta > 0, got {p.delta}")
     xm = Poly.of(-p.alpha0, 1)
-    lin = Poly.of(d.tau, p.alpha)
-    even_am = Poly.of((p.alpha0 * d.delta + p.alpha * d.tau) / (2 * d.delta), 2 * p.beta / d.delta)
-    inv = 1 / d.delta
+    lin = Poly.of(p.tau, p.alpha)
+    even_am = Poly.of((p.alpha0 * p.delta + p.alpha * p.tau) / (2 * p.delta), 2 * p.beta / p.delta)
+    inv = 1 / p.delta
     half = Fraction(1, 2)
     return {
-        "U": TranslationExpr(d.delta, -half * xm, half * lin, Poly.of(0, half)),
-        "N": TranslationExpr(d.delta, -inv * lin, xm, inv * lin),
-        "a-": TranslationExpr(d.delta, even_am, Poly.of(p.t), -even_am),
+        "U": TranslationExpr(p.delta, -half * xm, half * lin, Poly.of(0, half)),
+        "N": TranslationExpr(p.delta, -inv * lin, xm, inv * lin),
+        "a-": TranslationExpr(p.delta, even_am, Poly.of(p.t), -even_am),
         # a0 = alpha N + alpha0 I
         "a0": TranslationExpr(
-            d.delta, -p.alpha * inv * lin, p.alpha * xm, p.alpha * inv * lin + p.alpha0
+            p.delta, -p.alpha * inv * lin, p.alpha * xm, p.alpha * inv * lin + p.alpha0
         ),
     }
 
@@ -347,10 +325,9 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
     most 2 in D, written out from the parameters, are reported and checked
     instead; Delta < 0 raises ``NotASquare``.
     """
-    d = p.derived()
-    if d.delta < 0:
-        raise NotASquare(f"Delta = {d.delta} is not the square of a rational")
-    if d.delta == 0:
+    if p.delta < 0:
+        raise NotASquare(f"Delta = {p.delta} is not the square of a rational")
+    if p.delta == 0:
         forms: Mapping[str, TranslationExpr] = {}
         limit_forms = _limit_forms(p)
         series = {name: limit.coeffs for name, limit in limit_forms.items()}
@@ -362,7 +339,7 @@ def translation_form(p: MeixnerParams, max_degree: int = 12) -> TranslationFormR
         for name in ("U", "N", "a0", "a-")
     )
     return TranslationFormReport(
-        d.delta, rational_sqrt(d.delta), forms, limit_forms, checks, all(c.passed for c in checks)
+        p.delta, rational_sqrt(p.delta), forms, limit_forms, checks, all(c.passed for c in checks)
     )
 
 
@@ -377,7 +354,7 @@ def _limit_forms(p: MeixnerParams) -> dict[str, PMDecomp]:
     They are written out here, not read off ``series_decomposition``, so the
     check against it can fail.
     """
-    half_lin = Poly.of(p.derived().tau / 2, p.alpha / 2)  # (alpha X + tau)/2
+    half_lin = Poly.of(p.tau / 2, p.alpha / 2)  # (alpha X + tau)/2
     xm = Poly.of(-p.alpha0, 1)
     return {
         "U": PMDecomp(0, (Poly.of(p.alpha0 / 2), half_lin)),
@@ -408,9 +385,8 @@ def one_meixner_limit_check(p: MeixnerParams, order: int = 10) -> VerifyReport:
     Verifies that every Delta-power coefficient beyond D^1 vanishes
     identically and that the two surviving coefficients take that form.
     """
-    d = p.derived()
-    if d.delta != 0:
-        raise InvalidParams(f"limit check requires Delta = 0, got {d.delta}")
+    if p.delta != 0:
+        raise InvalidParams(f"limit check requires Delta = 0, got {p.delta}")
     u = series_decomposition(p, "U", order)
     limit = _limit_forms(p)["U"]
     # A_0 and A_1 are checked at every order, and A_n must vanish for n >= 2.

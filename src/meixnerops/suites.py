@@ -56,9 +56,9 @@ def extraction_agreement(
 ) -> VerifyReport:
     """Compare the closed-form coefficients ``closed`` against the operator's expansion.
 
-    The operator and X are held by their polynomial diagonals, read from the
-    integers of ``szego_jacobi``, and ``series_by_commutators`` reads the
-    expansion off their iterated commutators.  On a mismatch the report
+    The operator and X are held by their polynomial diagonals, built from
+    ``recurrence_polys`` of the parameters, and ``series_by_commutators``
+    reads the expansion off their iterated commutators.  On a mismatch the report
     carries ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
 
     ``closed`` is the caller's ``series_decomposition(p, op, order)``; its
@@ -70,7 +70,7 @@ def extraction_agreement(
     sj = szego_jacobi(p)
     k = closed.k
     cap = checked_order(sj.support_bound, k, order)
-    alpha, omega = recurrence_polys(sj)
+    alpha, omega = recurrence_polys(p)
     extracted = series_by_commutators(
         poly_diagonals(op, alpha, omega), poly_diagonals("X", alpha, omega), sj, k, cap
     )
@@ -84,7 +84,7 @@ def extraction_agreement(
 def suite_universal(rng: Random, degree: int) -> Suite:
     p = sample_params(rng, min_dim=degree + 1)
     sj = szego_jacobi(p)
-    return p, verify_universal(sj, degree, *recurrence_polys(sj))
+    return p, verify_universal(sj, degree, *recurrence_polys(p))
 
 
 def suite_doublecomm(rng: Random, degree: int) -> Suite:
@@ -96,18 +96,17 @@ def suite_doublecomm(rng: Random, degree: int) -> Suite:
     """
     p = sample_params(rng, min_dim=degree + 1)
     sj = szego_jacobi(p)
-    alpha, omega = recurrence_polys(sj)
+    alpha, omega = recurrence_polys(p)
     u, x = poly_diagonals("U", alpha, omega), poly_diagonals("X", alpha, omega)
     margin = raising_margin(sj, degree)
     step1 = diagonal_commutator(u, x)
-    delta = p.derived().delta
     return p, [
         diagonal_report("[U,X] = (alpha/2)X - (delta/2)N + (tau/2)I", step1,
                         comm_ux_closed_form(p, x), sj, degree, degree - margin),
         diagonal_report(
             "[[U,X],X] = -(delta/2)(X - 2U)",
             diagonal_commutator(step1, x),
-            linear_combination((-delta / 2, x), (delta, u)),
+            linear_combination((-p.delta / 2, x), (p.delta, u)),
             sj,
             degree,
             degree - 2 * margin,

@@ -161,11 +161,10 @@ def interpolate(values):
 
 def comm_ux_closed_form(p, x):
     """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, truncated like the position operator ``x``."""
-    d = p.derived()
     return (
         x.scale(p.alpha / 2)
-        + number_op(x.trunc).scale(-d.delta / 2)
-        + identity_op(x.trunc).scale(d.tau / 2)
+        + number_op(x.trunc).scale(-p.delta / 2)
+        + identity_op(x.trunc).scale(p.tau / 2)
     )
 
 

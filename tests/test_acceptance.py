@@ -76,7 +76,7 @@ def test_criterion_1_universal_commutators(param_sets):
     ok = True
     for p in param_sets:
         sj = szego_jacobi(p)
-        reports = verify_universal(sj, TRUNC, *recurrence_polys(sj))
+        reports = verify_universal(sj, TRUNC, *recurrence_polys(p))
         ok = ok and len(reports) == 6
         for rep in reports:
             ok = ok and rep.passed and rep.max_degree >= 10
@@ -89,7 +89,6 @@ def test_criterion_1_universal_commutators(param_sets):
 def test_criterion_2_step1_commutator(param_sets):
     ok = True
     for p in param_sets:
-        d = p.derived()
         sj = szego_jacobi(p)
         aplus, azero, aminus = quantum_ops(sj, TRUNC)
         u, _ = semi_ops(aplus, azero, aminus)
@@ -99,7 +98,7 @@ def test_criterion_2_step1_commutator(param_sets):
         for n in range(11):
             ok = ok and step1.column(n) == closed1.column(n)
         step2 = commutator(step1, x)
-        closed2 = support.difference(x, u.scale(2)).scale(-d.delta / 2)
+        closed2 = support.difference(x, u.scale(2)).scale(-p.delta / 2)
         for n in range(10):
             ok = ok and step2.column(n) == closed2.column(n)
         if not ok:
@@ -194,13 +193,13 @@ def test_criterion_8_classification():
         ok = ok and preds[tag]
         if tag in ("Gaussian", "Poisson", "Gamma", "Binomial"):
             ok = ok and crosscheck(p, cls, 8).passed
-        elif tag == "Pascal" and rational_sqrt(p.derived().delta) is not None:
+        elif tag == "Pascal" and rational_sqrt(p.delta) is not None:
             ok = ok and crosscheck(p, cls, 8).passed
         else:
             with pytest.raises(Unsupported):
                 crosscheck(p, cls, 8)
         if tag == "Binomial":
-            points = p.derived().support_bound  # n + 1
+            points = p.support_bound  # n + 1
             mu = moments_from_sj(szego_jacobi(p), 2 * points)
             ok = ok and gram_schmidt_from_moments(mu, points).support_bound == points
         if not ok:

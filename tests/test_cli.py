@@ -198,8 +198,9 @@ def test_decompose_computes_the_closed_form_once(capsys, monkeypatch):
 
 
 def test_decompose_derives_the_parameter_constants_once(capsys, monkeypatch):
-    # Delta, tau and the support bound, and the recurrence integers, are each
-    # computed once per run, for the closed form and the extraction alike.
+    # Delta, tau and the support bound are set when the one MeixnerParams of a
+    # run is built, and the recurrence integers are computed once, for the
+    # closed form and the extraction alike.
     meixner = importlib.import_module("meixnerops.meixner")
     calls = []
 
@@ -209,17 +210,19 @@ def test_decompose_derives_the_parameter_constants_once(capsys, monkeypatch):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(MeixnerParams, "derived", counted("derived", MeixnerParams.derived))
     monkeypatch.setattr(
-        meixner, "_recurrence_integers", counted("integers", meixner._recurrence_integers)
+        MeixnerParams, "__post_init__", counted("params", MeixnerParams.__post_init__)
     )
+    sj = counted("szego_jacobi", meixner.szego_jacobi)
+    monkeypatch.setattr(meixner, "szego_jacobi", sj)
+    monkeypatch.setattr(suites, "szego_jacobi", sj)
     for params in (("5/7", "-3/11", "2/13", "7/5"), ("0", "0", "-1", "2")):
         for op in ("U", "a+"):
             calls.clear()
             argv = [f"--{k}={v}" for k, v in zip(("alpha", "alpha0", "beta", "t"), params)]
             code, _, _ = run_cli(capsys, "decompose", *argv, f"--op={op}", "--order=24", "--json")
             assert code == 0
-            assert sorted(calls) == ["derived", "integers"], (params, op)
+            assert sorted(calls) == ["params", "szego_jacobi"], (params, op)
 
 
 def _perturbed(decomp, index, delta):

@@ -35,7 +35,7 @@ stdout and exit code alone, are unchanged by it.
 The ``pmd``, ``limit``, ``gramschmidt`` and ``decompose`` sweeps were
 pinned while the operators on polynomial diagonals were still held as
 ``Poly`` diagonals; the ``COMMAND_SWEEPS`` while ``Delta``, ``tau`` and the
-support bound were still recomputed by ``MeixnerParams.derived()``.
+support bound were still recomputed from the parameters on every use.
 ``PYTHONPATH=src python
 tests/test_corpus.py`` prints ``sweep digest`` for every sweep, from the
 same generators, so a change that alters output on purpose re-pins only

@@ -258,8 +258,8 @@ def _fields(p: MeixnerParams) -> tuple[str, ...]:
 
 def test_translation_golden_holds_the_sampled_draws():
     rng = Random(1)
-    positive = [p for p in (sample_params(rng) for _ in range(26)) if p.derived().delta > 0]
-    irrational = [p for p in positive if rational_sqrt(p.derived().delta) is None]
+    positive = [p for p in (sample_params(rng) for _ in range(26)) if p.delta > 0]
+    irrational = [p for p in positive if rational_sqrt(p.delta) is None]
     rng = Random(1)
     flat = [sample_params_delta0(rng) for _ in range(2)]
     draws = positive[:5] + irrational[:1] + flat

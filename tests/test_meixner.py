@@ -61,10 +61,32 @@ def test_from_strings():
 
 
 def test_derived_quantities():
-    d = PASCAL.derived()
-    assert d.delta == 1 and d.tau == 4 and d.support_bound is None
-    dc = COIN.derived()
-    assert dc.delta == 4 and dc.tau == 4 and dc.support_bound == 3
+    assert PASCAL.delta == 1 and PASCAL.tau == 4 and PASCAL.support_bound is None
+    assert COIN.delta == 4 and COIN.tau == 4 and COIN.support_bound == 3
+
+
+def test_derived_fields_are_set_once_and_ignored_by_identity():
+    p = MeixnerParams(F(1, 2), F(1, 3), 0, 1)
+    assert repr(p) == (
+        "MeixnerParams(alpha=Fraction(1, 2), alpha0=Fraction(1, 3), "
+        "beta=Fraction(0, 1), t=Fraction(1, 1))"
+    )
+    assert hash(p) == hash((p.alpha, p.alpha0, p.beta, p.t))
+    # A twin whose derived fields are overwritten still equals p, hashes and
+    # prints alike: only the four parameters make up the value.
+    twin = MeixnerParams(F(1, 2), F(1, 3), 0, 1)
+    for name, value in (("delta", F(-7)), ("tau", F(0)), ("support_bound", 5)):
+        object.__setattr__(twin, name, value)
+    assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+    with pytest.raises(TypeError):
+        MeixnerParams(0, 0, 0, 1, delta=0)
+    with pytest.raises(ValueError):
+        replace(p, support_bound=4)
+    # replace rebuilds the value, so the derived fields follow the new beta.
+    q = replace(p, beta=-p.t / 3)
+    assert (q.delta, q.tau, q.support_bound) == (F(1, 4) + F(4, 3), 2 - F(1, 6), 4)
+    assert (p.delta, p.tau, p.support_bound) == (F(1, 4), 2 - F(1, 6), None)
+    assert replace(q, beta=0) == p and replace(q, beta=0).support_bound is None
 
 
 def test_szego_jacobi_coefficients():
@@ -101,9 +123,9 @@ def test_szego_jacobi_is_the_recurrence_over_its_least_scale(p, top):
     assert [support.alpha(sj, n) for n in range(inside)] == alphas[:inside]
     assert [sj.omega(n) for n in range(min(41, inside + 1))] == omegas[:inside + 1]
     assert sj.scale == lcm(*(v.denominator for v in alphas[:top + 1] + omegas[1:top + 1]))
-    assert bound == p.derived().support_bound
+    assert bound == p.support_bound
     # The polynomials in n hold past the support too.
-    alpha, omega = recurrence_polys(sj)
+    alpha, omega = recurrence_polys(p)
     assert [support.evaluate(alpha, n) for n in range(41)] == alphas
     assert [support.evaluate(omega, n) for n in range(41)] == omegas
 
@@ -123,16 +145,15 @@ def test_step1_commutator_closed_form():
 
 def test_double_commutator_closed_form():
     for p in (POISSON, PASCAL, COIN):
-        d = p.derived()
         sj = szego_jacobi(p)
-        trunc = 12 if d.support_bound is None else d.support_bound - 1
+        trunc = 12 if p.support_bound is None else p.support_bound - 1
         aplus, azero, aminus = quantum_ops(sj, trunc)
         u, _ = semi_ops(aplus, azero, aminus)
         x = aminus + azero + aplus
         lhs = commutator(commutator(u, x), x)
-        rhs = support.difference(x, u.scale(2)).scale(-d.delta / 2)
+        rhs = support.difference(x, u.scale(2)).scale(-p.delta / 2)
         top = min(lhs.valid_degree, rhs.valid_degree)
-        assert top >= (9 if d.support_bound is None else 0)
+        assert top >= (9 if p.support_bound is None else 0)
         for n in range(top + 1):
             assert lhs.column(n) == rhs.column(n), (p, n)
 
@@ -179,7 +200,7 @@ def test_pmd_partitions_of_x():
 def test_pmd_recursion_invariant():
     # A_{n+2} = Delta/((n+2)(n+1)) * (A_n - (1/2) X delta_{n0}) for the U series
     for p in ALL:
-        delta = p.derived().delta
+        delta = p.delta
         u = series_decomposition(p, "U", 9)
         for n in range(8):
             base = u.coeff(n) - (F(1, 2) * X if n == 0 else ZERO)
@@ -194,7 +215,7 @@ def test_closed_form_grade_is_the_matrix_band():
         aplus, azero, aminus = quantum_ops(sj, 2)
         u, v = semi_ops(aplus, azero, aminus)
         matrices = {"U": u, "V": v, "N": number_op(2), "a0": azero, "a-": aminus, "a+": aplus}
-        alpha, omega = recurrence_polys(sj)
+        alpha, omega = recurrence_polys(p)
         for op in OPS:
             k = series_decomposition(p, op, 0).k
             assert k == matrices[op].band[1], (p, op)
@@ -261,7 +282,7 @@ def test_translation_form_collapses_at_delta_zero():
     assert rep.forms == {}
     assert set(rep.limit_forms) == {"U", "N", "a0", "a-"}
     assert rep.passed is True
-    assert rep.limit_forms["U"].coeff(1) == F(1, 2) * Poly.of(GAMMA.derived().tau, GAMMA.alpha)
+    assert rep.limit_forms["U"].coeff(1) == F(1, 2) * Poly.of(GAMMA.tau, GAMMA.alpha)
 
 
 SURD = MeixnerParams(1, 0, F(-1, 2), 1)  # Delta = 3
@@ -443,7 +464,7 @@ def square_delta_params(draw):
 @settings(deadline=None, max_examples=40)
 @given(any_params())
 def test_translation_form_every_delta(p):
-    delta_sq = p.derived().delta
+    delta_sq = p.delta
     if delta_sq < 0:
         with pytest.raises(NotASquare):
             translation_form(p, max_degree=8)

@@ -371,7 +371,7 @@ def parent_szego_jacobi(p):
         lambda n: _integer((p.alpha * n + p.alpha0) * scale),
         lambda n: _integer((p.beta * n * n + (p.t - p.beta) * n) * scale * scale),
         scale,
-        p.derived().support_bound,
+        p.support_bound,
     )
 
 
@@ -449,19 +449,18 @@ def parent_extract_pmd(matrix, k, order):
 
 def parent_series(p, op, order):
     """The per-coefficient closed forms, with a0, V, a- and a+ derived termwise."""
-    d = p.derived()
     xm = Poly.of(-p.alpha0, 1)
-    lin = Poly.of(d.tau, p.alpha)
+    lin = Poly.of(p.tau, p.alpha)
     u = [Poly.of(p.alpha0 / 2)]
     num = [ZERO]
     for n in range(1, order + 1):
         if n % 2:
-            w = F(d.delta ** ((n - 1) // 2), factorial(n))
+            w = F(p.delta ** ((n - 1) // 2), factorial(n))
             u.append(w * ((p.alpha / 2) * xm + p.t))
             num.append(w * xm)
         else:
-            u.append(F(-(d.delta ** (n // 2)), 2 * factorial(n)) * xm)
-            num.append(F(-(d.delta ** (n // 2 - 1)), factorial(n)) * lin)
+            u.append(F(-(p.delta ** (n // 2)), 2 * factorial(n)) * xm)
+            num.append(F(-(p.delta ** (n // 2 - 1)), factorial(n)) * lin)
     a0 = [p.alpha * c for c in num]
     a0[0] = a0[0] + p.alpha0
     am = [a - F(1, 2) * b for a, b in zip(u, a0)]
@@ -502,7 +501,7 @@ def meixner_params(draw):
 
 def _both_paths(p, op, order):
     """(new, parent) extraction at the truncation ``decompose`` uses."""
-    bound = p.derived().support_bound
+    bound = p.support_bound
     trunc = order + 3 if bound is None else min(order + 3, bound - 1)
     sj, parent_sj = szego_jacobi(p), parent_szego_jacobi(p)
     graded, parent_graded = parent_build_op(op, sj, trunc), parent_build_op(op, parent_sj, trunc)
@@ -539,7 +538,7 @@ def test_full_truncation_of_binomial_laws(points):
     # The commutator route, which needs no truncation, agrees at every cap.
     p = MeixnerParams(F(1, 3), F(-1, 2), F(-5, 3) / (points - 1), F(5, 3))
     sj = szego_jacobi(p)
-    alpha, omega = recurrence_polys(sj)
+    alpha, omega = recurrence_polys(p)
     for op in OPS:
         for order in (0, 8):
             extracted, parent = _both_paths(p, op, order)
@@ -662,8 +661,8 @@ def test_commutator_route_matches_matrix_route_on_every_class(monkeypatch):
     log = CycleLog(monkeypatch)
     for p in CLASS_PARAMS:
         sj = szego_jacobi(p)
-        alpha, omega = recurrence_polys(sj)
-        delta = p.derived().delta
+        alpha, omega = recurrence_polys(p)
+        delta = p.delta
         for op in OPS:
             for order in range(17):
                 log.reset()
@@ -678,7 +677,7 @@ def test_commutator_route_matches_matrix_route_on_every_class(monkeypatch):
 @given(meixner_params(), st.sampled_from(OPS), st.integers(0, 16))
 def test_commutator_route_matches_matrix_route(p, op, order):
     sj = szego_jacobi(p)
-    commutators, matrix = both_routes(sj, *recurrence_polys(sj), op, order)
+    commutators, matrix = both_routes(sj, *recurrence_polys(p), op, order)
     assert commutators == matrix
     closed = series_decomposition(p, op, order)
     assert extraction_agreement(p, op, order, closed) == matrix_extraction_agreement(
@@ -690,9 +689,9 @@ def test_delta_zero_cycles_with_constant_zero(monkeypatch):
     # At Delta = 0, T_j = 0 * T_(j-2): U and V stop after A_1, the rest after A_2.
     log = CycleLog(monkeypatch)
     for p in (MeixnerParams(2, 1, 1, 1), MeixnerParams(0, F(-2, 3), 0, F(1, 6))):
-        assert p.derived().delta == 0
+        assert p.delta == 0
         sj = szego_jacobi(p)
-        alpha, omega = recurrence_polys(sj)
+        alpha, omega = recurrence_polys(p)
         for op in OPS:
             log.reset()
             commutators, matrix = both_routes(sj, alpha, omega, op, 16)
@@ -885,7 +884,7 @@ def parent_suite_doublecomm(rng, degree):
         operator_report(
             "[[U,X],X] = -(delta/2)(X - 2U)",
             commutator(step1, x),
-            support.difference(x, u.scale(2)).scale(-p.derived().delta / 2),
+            support.difference(x, u.scale(2)).scale(-p.delta / 2),
             sj,
         ),
     ]
@@ -917,7 +916,7 @@ def both_doublecomm(p, degree, bump=None):
 @settings(deadline=None, max_examples=150)
 @given(meixner_params(), st.integers(4, 24))
 def test_doublecomm_matches_finite_suite(p, degree):
-    bound = p.derived().support_bound
+    bound = p.support_bound
     if bound is not None:
         degree = min(degree, bound - 1)  # a Binomial law on fewer points: its full space
     new, parent = both_doublecomm(p, degree)
@@ -1007,14 +1006,14 @@ def test_doublecomm_top_is_the_finite_reliable_degree():
             t = F(5, 3)
             beta = 0 if bound is None else -t / (bound - 1)
             p = MeixnerParams(F(1, 3), F(-1, 2), beta, t)
-            assert p.derived().support_bound == bound
+            assert p.support_bound == bound
             sj = szego_jacobi(p)
             aplus, azero, aminus = quantum_ops(sj, degree)
             u, _ = semi_ops(aplus, azero, aminus)
             x = aminus + azero + aplus
             step1, step2 = commutator(u, x), commutator(commutator(u, x), x)
             closed1 = support.comm_ux_closed_form(p, x)
-            closed2 = support.difference(x, u.scale(2)).scale(-p.derived().delta / 2)
+            closed2 = support.difference(x, u.scale(2)).scale(-p.delta / 2)
             expected = [
                 min(step1.valid_degree, closed1.valid_degree),
                 min(step2.valid_degree, closed2.valid_degree),
@@ -1092,14 +1091,14 @@ def both_universal(p, trunc, bumps=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators_module, "diagonal_report", bumped_new)
         mp.setattr(sys.modules[__name__], "operator_report", bumped_parent)
-        new = verify_universal(sj, trunc, *recurrence_polys(sj))
+        new = verify_universal(sj, trunc, *recurrence_polys(p))
         return new, parent_verify_universal(sj, trunc)
 
 
 @settings(deadline=None, max_examples=150)
 @given(meixner_params(), st.integers(4, 24))
 def test_universal_matches_finite_checker(p, degree):
-    bound = p.derived().support_bound
+    bound = p.support_bound
     if bound is not None:
         degree = min(degree, bound - 1)  # a Binomial law on fewer points: its full space
     new, parent = both_universal(p, degree)
@@ -1131,7 +1130,7 @@ def test_universal_top_is_the_finite_reliable_degree():
             t = F(5, 3)
             beta = 0 if bound is None else -t / (bound - 1)
             p = MeixnerParams(F(1, 3), F(-1, 2), beta, t)
-            assert p.derived().support_bound == bound
+            assert p.support_bound == bound
             new, parent = both_universal(p, degree)
             assert new == parent, (degree, bound)
             top = degree if bound == degree + 1 else degree - 1
@@ -1381,7 +1380,7 @@ def test_translation_check_matches_action_reference(data):
     p = data.draw(translation_params())
     name = data.draw(st.sampled_from(["U", "N", "a0", "a-"]))
     max_degree = data.draw(st.integers(0, 16))
-    delta = p.derived().delta
+    delta = p.delta
     targets = ["form", "series"] + (["even", "odd", "ident"] if delta else [])
     target = data.draw(st.sampled_from(targets))
     bump = Poly.of(*data.draw(st.lists(_fracs(-2, 2), min_size=1, max_size=3)))
@@ -1600,7 +1599,7 @@ def test_hankel_minors_positive():
 def test_hankel_minors_vanish_from_support_size():
     # A Binomial law on 4 points: omega_4 = 0, so det H_k = 0 exactly for k >= 4.
     p = MeixnerParams(1, 0, -1, 3)
-    assert p.derived().support_bound == 4
+    assert p.support_bound == 4
     minors = hankel_minors(p, 6)
     assert minors == closed_form_minors(p, 6)
     assert all(m > 0 for m in minors[:4]) and minors[4:] == [0, 0, 0]
