@@ -123,7 +123,9 @@ def test_szego_jacobi_is_the_recurrence_over_its_least_scale(p, top):
     assert [support.alpha(sj, n) for n in range(inside)] == alphas[:inside]
     assert [sj.omega(n) for n in range(min(41, inside + 1))] == omegas[:inside + 1]
     assert sj.scale == lcm(*(v.denominator for v in alphas[:top + 1] + omegas[1:top + 1]))
-    assert bound == p.support_bound
+    # The support bound is the first n >= 1 with omega_n = 0, from the definition.
+    first_zero = next((n for n in range(1, 42) if p.beta * n * n + (p.t - p.beta) * n == 0), None)
+    assert bound == p.support_bound == first_zero
     # The polynomials in n hold past the support too.
     alpha, omega = recurrence_polys(p)
     assert [support.evaluate(alpha, n) for n in range(41)] == alphas
