@@ -31,15 +31,26 @@ stdout and exit code alone, are unchanged by it.
   a duplicate shift, the coefficients negated and an added ``0:0``), at
   ``--max-moment`` of 0, 1, 12 and 40.  The breaks exit 2, so their stderr
   is pinned.
+- ``refusals``: ``--json`` runs on both sides of every size flag's bounds
+  and caps, which mostly exit 2.  ``decompose`` at ``--order`` -1, 0, 200
+  and 201 on a Pascal law, a Binomial law and six quadruples that every
+  command refuses, and on both sides of the ``order^3 * bits`` cap at
+  orders 50 and 200; ``verify --suite=limit`` at ``--degree`` 3, 4 and 201
+  and ``--trials`` -1, 0 and 1001; ``classify`` at ``--max-moment`` -1 and
+  201 on the same eight laws, and one bit above the cap at 200;
+  ``characterize`` at ``--max-moment`` -1, 0, 12 and 201 on a valid, five
+  malformed and four rule-breaking combinations, and past the growth
+  certificate's cap.  Argparse's own rejections are left out: their text
+  belongs to argparse.
 
 The ``pmd``, ``limit``, ``gramschmidt`` and ``decompose`` sweeps were
 pinned while the operators on polynomial diagonals were still held as
-``Poly`` diagonals; the ``COMMAND_SWEEPS`` while ``Delta``, ``tau`` and the
-support bound were still recomputed from the parameters on every use.
-``PYTHONPATH=src python
-tests/test_corpus.py`` prints ``sweep digest`` for every sweep, from the
-same generators, so a change that alters output on purpose re-pins only
-the sweeps it names.
+``Poly`` diagonals; ``decompose_text``, ``classify`` and ``characterize``
+while ``Delta``, ``tau`` and the support bound were still recomputed from
+the parameters on every use; ``refusals`` while each command still printed
+its own refusals.  ``PYTHONPATH=src python tests/test_corpus.py`` prints
+``sweep digest`` for every sweep, from the same generators, so a change
+that alters output on purpose re-pins only the sweeps it names.
 """
 
 import contextlib
@@ -52,7 +63,7 @@ import pytest
 
 from meixnerops.cli import main
 from meixnerops.exact import format_rat
-from meixnerops.meixner import OPS, TranslationCombo
+from meixnerops.meixner import OPS, MeixnerParams, TranslationCombo
 from meixnerops.sampling import KINDS, sample_combo, sample_params
 
 DEGREES = (4, 5, 6, 8, 12, 24, 48, 96, 200)
@@ -123,6 +134,51 @@ def characterize_argv():
                        f"--max-moment={max_moment}", "--json"]
 
 
+PASCAL = {"alpha": "3", "alpha0": "1", "beta": "2", "t": "1"}
+BINOMIAL = {"alpha": "0", "alpha0": "1/3", "beta": "-1/4", "t": "1"}
+
+
+def refused_params():
+    """Six quadruples beside the Pascal law that every command refuses: the
+    four of ``param_breaks``, then a decimal and an exponent form."""
+    yield from param_breaks(MeixnerParams.from_strings(*PASCAL.values()))
+    yield {**PASCAL, "alpha0": "0.5"}
+    yield {**PASCAL, "t": "1e3"}
+
+
+# A valid combination, five malformed ones, then one break of each rule.
+REFUSAL_COMBOS = ("1:1,-1:0", "1;1", "", ":", "1:", "x:1",
+                  "1:1", "1:1,-1:1", "1:1,-1:2", "1:1,-1:-1,0:0")
+
+
+def refusals_argv():
+    laws = [PASCAL, BINOMIAL, *refused_params()]
+    for fields in laws:
+        for order in (-1, 0, 200, 201):
+            yield ["decompose", *param_flags(fields), "--op=U", f"--order={order}", "--json"]
+    # Four parameters 0, 0, 0 and t take 4 + bits(t) bits; order^3 * bits may
+    # reach 240000000, so 1920 bits at order 50 and 30 at order 200.
+    for order, allowed in ((50, 1920), (200, 30)):
+        for t in (2 ** (allowed - 4) - 1, 2 ** (allowed - 4)):
+            yield ["decompose", "--alpha=0", "--alpha0=0", "--beta=0", f"--t={t}", "--op=U",
+                   f"--order={order}", "--json"]
+    for degree in (3, 4, 201):
+        for trials in (-1, 0, 1001):
+            yield ["verify", "--suite=limit", f"--degree={degree}", f"--trials={trials}", "--json"]
+    for fields in laws:
+        for max_moment in (-1, 201):
+            yield ["classify", *param_flags(fields), f"--max-moment={max_moment}", "--json"]
+    # 151 bits, one above the cap at --max-moment=200.
+    c = 2**48 - 1
+    yield ["classify", f"--alpha={c}", f"--alpha0=1/{c}", f"--beta=-1/{c}", "--t=4",
+           "--max-moment=200", "--json"]
+    for combo in REFUSAL_COMBOS:
+        for max_moment in (-1, 0, 12, 201):
+            yield ["characterize", f"--combo={combo}", f"--max-moment={max_moment}", "--json"]
+    yield ["characterize", "--combo=1000000000:1000000000,-1000000000:0", "--max-moment=4",
+           "--json"]
+
+
 SWEEPS = {
     "universal": lambda: verify_argv("universal", DEGREES, range(60)),
     "doublecomm": lambda: verify_argv("doublecomm", DEGREES, range(60)),
@@ -133,8 +189,9 @@ SWEEPS = {
     "decompose_text": lambda: decompose_argv(lambda n: (n - 1, n, n + 1), []),
     "classify": classify_argv,
     "characterize": characterize_argv,
+    "refusals": refusals_argv,
 }
-COMMAND_SWEEPS = ("decompose_text", "classify", "characterize")
+COMMAND_SWEEPS = ("decompose_text", "classify", "characterize", "refusals")
 DIGESTS = {
     "universal": "33876f5011894eb60a63d7c8ab0dd108bc18be18811b30009c58399689826c1b",
     "doublecomm": "1ad5e956afe691b6737d83bb65d5067e97e8edaafdb9fb8857dc819ba5ea2bd2",
@@ -145,6 +202,7 @@ DIGESTS = {
     "decompose_text": "3a74e5d1018c7e3f60ba6a88d062c973bea47bc7e11a4ada6710c61829f84ef8",
     "classify": "b070d534c0f371570ba948ea948509c15ae2e45076f3d45aeba8b8ad737e3a19",
     "characterize": "df2ac2d854b8b8fc02f6cccd4d4ca9b636501ee6d811aa29ad406593cba4af71",
+    "refusals": "379b92b1a7d2690241bf2c2b53f01904f3bf02ac8582c3212979b98d51620393",
 }
 
 
