@@ -4,6 +4,10 @@ All mathematics is exact; JSON output is the stable machine interface and is
 byte-identical for identical invocations (including the seed).  Text output
 is for humans and may change.  Exit codes: 0 all checks passed, 1 a
 mathematical verification failed, 2 invalid input.
+
+``main`` alone turns an outcome into output and an exit code.  Each
+command returns its report, its text lines (built only when asked for) and
+whether every check passed, and refuses input by raising ``Refused``.
 """
 
 from __future__ import annotations
@@ -26,26 +30,25 @@ from .characterize import (
 )
 from .classify import Unsupported, classify, crosscheck
 from .exact import format_rat
-from .meixner import OPS, InvalidParams, MeixnerParams, TranslationCombo, series_decomposition
+from .meixner import OPS, MeixnerParams, TranslationCombo, series_decomposition
 # perfbench/test_perfbench.py checks that its tracer rebinds this name here.
 from .operators import to_monomial_basis  # noqa: F401
 from .suites import SUITE_RUNNERS, extraction_agreement
 
 # Caps on the size flags, checked before any work; on a 2-core x86-64 host
-# with Python 3.11.  The decompose caps were set when its check changed the
-# operator's basis at about order^4.5 cost; they stay, since raising them
-# would change exit codes.
-# decompose now reads the expansion off iterated commutators with X, which
+# with Python 3.11.  The decompose caps stay where they are, since raising
+# them would change exit codes.
+# decompose reads the expansion off iterated commutators with X, which
 # repeat within four steps, so the closed form and its rendering dominate:
 # --op=U with alpha = 5/7, alpha0 = -3/11, beta = 2/13, t = 7/5 takes
-# 0.007 s at order 128 and 0.008 s at 200 (2.3 s with the basis change).
+# 0.007 s at order 128 and 0.008 s at 200.
 MAX_ORDER = 200
 # decompose also grows with the parameters, mostly in writing their large
 # coefficients: --op=U, N or a+ with seven random numerators and denominators
 # of equal size takes 0.02 s at order 200 (28 bits in all), 0.03 s at 100
 # (238 bits), 0.15 s at 50 (1918 bits), 1.2 s at 24 (17360 bits) and 4.9 s
-# at 12 (98000 bits, each number near the 4300 digits int() reads).  With the basis
-# change the same runs took 1.4 to 12.7 s.  The cap is on order^3 * bits.
+# at 12 (98000 bits, each number near the 4300 digits int() reads).  The cap
+# is on order^3 * bits.
 MAX_ORDER_CUBED_BITS = 240_000_000
 # --max-moment 200, whole runs: classify takes 0.5 s on a Binomial law on 1008
 # points with an irrational sqrt(Delta) (alpha = 1007, alpha0 = 1/1007,
@@ -77,9 +80,7 @@ CHARACTERIZE_BITS_AT_MAX_MOMENT = 400
 # Integer shifts take 2.2 s at 200 (865), 0.7 s at 50 and 0.3 s at 0 (13333).
 CERTIFICATE_BITS_BUDGET = 2_000_000
 # verify --degree 200, one trial, slowest of seeds 0-4: gramschmidt 1.0 s
-# (0.12 s at 100), pmd 0.04 s, universal, doublecomm and limit under 0.002 s
-# (pmd took 7.7 s with the basis change; universal 0.012 s and doublecomm
-# 0.017 s on truncated operators).
+# (0.12 s at 100), pmd 0.04 s, universal, doublecomm and limit under 0.002 s.
 MAX_DEGREE = 200
 MAX_TRIALS = 1000
 APLUS_NOTE = (
@@ -87,23 +88,38 @@ APLUS_NOTE = (
     "the raising side has no independent closed form here"
 )
 
+# A command's report, its text lines and whether every check passed.
+Outcome = tuple[dict, Callable[[], list[str]], bool]
+
+
+class Refused(ValueError):
+    """Input a command refuses before any work: ``invalid <what>: <reason>``, exit 2."""
+
+    def __init__(self, what: str, reason: str) -> None:
+        super().__init__(reason)
+        self.what = what
+
 
 def _config(command: str, **fields) -> dict:
     """Everything that determines a run's output, for reproducibility."""
-    return {"command": command, **{k: v for k, v in fields.items() if v is not None}}
+    return {"command": command, **fields}
 
 
-def _emit(report: dict, text: Callable[[], list[str]], as_json: bool) -> None:
-    """Print the report as JSON, or the lines of ``text``, which is called only then."""
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text():
-            print(line)
+def _params(args: argparse.Namespace, what: str) -> MeixnerParams:
+    """The law of the parameter flags; a malformed or inadmissible one is invalid ``what``."""
+    try:
+        return MeixnerParams.from_strings(args.alpha, args.alpha0, args.beta, args.t)
+    except ValueError as exc:
+        raise Refused(what, str(exc)) from exc
 
 
-def _params_from_args(args: argparse.Namespace) -> MeixnerParams:
-    return MeixnerParams.from_strings(args.alpha, args.alpha0, args.beta, args.t)
+def _in_range(flag: str, value: int, lo: int, hi: int) -> None:
+    """Refuse ``flag`` outside ``lo .. hi``."""
+    if value < lo:
+        least = {0: "nonnegative", 1: "positive"}.get(lo, f"at least {lo}")
+        raise Refused("input", f"{flag} must be {least}")
+    if value > hi:
+        raise Refused("input", f"{flag} must be at most {hi}")
 
 
 def _cap_reason(bound: int, k: int, order: int) -> str:
@@ -121,23 +137,20 @@ def _cap_reason(bound: int, k: int, order: int) -> str:
     return reason
 
 
-def _max_moment_problem(m: int, bits: int, bits_at_max: int, holder: str) -> str | None:
-    """Why --max-moment=m is refused for inputs of ``bits`` bits in all, or None."""
-    if m < 0:
-        return "--max-moment must be nonnegative"
-    if m > MAX_MOMENT:
-        return f"--max-moment must be at most {MAX_MOMENT}"
+def _check_max_moment(m: int, bits: int, bits_at_max: int, holder: str) -> None:
+    """Refuse --max-moment=m, or inputs of ``bits`` bits in all at it."""
+    _in_range("--max-moment", m, 0, MAX_MOMENT)
     budget = MAX_MOMENT**3 * bits_at_max**2
     if m**3 * bits**2 > budget:
-        return (
+        raise Refused(
+            "input",
             f"at --max-moment={m} the {holder} may have at most "
-            f"{isqrt(budget // m**3)} bits in all, got {bits}"
+            f"{isqrt(budget // m**3)} bits in all, got {bits}",
         )
-    return None
 
 
-def _certificate_problem(m: int, combo: TranslationCombo) -> str | None:
-    """Why the growth certificate of ``combo`` is refused at --max-moment=m, or None.
+def _check_certificate(m: int, combo: TranslationCombo) -> None:
+    """Refuse the growth certificate of ``combo`` at --max-moment=m if it is too large.
 
     Each shift d = u/v is raised to the power floor(|d|); the certificate's
     bits are counted as floor(|d|) * (bits(u) + bits(v)), summed over the shifts.
@@ -148,11 +161,11 @@ def _certificate_problem(m: int, combo: TranslationCombo) -> str | None:
     )
     allowed = CERTIFICATE_BITS_BUDGET // (m + 10)
     if bits > allowed:
-        return (
+        raise Refused(
+            "input",
             f"at --max-moment={m} the growth certificate may have at most "
-            f"{allowed} bits, got {bits}"
+            f"{allowed} bits, got {bits}",
         )
-    return None
 
 
 def _bits(values) -> int:
@@ -160,19 +173,10 @@ def _bits(values) -> int:
     return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        p = _params_from_args(args)
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
+def cmd_classify(args: argparse.Namespace) -> Outcome:
+    p = _params(args, "parameters")
     bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
-    problem = _max_moment_problem(
-        args.max_moment, bits, CLASSIFY_BITS_AT_MAX_MOMENT, "parameters"
-    )
-    if problem:
-        print(f"invalid input: {problem}", file=sys.stderr)
-        return 2
+    _check_max_moment(args.max_moment, bits, CLASSIFY_BITS_AT_MAX_MOMENT, "parameters")
     cls = classify(p)
     try:
         check = crosscheck(p, cls, args.max_moment)
@@ -204,26 +208,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
             else f"moment crosscheck: {check_json}",
         ]
 
-    _emit(report, text, args.json)
-    return 0 if check_ok else 1
+    return report, text, check_ok
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        p = _params_from_args(args)
-        if args.order < 0:
-            raise InvalidParams("--order must be nonnegative")
-        if args.order > MAX_ORDER:
-            raise InvalidParams(f"--order must be at most {MAX_ORDER}")
-        bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
-        if args.order**3 * bits > MAX_ORDER_CUBED_BITS:
-            raise InvalidParams(
-                f"at --order={args.order} the parameters may have at most "
-                f"{MAX_ORDER_CUBED_BITS // args.order**3} bits in all, got {bits}"
-            )
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+def cmd_decompose(args: argparse.Namespace) -> Outcome:
+    p = _params(args, "input")
+    _in_range("--order", args.order, 0, MAX_ORDER)
+    bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
+    if args.order**3 * bits > MAX_ORDER_CUBED_BITS:
+        raise Refused(
+            "input",
+            f"at --order={args.order} the parameters may have at most "
+            f"{MAX_ORDER_CUBED_BITS // args.order**3} bits in all, got {bits}",
+        )
     decomp = series_decomposition(p, args.op, args.order)
     check = extraction_agreement(p, args.op, args.order, decomp)
     agreement = {"checked_order": check.max_degree, "pass": check.passed}
@@ -249,23 +246,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             lines.append(f"note: {APLUS_NOTE}")
         return lines
 
-    _emit(report, text, args.json)
-    return 0 if check.passed else 1
+    return report, text, check.passed
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.degree < 4:
-        print("invalid input: --degree must be at least 4", file=sys.stderr)
-        return 2
-    if args.degree > MAX_DEGREE:
-        print(f"invalid input: --degree must be at most {MAX_DEGREE}", file=sys.stderr)
-        return 2
-    if args.trials < 1:
-        print("invalid input: --trials must be positive", file=sys.stderr)
-        return 2
-    if args.trials > MAX_TRIALS:
-        print(f"invalid input: --trials must be at most {MAX_TRIALS}", file=sys.stderr)
-        return 2
+def cmd_verify(args: argparse.Namespace) -> Outcome:
+    _in_range("--degree", args.degree, 4, MAX_DEGREE)
+    _in_range("--trials", args.trials, 1, MAX_TRIALS)
     rng = Random(args.seed)
     runner = SUITE_RUNNERS[args.suite]
     detail = []
@@ -299,27 +285,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append("all identities hold" if all_pass else "FAILURES found")
         return lines
 
-    _emit(report, text, args.json)
-    return 0 if all_pass else 1
+    return report, text, all_pass
 
 
-def cmd_characterize(args: argparse.Namespace) -> int:
+def cmd_characterize(args: argparse.Namespace) -> Outcome:
     try:
         combo = TranslationCombo.parse(args.combo)
         verdict = ensure_valid(combo)
     except InvalidCombo as exc:
-        print(f"invalid combination ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2
+        raise Refused(f"combination ({type(exc).__name__})", str(exc)) from exc
     except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+        raise Refused("input", str(exc)) from exc
     m = args.max_moment
     bits = _bits(v for term in combo.terms for v in term)
-    problem = _max_moment_problem(m, bits, CHARACTERIZE_BITS_AT_MAX_MOMENT, "combination")
-    problem = problem or _certificate_problem(m, combo)
-    if problem:
-        print(f"invalid input: {problem}", file=sys.stderr)
-        return 2
+    _check_max_moment(m, bits, CHARACTERIZE_BITS_AT_MAX_MOMENT, "combination")
+    _check_certificate(m, combo)
     recursion = moments_via_recursion(verdict, m)
     cumulant = moments_via_cumulants(verdict, m)
     laplace = laplace_series(verdict, m)
@@ -350,8 +330,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             f"X = {statement} with independent Poisson Y(mean)",
         ]
 
-    _emit(report, text, args.json)
-    return 0 if agree and cert.passed and cert.even_passed else 1
+    return report, text, agree and cert.passed and cert.even_passed
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -408,11 +387,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, print its outcome and return its exit code.
+
+    Only argparse's exit and ``Refused`` are caught: an error inside the
+    work propagates.
+    """
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        report, text, ok = args.func(args)
+    except Refused as exc:
+        print(f"invalid {exc.what}: {exc}", file=sys.stderr)
+        return 2
+    if args.json:
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        for line in text():
+            print(line)
+    return 0 if ok else 1
 
 
 def run() -> None:

@@ -733,6 +733,30 @@ def test_forbid_intercepts_every_suite(monkeypatch):
             main(["verify", f"--suite={suite}", "--degree=4", "--trials=1", "--json"])
 
 
+WORK_FAULTS = [
+    (cli, "series_decomposition",
+     ["decompose", "--alpha=0", "--alpha0=0", "--beta=0", "--t=1", "--op=U", "--order=2"]),
+    (cli, "classify", ["classify", "--alpha=1", "--alpha0=1", "--beta=0", "--t=1"]),
+    (cli, "moments_via_recursion", ["characterize", "--combo=1:1,-1:0"]),
+    (suites.SUITE_RUNNERS, "limit", ["verify", "--suite=limit", "--degree=4", "--trials=1"]),
+]
+
+
+@pytest.mark.parametrize("owner,name,argv", WORK_FAULTS, ids=[name for _, name, _ in WORK_FAULTS])
+def test_a_fault_in_the_work_is_never_read_as_invalid_input(monkeypatch, owner, name, argv):
+    # Only refusals of the input exit 2; a ValueError raised once the work
+    # has begun is a bug, and it propagates.
+    def faulty(*args, **kwargs):
+        raise ValueError("fault in the work")
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, faulty)
+    else:
+        monkeypatch.setattr(owner, name, faulty)
+    with pytest.raises(ValueError, match="fault in the work"):
+        _run_quietly(argv)
+
+
 SIZE_CAPS = [
     (
         ["classify", "--alpha=0", "--alpha0=0", "--beta=0", "--t=1"],
