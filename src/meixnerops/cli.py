@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 from random import Random
 from typing import Callable
@@ -98,6 +98,43 @@ class Refused(ValueError):
     def __init__(self, what: str, reason: str) -> None:
         super().__init__(reason)
         self.what = what
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, in one pass over ``value``.
+
+    Only ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``bool`` and
+    ``None`` are written, matched on their exact type; anything else raises
+    ``TypeError``.  ``indent`` is the newline and indentation before a value
+    at this depth.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + json_text(v, inner)
+                 for k, v in sorted(value.items())]
+            )
+            + indent + "}"
+        )
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([json_text(v, inner) for v in value]) + indent + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"{kind.__name__} is not written as JSON")
 
 
 def _config(command: str, **fields) -> dict:
@@ -402,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid {exc.what}: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json_text(report))
     else:
         for line in text():
             print(line)
