@@ -142,12 +142,12 @@ def _config(command: str, **fields) -> dict:
     return {"command": command, **fields}
 
 
-def _params(args: argparse.Namespace, what: str) -> MeixnerParams:
-    """The law of the parameter flags; a malformed or inadmissible one is invalid ``what``."""
+def _params(args: argparse.Namespace) -> MeixnerParams:
+    """The law of the parameter flags; a malformed or inadmissible one is refused."""
     try:
         return MeixnerParams.from_strings(args.alpha, args.alpha0, args.beta, args.t)
     except ValueError as exc:
-        raise Refused(what, str(exc)) from exc
+        raise Refused("parameters", str(exc)) from exc
 
 
 def _in_range(flag: str, value: int, lo: int, hi: int) -> None:
@@ -211,7 +211,7 @@ def _bits(values) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> Outcome:
-    p = _params(args, "parameters")
+    p = _params(args)
     bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
     _check_max_moment(args.max_moment, bits, CLASSIFY_BITS_AT_MAX_MOMENT, "parameters")
     cls = classify(p)
@@ -249,7 +249,7 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_decompose(args: argparse.Namespace) -> Outcome:
-    p = _params(args, "input")
+    p = _params(args)
     _in_range("--order", args.order, 0, MAX_ORDER)
     bits = _bits((p.alpha, p.alpha0, p.beta, p.t))
     if args.order**3 * bits > MAX_ORDER_CUBED_BITS:

@@ -700,7 +700,7 @@ def test_exponent_form_rational_is_refused_at_once(capsys, alpha):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert "invalid input: not a rational number" in err and "Traceback" not in err
+    assert "invalid parameters: not a rational number" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):

@@ -47,8 +47,9 @@ The ``pmd``, ``limit``, ``gramschmidt`` and ``decompose`` sweeps were
 pinned while the operators on polynomial diagonals were still held as
 ``Poly`` diagonals; ``decompose_text``, ``classify`` and ``characterize``
 while ``Delta``, ``tau`` and the support bound were still recomputed from
-the parameters on every use; ``refusals`` while each command still printed
-its own refusals.  ``PYTHONPATH=src python tests/test_corpus.py`` prints
+the parameters on every use; ``refusals`` once ``decompose`` refused a
+malformed or inadmissible quadruple as ``invalid parameters``, as
+``classify`` does.  ``PYTHONPATH=src python tests/test_corpus.py`` prints
 ``sweep digest`` for every sweep, from the same generators, so a change
 that alters output on purpose re-pins only the sweeps it names.
 """
@@ -202,7 +203,7 @@ DIGESTS = {
     "decompose_text": "3a74e5d1018c7e3f60ba6a88d062c973bea47bc7e11a4ada6710c61829f84ef8",
     "classify": "b070d534c0f371570ba948ea948509c15ae2e45076f3d45aeba8b8ad737e3a19",
     "characterize": "df2ac2d854b8b8fc02f6cccd4d4ca9b636501ee6d811aa29ad406593cba4af71",
-    "refusals": "379b92b1a7d2690241bf2c2b53f01904f3bf02ac8582c3212979b98d51620393",
+    "refusals": "40a5e958e078c929dbdfc6d05f1275d8d742a16b219710f3af28fb0b00665306",
 }
 
 
