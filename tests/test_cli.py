@@ -792,6 +792,40 @@ def test_size_cap_is_inclusive(capsys, argv, flag, cap, kernels):
 
 RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/2", "3/2", "-2/3", "5", "x"])
 # (alpha, alpha0, beta, t) of every class, two of them with an irrational sqrt(Delta)
+# Characters that JSON escapes, then any code point: ASCII, non-ASCII, non-BMP.
+JSON_STRINGS = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),
+                       st.characters()),
+)
+JSON_INTS = st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64)))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(JSON_VALUES)
+def test_json_text_writes_the_bytes_of_json_dumps(value):
+    assert cli.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_text_writes_empty_containers_at_every_depth():
+    value = {"": [], "a": {}, "b": [[], {}, [[{}]], {"c": {"d": []}}], "e": [None, True, 0]}
+    assert cli.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli.json_text([]) == "[]" and cli.json_text({}) == "{}"
+
+
+@pytest.mark.parametrize("value", [0.5, (1, 2), Fraction(1, 2), {1}, {1: "a"}, {"a": 1, 2: 3}],
+                         ids=["float", "tuple", "Fraction", "set", "int key", "mixed keys"])
+def test_json_text_refuses_any_other_type(value):
+    for where in (value, [value], {"k": [0, value]}):
+        with pytest.raises(TypeError):
+            cli.json_text(where)
+
+
 VALID_PARAMS = st.sampled_from([
     ("0", "0", "0", "1"), ("1", "1", "0", "1"), ("3", "0", "2", "2"), ("2", "1/3", "1/2", "5/4"),
     ("2", "1", "1", "1"), ("0", "0", "1", "1"), ("0", "0", "-1", "2"), ("1", "-1/2", "-1/3", "2"),
