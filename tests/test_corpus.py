@@ -28,7 +28,8 @@ stdout and exit code alone, are unchanged by it.
   invalid quadruples beside each draw, which exit 2.
 - ``characterize``: ``characterize --json`` on ``sample_combo(Random(s))``
   for s in 0 .. 59 and on four rule breaks of each draw (the sum off by 1,
-  a duplicate shift, the coefficients negated and an added ``0:0``), at
+  a duplicate shift, the coefficients negated, and the first term ``c:d``
+  with ``-c:-d`` and ``0:0``), at
   ``--max-moment`` of 0, 1, 12 and 40.  The breaks exit 2, so their stderr
   is pinned.
 - ``refusals``: ``--json`` runs on both sides of every size flag's bounds
@@ -45,9 +46,10 @@ stdout and exit code alone, are unchanged by it.
 
 The ``pmd``, ``limit``, ``gramschmidt`` and ``decompose`` sweeps were
 pinned while the operators on polynomial diagonals were still held as
-``Poly`` diagonals; ``decompose_text``, ``classify`` and ``characterize``
-while ``Delta``, ``tau`` and the support bound were still recomputed from
-the parameters on every use; ``refusals`` once ``decompose`` refused a
+``Poly`` diagonals; ``decompose_text`` and ``classify`` while ``Delta``,
+``tau`` and the support bound were still recomputed from the parameters on
+every use; ``characterize`` once its last break reached ``ZeroCoefficient``
+on every draw; ``refusals`` once ``decompose`` refused a
 malformed or inadmissible quadruple as ``invalid parameters``, as
 ``classify`` does.  ``PYTHONPATH=src python tests/test_corpus.py`` prints
 ``sweep digest`` for every sweep, from the same generators, so a change
@@ -62,6 +64,13 @@ from random import Random
 
 import pytest
 
+from meixnerops.characterize import (
+    DuplicateShift,
+    NegativeMean,
+    SumNotZero,
+    ZeroCoefficient,
+    ensure_valid,
+)
 from meixnerops.cli import main
 from meixnerops.exact import format_rat
 from meixnerops.meixner import OPS, MeixnerParams, TranslationCombo
@@ -117,14 +126,18 @@ def classify_argv():
 
 
 def rule_breaks(combo):
-    """The draw, then the draw with its sum off by 1, a duplicate shift,
-    its coefficients negated, and an added useless term at shift 0."""
+    """The draw, then the draw with its sum off by 1, a duplicate shift and
+    its coefficients negated, then its first term c:d with -c:-d and a
+    useless 0:0.  Each break raises the class of ``RULE_BREAK_ERRORS``."""
     (c, d), *rest = terms = combo.terms
     yield combo
     yield TranslationCombo(((c + 1, d), *rest))
     yield TranslationCombo((*terms, (0, d)))
     yield TranslationCombo(tuple((-c, d) for c, d in terms))
-    yield TranslationCombo((*terms, (0, 0)))
+    yield TranslationCombo(((c, d), (-c, -d), (0, 0)))
+
+
+RULE_BREAK_ERRORS = (None, SumNotZero, DuplicateShift, NegativeMean, ZeroCoefficient)
 
 
 def characterize_argv():
@@ -202,7 +215,7 @@ DIGESTS = {
     "decompose": "581263cbdeef81e5e136187e145c51a617b49514db4569e0e1ca597420a460f7",
     "decompose_text": "3a74e5d1018c7e3f60ba6a88d062c973bea47bc7e11a4ada6710c61829f84ef8",
     "classify": "b070d534c0f371570ba948ea948509c15ae2e45076f3d45aeba8b8ad737e3a19",
-    "characterize": "df2ac2d854b8b8fc02f6cccd4d4ca9b636501ee6d811aa29ad406593cba4af71",
+    "characterize": "11b61fc55637368c15b3bac673751d1ff3d4576704e7ce28203d4159fa22fff2",
     "refusals": "40a5e958e078c929dbdfc6d05f1275d8d742a16b219710f3af28fb0b00665306",
 }
 
@@ -218,6 +231,17 @@ def sweep_digest(name):
         digest.update(err.getvalue().encode())
         digest.update(str(code).encode())
     return digest.hexdigest()
+
+
+def test_each_rule_break_raises_its_own_error_on_every_draw():
+    for seed in range(60):
+        for combo, error in zip(rule_breaks(sample_combo(Random(seed))), RULE_BREAK_ERRORS):
+            if error is None:
+                ensure_valid(combo)
+                continue
+            with pytest.raises(error) as caught:
+                ensure_valid(combo)
+            assert type(caught.value) is error, (seed, combo.format())
 
 
 @pytest.mark.parametrize("suite", sorted(set(DIGESTS) - {"decompose", *COMMAND_SWEEPS}))
