@@ -105,8 +105,8 @@ def json_text(value, indent: str = "\n") -> str:
 
     Only ``dict`` with ``str`` keys, ``list``, ``str``, ``int``, ``bool`` and
     ``None`` are written, matched on their exact type; anything else raises
-    ``TypeError``.  ``indent`` is the newline and indentation before a value
-    at this depth.
+    ``TypeError``.  ``indent`` is the newline and indentation that start a
+    line at the depth of ``value``.
     """
     kind = type(value)
     if kind is str:
@@ -115,14 +115,9 @@ def json_text(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        return (
-            "{" + inner
-            + ("," + inner).join(
-                [encode_basestring_ascii(k) + ": " + json_text(v, inner)
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner)
                  for k, v in sorted(value.items())]
-            )
-            + indent + "}"
-        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list:
         if not value:
             return "[]"
