@@ -790,8 +790,6 @@ def test_size_cap_is_inclusive(capsys, argv, flag, cap, kernels):
     assert json.loads(out)["config"][flag.replace("-", "_")] == cap
 
 
-RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/2", "3/2", "-2/3", "5", "x"])
-# (alpha, alpha0, beta, t) of every class, two of them with an irrational sqrt(Delta)
 # Characters that JSON escapes, then any code point: ASCII, non-ASCII, non-BMP.
 JSON_STRINGS = st.text(
     alphabet=st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),
@@ -826,6 +824,8 @@ def test_json_text_refuses_any_other_type(value):
             cli.json_text(where)
 
 
+RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/2", "3/2", "-2/3", "5", "x"])
+# (alpha, alpha0, beta, t) of every class, two of them with an irrational sqrt(Delta)
 VALID_PARAMS = st.sampled_from([
     ("0", "0", "0", "1"), ("1", "1", "0", "1"), ("3", "0", "2", "2"), ("2", "1/3", "1/2", "5/4"),
     ("2", "1", "1", "1"), ("0", "0", "1", "1"), ("0", "0", "-1", "2"), ("1", "-1/2", "-1/3", "2"),

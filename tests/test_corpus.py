@@ -128,7 +128,7 @@ def classify_argv():
 def rule_breaks(combo):
     """The draw, then the draw with its sum off by 1, a duplicate shift and
     its coefficients negated, then its first term c:d with -c:-d and a
-    useless 0:0.  Each break raises the class of ``RULE_BREAK_ERRORS``."""
+    useless 0:0.  Each raises its class in ``RULE_BREAK_ERRORS``."""
     (c, d), *rest = terms = combo.terms
     yield combo
     yield TranslationCombo(((c + 1, d), *rest))
