@@ -20,21 +20,21 @@ from math import gcd, isqrt, lcm, perm
 from typing import Sequence, Union
 
 RatLike = Union[Fraction, int]
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")  # the groups are p and q of p/q
 
 
 def parse_rat(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` (signed, space-padded); no decimal or exponent forms."""
-    if re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", text):
+    if match := _RATIONAL.fullmatch(text):
         try:
-            return Fraction(text)
+            return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError):  # q = 0, or too many digits for int()
             pass
     raise ValueError(f"not a rational number: {text!r}")
 
 
 def format_rat(value: RatLike) -> str:
-    """Render as ``"p/q"`` in lowest terms, or ``"p"`` for integers, at any size."""
-    value = value if isinstance(value, Fraction) else Fraction(value)
+    """An int or Fraction as ``"p/q"`` in lowest terms, or ``"p"`` for integers, at any size."""
     return format_ratio(value.numerator, value.denominator)
 
 
@@ -115,10 +115,9 @@ class Poly:
 
     @staticmethod
     def of(*values: RatLike) -> "Poly":
-        """The polynomial sum_i values[i] X**i, over the values' least common denominator."""
-        vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-        den = lcm(*(v.denominator for v in vals))
-        return Poly([v.numerator * (den // v.denominator) for v in vals], den)
+        """sum_i values[i] X**i over the least common denominator of the int or Fraction values."""
+        den = lcm(*(v.denominator for v in values))
+        return Poly([v.numerator * (den // v.denominator) for v in values], den)
 
     @property
     def degree(self) -> int:

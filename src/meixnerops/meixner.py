@@ -55,6 +55,11 @@ class NotASquare(ValueError):
     """Delta < 0 has no real square root, so no translation form exists."""
 
 
+def _fraction(value: Fraction | int) -> Fraction:
+    """``value`` itself if it is a Fraction, else the Fraction it converts to."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class MeixnerParams:
     """Admissible (alpha, alpha0, beta, t) quadruple and the constants it derives.
@@ -75,21 +80,23 @@ class MeixnerParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "alpha0", "beta", "t"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.t <= 0:
+            object.__setattr__(self, name, _fraction(getattr(self, name)))
+        values = (self.alpha, self.alpha0, self.beta, self.t)
+        (an, ad), (a0n, a0d), (bn, bd), (tn, td) = ((v.numerator, v.denominator) for v in values)
+        if tn <= 0:
             raise InvalidParams(f"t must be positive, got {self.t}")
-        if self.alpha < 0:
+        if an < 0:
             raise InvalidParams(f"alpha must be nonnegative, got {self.alpha}")
         support = None
-        if self.beta < 0:
-            ratio = self.t / (-self.beta)
-            if ratio.denominator != 1:
+        if bn < 0:
+            q, r = tn * bd, -bn * td  # t/(-beta) = q/r
+            if q % r:
                 raise InvalidParams(
-                    f"beta < 0 requires t/(-beta) to be a positive integer, got {ratio}"
+                    f"beta < 0 requires t/(-beta) to be a positive integer, got {Fraction(q, r)}"
                 )
-            support = 1 + ratio.numerator
-        object.__setattr__(self, "delta", self.alpha**2 - 4 * self.beta)
-        object.__setattr__(self, "tau", 2 * self.t - self.alpha * self.alpha0)
+            support = 1 + q // r
+        object.__setattr__(self, "delta", Fraction(an * an * bd - 4 * bn * ad * ad, ad * ad * bd))
+        object.__setattr__(self, "tau", Fraction(2 * tn * ad * a0d - an * a0n * td, td * ad * a0d))
         object.__setattr__(self, "support_bound", support)
 
     @staticmethod
@@ -112,13 +119,13 @@ def szego_jacobi(p: MeixnerParams) -> SzegoJacobi:
     In the binomial basis of n, D alpha_n = D alpha_0 + n (D alpha) and
     D^2 omega_n = n (D^2 t) + C(n, 2) (2 D^2 beta), as omega_1 = t and
     omega_2 = 2 (beta + t); each bracket is an integer, though D^2 beta need
-    not be (alpha0 = 1/3, beta = 1/2, t = 1 give D = 3).  omega_n first
-    vanishes at ``p.support_bound``.
+    not be (alpha0 = 1/3, beta = 1/2, t = 1 give D = 3).  D is also the lcm
+    of the denominators of alpha0, alpha, t and 2 beta, which it is built
+    from.  omega_n first vanishes at ``p.support_bound``.
     """
-    firsts = (p.alpha0, p.alpha + p.alpha0, p.t, 2 * (p.beta + p.t))
-    scale = lcm(*(v.denominator for v in firsts))
-    a0, a1, w1, w2 = (v.numerator * scale**e // v.denominator for v, e in zip(firsts, (1, 1, 2, 2)))
-    step, bend = a1 - a0, w2 - 2 * w1
+    parts = (p.alpha0, p.alpha, p.t, 2 * p.beta)
+    scale = lcm(*(v.denominator for v in parts))
+    a0, step, w1, bend = (v.numerator * scale**e // v.denominator for v, e in zip(parts, (1, 1, 2, 2)))
 
     def shift(n: int) -> int:
         return a0 + n * step
@@ -136,8 +143,8 @@ def recurrence_polys(p: MeixnerParams) -> tuple[Poly, Poly]:
 
 def comm_ux_closed_form(p: MeixnerParams, x: PolyOp) -> PolyOp:
     """[U, X] = (alpha/2) X - (Delta/2) N + (tau/2) I, from the polynomial diagonals ``x`` of X."""
-    return linear_combination(
-        (p.alpha / 2, x), (-p.delta / 2, (1, {0: [0, 1]})), (p.tau / 2, (1, {0: [1]}))
+    return linear_combination(  # each term halved through its operator's denominator
+        (p.alpha, (2 * x[0], x[1])), (p.delta, (2, {0: [0, -1]})), (p.tau, (2, {0: [1]}))
     )
 
 
@@ -404,11 +411,8 @@ class TranslationCombo:
     terms: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((Fraction(c), Fraction(s)) for c, s in self.terms),
-        )
+        terms = tuple((_fraction(c), _fraction(s)) for c, s in self.terms)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def parse(text: str) -> "TranslationCombo":

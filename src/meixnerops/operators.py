@@ -52,6 +52,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Diagonal = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 def _diag_len(trunc: int, k: int) -> int:
@@ -208,7 +209,7 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
 
 def semi_ops(aplus: GradedOp, azero: GradedOp, aminus: GradedOp) -> tuple[GradedOp, GradedOp]:
     """The halves U = a- + a0/2 and V = a+ + a0/2 of multiplication by X."""
-    half = azero.scale(Fraction(1, 2))
+    half = azero.scale(_HALF)
     return aminus + half, aplus + half
 
 
@@ -359,7 +360,7 @@ def _canonical(den: int, rows: dict[int, list[int]]) -> PolyOp:
 
 def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyOp:
     """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n."""
-    half = alpha * Fraction(1, 2)
+    half = alpha * _HALF if name in ("U", "V") else None
     diags = {
         "U": {-1: omega, 0: half},
         "V": {0: half, 1: ONE},

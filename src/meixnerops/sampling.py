@@ -11,7 +11,6 @@ accordingly).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from random import Random
 
@@ -22,20 +21,26 @@ KINDS = ("Gaussian", "Poisson", "Pascal", "Gamma", "HyperbolicSecant", "Binomial
 
 def sample_rat(
     rng: Random,
-    lo: Fraction,
-    hi: Fraction,
+    lo: Fraction | int,
+    hi: Fraction | int,
     max_den: int = 6,
     strict_lo: bool = False,
 ) -> Fraction:
-    """Uniform-ish rational in [lo, hi] (or (lo, hi]) with denominator <= max_den."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    """Uniform-ish rational in [lo, hi] (or (lo, hi]) for int or Fraction bounds.
+
+    Its denominator is drawn from 1 .. max_den, then raised with no further draw
+    while the interval holds no multiple of 1/den.  An empty one is a ValueError.
+    """
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if hi < lo or strict_lo and hi == lo:
+        raise ValueError(f"no rational in {'(' if strict_lo else '['}{lo}, {hi}]")
     den = rng.randint(1, max_den)
-    lo_num = math.floor(lo * den) + 1 if strict_lo else math.ceil(lo * den)
-    hi_num = math.floor(hi * den)
-    if hi_num < lo_num:
-        lo_num = hi_num = math.ceil(hi * den)
-    return Fraction(rng.randint(lo_num, hi_num), den)
+    while True:
+        lo_num = ln * den // ld + 1 if strict_lo else -(-ln * den // ld)
+        hi_num = hn * den // hd
+        if lo_num <= hi_num:
+            return Fraction(rng.randint(lo_num, hi_num), den)
+        den += 1
 
 
 def sample_params(rng: Random, min_dim: int = 1, kind: str | None = None) -> MeixnerParams:
@@ -55,9 +60,9 @@ def sample_params(rng: Random, min_dim: int = 1, kind: str | None = None) -> Mei
     if kind == "Pascal":
         alpha = sample_rat(rng, 0, Fraction(14, 5), strict_lo=True)
         if rng.random() < 0.5:
-            # ratio < 1 keeps delta = (ratio * alpha)^2 a rational square
-            ratio = Fraction(rng.randint(1, 4), 5)
-            beta = alpha**2 * (1 - ratio**2) / 4
+            # beta = alpha^2 (1 - (k/5)^2) / 4: k < 5 keeps delta = (k alpha/5)^2 a rational square
+            k = rng.randint(1, 4)
+            beta = Fraction(alpha.numerator**2 * (25 - k * k), 100 * alpha.denominator**2)
         else:
             q = sample_rat(rng, 0, 1, strict_lo=True)
             if q == 1:
@@ -75,7 +80,7 @@ def sample_params(rng: Random, min_dim: int = 1, kind: str | None = None) -> Mei
         n = rng.randint(max(min_dim - 1, 1), max(min_dim - 1, 1) + 8)
         t = sample_rat(rng, 0, min(3, 2 * n), strict_lo=True)
         alpha = sample_rat(rng, 0, 3)
-        return MeixnerParams(alpha, alpha0, -t / n, t)
+        return MeixnerParams(alpha, alpha0, Fraction(-t.numerator, t.denominator * n), t)
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -17,12 +17,21 @@ take, and ``evaluate`` reads a polynomial at a point.
 The library holds an operator on polynomial diagonals as integer rows over
 one denominator, ``(den, {k: nums_k})``.  A test writes it as ``{k: d_k}``
 of ``Poly`` diagonals; ``int_form`` and ``poly_form`` convert between the two.
+
+The library's scalar steps read the numerator and denominator of an ``int``
+or ``Fraction`` and build one ``Fraction`` per stored value.  The ``Fraction``
+formulas they replaced are kept here as references: ``sample_rat``,
+``parse_rat``, ``format_rat``, ``poly_of`` and ``derived`` (delta, tau and
+the support bound of a parameter quadruple).
 """
 
+import math
+import re
 from fractions import Fraction
 from math import lcm
 
-from meixnerops.exact import ONE, ZERO, X, Poly, powers, taylor_shift
+from meixnerops.exact import ONE, ZERO, X, Poly, format_ratio, powers, taylor_shift
+from meixnerops.meixner import InvalidParams
 from meixnerops.operators import GradedOp, VerifyReport, first_mismatch
 from meixnerops.orthopoly import MomentSeq, _over_lcm, monic_polys
 from meixnerops.pmd import MonomialMatrix, _trim_ints
@@ -198,3 +207,59 @@ def apply_expansion(decomp, f):
 def apply_combo(combo, f):
     """sum_i c_i f(X + d_i) for a ``TranslationCombo``."""
     return sum((c * shifted(f, s) for c, s in combo.terms), ZERO)
+
+
+def sample_rat(rng, lo, hi, max_den=6, strict_lo=False):
+    """The Fraction form of ``sampling.sample_rat``, with the old fallback: when
+    [lo, hi] (or (lo, hi]) holds no multiple of 1/den it returns
+    ceil(hi * den) / den, which lies above hi."""
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    den = rng.randint(1, max_den)
+    lo_num = math.floor(lo * den) + 1 if strict_lo else math.ceil(lo * den)
+    hi_num = math.floor(hi * den)
+    if hi_num < lo_num:
+        lo_num = hi_num = math.ceil(hi * den)
+    return Fraction(rng.randint(lo_num, hi_num), den)
+
+
+def parse_rat(text):
+    """``exact.parse_rat`` by matching, then letting ``Fraction`` parse the string again."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # q = 0, or too many digits for int()
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
+
+
+def format_rat(value):
+    """``exact.format_rat`` through a ``Fraction`` built from the value."""
+    value = Fraction(value)
+    return format_ratio(value.numerator, value.denominator)
+
+
+def poly_of(*values):
+    """``Poly.of`` through a ``Fraction`` built from each value."""
+    vals = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return Poly([v.numerator * (den // v.denominator) for v in vals], den)
+
+
+def derived(alpha, alpha0, beta, t):
+    """(delta, tau, support_bound) of a quadruple by the Fraction arithmetic
+    ``MeixnerParams`` used, raising its ``InvalidParams`` with its message."""
+    alpha, alpha0, beta, t = map(Fraction, (alpha, alpha0, beta, t))
+    if t <= 0:
+        raise InvalidParams(f"t must be positive, got {t}")
+    if alpha < 0:
+        raise InvalidParams(f"alpha must be nonnegative, got {alpha}")
+    support = None
+    if beta < 0:
+        ratio = t / (-beta)
+        if ratio.denominator != 1:
+            raise InvalidParams(
+                f"beta < 0 requires t/(-beta) to be a positive integer, got {ratio}"
+            )
+        support = 1 + ratio.numerator
+    return alpha**2 - 4 * beta, 2 * t - alpha * alpha0, support
