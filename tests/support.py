@@ -25,10 +25,9 @@ formulas they replaced are kept here as references: ``sample_rat``,
 the support bound of a parameter quadruple).
 """
 
-import math
 import re
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
 from meixnerops.exact import ONE, ZERO, X, Poly, format_ratio, powers, taylor_shift
 from meixnerops.meixner import InvalidParams
@@ -216,10 +215,10 @@ def sample_rat(rng, lo, hi, max_den=6, strict_lo=False):
     lo = Fraction(lo)
     hi = Fraction(hi)
     den = rng.randint(1, max_den)
-    lo_num = math.floor(lo * den) + 1 if strict_lo else math.ceil(lo * den)
-    hi_num = math.floor(hi * den)
+    lo_num = floor(lo * den) + 1 if strict_lo else ceil(lo * den)
+    hi_num = floor(hi * den)
     if hi_num < lo_num:
-        lo_num = hi_num = math.ceil(hi * den)
+        lo_num = hi_num = ceil(hi * den)
     return Fraction(rng.randint(lo_num, hi_num), den)
 
 
