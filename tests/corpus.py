@@ -43,6 +43,11 @@ stdout and exit code alone, are unchanged by it.
   malformed and four rule-breaking combinations, and past the growth
   certificate's cap.  Argparse's own rejections are left out: their text
   belongs to argparse.
+- ``ladder``: the same ``verify --json`` argv at large degrees: ``pmd`` and
+  ``limit`` at D of 96 and 200, and ``gramschmidt`` at 96, each with
+  ``--trials=2`` and s in 0 .. 4, then ``gramschmidt`` at 200 with
+  ``--trials=1`` and s = 0.  It reaches the column expansions of the
+  commutator series at orders no other sweep does.
 
 The ``pmd``, ``limit``, ``gramschmidt`` and ``decompose`` sweeps were
 pinned while the operators on polynomial diagonals were still held as
@@ -51,7 +56,8 @@ pinned while the operators on polynomial diagonals were still held as
 every use; ``characterize`` once its last break reached ``ZeroCoefficient``
 on every draw; ``refusals`` once ``decompose`` refused a
 malformed or inadmissible quadruple as ``invalid parameters``, as
-``classify`` does.
+``classify`` does; ``ladder`` before one integer helper expanded every column
+of a commutator series.
 
 ``tests/test_corpus.py`` checks every digest under pytest.  This module
 needs only the package, so it also runs as a script on an interpreter
@@ -83,11 +89,18 @@ DEGREES = (4, 5, 6, 8, 12, 24, 48, 96, 200)
 SHORT_DEGREES = (4, 5, 6, 8, 12, 24, 48)
 
 
-def verify_argv(suite, degrees, seeds):
+def verify_argv(suite, degrees, seeds, trials=3):
     for degree in degrees:
         for seed in seeds:
-            yield ["verify", f"--suite={suite}", f"--degree={degree}", "--trials=3",
+            yield ["verify", f"--suite={suite}", f"--degree={degree}", f"--trials={trials}",
                    f"--seed={seed}", "--json"]
+
+
+def ladder_argv():
+    for suite in ("pmd", "limit"):
+        yield from verify_argv(suite, (96, 200), range(5), trials=2)
+    yield from verify_argv("gramschmidt", (96,), range(5), trials=2)
+    yield from verify_argv("gramschmidt", (200,), range(1), trials=1)
 
 
 def decompose_argv(orders, flags):
@@ -207,6 +220,7 @@ SWEEPS = {
     "classify": classify_argv,
     "characterize": characterize_argv,
     "refusals": refusals_argv,
+    "ladder": ladder_argv,
 }
 DIGESTS = {
     "universal": "33876f5011894eb60a63d7c8ab0dd108bc18be18811b30009c58399689826c1b",
@@ -219,6 +233,7 @@ DIGESTS = {
     "classify": "b070d534c0f371570ba948ea948509c15ae2e45076f3d45aeba8b8ad737e3a19",
     "characterize": "11b61fc55637368c15b3bac673751d1ff3d4576704e7ce28203d4159fa22fff2",
     "refusals": "40a5e958e078c929dbdfc6d05f1275d8d742a16b219710f3af28fb0b00665306",
+    "ladder": "fcd8e967bf94ec50aa1d3e1a5c7eb6bc9e0f8faa164c1ceb65bffcabbd06239c",
 }
 
 
