@@ -132,11 +132,6 @@ def json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} is not written as JSON")
 
 
-def _config(command: str, **fields) -> dict:
-    """Everything that determines a run's output, for reproducibility."""
-    return {"command": command, **fields}
-
-
 def _params(args: argparse.Namespace) -> MeixnerParams:
     """The law of the parameter flags; a malformed or inadmissible one is refused."""
     try:
@@ -219,7 +214,8 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
         check_ok = True
     classification = cls.to_json_dict()
     report = {
-        "config": _config("classify", params=p.to_json_dict(), max_moment=args.max_moment),
+        "config": {"command": "classify", "params": p.to_json_dict(),
+                   "max_moment": args.max_moment},
         "classification": classification,
         "derived": {
             "delta": format_rat(p.delta),
@@ -259,7 +255,8 @@ def cmd_decompose(args: argparse.Namespace) -> Outcome:
     if not check.passed:
         agreement.update(fail_index=check.fail_index, residual=check.residual.to_json())
     report = {
-        "config": _config("decompose", params=p.to_json_dict(), op=args.op, order=args.order),
+        "config": {"command": "decompose", "params": p.to_json_dict(), "op": args.op,
+                   "order": args.order},
         "decomposition": decomp.to_json_dict(),
         "extraction_agreement": agreement,
     }
@@ -300,7 +297,8 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
             }
         )
     report = {
-        "config": _config("verify", degree=args.degree, trials=args.trials, seed=args.seed),
+        "config": {"command": "verify", "degree": args.degree, "trials": args.trials,
+                   "seed": args.seed},
         "suite": args.suite,
         "trials_detail": detail,
         "pass": all_pass,
@@ -341,7 +339,7 @@ def cmd_characterize(args: argparse.Namespace) -> Outcome:
     # Routes that agree have the same rendering.
     moments = recursion.to_json()
     report = {
-        "config": _config("characterize", combo=combo.format(), max_moment=m),
+        "config": {"command": "characterize", "combo": combo.format(), "max_moment": m},
         "valid": True,
         "moments_recursion": moments,
         "moments_cumulant": moments if agree else cumulant.to_json(),
@@ -372,7 +370,9 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", required=True, help="positive rational")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="meixnerops",
         description="exact quantum decompositions of Meixner-class random variables",
@@ -412,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use; parsing never mutates it."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command, print its outcome and return its exit code.
 
@@ -425,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     work propagates.
     """
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -4,10 +4,10 @@ Every quantity in this package is exact.  Scalars are `fractions.Fraction`
 values; a polynomial is a dense tuple of integer numerators over one
 positive denominator, lowest degree first with trailing zeros trimmed, and
 its Fraction coefficients are built only on request.  ``ZERO``, ``ONE``
-and ``X`` are the polynomials 0, 1 and X.  Every integer ratio in a report
-is written by ``format_ratio``, which reduces it with one gcd.  No
-floating-point number enters the core algebra; floats appear only in
-optional decimal renderings.
+and ``X`` are the polynomials 0, 1 and X, and ``HALF`` is 1/2.  Every
+integer ratio in a report is written by ``format_ratio``, which reduces it
+with one gcd.  No floating-point number enters the core algebra; floats
+appear only in optional decimal renderings.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Sequence, Union
 
 RatLike = Union[Fraction, int]
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")  # the groups are p and q of p/q
+HALF = Fraction(1, 2)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -57,6 +58,13 @@ def powers(x, top: int) -> list:
     return out
 
 
+def trim(values: list) -> list:
+    """Drop the trailing zeros of ``values`` in place; ``values`` is returned."""
+    while values and not values[-1]:
+        values.pop()
+    return values
+
+
 def taylor_shift(h: list[int], p: int) -> list[int]:
     """Rewrite the integer coefficients of h(Z), lowest degree first, as those of h(Z + p).
 
@@ -70,13 +78,12 @@ def taylor_shift(h: list[int], p: int) -> list[int]:
 
 
 def rational_sqrt(value: RatLike) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    value = Fraction(value)
+    """Exact square root of a nonnegative int or Fraction, or None if irrational."""
     if value < 0:
         return None
-    num_root = isqrt(value.numerator)
-    den_root = isqrt(value.denominator)
-    if num_root * num_root == value.numerator and den_root * den_root == value.denominator:
+    num, den = value.numerator, value.denominator
+    num_root, den_root = isqrt(num), isqrt(den)
+    if num_root * num_root == num and den_root * den_root == den:
         return Fraction(num_root, den_root)
     return None
 
@@ -99,9 +106,7 @@ class Poly:
         # Built from a list, the tuple is taken from the free list of its own
         # size; one built from a generator is not, so freed coefficient tuples
         # would pile up in those free lists until a full garbage collection.
-        nums = list(nums)
-        while nums and not nums[-1]:
-            nums.pop()
+        nums = trim(list(nums))
         if not den:
             raise ZeroDivisionError("polynomial denominator is zero")
         common = gcd(den, *nums)  # a TypeError for anything but integers

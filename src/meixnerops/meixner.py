@@ -40,7 +40,7 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .exact import X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
+from .exact import HALF, X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
 from .operators import PolyOp, VerifyReport, linear_combination, sequence_report
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
@@ -169,7 +169,7 @@ def _closed_parts(p: MeixnerParams, op: str) -> tuple[int, Poly, Poly, Poly]:
     a0 = (Poly.of(p.alpha0), p.alpha * xm, -p.alpha * lin)
     if op == "a0":
         return (0, *a0)
-    aminus = tuple(a - Fraction(1, 2) * b for a, b in zip(u, a0))
+    aminus = tuple(a - HALF * b for a, b in zip(u, a0))
     if op == "a-":
         return (-1, *aminus)
     return 1, X - aminus[0] - a0[0], -aminus[1] - a0[1], -aminus[2] - a0[2]
@@ -235,30 +235,26 @@ class TranslationExpr:
         """Coefficients of X^0, X^1, ... on T_{sign*delta}, or on I for sign 0."""
         if sign == 0:
             return tuple(Quadratic(c) for c in self.ident.coeffs)
-        rational = Fraction(1, 2) * self.even
+        rational = HALF * self.even
         root = Fraction(sign, 2) / self.delta_squared * self.odd
         coeffs = [
             Quadratic(rational.coeff(i), root.coeff(i), self.delta_squared)
-            for i in range(max(len(rational.coeffs), len(root.coeffs)))
+            for i in range(max(len(rational.nums), len(root.nums)))
         ]
         while coeffs and coeffs[-1] == Quadratic(0):
             coeffs.pop()
         return tuple(coeffs)
 
-    def _shown(self) -> list[tuple[int, tuple[Quadratic, ...]]]:
-        """(sign, coefficients) of each term shown: T_delta, T_-delta, then I (sign 0).
+    @property
+    def terms(self) -> tuple[tuple[tuple[Quadratic, ...], Quadratic], ...]:
+        """(coefficients, shift) of each term shown: T_delta, T_-delta, then I (shift 0).
 
         ``coefficients`` runs once per sign; a term whose coefficients all
         vanish is not shown.
         """
-        pairs = ((sign, self.coefficients(sign)) for sign in (1, -1, 0))
-        return [(sign, coeffs) for sign, coeffs in pairs if coeffs]
-
-    @property
-    def terms(self) -> tuple[tuple[tuple[Quadratic, ...], Quadratic], ...]:
-        """(coefficients, shift) for each term shown, in ``_shown`` order."""
         step = Quadratic.sqrt(self.delta_squared)
-        return tuple((coeffs, sign * step) for sign, coeffs in self._shown())
+        pairs = ((self.coefficients(sign), sign * step) for sign in (1, -1, 0))
+        return tuple((coeffs, shift) for coeffs, shift in pairs if coeffs)
 
     def to_json_dict(self) -> list[dict]:
         return [
@@ -267,14 +263,13 @@ class TranslationExpr:
         ]
 
     def __str__(self) -> str:
-        step = Quadratic.sqrt(self.delta_squared)
         parts = []
-        for sign, coeffs in self._shown():
+        for coeffs, shift in self.terms:
             coeff = str(Poly.of(*(c.a for c in coeffs)))
             root = Poly.of(*(c.b for c in coeffs))
             if not root.is_zero:
                 coeff += f" + sqrt({format_rat(self.delta_squared)})*({root})"
-            where = f"T[{sign * step}]" if sign else "I"
+            where = "I" if shift == Quadratic(0) else f"T[{shift}]"
             parts.append(f"({coeff}) {where}")
         return " + ".join(parts) if parts else "0"
 
@@ -287,9 +282,8 @@ def translation_exprs(p: MeixnerParams) -> dict[str, TranslationExpr]:
     lin = Poly.of(p.tau, p.alpha)
     even_am = Poly.of((p.alpha0 * p.delta + p.alpha * p.tau) / (2 * p.delta), 2 * p.beta / p.delta)
     inv = 1 / p.delta
-    half = Fraction(1, 2)
     return {
-        "U": TranslationExpr(p.delta, -half * xm, half * lin, Poly.of(0, half)),
+        "U": TranslationExpr(p.delta, -HALF * xm, HALF * lin, Poly.of(0, HALF)),
         "N": TranslationExpr(p.delta, -inv * lin, xm, inv * lin),
         "a-": TranslationExpr(p.delta, even_am, Poly.of(p.t), -even_am),
         # a0 = alpha N + alpha0 I

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .exact import ONE, X, ZERO, Poly, RatLike, taylor_shift
+from .exact import HALF, ONE, X, Poly, RatLike, taylor_shift, trim
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
 from .pmd import MonomialMatrix, PMDecomp
 
@@ -52,7 +52,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Diagonal = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 def _diag_len(trunc: int, k: int) -> int:
@@ -209,7 +208,7 @@ def quantum_ops(sj: SzegoJacobi, trunc: int) -> tuple[GradedOp, GradedOp, Graded
 
 def semi_ops(aplus: GradedOp, azero: GradedOp, aminus: GradedOp) -> tuple[GradedOp, GradedOp]:
     """The halves U = a- + a0/2 and V = a+ + a0/2 of multiplication by X."""
-    half = azero.scale(_HALF)
+    half = azero.scale(HALF)
     return aminus + half, aplus + half
 
 
@@ -321,9 +320,7 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
             if c:
                 for i, g in enumerate(coeffs[r]):
                     col[i] += c * g
-        while col and not col[-1]:
-            col.pop()
-        cols.append(tuple(col))
+        cols.append(tuple(trim(col)))
     return MonomialMatrix(tuple(cols), common * scale**h, scale, size)
 
 
@@ -347,9 +344,7 @@ def _canonical(den: int, rows: dict[int, list[int]]) -> PolyOp:
     """``(den, rows)`` in canonical form; the rows are trimmed in place."""
     out = {}
     for k, row in rows.items():
-        while row and not row[-1]:
-            row.pop()
-        if row:
+        if trim(row):
             out[k] = row
     common = gcd(den, *(v for row in out.values() for v in row))
     if common > 1:
@@ -360,7 +355,7 @@ def _canonical(den: int, rows: dict[int, list[int]]) -> PolyOp:
 
 def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyOp:
     """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n."""
-    half = alpha * _HALF if name in ("U", "V") else None
+    half = alpha * HALF if name in ("U", "V") else None
     diags = {
         "U": {-1: omega, 0: half},
         "V": {0: half, 1: ONE},
@@ -416,6 +411,24 @@ def _at(row: list[int], n: int) -> int:
     return acc
 
 
+def _column(op: PolyOp, n: int, basis: list[Poly]) -> tuple[list[int], int]:
+    """Column n of ``op`` expanded in X, as integer coefficients over one denominator.
+
+    The column is sum_k d_k(n) f_(n+k) with the f_i of ``basis``; rows past
+    the end of ``basis`` are left out.
+    """
+    den, rows = op
+    common = lcm(*(f.den for f in basis))
+    nums = [0] * len(basis)
+    for k, row in rows.items():
+        if 0 <= n + k < len(basis) and (v := _at(row, n)):
+            f = basis[n + k]
+            v *= common // f.den
+            for e, w in enumerate(f.nums):
+                nums[e] += v * w
+    return nums, den * common
+
+
 def diagonal_report(
     name: str, lhs: PolyOp, rhs: PolyOp, sj: SzegoJacobi, trunc: int, top: int
 ) -> VerifyReport:
@@ -429,21 +442,17 @@ def diagonal_report(
     at the first failing n, inside rows 0 .. ``trunc``, is expanded in X
     through the f-basis of ``sj``, which is built only then.
     """
-    den, residuals = linear_combination((1, lhs), (-1, rhs))
+    residual = linear_combination((1, lhs), (-1, rhs))
     found = top + 1
-    for k, r in residuals.items():
+    for k, r in residual[1].items():
         for n in range(max(0, -k), min(found, trunc + 1 - k)):
             if _at(r, n):
                 found = n
                 break
     if found > top:
         return VerifyReport(name, True, top)
-    basis = monic_polys(sj, trunc)
-    poly = ZERO
-    for k, r in residuals.items():
-        if 0 <= found + k <= trunc:
-            poly = poly + Fraction(_at(r, found), den) * basis[found + k]
-    return VerifyReport(name, False, top, found, poly)
+    column = _column(residual, found, monic_polys(sj, trunc))
+    return VerifyReport(name, False, top, found, Poly(*column))
 
 
 def verify_universal(sj: SzegoJacobi, trunc: int, alpha: Poly, omega: Poly) -> list[VerifyReport]:
@@ -518,20 +527,11 @@ def series_by_commutators(
             cycle = found
             break
     last = len(iterates) - 1
-    # T_r 1 = sum_(i >= 0) d_i(0) f_i, as integers over den_r * common.
+    # T_r 1 is column 0 of T_r, which reads f_0 .. f_top.
     top = max((i for _, rows in iterates for i, row in rows.items() if i >= 0 and row[0]),
               default=0)
     basis = monic_polys(sj, top)
-    common = lcm(*(f.den for f in basis))
-    images = []
-    for den, rows in iterates:
-        nums = [0] * (top + 1)
-        for i, row in rows.items():
-            if i >= 0 and row[0]:
-                v = row[0] * (common // basis[i].den)
-                for e, w in enumerate(basis[i].nums):
-                    nums[e] += v * w
-        images.append((nums, den * common))
+    images = [_column(op, 0, basis) for op in iterates]
     coeffs = []
     fact = 1
     for m in range(order + 1):

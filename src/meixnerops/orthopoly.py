@@ -69,16 +69,6 @@ def _over_lcm(
     return SzegoJacobi(shifts.__getitem__, links.__getitem__, scale, support_bound)
 
 
-def _check_degree(sj: SzegoJacobi, n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    bound = sj.support_bound
-    if bound is not None and n_max >= bound:
-        raise TruncationBeyondSupport(
-            f"requested degree {n_max} but the system is {bound}-dimensional"
-        )
-
-
 def monic_polys(sj: SzegoJacobi, n_max: int) -> list[Poly]:
     """The monic polynomials f_0 .. f_{n_max}, read off ``rescaled_basis``.
 
@@ -103,7 +93,13 @@ def rescaled_basis(sj: SzegoJacobi, n_max: int) -> tuple[list[list[int]], list[l
     ``coords`` follows Y g_n = g_{n+1} + D alpha_n g_n + D^2 omega_n g_{n-1}.
     Each costs O(n_max^2) integer operations.
     """
-    _check_degree(sj, n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    bound = sj.support_bound
+    if bound is not None and n_max >= bound:
+        raise TruncationBeyondSupport(
+            f"requested degree {n_max} but the system is {bound}-dimensional"
+        )
     shift = [sj.shift(n) for n in range(n_max)]
     link = [sj.link(n) for n in range(n_max)]
     coeffs = [[1]]
@@ -166,8 +162,6 @@ class MomentSeq:
             return NotImplemented
         if len(self.nums) != len(other.nums):
             return False
-        if self.scale == other.scale:
-            return self.nums == other.nums
         return all(u == v for _, u, v in self.cross(other))
 
     def __hash__(self) -> int:

@@ -18,26 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
-from .exact import ONE, X, ZERO, Poly, powers
+from .exact import ONE, X, ZERO, Poly, powers, trim
 
 
 class NotFaithful(ValueError):
     """Matrix raises degree beyond the declared bound; no expansion exists."""
-
-
-def _trim_ints(values: list[int]) -> list[int]:
-    while values and not values[-1]:
-        values.pop()
-    return values
-
-
-def _trim(coeffs: Iterable[Poly]) -> tuple[Poly, ...]:
-    out = list(coeffs)
-    while out and out[-1].is_zero:
-        out.pop()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -48,7 +34,10 @@ class PMDecomp:
     coeffs: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        coeffs = list(self.coeffs)
+        while coeffs and coeffs[-1].is_zero:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         for n, a in enumerate(self.coeffs):
             if not a.is_zero and a.degree > n + self.k:
                 raise ValueError(
@@ -128,7 +117,7 @@ def extract_pmd(matrix: MonomialMatrix, k: int, order: int) -> PMDecomp:
             c = comb(m, n)
             for i, v in enumerate(prev, m - n):
                 b[i] -= c * v
-        b = _trim_ints(b)
+        b = trim(b)
         if b and len(b) - 1 > m + k:
             raise NotFaithful(f"coefficient A_{m} has degree {len(b) - 1} > {m + k}")
         peeled.append(b)

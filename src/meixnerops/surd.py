@@ -38,27 +38,26 @@ class Quadratic:
     num: int
     root: int
     den: int
-    s: Fraction
+    s: RatLike
 
     def __init__(self, a: RatLike, b: RatLike = 0, s: RatLike = 0) -> None:
-        """The number a + b*sqrt(s)."""
-        a, b, s = Fraction(a), Fraction(b), Fraction(s)
+        """The number a + b*sqrt(s), from int or Fraction parts."""
         if s < 0:
             raise ValueError("radicand must be nonnegative")
         square = rational_sqrt(s) if b else None
         if square is not None:
-            a, b = a + b * square, Fraction(0)
+            a, b = a + b * square, 0
         root_den = b.denominator * s.denominator  # b*sqrt(s) = b.numerator*sqrt(R) / root_den
         den = lcm(a.denominator, root_den)
         num, root = a.numerator * (den // a.denominator), b.numerator * (den // root_den)
         self._set(num, root, den, s)
 
-    def _set(self, num: int, root: int, den: int, s: Fraction) -> None:
+    def _set(self, num: int, root: int, den: int, s: RatLike) -> None:
         common = gcd(num, root, den)
         object.__setattr__(self, "num", num // common)
         object.__setattr__(self, "root", root // common)
         object.__setattr__(self, "den", den // common)
-        object.__setattr__(self, "s", s if root else Fraction(0))
+        object.__setattr__(self, "s", s if root else 0)
 
     def _new(self, num: int, root: int, den: int) -> "Quadratic":
         """A result in this number's extension, whose radicand is already normalized."""

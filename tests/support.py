@@ -29,11 +29,11 @@ import re
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from meixnerops.exact import ONE, ZERO, X, Poly, format_ratio, powers, taylor_shift
+from meixnerops.exact import ONE, ZERO, X, Poly, format_ratio, powers, taylor_shift, trim
 from meixnerops.meixner import InvalidParams
 from meixnerops.operators import GradedOp, VerifyReport, first_mismatch
 from meixnerops.orthopoly import MomentSeq, _over_lcm, monic_polys
-from meixnerops.pmd import MonomialMatrix, _trim_ints
+from meixnerops.pmd import MonomialMatrix
 
 
 def _pairs(values):
@@ -180,7 +180,7 @@ def matrix_from_rows(rows):
     """The ``MonomialMatrix`` whose X^i coefficient of the image of X^m is ``rows[i][m]``."""
     den = lcm(*(v.denominator for row in rows for v in row))
     cols = tuple(
-        tuple(_trim_ints([row[m].numerator * (den // row[m].denominator) for row in rows]))
+        tuple(trim([row[m].numerator * (den // row[m].denominator) for row in rows]))
         for m in range(len(rows[0]) if rows else 0)
     )
     return MonomialMatrix(cols, den, 1, len(rows))

@@ -2,6 +2,8 @@ import contextlib
 import importlib
 import io
 import json
+import runpy
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -430,6 +432,35 @@ def test_all_suites_pass_briefly(capsys, suite):
         capsys, "verify", "--suite", suite, "--degree", "5", "--trials", "2", "--seed", "1"
     )
     assert code == 0
+
+
+LIMIT_ARGV = ("verify", "--suite=limit", "--degree=8", "--trials=2", "--seed=4", "--json")
+
+
+@pytest.mark.parametrize(
+    "argv,fail,expected",
+    [
+        (LIMIT_ARGV, False, 0),
+        (("verify", "--suite=limit", "--degree=3", "--json"), False, 2),
+        (LIMIT_ARGV, True, 1),
+    ],
+)
+def test_python_m_meixnerops_prints_what_main_prints(capsys, monkeypatch, argv, fail, expected):
+    # ``python -m meixnerops`` runs ``cli.run``, which exits with the code of ``main``.
+    if fail:
+        original = suites.one_meixner_limit_check
+        monkeypatch.setattr(
+            suites, "one_meixner_limit_check",
+            lambda p, order: replace(original(p, order=order), passed=False, fail_index=0),
+        )
+    code, out, err = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["meixnerops", *argv])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("meixnerops", run_name="__main__")
+    captured = capsys.readouterr()
+    assert exited.value.code == code == expected
+    assert (captured.out, captured.err) == (out, err)
+    assert (out != "") == (expected != 2) and (err != "") == (expected == 2)
 
 
 def test_characterize_step_combo(capsys):

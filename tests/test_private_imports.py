@@ -35,7 +35,6 @@ PACKAGE = ROOT / "src" / "meixnerops"
 KEPT = {"beta0_combo", "class_predicates", "normal_order", "sample_combo"}
 SHARED = {
     "GradedOp.scale": "a perfbench tracer target; the finite reference engine",
-    "TranslationExpr.terms": "read by beta0_combo and by TranslationExpr.to_json_dict",
     "TranslationExpr.to_json_dict": "read by TranslationFormReport.to_json_dict",
     "TranslationFormReport.to_json_dict": "the JSON of translation_form, pinned by test_golden",
     "XDWord.parse": "part of normal_order: the word it orders, written as text",
