@@ -56,8 +56,8 @@ pinned while the operators on polynomial diagonals were still held as
 every use; ``characterize`` once its last break reached ``ZeroCoefficient``
 on every draw; ``refusals`` once ``decompose`` refused a
 malformed or inadmissible quadruple as ``invalid parameters``, as
-``classify`` does; ``ladder`` before one integer helper expanded every column
-of a commutator series.
+``classify`` does; ``ladder`` before one integer helper took over the column
+expansions of ``series_by_commutators`` and ``diagonal_report``.
 
 ``tests/test_corpus.py`` checks every digest under pytest.  This module
 needs only the package, so it also runs as a script on an interpreter

@@ -444,6 +444,7 @@ LIMIT_ARGV = ("verify", "--suite=limit", "--degree=8", "--trials=2", "--seed=4",
         (("verify", "--suite=limit", "--degree=3", "--json"), False, 2),
         (LIMIT_ARGV, True, 1),
     ],
+    ids=["passes", "refused", "fails"],
 )
 def test_python_m_meixnerops_prints_what_main_prints(capsys, monkeypatch, argv, fail, expected):
     # ``python -m meixnerops`` runs ``cli.run``, which exits with the code of ``main``.
