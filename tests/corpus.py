@@ -48,6 +48,29 @@ stdout and exit code alone, are unchanged by it.
   ``--trials=2`` and s in 0 .. 4, then ``gramschmidt`` at 200 with
   ``--trials=1`` and s = 0.  It reaches the column expansions of the
   commutator series at orders no other sweep does.
+- ``golden``: the 65 argv that ``tests/test_golden.py`` pinned one digest
+  each and no other sweep runs, in its order: ``decompose --order=24
+  --json`` for every operator on the six ``REPRESENTATIVES`` of
+  ``scripts/show_class_decompositions.py``; ``classify --json`` on the
+  laws of ``GOLDEN_LAWS`` and ``characterize --json`` on the combinations
+  of ``GOLDEN_COMBOS``, at the ``--max-moment`` they are keyed by;
+  ``verify --json`` for ``gramschmidt`` at degree 16 (seeds 1 and 2) and 64
+  (seed 1), and ``pmd`` at 48 (seed 1, ``--trials=2``).  Each stdout is the
+  bytes that file pinned before the moment kernels, the basis change and the
+  extraction moved to integers.
+- ``text``: ``verify`` without ``--json`` for every suite at degree 6 and s
+  in 0 .. 2, and ``characterize`` without ``--json`` on
+  ``sample_combo(Random(s))``, s in 0 .. 9, at ``--max-moment=12``.
+- ``failing``: failing reports, which no Meixner input reaches.  Each
+  perturbation of ``tests/test_cli.py`` is live, through ``perturbing``,
+  only while its own argv run, and the sweep runs last: ``[U,X]``'s closed
+  form off by (1/7) n(n-1)...(n-D+1) on diagonals 0 and +1 for
+  ``doublecomm`` at D of 4 and 6 and s of 84 and 158, which draw Binomial
+  laws on D + 1 points, so the residual column at ``fail_index`` D reads
+  the whole basis; a bumped closed-form coefficient for ``verify
+  --suite=pmd`` and for ``decompose`` in JSON and text; a bumped recovered
+  recurrence for ``gramschmidt``; bumped moments for the ``classify``
+  crosscheck and for ``characterize``'s Laplace route, in JSON and text.
 
 The ``pmd``, ``limit``, ``gramschmidt`` and ``decompose`` sweeps were
 pinned while the operators on polynomial diagonals were still held as
@@ -57,7 +80,9 @@ every use; ``characterize`` once its last break reached ``ZeroCoefficient``
 on every draw; ``refusals`` once ``decompose`` refused a
 malformed or inadmissible quadruple as ``invalid parameters``, as
 ``classify`` does; ``ladder`` before one integer helper took over the column
-expansions of ``series_by_commutators`` and ``diagonal_report``.
+expansions of ``series_by_commutators`` and ``diagonal_report``;
+``golden``, ``text`` and ``failing`` while ``PMDecomp`` and
+``TranslationExpr`` still trimmed their zeros by loops of their own.
 
 ``tests/test_corpus.py`` checks every digest under pytest.  This module
 needs only the package, so it also runs as a script on an interpreter
@@ -69,11 +94,18 @@ re-pins only the sweeps it names.
 
 import contextlib
 import hashlib
+import importlib
 import io
+import runpy
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 from random import Random
 
+import meixnerops.cli as cli
+import meixnerops.suites as suites
 from meixnerops.characterize import (
     DuplicateShift,
     NegativeMean,
@@ -81,19 +113,27 @@ from meixnerops.characterize import (
     ZeroCoefficient,
 )
 from meixnerops.cli import main
-from meixnerops.exact import format_rat
+from meixnerops.exact import ONE, Poly, format_rat
 from meixnerops.meixner import OPS, MeixnerParams, TranslationCombo
+from meixnerops.operators import linear_combination
+from meixnerops.orthopoly import MomentSeq
+from meixnerops.pmd import PMDecomp
 from meixnerops.sampling import KINDS, sample_combo, sample_params
+from meixnerops.suites import SUITE_RUNNERS
+
+# The package exports the function ``classify``, which hides the module.
+classify_module = importlib.import_module("meixnerops.classify")
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "show_class_decompositions.py"
 
 DEGREES = (4, 5, 6, 8, 12, 24, 48, 96, 200)
 SHORT_DEGREES = (4, 5, 6, 8, 12, 24, 48)
 
 
-def verify_argv(suite, degrees, seeds, trials=3):
+def verify_argv(suite, degrees, seeds, trials=3, flags=("--json",)):
     for degree in degrees:
         for seed in seeds:
             yield ["verify", f"--suite={suite}", f"--degree={degree}", f"--trials={trials}",
-                   f"--seed={seed}", "--json"]
+                   f"--seed={seed}", *flags]
 
 
 def ladder_argv():
@@ -209,6 +249,111 @@ def refusals_argv():
            "--json"]
 
 
+# (alpha, alpha0, beta, t) of the golden classify laws, by --max-moment.
+GOLDEN_LAWS = {
+    24: ("0 1/2 0 3/2", "1 1 0 1", "3 0 2 2", "2 1/3 1/2 5/4", "2 1 1 1", "0 0 1 1",
+         "0 0 -1 2", "1 -1/2 -1/3 2"),
+    60: ("1 1/3 -1/200 1", "1 1/3 -1 1", "2/3 1/5 0 3/7", "1 -1/2 1/4 3/2", "5/2 1/7 1 2/3",
+         "0 -2/3 0 5/3"),
+    200: ("1 -1/2 -1/3 2", "5/2 1/7 1 2/3", "1 -1/2 1/4 3/2"),
+}
+# The golden characterize combinations, by --max-moment.
+GOLDEN_COMBOS = {
+    40: ("1:1,-1:0", "1:1,-1:-1", "3/2:1/2,-1/3:-2/3,-7/6:0", "5/4:5/2,-3/4:-3/4,-1/2:0",
+         "2:3/2,-2:-5/3"),
+    200: ("1:1,-1:0", "3/2:1/2,-1/3:-2/3,-7/6:0", "2:3/2,-2:-5/3"),
+}
+
+
+def golden_classify(max_moment):
+    for law in GOLDEN_LAWS[max_moment]:
+        fields = dict(zip(("alpha", "alpha0", "beta", "t"), law.split()))
+        yield ["classify", *param_flags(fields), f"--max-moment={max_moment}", "--json"]
+
+
+def golden_characterize(max_moment):
+    for combo in GOLDEN_COMBOS[max_moment]:
+        yield ["characterize", f"--combo={combo}", f"--max-moment={max_moment}", "--json"]
+
+
+def golden_argv():
+    for _, p in runpy.run_path(str(SCRIPT))["REPRESENTATIVES"]:
+        for op in OPS:
+            yield ["decompose", *param_flags(p.to_json_dict()), f"--op={op}", "--order=24",
+                   "--json"]
+    yield from golden_classify(24)
+    yield from golden_classify(60)
+    yield from golden_characterize(40)
+    yield from verify_argv("gramschmidt", (16,), (1, 2))
+    yield from verify_argv("pmd", (48,), (1,), trials=2)
+    yield from golden_characterize(200)
+    yield from golden_classify(200)
+    yield from verify_argv("gramschmidt", (64,), (1,))
+
+
+def text_argv():
+    for suite in SUITE_RUNNERS:
+        yield from verify_argv(suite, (6,), range(3), flags=())
+    for seed in range(10):
+        yield ["characterize", f"--combo={sample_combo(Random(seed)).format()}", "--max-moment=12"]
+
+
+def perturbed(decomp, index, delta):
+    """``decomp`` with ``delta`` added to its coefficient A_index."""
+    coeffs = [decomp.coeff(n) for n in range(max(len(decomp.coeffs), index + 1))]
+    coeffs[index] = coeffs[index] + delta
+    return PMDecomp(decomp.k, tuple(coeffs))
+
+
+def bumped(fn, *indices):
+    """``fn`` with 1 added at each of ``indices``."""
+    return lambda n: fn(n) + (n in indices)
+
+
+def bumped_moments(mu, *indices):
+    """``mu`` with E[X^m] moved by 1/scale^m at each m of ``indices``."""
+    return MomentSeq(tuple(a + (m in indices) for m, a in enumerate(mu.nums)), mu.scale)
+
+
+@contextlib.contextmanager
+def perturbing(owner, name, change):
+    """Make ``owner.name`` return ``change(result, *args)`` of its own result, until exit."""
+    original = getattr(owner, name)
+    setattr(owner, name, lambda *args: change(original(*args), *args))
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def failing_argv():
+    """Each perturbation is live only while its own argv run, inside ``sweep_digest``."""
+    # On Binomial laws on exactly degree + 1 points, [U,X] first fails at n = degree.
+    for degree in (4, 6):
+        falling = prod((Poly.of(-i, 1) for i in range(degree)), start=ONE).nums
+        bump = (7, {0: falling, 1: falling})
+        with perturbing(suites, "comm_ux_closed_form",
+                        lambda closed, *_: linear_combination((1, closed), (1, bump))):
+            yield from verify_argv("doublecomm", (degree,), (84, 158), trials=1)
+    with perturbing(suites, "series_decomposition", lambda closed, p, op, order: (
+            perturbed(closed, 2, Poly.of(0, Fraction(-5, 3))) if op == "a-" else closed)):
+        yield from verify_argv("pmd", (8,), (3,), trials=1)
+    with perturbing(cli, "series_decomposition",
+                    lambda closed, *_: perturbed(closed, 3, Poly.of(Fraction(1, 7), 0, 2))):
+        for flags in (["--json"], []):
+            yield ["decompose", "--alpha=3/2", "--alpha0=1/3", "--beta=1/2", "--t=5/4", "--op=U",
+                   "--order=6", *flags]
+    with perturbing(suites, "gram_schmidt_from_moments", lambda rec, *_: replace(
+            rec, shift=bumped(rec.shift, 7), link=bumped(rec.link, 2))):
+        yield from verify_argv("gramschmidt", (8,), (1,), trials=1)
+    with perturbing(classify_module, "moments_from_sj", lambda mu, *_: bumped_moments(mu, 5, 7)):
+        yield ["classify", "--alpha=1", "--alpha0=1", "--beta=0", "--t=1", "--max-moment=8",
+               "--json"]
+    with perturbing(cli, "laplace_series", lambda mu, *_: bumped_moments(mu, 3)):
+        for flags in (["--json"], []):
+            yield ["characterize", "--combo=1/2:1/3,-1/2:0", "--max-moment=6", *flags]
+
+
 SWEEPS = {
     "universal": lambda: verify_argv("universal", DEGREES, range(60)),
     "doublecomm": lambda: verify_argv("doublecomm", DEGREES, range(60)),
@@ -221,6 +366,10 @@ SWEEPS = {
     "characterize": characterize_argv,
     "refusals": refusals_argv,
     "ladder": ladder_argv,
+    "golden": golden_argv,
+    "text": text_argv,
+    # Last: its perturbations are live only while its own argv run.
+    "failing": failing_argv,
 }
 DIGESTS = {
     "universal": "33876f5011894eb60a63d7c8ab0dd108bc18be18811b30009c58399689826c1b",
@@ -234,6 +383,9 @@ DIGESTS = {
     "characterize": "11b61fc55637368c15b3bac673751d1ff3d4576704e7ce28203d4159fa22fff2",
     "refusals": "40a5e958e078c929dbdfc6d05f1275d8d742a16b219710f3af28fb0b00665306",
     "ladder": "fcd8e967bf94ec50aa1d3e1a5c7eb6bc9e0f8faa164c1ceb65bffcabbd06239c",
+    "golden": "62197d3c1351445ab8219b86803c14ecfcbe3bdee4a92b103a883972dbb03ff9",
+    "text": "f59d13309a7cfe2c7d72dd67607f5dcccf58ea373ec4168f60395c62b324bba2",
+    "failing": "f37efa81a90b4dae549b8188a31a43086119cf49fee23f3ca4d356625d3e46bf",
 }
 
 

@@ -14,7 +14,7 @@ from meixnerops.sampling import sample_combo
 
 from corpus import DIGESTS, RULE_BREAK_ERRORS, rule_breaks, sweep_digest
 
-COMMAND_SWEEPS = ("decompose_text", "classify", "characterize", "refusals")
+COMMAND_SWEEPS = ("decompose_text", "classify", "characterize", "refusals", "text", "failing")
 
 
 def test_each_rule_break_raises_its_own_error_on_every_draw():
@@ -28,7 +28,7 @@ def test_each_rule_break_raises_its_own_error_on_every_draw():
             assert type(caught.value) is error, (seed, combo.format())
 
 
-@pytest.mark.parametrize("suite", sorted(set(DIGESTS) - {"decompose", *COMMAND_SWEEPS}))
+@pytest.mark.parametrize("suite", sorted(set(DIGESTS) - {"decompose", "golden", *COMMAND_SWEEPS}))
 def test_verify_corpus_is_byte_identical(suite):
     assert sweep_digest(suite) == DIGESTS[suite]
 
@@ -40,3 +40,8 @@ def test_decompose_corpus_is_byte_identical():
 @pytest.mark.parametrize("sweep", COMMAND_SWEEPS)
 def test_command_corpus_is_byte_identical(sweep):
     assert sweep_digest(sweep) == DIGESTS[sweep]
+
+
+def test_golden_corpus_is_byte_identical_on_a_rerun():
+    assert sweep_digest("golden") == DIGESTS["golden"]
+    assert sweep_digest("golden") == DIGESTS["golden"]
