@@ -62,8 +62,9 @@ stdout and exit code alone, are unchanged by it.
   in 0 .. 2, and ``characterize`` without ``--json`` on
   ``sample_combo(Random(s))``, s in 0 .. 9, at ``--max-moment=12``.
 - ``failing``: failing reports, which no Meixner input reaches.  Each
-  perturbation of ``tests/test_cli.py`` is live, through ``perturbing``,
-  only while its own argv run, and the sweep runs last: ``[U,X]``'s closed
+  perturbation (built by ``perturbed``, ``bumped`` and ``bumped_moments``,
+  which ``tests/test_cli.py`` shares) is live, through ``perturbing``, only
+  while its own argv run, and the sweep runs last: ``[U,X]``'s closed
   form off by (1/7) n(n-1)...(n-D+1) on diagonals 0 and +1 for
   ``doublecomm`` at D of 4 and 6 and s of 84 and 158, which draw Binomial
   laws on D + 1 points, so the residual column at ``fail_index`` D reads

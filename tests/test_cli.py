@@ -19,7 +19,8 @@ from meixnerops.exact import Poly
 from meixnerops.meixner import MeixnerParams, series_decomposition
 from meixnerops.operators import VerifyReport
 from meixnerops.orthopoly import MomentSeq
-from meixnerops.pmd import PMDecomp
+
+from corpus import bumped, bumped_moments, perturbed
 
 
 def run_cli(capsys, *argv):
@@ -227,16 +228,9 @@ def test_decompose_derives_the_parameter_constants_once(capsys, monkeypatch):
             assert sorted(calls) == ["params", "szego_jacobi"], (params, op)
 
 
-def _perturbed(decomp, index, delta):
-    """``decomp`` with ``delta`` added to its coefficient A_index."""
-    coeffs = [decomp.coeff(n) for n in range(max(len(decomp.coeffs), index + 1))]
-    coeffs[index] = coeffs[index] + delta
-    return PMDecomp(decomp.k, tuple(coeffs))
-
-
 def test_failing_extraction_agreement_carries_the_residual(capsys, monkeypatch):
     p = MeixnerParams(Fraction(3, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 4))
-    closed = _perturbed(series_decomposition(p, "U", 6), 3, Poly.of(Fraction(1, 7), 0, 2))
+    closed = perturbed(series_decomposition(p, "U", 6), 3, Poly.of(Fraction(1, 7), 0, 2))
     assert suites.extraction_agreement(p, "U", 6, closed) == VerifyReport(
         "extraction matches closed form for U", False, 6, 3, Poly.of(Fraction(-1, 7), 0, -2)
     )
@@ -258,15 +252,15 @@ def test_failing_extraction_agreement_carries_the_residual(capsys, monkeypatch):
 def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
     original = suites.series_decomposition
 
-    def perturbed(p, op, order):
+    def bumped_series(p, op, order):
         closed = original(p, op, order)
-        return _perturbed(closed, 2, Poly.of(0, Fraction(-5, 3))) if op == "a-" else closed
+        return perturbed(closed, 2, Poly.of(0, Fraction(-5, 3))) if op == "a-" else closed
 
     argv = ("verify", "--suite=pmd", "--degree=8", "--trials=1", "--seed=3", "--json")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     passing = json.loads(out)["trials_detail"][0]["checks"]
-    monkeypatch.setattr(suites, "series_decomposition", perturbed)
+    monkeypatch.setattr(suites, "series_decomposition", bumped_series)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     checks = json.loads(out)["trials_detail"][0]["checks"]
@@ -287,20 +281,16 @@ def _gramschmidt_suite(capsys, monkeypatch, perturb):
     return code, json.loads(out)["trials_detail"][0]["checks"]
 
 
-def _bumped(fn, *indices):
-    return lambda n: fn(n) + (n in indices)
-
-
 @pytest.mark.parametrize(
     "perturb,fail_index",
     [
         # A support mismatch is reported first, at index -1.
-        (lambda rec: replace(rec, support_bound=3, shift=_bumped(rec.shift, 0)), -1),
+        (lambda rec: replace(rec, support_bound=3, shift=bumped(rec.shift, 0)), -1),
         # Then the first alpha_n, n < 8, before any omega_n.
-        (lambda rec: replace(rec, shift=_bumped(rec.shift, 7), link=_bumped(rec.link, 2)), 7),
+        (lambda rec: replace(rec, shift=bumped(rec.shift, 7), link=bumped(rec.link, 2)), 7),
         # Then the first omega_n, 1 <= n <= 8.
-        (lambda rec: replace(rec, link=_bumped(rec.link, 8, 5)), 5),
-        (lambda rec: replace(rec, shift=_bumped(rec.shift, 8), link=_bumped(rec.link, 8)), 8),
+        (lambda rec: replace(rec, link=bumped(rec.link, 8, 5)), 5),
+        (lambda rec: replace(rec, shift=bumped(rec.shift, 8), link=bumped(rec.link, 8)), 8),
     ],
 )
 def test_failing_gramschmidt_check_reports_its_first_index(capsys, monkeypatch, perturb, fail_index):
@@ -319,7 +309,7 @@ def test_gramschmidt_check_reads_alpha_below_the_degree_only(capsys, monkeypatch
     # alpha_8 and omega_0 lie outside the recovered recurrence of degree 8.
     code, checks = _gramschmidt_suite(
         capsys, monkeypatch,
-        lambda rec: replace(rec, shift=_bumped(rec.shift, 8), link=_bumped(rec.link, 0)),
+        lambda rec: replace(rec, shift=bumped(rec.shift, 8), link=bumped(rec.link, 0)),
     )
     assert code == 0 and checks[0]["fail_index"] is None
 
@@ -480,12 +470,12 @@ def test_characterize_renders_disagreeing_routes_separately(capsys, monkeypatch)
     # E[X^3] of the Laplace route, over the scale 6, moves by 1/6^3.
     original = cli.laplace_series
 
-    def perturbed(combo, m_max):
+    def bumped_laplace(combo, m_max):
         mu = original(combo, m_max)
         assert mu.scale == 6
-        return MomentSeq(tuple(a + (m == 3) for m, a in enumerate(mu.nums)), mu.scale)
+        return bumped_moments(mu, 3)
 
-    monkeypatch.setattr(cli, "laplace_series", perturbed)
+    monkeypatch.setattr(cli, "laplace_series", bumped_laplace)
     argv = ("characterize", "--combo=1/2:1/3,-1/2:0", "--max-moment=6")
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 1
