@@ -94,7 +94,8 @@ class Poly:
 
     The integers ``nums`` share one positive denominator ``den`` and are kept
     canonical, with trailing zeros trimmed and gcd(den, *nums) == 1 (the zero
-    polynomial is ``((), 1)``), so field equality and hash are exact.
+    polynomial, the one false value, is ``((), 1)``), so field equality and
+    hash are exact.
     Arithmetic runs on the integers with one gcd per result; a ``Fraction``
     is built only by ``coeffs``, ``coeff(i)`` and rendering.
     """
@@ -129,9 +130,8 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.nums) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
+    def __bool__(self) -> bool:
+        return bool(self.nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -170,7 +170,7 @@ class Poly:
 
     def __mul__(self, other: object) -> "Poly":
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
+            if not (self and other):
                 return Poly()
             out = [0] * (len(self.nums) + len(other.nums) - 1)
             for i, a in enumerate(self.nums):
@@ -199,7 +199,7 @@ class Poly:
         return [format_ratio(v, self.den) for v in self.nums]
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self:
             return "0"
         parts: list[str] = []
         for i in range(self.degree, -1, -1):

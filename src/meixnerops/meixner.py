@@ -40,7 +40,7 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .exact import HALF, X, ZERO, Poly, format_rat, parse_rat, rational_sqrt
+from .exact import HALF, X, ZERO, Poly, format_rat, parse_rat, rational_sqrt, trim
 from .operators import PolyOp, VerifyReport, linear_combination, sequence_report
 from .orthopoly import SzegoJacobi
 from .pmd import PMDecomp
@@ -231,29 +231,23 @@ class TranslationExpr:
         delta = self.delta_squared
         return _series(self.even + self.ident, self.odd, delta * self.even, delta, order)
 
-    def coefficients(self, sign: int) -> tuple[Quadratic, ...]:
-        """Coefficients of X^0, X^1, ... on T_{sign*delta}, or on I for sign 0."""
-        if sign == 0:
-            return tuple(Quadratic(c) for c in self.ident.coeffs)
-        rational = HALF * self.even
-        root = Fraction(sign, 2) / self.delta_squared * self.odd
-        coeffs = [
-            Quadratic(rational.coeff(i), root.coeff(i), self.delta_squared)
-            for i in range(max(len(rational.nums), len(root.nums)))
-        ]
-        while coeffs and coeffs[-1] == Quadratic(0):
-            coeffs.pop()
-        return tuple(coeffs)
-
     @property
     def terms(self) -> tuple[tuple[tuple[Quadratic, ...], Quadratic], ...]:
         """(coefficients, shift) of each term shown: T_delta, T_-delta, then I (shift 0).
 
-        ``coefficients`` runs once per sign; a term whose coefficients all
-        vanish is not shown.
+        The coefficients are those of X^0, X^1, ...; a term whose
+        coefficients all vanish is not shown.
         """
         step = Quadratic.sqrt(self.delta_squared)
-        pairs = ((self.coefficients(sign), sign * step) for sign in (1, -1, 0))
+        rational = HALF * self.even
+        pairs = []
+        for sign in (1, -1):
+            root = Fraction(sign, 2) / self.delta_squared * self.odd
+            top = max(len(rational.nums), len(root.nums))
+            coeffs = [Quadratic(rational.coeff(i), root.coeff(i), self.delta_squared)
+                      for i in range(top)]
+            pairs.append((tuple(trim(coeffs)), sign * step))
+        pairs.append((tuple(Quadratic(c) for c in self.ident.coeffs), 0 * step))
         return tuple((coeffs, shift) for coeffs, shift in pairs if coeffs)
 
     def to_json_dict(self) -> list[dict]:
@@ -267,9 +261,9 @@ class TranslationExpr:
         for coeffs, shift in self.terms:
             coeff = str(Poly.of(*(c.a for c in coeffs)))
             root = Poly.of(*(c.b for c in coeffs))
-            if not root.is_zero:
+            if root:
                 coeff += f" + sqrt({format_rat(self.delta_squared)})*({root})"
-            where = "I" if shift == Quadratic(0) else f"T[{shift}]"
+            where = f"T[{shift}]" if shift else "I"
             parts.append(f"({coeff}) {where}")
         return " + ".join(parts) if parts else "0"
 

@@ -34,12 +34,9 @@ class PMDecomp:
     coeffs: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
-        coeffs = list(self.coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", tuple(trim(list(self.coeffs))))
         for n, a in enumerate(self.coeffs):
-            if not a.is_zero and a.degree > n + self.k:
+            if a and a.degree > n + self.k:
                 raise ValueError(
                     f"deg A_{n} = {a.degree} exceeds the faithfulness bound {n + self.k}"
                 )
@@ -55,7 +52,7 @@ class PMDecomp:
             return "0"
         parts = []
         for n, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if not a:
                 continue
             head = f"({a})"
             if n == 1:

@@ -32,7 +32,7 @@ class Quadratic:
 
     Canonical, so field equality and hash are exact: den > 0,
     gcd(num, root, den) = 1, and root = 0 forces s = 0.  A nonzero root
-    means s is not a rational square.
+    means s is not a rational square.  Only zero is false.
     """
 
     num: int
@@ -81,6 +81,9 @@ class Quadratic:
     def int_radicand(self) -> int:
         """R, with sqrt(s) = sqrt(R) / s.denominator; 0 for a rational."""
         return self.s.numerator * self.s.denominator
+
+    def __bool__(self) -> bool:
+        return bool(self.num or self.root)
 
     @property
     def is_rational(self) -> bool:

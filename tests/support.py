@@ -94,7 +94,7 @@ def evaluate(f, x):
 
 def int_form(diags):
     """The ``(den, {k: nums_k})`` of the operator with ``Poly`` diagonals ``{k: d_k}``."""
-    nonzero = {k: d for k, d in diags.items() if not d.is_zero}
+    nonzero = {k: d for k, d in diags.items() if d}
     den = lcm(*(d.den for d in nonzero.values()))
     return den, {k: [v * (den // d.den) for v in d.nums] for k, d in nonzero.items()}
 

@@ -314,9 +314,8 @@ def test_translation_form_irrational_rendering():
     assert ident == {"coeff": ["0", "1/2"], "shift": "0"}
     for expr in translation_exprs(SURD).values():
         # the -delta coefficients are the Galois conjugates of the +delta ones
-        assert expr.coefficients(-1) == tuple(
-            Quadratic(c.a, -c.b, c.s) for c in expr.coefficients(1)
-        )
+        (plus, step), (minus, back), _ = expr.terms
+        assert back == -step and minus == tuple(Quadratic(c.a, -c.b, c.s) for c in plus)
 
 
 def test_translation_form_rejects_negative_delta():

@@ -130,6 +130,7 @@ def test_integer_form_is_canonical_and_renders_as_before(a, b, s, k):
     a, b, s = reference_fields(a, b, s)
     check_canonical(x, a, b, s)
     assert x.is_rational == (b == 0)
+    assert bool(x) == (a != 0 or b != 0)
     assert x == Quadratic(a, b, s) and hash(x) == hash(Quadratic(a, b, s))
     assert str(x) == reference_str(a, b, s)
     assert x.to_json() == reference_json(a, b, s)
