@@ -59,7 +59,7 @@ def powers(x, top: int) -> list:
 
 
 def trim(values: list) -> list:
-    """Drop the trailing zeros of ``values`` in place; ``values`` is returned."""
+    """Drop the trailing false values (zeros) of ``values`` in place; ``values`` is returned."""
     while values and not values[-1]:
         values.pop()
     return values
