@@ -48,16 +48,18 @@ stdout and exit code alone, are unchanged by it.
   ``--trials=2`` and s in 0 .. 4, then ``gramschmidt`` at 200 with
   ``--trials=1`` and s = 0.  It reaches the column expansions of the
   commutator series at orders no other sweep does.
-- ``golden``: the 65 argv that ``tests/test_golden.py`` pinned one digest
-  each and no other sweep runs, in its order: ``decompose --order=24
-  --json`` for every operator on the six ``REPRESENTATIVES`` of
+- ``golden``: the 65 argv of the golden pins that no other sweep runs,
+  in the order they were pinned: ``decompose --order=24 --json`` for every
+  operator on the six ``REPRESENTATIVES`` of
   ``scripts/show_class_decompositions.py``; ``classify --json`` on the
   laws of ``GOLDEN_LAWS`` and ``characterize --json`` on the combinations
   of ``GOLDEN_COMBOS``, at the ``--max-moment`` they are keyed by;
   ``verify --json`` for ``gramschmidt`` at degree 16 (seeds 1 and 2) and 64
-  (seed 1), and ``pmd`` at 48 (seed 1, ``--trials=2``).  Each stdout is the
-  bytes that file pinned before the moment kernels, the basis change and the
-  extraction moved to integers.
+  (seed 1), and ``pmd`` at 48 (seed 1, ``--trials=2``).  The ``GOLDEN_*``
+  tables hold each argv's own stdout digest, taken before the moment
+  kernels, the basis change and the extraction moved to integers, which
+  ``tests/test_golden.py`` checks one test each; the sweep brings the same
+  bytes to the script run, which needs no pytest.
 - ``text``: ``verify`` without ``--json`` for every suite at degree 6 and s
   in 0 .. 2, and ``characterize`` without ``--json`` on
   ``sample_combo(Random(s))``, s in 0 .. 9, at ``--max-moment=12``.
@@ -125,6 +127,7 @@ from meixnerops.suites import SUITE_RUNNERS
 # The package exports the function ``classify``, which hides the module.
 classify_module = importlib.import_module("meixnerops.classify")
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "show_class_decompositions.py"
+REPRESENTATIVES = runpy.run_path(str(SCRIPT))["REPRESENTATIVES"]
 
 DEGREES = (4, 5, 6, 8, 12, 24, 48, 96, 200)
 SHORT_DEGREES = (4, 5, 6, 8, 12, 24, 48)
@@ -250,46 +253,152 @@ def refusals_argv():
            "--json"]
 
 
-# (alpha, alpha0, beta, t) of the golden classify laws, by --max-moment.
+# The golden pins: the stdout sha256 of each argv, one test each in
+# ``tests/test_golden.py``.  ``decompose --order=24 --json`` on every
+# operator of the script's representatives, taken before the basis change and
+# the extraction moved to integer kernels.
+GOLDEN_DECOMPOSE = {
+    ("Gaussian", "U"): "952fc849d5a8bf39c9e7f3dd8f558d58e705467129ee28aa1b18b85ed90bb72f",
+    ("Gaussian", "V"): "411897c5e64b908b92c56844b07588b748dfa99cf4da4799903acf6e46186971",
+    ("Gaussian", "N"): "7b060c8a0172da0165eb856eb9c4da4fcd082c52d63372a6621029597ff3d97e",
+    ("Gaussian", "a0"): "ef3f34a369fb7be3442c7a7790d1d334d6d529a11821678392fddb249b7fcb23",
+    ("Gaussian", "a-"): "ed861ecc2087bb49c3a1275722719b84d740c069eb6e6393506197d122366132",
+    ("Gaussian", "a+"): "5caba4a2c00b5d050d8f0c8cd9ebde33daa9fffe766abb4463902e7f8e9acb2f",
+    ("Poisson", "U"): "83a488feb8e980ed470bbe4c9a7a7f59326a62332e643009ceebf4aa95920192",
+    ("Poisson", "V"): "91db8ce29c45bf1d08130c1c07debd0429ad13a5a45e5de503e37d6173479c21",
+    ("Poisson", "N"): "69154e866e6cbd8778b59ff45658e4705c15ec83f2cfc0afed6d32a1ef70a5c4",
+    ("Poisson", "a0"): "9512f777ff98651aadc570d0e6eb6ba58e2256aa121d684fdff03ba83880f619",
+    ("Poisson", "a-"): "e5e3dba2a5db70fcbcc1b1fdd6a2ab5dafff456aafca3873c4714dcd0183a43a",
+    ("Poisson", "a+"): "d97ec5d4d2ad8b57c0918adc1ba5dfc3b0134e6f045423b978a4e4c9cb7b720e",
+    ("Pascal", "U"): "9a009557c2ef3d49d87a516c73047aa02049eaf8dd7ca4a6ad59f63d97fb272b",
+    ("Pascal", "V"): "9629b2189b8cd3ea374f35f7ce1c29052cfc99ae90fadd4c00d892f79edec3b4",
+    ("Pascal", "N"): "31c27e97fa8129de3c90f60d6d0f0e3c63aa8bbeee1b26943b266b0814895477",
+    ("Pascal", "a0"): "3ed2644798d7a1f8054b9b3f87fe64577255701efbfccc79cf5ce7539f79f7b4",
+    ("Pascal", "a-"): "8d599b8e625d7993e284c360d7f3444fad3bb21ce5462b82bca21f882fd8ac16",
+    ("Pascal", "a+"): "651e8270071d124939cbf6f4182b156f403b4b28620b0001c2d796ed859093c6",
+    ("Gamma", "U"): "edf4265b32137c208e36e51f5367b2c9eddc48c466caf0da7b00f7f8e54a5111",
+    ("Gamma", "V"): "02ff122fb5439afa1603fc6480111a43d92f382ae1fd3da8408c7932f64b242f",
+    ("Gamma", "N"): "163a70ea37a0bb8f9c4403c17d2467fea0be2a6a6e24646a677a6d750360380c",
+    ("Gamma", "a0"): "9352f4d947d3200047e077cdde3b5e9b61bcc5d388ed4c2a3bfcb398f499eb67",
+    ("Gamma", "a-"): "e82242c13033d43ae60250f16429386a6c2de20f42f380545b75bfca9b1ac98a",
+    ("Gamma", "a+"): "a914bd88677bafd70467fdf1b59ceeea6bca12f86c43c68347fc13a4ce2fd938",
+    ("hyperbolic secant", "U"): "7cd5d60adfb32110959ec11cd2b852414757b1867885d74adf86494b1c893456",
+    ("hyperbolic secant", "V"): "79932bc52c9e1cbdb70f9bd2630c962aa43dd737c71c6da4f189f6484b9b4f90",
+    ("hyperbolic secant", "N"): "56ad84e02092effa1a0036fe61e472014975e531d587847aac7b73483b690c04",
+    ("hyperbolic secant", "a0"): "8afe0b15bd1f7054cd47e48b7c426c5ff4c6faf9a2936e7785c5ebc23941a3ae",
+    ("hyperbolic secant", "a-"): "8a2056707f69f83f0567e156fff48a28e181ed6f7eafcdf8c1e8d83bb395e66e",
+    ("hyperbolic secant", "a+"): "b46b034ae18807c2207c3efcfff1121cc254e6947a5089125b5c03fe2c30e0ca",
+    ("Binomial", "U"): "697be259311dd83f11279c3cefe3929cae6ea44451b7fe76bbb3219d88b124b8",
+    ("Binomial", "V"): "08dc3aa510154cd4d4d7a92cb0d6f1ce964cdefc1527ce9c475b3136a9332e37",
+    ("Binomial", "N"): "32b7b39d7cdfb24b6e29610bd27eb0ee14bdfe07496ad189377e600b1f7fd170",
+    ("Binomial", "a0"): "babb78762aad1f944eff0d90e9dee8e257fc6fcd4bdffe73030930f5b5cacf1c",
+    ("Binomial", "a-"): "8217e8857f60ba1d5a63f303b2fb287da5a0401f0798a7386a4f70c525e77854",
+    ("Binomial", "a+"): "fd353dec52e835d4847bf8ffb75ca3308d96c64259575e8da39c6ea3b5fd0056",
+}
+# ``classify --json`` on (alpha, alpha0, beta, t), by --max-moment.  At 24
+# (pinned before the moment kernels moved to integers): Pascal with a rational
+# and an irrational sqrt(Delta), Binomial with Delta = 4 and with Delta = 7/3
+# (surds that must cancel).  At 60 (before the oracles moved to integer pairs):
+# Binomial laws on 201 and on 2 points, both with an irrational sqrt(Delta),
+# Poisson, Gamma, Pascal with sqrt(Delta) = 3/2, and Gaussian.  At 200 (before
+# the moment kernels moved to Pascal's rule and small divisors): a Binomial law
+# on 7 points with Delta = 7/3, a Pascal law with sqrt(Delta) = 3/2, a Gamma law.
 GOLDEN_LAWS = {
-    24: ("0 1/2 0 3/2", "1 1 0 1", "3 0 2 2", "2 1/3 1/2 5/4", "2 1 1 1", "0 0 1 1",
-         "0 0 -1 2", "1 -1/2 -1/3 2"),
-    60: ("1 1/3 -1/200 1", "1 1/3 -1 1", "2/3 1/5 0 3/7", "1 -1/2 1/4 3/2", "5/2 1/7 1 2/3",
-         "0 -2/3 0 5/3"),
-    200: ("1 -1/2 -1/3 2", "5/2 1/7 1 2/3", "1 -1/2 1/4 3/2"),
+    24: {
+        "0 1/2 0 3/2": "943ad7bde4a7002eb0bbf2570fd832a1463f1ee0329ec4d40ff3c140644e47e0",
+        "1 1 0 1": "ea49481068e87a7d7fa6ea510dea9a8a7570281801b1e17103943ec8f25e0277",
+        "3 0 2 2": "2f277a6af061941e6a1b4d7dda63a58616915afe638116bee3acb7270a519952",
+        "2 1/3 1/2 5/4": "4a7f9facc15724e8b1ecd9cbe1764944494bc21eee2904f81dbf111ab1637189",
+        "2 1 1 1": "8cc27bb8ab1e19ffcb5d78da5fddba65f5e2f4eaf7f168735b70087cea31c21f",
+        "0 0 1 1": "627bd4135ef10224b9af811bebcf392245227e048a9a8a7497c3c6f2372ca194",
+        "0 0 -1 2": "2a9938614009ea0c6bc25ceef20e555a12b183081ed084fe1726951a962c526c",
+        "1 -1/2 -1/3 2": "42890dfebea77e95c04b69504b2e0daf57309af4c4995afa4a2ce5e3b226b4dd",
+    },
+    60: {
+        "1 1/3 -1/200 1": "6a47ea72fef330c7024d3d36b3b2169d70fce95ed78d1e2d30912a7553d14c2c",
+        "1 1/3 -1 1": "1ba2f6d22342ef6ae348f6effab4de8548589b7ce75cb66b76cabbd3906af6cb",
+        "2/3 1/5 0 3/7": "7e71e0a5f1b8830baa2592a7537299cbff68a227853ab01a04bf5a1b294fbe69",
+        "1 -1/2 1/4 3/2": "3f271028a23e776328bf4e1803848b68d8dae58bd2e51bb5b9a2bbde60af0105",
+        "5/2 1/7 1 2/3": "d1b0fa5aaf576cc61b71d9342a895291bfc03f1afc85d61f34b8d080beb8c5d9",
+        "0 -2/3 0 5/3": "2c81c4b9dd04bf7508c5c19283731323acc89fd48a90e483f745b4e2dd3b0ccd",
+    },
+    200: {
+        "1 -1/2 -1/3 2": "bbbf0e7a1c2982b429c2a251eae7e80c7913f1da58444d85101dc360cbfa592f",
+        "5/2 1/7 1 2/3": "b922cac8d1343b02948bf10f086e609be28277429f1de263c4909f0a5e2a75f9",
+        "1 -1/2 1/4 3/2": "8495e8a828160ea737bea64de570eb6b432063ab3fd12680cb0849ac554f2a1c",
+    },
 }
-# The golden characterize combinations, by --max-moment.
+# ``characterize --json``, by --max-moment.  At 40 (pinned before the moment
+# kernels moved to integers): mixed denominators, a zero-shift term in three
+# combinations, none in two.  At 200 (before Pascal's rule and small divisors):
+# a zero-shift pair, three terms with mixed denominators and a zero shift, two
+# nonzero shifts.
 GOLDEN_COMBOS = {
-    40: ("1:1,-1:0", "1:1,-1:-1", "3/2:1/2,-1/3:-2/3,-7/6:0", "5/4:5/2,-3/4:-3/4,-1/2:0",
-         "2:3/2,-2:-5/3"),
-    200: ("1:1,-1:0", "3/2:1/2,-1/3:-2/3,-7/6:0", "2:3/2,-2:-5/3"),
+    40: {
+        "1:1,-1:0": "52ea2db482f0bbc153912e515a19366186fbb52e2581ec6cd2cae0e9e9bbf869",
+        "1:1,-1:-1": "cb40028d3177ae65b178911e2bbe635d83424e584f04f9f81734bb9762c95b60",
+        "3/2:1/2,-1/3:-2/3,-7/6:0": "cddbbedd11eb2e67b24279fde31197c2798452d7671f545c992187e7e2b805dc",
+        "5/4:5/2,-3/4:-3/4,-1/2:0": "9b5662fde79aaf19ddcf530153a018931e790b08e679764ab89b8c841b288f87",
+        "2:3/2,-2:-5/3": "0dc6e9b71224a065aac07aa078caa37ac068f454378ca97295c4b7a4260358f8",
+    },
+    200: {
+        "1:1,-1:0": "93a717f9b0e025447963f7539161f34bf3e6d8cad6efdd0dfaccf8ac303af16c",
+        "3/2:1/2,-1/3:-2/3,-7/6:0": "352140d220f648794b506a4e00877fa16c4179326338519547a8f0a8fe669a3d",
+        "2:3/2,-2:-5/3": "a85d0dde0adb0c0708a8fb8c6968b25bcd416d11b0f5b5362f3f23194a7a2103",
+    },
+}
+# ``verify --json`` by (suite, degree, trials, seed): ``gramschmidt`` at 16
+# before the moment kernels moved to integers (seed 2 draws a Binomial law on 6
+# points, so the finite-support branch runs); ``pmd`` at 48 before
+# ``decompose`` moved to one integer pipeline, six operators on a Poisson and a
+# Gamma draw, each extracted at truncation 51; ``gramschmidt`` at 64 before
+# Pascal's rule and small divisors.
+GOLDEN_VERIFY = {
+    ("gramschmidt", 16, 3, 1): "5bb574bd770bc1150d326f6c933296098ecd7148864ac773aab6b27cb34827a8",
+    ("gramschmidt", 16, 3, 2): "3a0fd019eaa3a41da15032493021fd44823754e6fc0d29566c327ce7be3104bb",
+    ("pmd", 48, 2, 1): "4bbeb18b95ccc3bb3958ac478eaf9edb531d88412677ebadb53a90c15cb4124f",
+    ("gramschmidt", 64, 3, 1): "bcaa0cf5a0ff85fe14e160e2e772bc6f3f84fb0bfb5ccfa2373dd1ac5e534b00",
+}
+# ``verify --suite=S --degree=12 --trials=3 --seed=1 --json``, pinned before the
+# suite runners moved into ``meixnerops.suites``.  The ``universal``,
+# ``doublecomm`` and ``limit`` sweeps run these argv too, so ``golden`` leaves
+# them out.
+GOLDEN_SUITES = {
+    "universal": "017686ce4adf7dc817ec45ce5d4fd96df6c230e2d564d8b4495f0521e03d6d7c",
+    "doublecomm": "cad688fe323462dc74aaf851e90150aef6fd0b59fc73b04396a43357051ed109",
+    "limit": "3cc24ca3e994f3c1ce1d2a63fe31586a556739775586f521ea49562a045b0503",
 }
 
 
-def golden_classify(max_moment):
-    for law in GOLDEN_LAWS[max_moment]:
-        fields = dict(zip(("alpha", "alpha0", "beta", "t"), law.split()))
-        yield ["classify", *param_flags(fields), f"--max-moment={max_moment}", "--json"]
+def golden_decompose(p, op):
+    return ["decompose", *param_flags(p.to_json_dict()), f"--op={op}", "--order=24", "--json"]
 
 
-def golden_characterize(max_moment):
-    for combo in GOLDEN_COMBOS[max_moment]:
-        yield ["characterize", f"--combo={combo}", f"--max-moment={max_moment}", "--json"]
+def golden_classify(law, max_moment):
+    fields = dict(zip(("alpha", "alpha0", "beta", "t"), law.split()))
+    return ["classify", *param_flags(fields), f"--max-moment={max_moment}", "--json"]
+
+
+def golden_characterize(combo, max_moment):
+    return ["characterize", f"--combo={combo}", f"--max-moment={max_moment}", "--json"]
+
+
+def golden_verify(suite, degree, trials, seed):
+    return next(verify_argv(suite, (degree,), (seed,), trials))
 
 
 def golden_argv():
-    for _, p in runpy.run_path(str(SCRIPT))["REPRESENTATIVES"]:
+    for _, p in REPRESENTATIVES:
         for op in OPS:
-            yield ["decompose", *param_flags(p.to_json_dict()), f"--op={op}", "--order=24",
-                   "--json"]
-    yield from golden_classify(24)
-    yield from golden_classify(60)
-    yield from golden_characterize(40)
-    yield from verify_argv("gramschmidt", (16,), (1, 2))
-    yield from verify_argv("pmd", (48,), (1,), trials=2)
-    yield from golden_characterize(200)
-    yield from golden_classify(200)
-    yield from verify_argv("gramschmidt", (64,), (1,))
+            yield golden_decompose(p, op)
+    for max_moment in (24, 60):
+        yield from (golden_classify(law, max_moment) for law in GOLDEN_LAWS[max_moment])
+    yield from (golden_characterize(combo, 40) for combo in GOLDEN_COMBOS[40])
+    *early, last = (golden_verify(*key) for key in GOLDEN_VERIFY)
+    yield from early
+    yield from (golden_characterize(combo, 200) for combo in GOLDEN_COMBOS[200])
+    yield from (golden_classify(law, 200) for law in GOLDEN_LAWS[200])
+    yield last
 
 
 def text_argv():

@@ -1,19 +1,114 @@
-"""Golden digests of ``translation_form``'s JSON, and a byte-identical rerun of each.
+"""Golden digests of the JSON reports, one test each, and a byte-identical rerun of each.
 
-``translation_form`` has no command, so ``tests/corpus.py``, which pins every
-command report, cannot reach it.  Its digests at degree 48 were pinned while
-it still applied each form to every X^m.
+The command pins (``GOLDEN_*`` in ``tests/corpus.py``, which says when each
+was taken) are checked here one argv at a time: exit 0, the stdout's sha256,
+and the same bytes on a rerun in the same process.  The ``golden`` sweep of
+the corpus runs the same argv, bar three that other sweeps run, so the
+script run, which needs no pytest, checks them too.  ``translation_form``
+has no command, so its digests at degree 48, pinned while it still applied
+each form to every X^m, live here.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from random import Random
 
 import pytest
 
+from meixnerops.cli import main
 from meixnerops.exact import rational_sqrt
-from meixnerops.meixner import MeixnerParams, translation_form
+from meixnerops.meixner import OPS, MeixnerParams, translation_form
 from meixnerops.sampling import sample_params, sample_params_delta0
+
+from corpus import (
+    GOLDEN_COMBOS,
+    GOLDEN_DECOMPOSE,
+    GOLDEN_LAWS,
+    GOLDEN_SUITES,
+    GOLDEN_VERIFY,
+    REPRESENTATIVES,
+    golden_characterize,
+    golden_classify,
+    golden_decompose,
+    golden_verify,
+)
+
+
+def _json_run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _assert_golden(argv: list[str], digest: str) -> None:
+    code, out = _json_run(argv)
+    assert code == 0, argv
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert _json_run(argv) == (code, out), argv
+
+
+def _law_id(law: str) -> str:
+    return law.replace(" ", "/")
+
+
+def test_golden_covers_every_class_and_operator():
+    assert set(GOLDEN_DECOMPOSE) == {(label, op) for label, _ in REPRESENTATIVES for op in OPS}
+
+
+@pytest.mark.parametrize("label,p", REPRESENTATIVES, ids=[label for label, _ in REPRESENTATIVES])
+def test_decompose_json_golden_and_deterministic(label, p):
+    for op in OPS:
+        _assert_golden(golden_decompose(p, op), GOLDEN_DECOMPOSE[label, op])
+
+
+@pytest.mark.parametrize("law", list(GOLDEN_LAWS[24]), ids=_law_id)
+def test_classify_json_golden_and_deterministic(law):
+    _assert_golden(golden_classify(law, 24), GOLDEN_LAWS[24][law])
+
+
+@pytest.mark.parametrize("law", list(GOLDEN_LAWS[60]), ids=_law_id)
+def test_classify_json_golden_at_60_moments(law):
+    _assert_golden(golden_classify(law, 60), GOLDEN_LAWS[60][law])
+
+
+@pytest.mark.parametrize("law", list(GOLDEN_LAWS[200]), ids=_law_id)
+def test_classify_json_golden_at_200_moments(law):
+    _assert_golden(golden_classify(law, 200), GOLDEN_LAWS[200][law])
+
+
+@pytest.mark.parametrize("combo", list(GOLDEN_COMBOS[40]))
+def test_characterize_json_golden_and_deterministic(combo):
+    _assert_golden(golden_characterize(combo, 40), GOLDEN_COMBOS[40][combo])
+
+
+@pytest.mark.parametrize("combo", list(GOLDEN_COMBOS[200]))
+def test_characterize_json_golden_at_200_moments(combo):
+    _assert_golden(golden_characterize(combo, 200), GOLDEN_COMBOS[200][combo])
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_gramschmidt_json_golden_and_deterministic(seed):
+    key = ("gramschmidt", 16, 3, seed)
+    _assert_golden(golden_verify(*key), GOLDEN_VERIFY[key])
+
+
+def test_gramschmidt_json_golden_at_degree_64():
+    key = ("gramschmidt", 64, 3, 1)
+    _assert_golden(golden_verify(*key), GOLDEN_VERIFY[key])
+
+
+def test_pmd_suite_json_golden_and_deterministic():
+    key = ("pmd", 48, 2, 1)
+    _assert_golden(golden_verify(*key), GOLDEN_VERIFY[key])
+
+
+@pytest.mark.parametrize("suite", list(GOLDEN_SUITES))
+def test_suite_json_golden_and_deterministic(suite):
+    _assert_golden(golden_verify(suite, 12, 3, 1), GOLDEN_SUITES[suite])
+
 
 # ``translation_form(p, 48).to_json_dict()``, dumped with sorted keys: the first
 # five Delta > 0 draws of ``sample_params(Random(1))`` (all with a rational
