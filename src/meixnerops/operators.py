@@ -42,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .exact import HALF, ONE, X, Poly, RatLike, taylor_shift, trim
+from .exact import HALF, Poly, RatLike, taylor_shift, trim
 from .orthopoly import SzegoJacobi, TruncationBeyondSupport, monic_polys, rescaled_basis
-from .pmd import MonomialMatrix, PMDecomp
+from .pmd import MonomialMatrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Diagonal = tuple[Fraction, ...]
@@ -330,7 +330,11 @@ def to_monomial_basis(op: GradedOp, sj: SzegoJacobi, top: int | None = None) -> 
 # is held without truncation, as ``(den, {k: nums_k})``: den * d_k(n) has the
 # integer coefficients nums_k, lowest degree first.  The form is canonical:
 # den > 0, every row is trimmed of trailing zeros, zero diagonals are
-# dropped and gcd(den, *all entries) = 1.  Composing by
+# dropped and gcd(den, *all entries) = 1, so two operators are equal
+# exactly when their forms are.  ``diagonal_report`` passes equal operands on
+# that comparison alone, and decides unequal ones by scanning their residual
+# on the entries a truncation reliably holds, where they may still agree.
+# Composing by
 #
 #     (A o B)_k(n) = sum_{ka + kb = k} A_ka(n + kb) B_kb(n)
 #
@@ -354,19 +358,29 @@ def _canonical(den: int, rows: dict[int, list[int]]) -> PolyOp:
 
 
 def poly_diagonals(name: str, alpha: Poly, omega: Poly) -> PolyOp:
-    """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n."""
-    half = alpha * HALF if name in ("U", "V") else None
-    diags = {
-        "U": {-1: omega, 0: half},
-        "V": {0: half, 1: ONE},
-        "N": {0: X},
-        "a0": {0: alpha},
-        "a-": {-1: omega},
-        "a+": {1: ONE},
-        "X": {-1: omega, 0: alpha, 1: ONE},
-    }[name]
-    den = lcm(*(d.den for d in diags.values()))
-    return _canonical(den, {k: [v * (den // d.den) for v in d.nums] for k, d in diags.items()})
+    """U, V, N, a0, a-, a+ or X of the recurrence alpha_n, omega_n.
+
+    N, a0, a- and a+ fill one diagonal, and a canonical ``Poly`` on one
+    diagonal is already a canonical operator.  U, V and X put the integer
+    rows of their diagonals over one denominator, 2 * alpha.den for alpha/2.
+    """
+    if name == "N":
+        return 1, {0: [0, 1]}
+    if name == "a+":
+        return 1, {1: [1]}
+    if name in ("a0", "a-"):
+        d, k = (alpha, 0) if name == "a0" else (omega, -1)
+        return d.den, ({k: list(d.nums)} if d else {})
+    if name == "U":
+        terms = ((-1, omega.nums, omega.den), (0, alpha.nums, 2 * alpha.den))
+    elif name == "V":
+        terms = ((0, alpha.nums, 2 * alpha.den), (1, (1,), 1))
+    elif name == "X":
+        terms = ((-1, omega.nums, omega.den), (0, alpha.nums, alpha.den), (1, (1,), 1))
+    else:
+        raise KeyError(name)
+    den = lcm(*(d for _, _, d in terms))
+    return _canonical(den, {k: [v * (den // d) for v in nums] for k, nums, d in terms})
 
 
 def linear_combination(*terms: tuple[RatLike, PolyOp]) -> PolyOp:
@@ -440,8 +454,11 @@ def diagonal_report(
     diagonal r_k has at most deg r_k roots, so its first nonzero entry is
     found within deg r_k + 1 evaluations.  On a mismatch the residual column
     at the first failing n, inside rows 0 .. ``trunc``, is expanded in X
-    through the f-basis of ``sj``, which is built only then.
+    through the f-basis of ``sj``, which is built only then.  Equal operands,
+    which the canonical form makes equal as values, pass with no residual formed.
     """
+    if lhs == rhs:
+        return VerifyReport(name, True, top)
     residual = linear_combination((1, lhs), (-1, rhs))
     found = top + 1
     for k, r in residual[1].items():
@@ -507,16 +524,18 @@ def _cycle_constant(later: PolyOp, earlier: PolyOp) -> Fraction | None:
 
 
 def series_by_commutators(
-    t: PolyOp, x: PolyOp, sj: SzegoJacobi, k: int, order: int
-) -> PMDecomp:
+    t: PolyOp, x: PolyOp, sj: SzegoJacobi, order: int
+) -> Iterator[tuple[list[int], int]]:
     """A_0 .. A_order of T = sum_n A_n(X) D^n, from the diagonals of T and of X.
 
+    Each A_n is yielded as ``(nums, den)``: its X^i coefficient is
+    nums[i] / den, the integers trimmed of trailing zeros but not reduced.
     Since [D^n, X] = n D^(n-1), the iterates T_j = [T_(j-1), X] satisfy
     T_j 1 = j! A_j, so A_j = (sum_(i >= 0) d_i(0) f_i) / j! with d_i the
     diagonals of T_j and f_i from ``monic_polys``.  Once T_j = c T_(j-2)
     holds exactly on every coefficient of every diagonal, T_(j+2i) = c^i T_j
     for every i, and no further commutator is formed; without such a cycle
-    the iteration runs to ``order``.  ``k`` is the grade of T.
+    the iteration runs to ``order``.
     """
     iterates = [t]
     cycle = Fraction(1)  # no power of it is taken unless a cycle is found
@@ -532,7 +551,6 @@ def series_by_commutators(
               default=0)
     basis = monic_polys(sj, top)
     images = [_column(op, 0, basis) for op in iterates]
-    coeffs = []
     fact = 1
     for m in range(order + 1):
         fact *= max(m, 1)
@@ -541,5 +559,4 @@ def series_by_commutators(
         power = (m - r) // 2
         nums, den = images[r]
         num_c, den_c = cycle.numerator**power, cycle.denominator**power
-        coeffs.append(Poly([v * num_c for v in nums], den * den_c * fact))
-    return PMDecomp(k, tuple(coeffs))
+        yield trim([v * num_c for v in nums]), den * den_c * fact

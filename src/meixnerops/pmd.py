@@ -7,8 +7,10 @@ operator's matrix on the monomial basis by peeling the triangular system
 
     T x^m = sum_{n <= m} A_n(X) * m!/(m-n)! * x^{m-n}.
 
-The commands read the same expansion off iterated commutators with X
-(``operators.series_by_commutators``); the peel is its tested reference.
+The commands read the same expansion off iterated commutators with X:
+``operators.series_by_commutators`` yields each A_n as integer rows, which
+``suites.extraction_agreement`` compares with the closed form.  The peel is
+its tested reference.
 
 ``normal_order`` rewrites a word in the letters X and D into this canonical
 form using D X = X D + I.

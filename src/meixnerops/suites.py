@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import chain
 from random import Random
 
+from .exact import Poly
 from .meixner import (
     OPS,
     MeixnerParams,
@@ -58,8 +59,11 @@ def extraction_agreement(
 
     The operator and X are held by their polynomial diagonals, built from
     ``recurrence_polys`` of the parameters, and ``series_by_commutators``
-    reads the expansion off their iterated commutators.  On a mismatch the report
-    carries ``fail_index`` and the residual A_fail(extracted) - A_fail(closed).
+    reads the expansion off their iterated commutators as integer rows.
+    Each row is compared with its closed-form coefficient by cross-multiplying
+    the denominators; only on a mismatch is the extracted coefficient built as a
+    ``Poly``, and the report carries ``fail_index`` and the residual
+    A_fail(extracted) - A_fail(closed).
 
     ``closed`` is the caller's ``series_decomposition(p, op, order)``; its
     coefficients do not depend on the order, so it serves every lower cap,
@@ -68,17 +72,19 @@ def extraction_agreement(
     space, and raising operators need one spare degree at the top.
     """
     sj = szego_jacobi(p)
-    k = closed.k
-    cap = checked_order(sj.support_bound, k, order)
+    cap = checked_order(sj.support_bound, closed.k, order)
     alpha, omega = recurrence_polys(p)
     extracted = series_by_commutators(
-        poly_diagonals(op, alpha, omega), poly_diagonals("X", alpha, omega), sj, k, cap
+        poly_diagonals(op, alpha, omega), poly_diagonals("X", alpha, omega), sj, cap
     )
-    return sequence_report(
-        f"extraction matches closed form for {op}",
-        cap,
-        ((n, extracted.coeff(n), closed.coeff(n)) for n in range(cap + 1)),
-    )
+    name = f"extraction matches closed form for {op}"
+    for n, (nums, den) in enumerate(extracted):
+        want = closed.coeff(n)
+        if len(nums) != len(want.nums) or any(
+            a * want.den != b * den for a, b in zip(nums, want.nums)
+        ):
+            return VerifyReport(name, False, cap, n, Poly(nums, den) - want)
+    return VerifyReport(name, True, cap)
 
 
 def suite_universal(rng: Random, degree: int) -> Suite:

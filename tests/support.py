@@ -17,6 +17,11 @@ take, and ``evaluate`` reads a polynomial at a point.
 The library holds an operator on polynomial diagonals as integer rows over
 one denominator, ``(den, {k: nums_k})``.  A test writes it as ``{k: d_k}``
 of ``Poly`` diagonals; ``int_form`` and ``poly_form`` convert between the two.
+``commutator_pmd`` collects the integer rows of
+``operators.series_by_commutators`` into a ``PMDecomp``, and
+``extraction_agreement`` is the check that compared that ``PMDecomp`` with the
+closed form through ``sequence_report``: the reference of
+``suites.extraction_agreement``.
 
 The library's scalar steps read the numerator and denominator of an ``int``
 or ``Fraction`` and build one ``Fraction`` per stored value.  The ``Fraction``
@@ -30,10 +35,18 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from meixnerops.exact import ONE, ZERO, X, Poly, format_ratio, powers, taylor_shift, trim
-from meixnerops.meixner import InvalidParams
-from meixnerops.operators import GradedOp, VerifyReport, first_mismatch
+from meixnerops.meixner import InvalidParams, recurrence_polys, szego_jacobi
+from meixnerops.operators import (
+    GradedOp,
+    VerifyReport,
+    first_mismatch,
+    poly_diagonals,
+    sequence_report,
+    series_by_commutators,
+)
 from meixnerops.orthopoly import MomentSeq, _over_lcm, monic_polys
-from meixnerops.pmd import MonomialMatrix
+from meixnerops.pmd import MonomialMatrix, PMDecomp
+from meixnerops.suites import checked_order
 
 
 def _pairs(values):
@@ -103,6 +116,29 @@ def poly_form(op):
     """The ``Poly`` diagonals ``{k: d_k}`` of an operator held as ``(den, {k: nums_k})``."""
     den, rows = op
     return {k: Poly(row, den) for k, row in rows.items()}
+
+
+def commutator_pmd(t, x, sj, k, order):
+    """The ``PMDecomp`` of grade ``k`` of ``series_by_commutators(t, x, sj, order)``."""
+    rows = series_by_commutators(t, x, sj, order)
+    return PMDecomp(k, tuple(Poly(nums, den) for nums, den in rows))
+
+
+def extraction_agreement(p, op, order, closed):
+    """``suites.extraction_agreement`` as it was: the extracted ``PMDecomp`` against
+    ``closed``, coefficient by coefficient through ``sequence_report``."""
+    sj = szego_jacobi(p)
+    k = closed.k
+    cap = checked_order(sj.support_bound, k, order)
+    alpha, omega = recurrence_polys(p)
+    extracted = commutator_pmd(
+        poly_diagonals(op, alpha, omega), poly_diagonals("X", alpha, omega), sj, k, cap
+    )
+    return sequence_report(
+        f"extraction matches closed form for {op}",
+        cap,
+        ((n, extracted.coeff(n), closed.coeff(n)) for n in range(cap + 1)),
+    )
 
 
 def dense(op):

@@ -540,6 +540,36 @@ def test_json_output_builds_no_text(capsys, monkeypatch):
     assert len(rendered) == 1
 
 
+def test_passing_checks_build_no_failure_evidence(capsys, monkeypatch):
+    # A passing diagonal_report forms no residual operator, and a passing
+    # extraction_agreement builds no Poly for an extracted coefficient.
+    operators = importlib.import_module("meixnerops.operators")
+
+    def forbid(owner, name, *callers):
+        original, codes = getattr(owner, name), {f.__code__ for f in callers}
+
+        def guarded(*args):
+            if sys._getframe(1).f_code in codes:
+                raise AssertionError(f"{name} called by a passing check")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, guarded)
+
+    forbid(operators, "linear_combination", operators.diagonal_report)
+    forbid(Poly, "__init__", operators.series_by_commutators, suites.extraction_agreement)
+    for argv in (
+        ["verify", "--suite=universal", "--degree=12", "--trials=3", "--seed=1"],
+        ["verify", "--suite=doublecomm", "--degree=12", "--trials=3", "--seed=1"],
+        [
+            "decompose", "--alpha=3/2", "--alpha0=1/3", "--beta=1/2", "--t=5/4",
+            "--op=U", "--order=24",
+        ],
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["config"]["command"] == argv[0]
+
+
 def test_classify_renders_values_beyond_float_range(capsys):
     code, out, err = run_cli(
         capsys, "classify", "--alpha=3", f"--alpha0={10**400}", "--beta=1", "--t=1", "--json"

@@ -12,7 +12,10 @@ operator built, only the columns read, the peel in Y = D*X, the closed forms
 in one pass) is compared with the Fraction path it replaced, kept below.
 ``decompose`` now reads each expansion off iterated commutators with X on
 polynomial diagonals; that route is compared with the matrix route, reports
-and CLI bytes included.  The operators on polynomial diagonals are held as
+and CLI bytes included.  ``extraction_agreement`` compares the integer rows
+of that route with the closed form; its reference is
+``support.extraction_agreement``, which compared a ``PMDecomp`` built from
+them.  The operators on polynomial diagonals are held as
 integer rows over one denominator; ``poly_diagonals``,
 ``linear_combination``, ``diagonal_commutator`` and ``diagonal_report`` are
 checked against the kernels on ``Poly`` diagonals they replaced, on random
@@ -123,7 +126,6 @@ from meixnerops.operators import (
     semi_ops,
     sequence_report,
     VerifyReport,
-    series_by_commutators,
     to_monomial_basis,
     verify_universal,
 )
@@ -144,6 +146,7 @@ from meixnerops.suites import checked_order, extraction_agreement
 from meixnerops.surd import Quadratic
 
 import support
+from corpus import perturbed
 from support import commutator, number_op, operator_report, zero_op
 
 classify_module = importlib.import_module("meixnerops.classify")
@@ -617,7 +620,7 @@ def both_routes(sj, alpha, omega, op, order):
     assert cap == matrix_cap(graded, k, order) >= 0
     matrix = extract_pmd(to_monomial_basis(graded, sj, cap), k, cap)
     diags = poly_diagonals(op, alpha, omega)
-    commutators = series_by_commutators(diags, poly_diagonals("X", alpha, omega), sj, k, cap)
+    commutators = support.commutator_pmd(diags, poly_diagonals("X", alpha, omega), sj, k, cap)
     return commutators, matrix
 
 
@@ -774,7 +777,7 @@ def both_banded_routes(diags, hi, alpha, omega, order):
     graded = GradedOp(trunc, (lo, hi), hi, band)
     matrix = extract_pmd(to_monomial_basis(graded, sj, order), hi, order)
     x = poly_diagonals("X", alpha, omega)
-    return series_by_commutators(support.int_form(diags), x, sj, hi, order), matrix
+    return support.commutator_pmd(support.int_form(diags), x, sj, hi, order), matrix
 
 
 def test_a_cycle_holds_on_every_diagonal(monkeypatch):
@@ -820,6 +823,20 @@ def test_failing_reports_match_the_matrix_route(index, bump):
             report = extraction_agreement(p, op, 24, closed)
             assert report == matrix_extraction_agreement(p, op, 24, closed), (p, op)
             assert report.passed == (index > report.max_degree), (p, op)
+
+
+@settings(deadline=None, max_examples=150)
+@given(meixner_params(), st.sampled_from(OPS), st.integers(0, 16), st.data())
+def test_extraction_agreement_matches_the_pmdecomp_reference(p, op, order, data):
+    # A closed form bumped at a random index, maybe past the checked order, by
+    # a polynomial that an expansion of grade k may hold there, maybe zero.
+    closed = series_decomposition(p, op, order)
+    index = data.draw(st.integers(max(0, -closed.k), order + 1))
+    bump = Poly.of(*data.draw(st.lists(rats, max_size=index + closed.k + 1)))
+    closed = perturbed(closed, index, bump)
+    report = extraction_agreement(p, op, order, closed)
+    assert report == support.extraction_agreement(p, op, order, closed)
+    assert report.passed == (not bump or index > report.max_degree)
 
 
 def _stdout(argv):
