@@ -267,8 +267,13 @@ def cmd_decompose(args: argparse.Namespace) -> Outcome:
         lines = [f"{args.op} = sum_n A_n(X) D^n with deg A_n <= n + ({decomp.k}):"]
         for n in range(args.order + 1):
             lines.append(f"  A_{n} = {decomp.coeff(n)}")
-        verdict = "agrees" if check.passed else "DISAGREES"
-        lines.append(f"matrix extraction {verdict} through order {check.max_degree}")
+        if check.passed:
+            lines.append(f"matrix extraction agrees through order {check.max_degree}")
+        else:
+            lines.append(
+                f"matrix extraction DISAGREES through order {check.max_degree}: first at "
+                f"A_{check.fail_index}, extracted - closed form = {check.residual}"
+            )
         if check.max_degree < args.order:
             lines.append(_cap_reason(p.support_bound, decomp.k, args.order))
         if args.op == "a+":
@@ -310,8 +315,12 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         ]
         for entry in detail:
             for check in entry["checks"]:
-                mark = "ok " if check["pass"] else "FAIL"
-                lines.append(f"  trial {entry['trial']:3d} {mark} {check['identity']}")
+                head = f"  trial {entry['trial']:3d}"
+                if check["pass"]:
+                    lines.append(f"{head} ok  {check['identity']}")
+                else:
+                    index = check["fail_index"]
+                    lines.append(f"{head} FAIL {check['identity']} (fail_index {index})")
         lines.append("all identities hold" if all_pass else "FAILURES found")
         return lines
 
@@ -351,10 +360,17 @@ def cmd_characterize(args: argparse.Namespace) -> Outcome:
 
     def text() -> list[str]:
         statement = " + ".join(f"{d['scale']}*Y({d['mean']})" for d in decomposition)
+        # Each route that differs, with the first m where it does.
+        differs = "".join(
+            f"; {route} differs from recursion first at m = "
+            f"{next(i for i, u, v in recursion.cross(mu) if u != v)}"
+            for route, mu in (("cumulant", cumulant), ("laplace", laplace))
+            if mu != recursion
+        )
         return [
             f"combination {combo.format()} is a valid annihilation operator",
             f"moments through m = {m}: {moments}",
-            f"three oracle routes agree: {'yes' if agree else 'NO'}",
+            f"three oracle routes agree: {'yes' if agree else 'NO'}{differs}",
             f"growth bound |E[X^m]| <= k^m m! with k = {format_rat(cert.k)}: "
             + ("holds" if cert.passed and cert.even_passed else "FAILS"),
             f"X = {statement} with independent Poisson Y(mean)",

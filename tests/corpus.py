@@ -84,8 +84,11 @@ on every draw; ``refusals`` once ``decompose`` refused a
 malformed or inadmissible quadruple as ``invalid parameters``, as
 ``classify`` does; ``ladder`` before one integer helper took over the column
 expansions of ``series_by_commutators`` and ``diagonal_report``;
-``golden``, ``text`` and ``failing`` while ``PMDecomp`` and
-``TranslationExpr`` still trimmed their zeros by loops of their own.
+``golden`` and ``text`` while ``PMDecomp`` and ``TranslationExpr`` still
+trimmed their zeros by loops of their own; ``failing`` once its text reports
+named where they fail: ``decompose`` its first differing A_n and the
+residual, and ``characterize`` each route that differs from the recursion
+route and the first m where it does.
 
 ``tests/test_corpus.py`` checks every digest under pytest.  This module
 needs only the package, so it also runs as a script on an interpreter
@@ -495,7 +498,7 @@ DIGESTS = {
     "ladder": "fcd8e967bf94ec50aa1d3e1a5c7eb6bc9e0f8faa164c1ceb65bffcabbd06239c",
     "golden": "62197d3c1351445ab8219b86803c14ecfcbe3bdee4a92b103a883972dbb03ff9",
     "text": "f59d13309a7cfe2c7d72dd67607f5dcccf58ea373ec4168f60395c62b324bba2",
-    "failing": "f37efa81a90b4dae549b8188a31a43086119cf49fee23f3ca4d356625d3e46bf",
+    "failing": "1eab76422343e8cbd23ddc813d75507bb480df50100519aee0b6da115c02c6b4",
 }
 
 

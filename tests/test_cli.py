@@ -271,6 +271,28 @@ def test_failing_pmd_suite_check_carries_the_residual(capsys, monkeypatch):
             assert check == before and check["residual"] is None
 
 
+def test_failing_verify_text_names_the_fail_index(capsys, monkeypatch):
+    original = suites.series_decomposition
+
+    def bumped_series(p, op, order):
+        closed = original(p, op, order)
+        return perturbed(closed, 2, Poly.of(0, Fraction(-5, 3))) if op == "a-" else closed
+
+    monkeypatch.setattr(suites, "series_decomposition", bumped_series)
+    code, out, _ = run_cli(capsys, "verify", "--suite=pmd", "--degree=8", "--trials=1", "--seed=3")
+    assert code == 1
+    assert out.splitlines() == [
+        "suite pmd: degree 8, 1 trials, seed 3",
+        *(
+            f"  trial   0 FAIL extraction matches closed form for {op} (fail_index 2)"
+            if op == "a-"
+            else f"  trial   0 ok  extraction matches closed form for {op}"
+            for op in cli.OPS
+        ),
+        "FAILURES found",
+    ]
+
+
 def _gramschmidt_suite(capsys, monkeypatch, perturb):
     """Run the suite with ``perturb`` applied to the recurrence Gram-Schmidt recovers."""
     original = suites.gram_schmidt_from_moments
@@ -488,7 +510,7 @@ def test_characterize_renders_disagreeing_routes_separately(capsys, monkeypatch)
     ]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
-    assert "three oracle routes agree: NO" in out
+    assert "three oracle routes agree: NO; laplace differs from recursion first at m = 3" in out
 
 
 def test_characterize_op_validates_once(capsys, monkeypatch):
