@@ -454,8 +454,8 @@ def diagonal_report(
     diagonal r_k has at most deg r_k roots, so its first nonzero entry is
     found within deg r_k + 1 evaluations.  On a mismatch the residual column
     at the first failing n, inside rows 0 .. ``trunc``, is expanded in X
-    through the f-basis of ``sj``, which is built only then.  Equal operands,
-    which the canonical form makes equal as values, pass with no residual formed.
+    through the f-basis of ``sj``, which is built only then.  Operands with
+    equal canonical forms pass at once, with no residual formed.
     """
     if lhs == rhs:
         return VerifyReport(name, True, top)
