@@ -267,13 +267,11 @@ def cmd_decompose(args: argparse.Namespace) -> Outcome:
         lines = [f"{args.op} = sum_n A_n(X) D^n with deg A_n <= n + ({decomp.k}):"]
         for n in range(args.order + 1):
             lines.append(f"  A_{n} = {decomp.coeff(n)}")
-        if check.passed:
-            lines.append(f"matrix extraction agrees through order {check.max_degree}")
-        else:
-            lines.append(
-                f"matrix extraction DISAGREES through order {check.max_degree}: first at "
-                f"A_{check.fail_index}, extracted - closed form = {check.residual}"
-            )
+        verdict = "agrees" if check.passed else "DISAGREES"
+        line = f"matrix extraction {verdict} through order {check.max_degree}"
+        if not check.passed:
+            line += f": first at A_{check.fail_index}, extracted - closed form = {check.residual}"
+        lines.append(line)
         if check.max_degree < args.order:
             lines.append(_cap_reason(p.support_bound, decomp.k, args.order))
         if args.op == "a+":
@@ -315,12 +313,11 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
         ]
         for entry in detail:
             for check in entry["checks"]:
-                head = f"  trial {entry['trial']:3d}"
-                if check["pass"]:
-                    lines.append(f"{head} ok  {check['identity']}")
-                else:
-                    index = check["fail_index"]
-                    lines.append(f"{head} FAIL {check['identity']} (fail_index {index})")
+                mark = "ok " if check["pass"] else "FAIL"
+                line = f"  trial {entry['trial']:3d} {mark} {check['identity']}"
+                if not check["pass"]:
+                    line += f" (fail_index {check['fail_index']})"
+                lines.append(line)
         lines.append("all identities hold" if all_pass else "FAILURES found")
         return lines
 
