@@ -357,7 +357,6 @@ def cmd_characterize(args: argparse.Namespace) -> Outcome:
 
     def text() -> list[str]:
         statement = " + ".join(f"{d['scale']}*Y({d['mean']})" for d in decomposition)
-        # Each route that differs, with the first m where it does.
         differs = "".join(
             f"; {route} differs from recursion first at m = "
             f"{next(i for i, u, v in recursion.cross(mu) if u != v)}"
